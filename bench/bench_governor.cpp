@@ -113,7 +113,7 @@ void fleet_tick_bench(benchmark::State& state, bool governed) {
       now += util::ms_to_ns(1);
       fleet.actor_system().tell(gov_ref,
                                 actors::Payload(governor::GovernorTick{now}));
-      fleet.actor_system().await_idle();
+      fleet.settle();
     }
   }
   state.SetItemsProcessed(state.iterations() *
@@ -124,12 +124,22 @@ void fleet_tick_bench(benchmark::State& state, bool governed) {
 void BM_FleetTick_GovernorOff(benchmark::State& state) {
   fleet_tick_bench(state, false);
 }
-BENCHMARK(BM_FleetTick_GovernorOff)->Arg(1)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_GovernorOff)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(32)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FleetTick_GovernorOn(benchmark::State& state) {
   fleet_tick_bench(state, true);
 }
-BENCHMARK(BM_FleetTick_GovernorOn)->Arg(1)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_GovernorOn)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(32)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 /// The pure decision path: N synthetic hosts with fresh power samples each
 /// tick, shares computed and every step controller consulted. No
@@ -257,7 +267,7 @@ double joules_per_gigainstr(std::size_t host_count, double budget_per_host) {
     if (advanced >= next_tick) {
       fleet.actor_system().tell(
           gov_ref, actors::Payload(governor::GovernorTick{advanced}));
-      fleet.actor_system().drain();
+      fleet.settle();
       next_tick += util::ms_to_ns(100);
     }
   };

@@ -96,17 +96,17 @@ void fleet_tick_obs_bench(benchmark::State& state, ObsState obs_state) {
 void BM_FleetTick_NoObs(benchmark::State& state) {
   fleet_tick_obs_bench(state, ObsState::kNone);
 }
-BENCHMARK(BM_FleetTick_NoObs)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_NoObs)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_FleetTick_ObsDisabled(benchmark::State& state) {
   fleet_tick_obs_bench(state, ObsState::kDisabled);
 }
-BENCHMARK(BM_FleetTick_ObsDisabled)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_ObsDisabled)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_FleetTick_ObsEnabled(benchmark::State& state) {
   fleet_tick_obs_bench(state, ObsState::kEnabled);
 }
-BENCHMARK(BM_FleetTick_ObsEnabled)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_FleetTick_ObsEnabled)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // --- Primitive costs ---
 

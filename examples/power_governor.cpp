@@ -174,7 +174,7 @@ RunResult run_fleet(std::size_t host_count, double budget_watts,
     if (elapsed >= next_tick) {
       fleet.actor_system().tell(gov_ref,
                                 actors::Payload(governor::GovernorTick{elapsed}));
-      fleet.actor_system().drain();
+      fleet.settle();
       next_tick += kTickInterval;
       const double watts = gov->last_fleet_watts();
       result.peak_fleet_watts = std::max(result.peak_fleet_watts, watts);

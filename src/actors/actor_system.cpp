@@ -34,6 +34,7 @@ void ActorRef::tell(Payload payload, ActorRef sender) const {
 
 ActorSystem::ActorSystem(Mode mode, std::size_t workers, obs::Observability* obs)
     : mode_(mode), obs_(obs) {
+  groups_.push_back(std::make_unique<std::vector<Cell*>>());  // kDefaultGroup.
   if (obs_ != nullptr) {
     steals_metric_ = &obs_->metrics.counter("actors.dispatch.steals");
     parks_metric_ = &obs_->metrics.counter("actors.dispatch.parks");
@@ -91,8 +92,15 @@ ActorSystem::~ActorSystem() {
   }
 }
 
-ActorRef ActorSystem::spawn(std::string name, std::unique_ptr<Actor> actor) {
+ActorRef ActorSystem::spawn(std::string name, std::unique_ptr<Actor> actor,
+                           GroupId group) {
   if (!actor) throw std::invalid_argument("ActorSystem::spawn: null actor");
+  {
+    std::lock_guard lock(cells_mutex_);
+    if (group >= groups_.size()) {
+      throw std::out_of_range("ActorSystem::spawn: no such group");
+    }
+  }
   auto cell = std::make_unique<Cell>();
   cell->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   if ((cell->id >> kChunkBits) >= kMaxChunks) {
@@ -113,10 +121,17 @@ ActorRef ActorSystem::spawn(std::string name, std::unique_ptr<Actor> actor) {
       chunks_[chunk_index].store(chunk, std::memory_order_release);
     }
     chunk->slots[cell->id & kChunkMask].store(cell.get(), std::memory_order_release);
+    groups_[group]->push_back(cell.get());
     cells_.push_back(std::move(cell));
     cells_version_.fetch_add(1, std::memory_order_release);
   }
   return ref;
+}
+
+ActorSystem::GroupId ActorSystem::add_group() {
+  std::lock_guard lock(cells_mutex_);
+  groups_.push_back(std::make_unique<std::vector<Cell*>>());
+  return static_cast<GroupId>(groups_.size() - 1);
 }
 
 ActorSystem::Cell* ActorSystem::lookup(ActorId id) const noexcept {
@@ -250,10 +265,43 @@ void ActorSystem::fold_processed(std::uint64_t handled) {
   }
 }
 
-std::size_t ActorSystem::drain(std::size_t max_messages) {
+void ActorSystem::require_manual(const char* what) const {
   if (mode_ != Mode::kManual) {
-    throw std::logic_error("ActorSystem::drain: only valid in manual mode");
+    throw std::logic_error(std::string("ActorSystem::") + what + ": only valid in manual mode");
   }
+}
+
+bool ActorSystem::drain_visit(Cell& cell) {
+  // Idle skip: most visits in a steady tick hit an empty mailbox, and the
+  // hint turns each of those into a single relaxed-ish load. The visit order
+  // over non-idle cells is unchanged, so kManual message ordering (and
+  // therefore golden output) is identical.
+  if (!cell.has_mail.load(std::memory_order_acquire)) return false;
+  bool processed = false;
+  if (cell.stopped.load(std::memory_order_acquire)) {
+    drain_dead_letters(cell);
+  } else {
+    // One message per visit, processed in place (no move out of the node).
+    processed = cell.mailbox.consume(1, [&](Envelope&& envelope) {
+      if (mailbox_latency_ != nullptr && envelope.enqueue_ns != 0) {
+        mailbox_latency_->record(obs::wall_now_ns() - envelope.enqueue_ns);
+      }
+      process_one(cell, envelope);
+      return true;
+    }) != 0;
+  }
+  if (cell.mailbox.empty()) {
+    // Clear-then-recheck: if a concurrent tell lands between the empty()
+    // observation and the clear, the recheck re-arms the hint, so no message
+    // is stranded behind a cleared flag.
+    cell.has_mail.store(false, std::memory_order_relaxed);
+    if (!cell.mailbox.empty()) cell.has_mail.store(true, std::memory_order_relaxed);
+  }
+  return processed;
+}
+
+std::size_t ActorSystem::drain(std::size_t max_messages) {
+  require_manual("drain");
   std::size_t processed = 0;
   bool progressed = true;
   // Snapshot cells so spawn-during-drain is legal; the snapshot is cached
@@ -272,35 +320,30 @@ std::size_t ActorSystem::drain(std::size_t max_messages) {
     }
     for (Cell* cell : snapshot) {
       if (processed >= max_messages) break;
-      // Idle skip: most visits in a steady tick hit an empty mailbox, and
-      // the hint turns each of those into a single relaxed-ish load. The
-      // visit order over non-idle cells is unchanged, so kManual message
-      // ordering (and therefore golden output) is identical.
-      if (!cell->has_mail.load(std::memory_order_acquire)) continue;
-      if (cell->stopped.load(std::memory_order_acquire)) {
-        drain_dead_letters(*cell);
-        cell->has_mail.store(false, std::memory_order_relaxed);
-        if (!cell->mailbox.empty()) cell->has_mail.store(true, std::memory_order_relaxed);
-        continue;
-      }
-      // One message per visit, processed in place (no move out of the node).
-      const std::size_t n = cell->mailbox.consume(1, [&](Envelope&& envelope) {
-        if (mailbox_latency_ != nullptr && envelope.enqueue_ns != 0) {
-          mailbox_latency_->record(obs::wall_now_ns() - envelope.enqueue_ns);
-        }
-        process_one(*cell, envelope);
-        return true;
-      });
-      if (n != 0) {
+      if (drain_visit(*cell)) {
         ++processed;
         progressed = true;
       }
-      if (cell->mailbox.empty()) {
-        // Clear-then-recheck: if a concurrent tell lands between the empty()
-        // observation and the clear, the recheck re-arms the hint, so no
-        // message is stranded behind a cleared flag.
-        cell->has_mail.store(false, std::memory_order_relaxed);
-        if (!cell->mailbox.empty()) cell->has_mail.store(true, std::memory_order_relaxed);
+    }
+  }
+  if (processed != 0) messages_processed_.fetch_add(processed, std::memory_order_relaxed);
+  return processed;
+}
+
+std::size_t ActorSystem::drain_group(GroupId group, std::size_t max_messages) {
+  require_manual("drain_group");
+  // No lock: membership is frozen while groups drain concurrently, and a
+  // spawn into this group from one of its own actors (same thread) is seen
+  // by the size re-read below.
+  const std::vector<Cell*>& cells = *groups_.at(group);
+  std::size_t processed = 0;
+  bool progressed = true;
+  while (progressed && processed < max_messages) {
+    progressed = false;
+    for (std::size_t i = 0; i < cells.size() && processed < max_messages; ++i) {
+      if (drain_visit(*cells[i])) {
+        ++processed;
+        progressed = true;
       }
     }
   }

@@ -3,6 +3,9 @@
 // Two dispatch modes cover the library's needs:
 //  * kManual    — no threads; drain() processes messages deterministically.
 //                 All simulation experiments and most tests run here.
+//                 Cells may be spawned into drain groups, and drain_group()
+//                 drains one group; different groups may drain on different
+//                 threads at once (FleetMonitor's host slices).
 //  * kThreaded  — a work-stealing worker pool dispatches actors concurrently
 //                 with the classic schedule-on-first-message protocol; used
 //                 for live monitoring and exercised by the concurrency tests
@@ -46,6 +49,12 @@ class ActorSystem {
  public:
   enum class Mode { kManual, kThreaded };
 
+  /// A drain group: a subset of the cells that drain_group() drains on its
+  /// own. Every cell belongs to exactly one group; cells spawned without one
+  /// join kDefaultGroup.
+  using GroupId = std::uint32_t;
+  static constexpr GroupId kDefaultGroup = 0;
+
   /// `obs` (optional, non-owning, must outlive the system) turns on runtime
   /// self-instrumentation: mailbox enqueue-to-drain latency, dispatcher
   /// steal/park counters, and a snapshot collector exposing actor counts,
@@ -57,13 +66,25 @@ class ActorSystem {
   ActorSystem(const ActorSystem&) = delete;
   ActorSystem& operator=(const ActorSystem&) = delete;
 
-  /// Spawns an actor; pre_start() runs before the first message.
-  ActorRef spawn(std::string name, std::unique_ptr<Actor> actor);
+  /// Spawns an actor into `group`; pre_start() runs before the first
+  /// message.
+  ActorRef spawn(std::string name, std::unique_ptr<Actor> actor,
+                 GroupId group = kDefaultGroup);
 
   template <typename A, typename... Args>
   ActorRef spawn_as(std::string name, Args&&... args) {
     return spawn(std::move(name), std::make_unique<A>(std::forward<Args>(args)...));
   }
+
+  template <typename A, typename... Args>
+  ActorRef spawn_in(GroupId group, std::string name, Args&&... args) {
+    return spawn(std::move(name), std::make_unique<A>(std::forward<Args>(args)...), group);
+  }
+
+  /// Adds an empty drain group and returns its id. Groups are created and
+  /// filled while nothing drains concurrently: membership is frozen while
+  /// drain_group() runs on another thread.
+  GroupId add_group();
 
   /// Enqueues a message (any thread). Messages to stopped/unknown actors
   /// count as dead letters.
@@ -77,6 +98,11 @@ class ActorSystem {
   /// processed. Returns the number processed. Deterministic: actors are
   /// visited in spawn order, one message per visit (fair round-robin).
   std::size_t drain(std::size_t max_messages = SIZE_MAX);
+
+  /// kManual only: drain() over one group's cells, in their spawn order.
+  /// Distinct groups may drain on distinct threads at once — tell() is safe
+  /// from any thread — but one group drains on one thread at a time.
+  std::size_t drain_group(GroupId group, std::size_t max_messages = SIZE_MAX);
 
   /// kThreaded only: blocks until every mailbox is empty and no message is
   /// being processed.
@@ -138,6 +164,10 @@ class ActorSystem {
   Cell* lookup(ActorId id) const noexcept;
   Cell* find_cell(ActorId id) const noexcept;  ///< lookup + not-stopped.
   void process_one(Cell& cell, Envelope& envelope);
+  /// One manual-mode visit: processes at most one message (or flushes a
+  /// stopped cell's backlog); returns whether a message was processed.
+  bool drain_visit(Cell& cell);
+  void require_manual(const char* what) const;
   std::size_t drain_dead_letters(Cell& cell);
   void schedule(Cell& cell);
   void enqueue_cell(Cell& cell);
@@ -161,6 +191,8 @@ class ActorSystem {
   std::vector<std::unique_ptr<Cell>> cells_;
   std::atomic<std::uint64_t> cells_version_{1};  ///< Bumped per spawn; lets drain() cache its snapshot.
   std::array<std::atomic<SlotChunk*>, kMaxChunks> chunks_{};
+  /// Cells per drain group, in spawn order; grown under cells_mutex_.
+  std::vector<std::unique_ptr<std::vector<Cell*>>> groups_;
   std::atomic<ActorId> next_id_{1};
   // Hot counters on separate cache lines: producers hammer pending_ while
   // workers hammer messages_processed_.

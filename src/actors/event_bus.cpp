@@ -1,6 +1,7 @@
 #include "actors/event_bus.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/observability.h"
 #include "util/logging.h"
@@ -12,6 +13,7 @@ EventBus::~EventBus() {
   if (obs != nullptr && obs_collector_ != 0) {
     obs->metrics.remove_collector(obs_collector_);
   }
+  for (auto& chunk : chunks_) delete chunk.load(std::memory_order_relaxed);
 }
 
 void EventBus::set_observability(obs::Observability* obs) {
@@ -23,120 +25,120 @@ void EventBus::set_observability(obs::Observability* obs) {
   if (obs == nullptr) return;
   obs_collector_ = obs->metrics.add_collector([this](obs::SnapshotBuilder& builder) {
     builder.gauge("bus.dead_letters", static_cast<double>(dead_letter_count()));
-    std::shared_lock lock(mutex_);
-    for (TopicId id = 0; id < stats_.size(); ++id) {
-      const std::uint64_t publishes =
-          stats_[id]->publishes.load(std::memory_order_relaxed);
-      const std::uint64_t drops = stats_[id]->drops.load(std::memory_order_relaxed);
+    std::lock_guard lock(mutex_);
+    for (TopicId id = 0; id < ids_.size(); ++id) {
+      const Topic& topic = *topic_at(id);
+      const std::uint64_t publishes = topic.publishes.load(std::memory_order_relaxed);
+      const std::uint64_t drops = topic.drops.load(std::memory_order_relaxed);
       if (publishes == 0 && drops == 0) continue;
-      builder.gauge("bus.topic." + names_[id] + ".publishes",
+      builder.gauge("bus.topic." + topic.name + ".publishes",
                     static_cast<double>(publishes));
       if (drops != 0) {
-        builder.gauge("bus.topic." + names_[id] + ".drops",
-                      static_cast<double>(drops));
+        builder.gauge("bus.topic." + topic.name + ".drops", static_cast<double>(drops));
       }
     }
   });
 }
 
-void EventBus::record_publish(TopicId topic, std::size_t delivered) {
+EventBus::Topic* EventBus::topic_at(TopicId id) const noexcept {
+  TopicChunk* chunk = chunk_of(id);
+  if (chunk == nullptr) return nullptr;
+  Topic& topic = chunk->topics[id & (kChunkSize - 1)];
+  if (topic.subscribers.load(std::memory_order_acquire) == nullptr) return nullptr;
+  return &topic;
+}
+
+void EventBus::record_publish(TopicId id, std::size_t delivered) {
   if (delivered == 0) dead_letters_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t drops = 0;
-  std::string name;
-  {
-    std::shared_lock lock(mutex_);
-    if (topic >= stats_.size()) return;
-    TopicStats& stats = *stats_[topic];
-    stats.publishes.fetch_add(1, std::memory_order_relaxed);
-    if (delivered != 0) return;
-    drops = stats.drops.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Rate-limit the warning: first drop per topic, then every 4096th —
-    // a misrouted 1 kHz sensor stream must not melt the log.
-    if (drops != 1 && drops % 4096 != 0) return;
-    name = names_[topic];
-  }
-  POWERAPI_LOG_WARN("bus") << "publish to topic '" << name
+  Topic* topic = topic_at(id);
+  if (topic == nullptr) return;
+  topic->publishes.fetch_add(1, std::memory_order_relaxed);
+  if (delivered != 0) return;
+  const std::uint64_t drops = topic->drops.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Rate-limit the warning: first drop per topic, then every 4096th — a
+  // misrouted 1 kHz sensor stream must not melt the log.
+  if (drops != 1 && drops % 4096 != 0) return;
+  POWERAPI_LOG_WARN("bus") << "publish to topic '" << topic->name
                            << "' reached no subscribers (" << drops
                            << " dead letters)";
 }
 
-EventBus::TopicId EventBus::intern_locked(std::string_view topic) {
-  const auto it = ids_.find(topic);
+EventBus::TopicId EventBus::intern_locked(std::string_view name) {
+  const auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
-  const auto id = static_cast<TopicId>(topics_.size());
-  ids_.emplace(std::string(topic), id);
-  topics_.push_back(std::make_shared<const SubscriberList>());
-  names_.emplace_back(topic);
-  stats_.push_back(std::make_unique<TopicStats>());
+  const auto id = static_cast<TopicId>(ids_.size());
+  const std::size_t chunk_index = id >> kChunkBits;
+  if (chunk_index >= kMaxChunks) {
+    throw std::length_error("EventBus: topic id space exhausted");
+  }
+  TopicChunk* chunk = chunks_[chunk_index].load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new TopicChunk();
+    chunks_[chunk_index].store(chunk, std::memory_order_release);
+  }
+  Topic& topic = chunk->topics[id & (kChunkSize - 1)];
+  topic.name = name;
+  ids_.emplace(std::string(name), id);
+  replace_subscribers_locked(topic, {});  // Publishes the name with the list.
   return id;
 }
 
+void EventBus::replace_subscribers_locked(Topic& topic, SubscriberList next) {
+  lists_.push_back(std::make_unique<const SubscriberList>(std::move(next)));
+  topic.subscribers.store(lists_.back().get(), std::memory_order_release);
+}
+
 EventBus::TopicId EventBus::intern(std::string_view topic) {
-  std::unique_lock lock(mutex_);
+  std::lock_guard lock(mutex_);
   return intern_locked(topic);
 }
 
 EventBus::TopicId EventBus::find(std::string_view topic) const {
-  std::shared_lock lock(mutex_);
+  std::lock_guard lock(mutex_);
   const auto it = ids_.find(topic);
   return it == ids_.end() ? kNoTopic : it->second;
 }
 
 void EventBus::subscribe(std::string_view topic, ActorRef subscriber) {
   if (!subscriber.valid()) return;
-  std::unique_lock lock(mutex_);
-  const TopicId id = intern_locked(topic);
-  const auto& current = topics_[id];
-  if (std::find(current->begin(), current->end(), subscriber) != current->end()) {
-    return;  // Duplicate ignored.
-  }
-  auto next = std::make_shared<SubscriberList>(*current);
-  next->push_back(subscriber);
-  topics_[id] = std::move(next);
+  std::lock_guard lock(mutex_);
+  subscribe_locked(intern_locked(topic), subscriber);
 }
 
 void EventBus::subscribe(TopicId topic, ActorRef subscriber) {
   if (!subscriber.valid()) return;
-  std::unique_lock lock(mutex_);
-  if (topic >= topics_.size()) return;
-  const auto& current = topics_[topic];
-  if (std::find(current->begin(), current->end(), subscriber) != current->end()) {
-    return;
+  std::lock_guard lock(mutex_);
+  subscribe_locked(topic, subscriber);
+}
+
+void EventBus::subscribe_locked(TopicId id, ActorRef subscriber) {
+  Topic* topic = topic_at(id);
+  if (topic == nullptr) return;
+  const SubscriberList& current = *topic->subscribers.load(std::memory_order_relaxed);
+  if (std::find(current.begin(), current.end(), subscriber) != current.end()) {
+    return;  // Duplicate ignored.
   }
-  auto next = std::make_shared<SubscriberList>(*current);
-  next->push_back(subscriber);
-  topics_[topic] = std::move(next);
+  SubscriberList next = current;
+  next.push_back(subscriber);
+  replace_subscribers_locked(*topic, std::move(next));
 }
 
 void EventBus::unsubscribe(std::string_view topic, ActorRef subscriber) {
   unsubscribe(find(topic), subscriber);
 }
 
-void EventBus::unsubscribe(TopicId topic, ActorRef subscriber) {
-  std::unique_lock lock(mutex_);
-  if (topic >= topics_.size()) return;
-  const auto& current = topics_[topic];
-  if (std::find(current->begin(), current->end(), subscriber) == current->end()) return;
-  auto next = std::make_shared<SubscriberList>();
-  next->reserve(current->size() - 1);
-  for (const auto& ref : *current) {
-    if (!(ref == subscriber)) next->push_back(ref);
+void EventBus::unsubscribe(TopicId id, ActorRef subscriber) {
+  std::lock_guard lock(mutex_);
+  Topic* topic = topic_at(id);
+  if (topic == nullptr) return;
+  const SubscriberList& current = *topic->subscribers.load(std::memory_order_relaxed);
+  if (std::find(current.begin(), current.end(), subscriber) == current.end()) return;
+  SubscriberList next;
+  next.reserve(current.size() - 1);
+  for (const auto& ref : current) {
+    if (!(ref == subscriber)) next.push_back(ref);
   }
-  topics_[topic] = std::move(next);
-}
-
-std::shared_ptr<const EventBus::SubscriberList> EventBus::snapshot(TopicId topic) const {
-  std::shared_lock lock(mutex_);
-  if (topic >= topics_.size()) return nullptr;
-  return topics_[topic];
-}
-
-std::shared_ptr<const EventBus::SubscriberList> EventBus::snapshot_named(
-    std::string_view topic) const {
-  std::shared_lock lock(mutex_);
-  const auto it = ids_.find(topic);
-  if (it == ids_.end()) return nullptr;
-  return topics_[it->second];
+  replace_subscribers_locked(*topic, std::move(next));
 }
 
 std::size_t EventBus::subscriber_count(std::string_view topic) const {
@@ -144,8 +146,8 @@ std::size_t EventBus::subscriber_count(std::string_view topic) const {
 }
 
 std::size_t EventBus::subscriber_count(TopicId topic) const {
-  const auto subs = snapshot(topic);
-  return subs ? subs->size() : 0;
+  const SubscriberList* subs = subscribers(topic);
+  return subs == nullptr ? 0 : subs->size();
 }
 
 }  // namespace powerapi::actors

@@ -6,21 +6,27 @@
 // "sensor:hpc" or "power:estimation".
 //
 // Hot-path design: topic strings are interned to dense integer TopicIds at
-// subscribe time (one string lookup ever, integer indexing per publish), and
-// subscriber lists are copy-on-write snapshots, so a publish is: one shared
-// lock, one shared_ptr copy, one payload allocation — then a refcount bump
-// per subscriber. Publishing to a topic with no subscribers constructs and
-// copies nothing — but it IS counted: a zero-subscriber publish is a dead
-// letter (a typo'd topic silently eats the whole pipeline downstream of it),
-// tallied always and warned about at a rate-limited cadence.
+// subscribe time (one string lookup ever, integer indexing per publish).
+// Topics live in a chunked table that is never reallocated (like the actor
+// slot table) and each holds an immutable subscriber list behind an atomic
+// pointer, so a publish takes no lock and writes no shared cache line: two
+// acquire loads find the list, then one tell per subscriber. Subscribe and
+// unsubscribe (rare, assembly-time) swap in a fresh list under the writer
+// mutex and keep the old one alive until the bus dies, so a publisher still
+// walking it never sees it freed. Publishing to a topic with no subscribers
+// constructs and copies nothing — but it IS counted: a zero-subscriber
+// publish is a dead letter (a typo'd topic silently eats the whole pipeline
+// downstream of it), tallied always and warned about at a rate-limited
+// cadence.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -72,7 +78,7 @@ class EventBus {
   /// never constructed.
   template <typename T>
   std::size_t publish(TopicId topic, T&& payload, ActorRef sender = {}) {
-    const auto subs = snapshot(topic);
+    const SubscriberList* subs = subscribers(topic);
     const std::size_t n = deliver(subs, std::forward<T>(payload), sender);
     // record_publish is off the delivered fast path: it is only entered for
     // dead letters or when observability is attached AND enabled, so a
@@ -88,7 +94,7 @@ class EventBus {
   /// dead letter is still counted (the topic is interned to track it).
   template <typename T>
   std::size_t publish(std::string_view topic, T&& payload, ActorRef sender = {}) {
-    const auto subs = snapshot_named(topic);
+    const SubscriberList* subs = subscribers(find(topic));
     const std::size_t n = deliver(subs, std::forward<T>(payload), sender);
     if (n == 0 || observing()) {
       record_publish(intern(topic), n);
@@ -102,16 +108,39 @@ class EventBus {
  private:
   using SubscriberList = std::vector<ActorRef>;
 
-  /// Per-topic tallies; heap-allocated so the vector can grow while
-  /// publishers hold only the shared lock.
-  struct TopicStats {
+  /// One interned topic. `subscribers` stays null until the topic is
+  /// interned (it doubles as the "interned" flag: `name` is written before
+  /// it is published), then always points at an immutable list.
+  struct Topic {
+    std::atomic<const SubscriberList*> subscribers{nullptr};
+    std::string name;
     std::atomic<std::uint64_t> publishes{0};
     std::atomic<std::uint64_t> drops{0};
   };
 
-  std::shared_ptr<const SubscriberList> snapshot(TopicId topic) const;
-  std::shared_ptr<const SubscriberList> snapshot_named(std::string_view topic) const;
+  static constexpr std::size_t kChunkBits = 8;
+  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;  // 256
+  static constexpr std::size_t kMaxChunks = 4096;  // ~1M topics per bus.
+
+  struct TopicChunk {
+    std::array<Topic, kChunkSize> topics;
+  };
+
+  // Lock-free lookups; null for an id that was never interned.
+  TopicChunk* chunk_of(TopicId id) const noexcept {
+    const std::size_t index = id >> kChunkBits;
+    return index < kMaxChunks ? chunks_[index].load(std::memory_order_acquire) : nullptr;
+  }
+  const SubscriberList* subscribers(TopicId id) const noexcept {
+    const TopicChunk* chunk = chunk_of(id);
+    if (chunk == nullptr) return nullptr;
+    return chunk->topics[id & (kChunkSize - 1)].subscribers.load(std::memory_order_acquire);
+  }
+  Topic* topic_at(TopicId id) const noexcept;
   TopicId intern_locked(std::string_view topic);
+  void subscribe_locked(TopicId topic, ActorRef subscriber);
+  /// Publishes `next` as the topic's list; the old list stays alive.
+  void replace_subscribers_locked(Topic& topic, SubscriberList next);
   void record_publish(TopicId topic, std::size_t delivered);
 
   /// True when an observability bundle is attached and currently enabled.
@@ -126,8 +155,7 @@ class EventBus {
   /// free either way. Larger values are materialized once and shared by
   /// refcount across deliveries.
   template <typename T>
-  std::size_t deliver(const std::shared_ptr<const SubscriberList>& subs, T&& payload,
-                      ActorRef sender) {
+  std::size_t deliver(const SubscriberList* subs, T&& payload, ActorRef sender) {
     using Value = std::decay_t<T>;
     if (!subs || subs->empty()) return 0;
     if (subs->size() == 1) {
@@ -152,11 +180,13 @@ class EventBus {
   std::atomic<obs::Observability*> obs_{nullptr};
   std::uint64_t obs_collector_ = 0;
   std::atomic<std::uint64_t> dead_letters_{0};
-  mutable std::shared_mutex mutex_;
+  std::array<std::atomic<TopicChunk*>, kMaxChunks> chunks_{};
+  /// Guards interning, subscription changes and the fields below; never
+  /// taken by a publish by id.
+  mutable std::mutex mutex_;
   std::map<std::string, TopicId, std::less<>> ids_;
-  std::vector<std::shared_ptr<const SubscriberList>> topics_;  ///< Indexed by TopicId.
-  std::vector<std::string> names_;  ///< Topic names, indexed by TopicId.
-  std::vector<std::unique_ptr<TopicStats>> stats_;  ///< Indexed by TopicId.
+  /// Every subscriber list ever published, freed with the bus.
+  std::vector<std::unique_ptr<const SubscriberList>> lists_;
 };
 
 }  // namespace powerapi::actors

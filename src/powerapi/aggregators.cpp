@@ -140,29 +140,31 @@ void Aggregator::post_stop() {
   pending_groups_.clear();
 }
 
-void FleetAggregator::receive(actors::Envelope& envelope) {
-  const auto* row = envelope.payload.get<AggregatedPower>();
-  if (row == nullptr) return;
-  // Fleet dimension sums the per-host machine view; per-pid and per-group
-  // rows stay host-local.
-  if (row->pid != kMachinePid || !row->group.empty()) return;
-  Bucket& bucket = pending_[{row->formula, row->timestamp}];
-  bucket.watts += row->watts;
-  bucket.seq = row->seq;
-  ++bucket.hosts;
-  if (bucket.hosts >= *host_count_) {
-    emit(row->formula, row->timestamp, bucket);
-    pending_.erase({row->formula, row->timestamp});
+std::optional<AggregatedPower> FleetSum::add(const AggregatedPower& row,
+                                             std::size_t hosts) {
+  if (!counts(row)) return std::nullopt;
+  const auto key = std::make_pair(row.formula, row.timestamp);
+  Bucket& bucket = pending_[key];
+  bucket.watts += row.watts;
+  bucket.seq = row.seq;
+  if (++bucket.hosts < hosts) return std::nullopt;
+  AggregatedPower out = fleet_row(row.formula, row.timestamp, bucket);
+  pending_.erase(key);
+  return out;
+}
+
+std::vector<AggregatedPower> FleetSum::flush() {
+  std::vector<AggregatedPower> rows;
+  rows.reserve(pending_.size());
+  for (const auto& [key, bucket] : pending_) {
+    rows.push_back(fleet_row(key.first, key.second, bucket));
   }
-}
-
-void FleetAggregator::post_stop() {
-  for (const auto& [key, bucket] : pending_) emit(key.first, key.second, bucket);
   pending_.clear();
+  return rows;
 }
 
-void FleetAggregator::emit(const std::string& formula, util::TimestampNs timestamp,
-                           const Bucket& bucket) {
+AggregatedPower FleetSum::fleet_row(const std::string& formula, util::TimestampNs timestamp,
+                                    const Bucket& bucket) {
   AggregatedPower out;
   out.timestamp = timestamp;
   out.pid = kMachinePid;
@@ -170,7 +172,21 @@ void FleetAggregator::emit(const std::string& formula, util::TimestampNs timesta
   out.formula = formula;
   out.watts = bucket.watts;
   out.seq = bucket.seq;
-  bus_->publish(out_topic_, std::move(out), self());
+  return out;
+}
+
+void FleetAggregator::receive(actors::Envelope& envelope) {
+  const auto* row = envelope.payload.get<AggregatedPower>();
+  if (row == nullptr) return;
+  if (auto out = sum_.add(*row, *host_count_)) {
+    bus_->publish(out_topic_, std::move(*out), self());
+  }
+}
+
+void FleetAggregator::post_stop() {
+  for (AggregatedPower& out : sum_.flush()) {
+    bus_->publish(out_topic_, std::move(out), self());
+  }
 }
 
 }  // namespace powerapi::api

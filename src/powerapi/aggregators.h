@@ -6,8 +6,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "actors/actor.h"
 #include "actors/event_bus.h"
@@ -79,15 +81,45 @@ class Aggregator final : public actors::Actor {
   obs::Histogram* tick_to_aggregate_ = nullptr;
 };
 
-/// Sums machine-scope aggregated rows across hosts per (formula, timestamp)
-/// and emits a "(fleet)" row once every host has reported — order-robust
-/// under concurrent dispatch, where host pipelines interleave arbitrarily.
+/// The fleet dimension's bucket logic: sums machine-scope aggregated rows
+/// across hosts per (formula, timestamp) into "(fleet)" rows, completing a
+/// bucket once every host has reported it. Rows sum in the order they are
+/// added. Shared by FleetMonitor, which folds its hosts' rows in host order
+/// after every step, and by the FleetAggregator actor.
+class FleetSum {
+ public:
+  /// Whether `row` is machine-scope, the only kind the fleet sums; per-pid
+  /// and per-group rows stay host-local.
+  static bool counts(const AggregatedPower& row) {
+    return row.pid == kMachinePid && row.group.empty();
+  }
+  /// Absorbs one row (only machine-scope rows count; others are ignored)
+  /// and returns the "(fleet)" row it completes, if any.
+  std::optional<AggregatedPower> add(const AggregatedPower& row, std::size_t hosts);
+  /// The buckets still waiting on stragglers, in (formula, timestamp)
+  /// order; empties the sum.
+  std::vector<AggregatedPower> flush();
+
+ private:
+  struct Bucket {
+    double watts = 0.0;
+    std::size_t hosts = 0;
+    std::uint64_t seq = 0;
+  };
+
+  static AggregatedPower fleet_row(const std::string& formula, util::TimestampNs timestamp,
+                                   const Bucket& bucket);
+
+  std::map<std::pair<std::string, util::TimestampNs>, Bucket> pending_;
+};
+
+/// FleetSum as an actor: re-publishes the fleet dimension of the rows it is
+/// subscribed to. A telemetry collector subscribes one to the BusBridge's
+/// merged "remote/power:aggregated", so the fleet dimension is the same
+/// whether the rows crossed a wire or not. Rows sum in arrival order.
 ///
 /// `host_count` is shared with the owner so hosts can join before the first
-/// tick; FleetMonitor subscribes one of these to every host's
-/// "h<i>/power:aggregated", and a telemetry collector subscribes one to the
-/// BusBridge's merged "remote/power:aggregated" — the fleet dimension is the
-/// same whether the rows crossed a wire or not.
+/// tick.
 class FleetAggregator final : public actors::Actor {
  public:
   FleetAggregator(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
@@ -100,19 +132,10 @@ class FleetAggregator final : public actors::Actor {
   void post_stop() override;
 
  private:
-  struct Bucket {
-    double watts = 0.0;
-    std::size_t hosts = 0;
-    std::uint64_t seq = 0;
-  };
-
-  void emit(const std::string& formula, util::TimestampNs timestamp,
-            const Bucket& bucket);
-
   actors::EventBus* bus_;
   actors::EventBus::TopicId out_topic_;
   std::shared_ptr<const std::size_t> host_count_;
-  std::map<std::pair<std::string, util::TimestampNs>, Bucket> pending_;
+  FleetSum sum_;
 };
 
 }  // namespace powerapi::api

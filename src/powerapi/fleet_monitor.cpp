@@ -1,8 +1,6 @@
 #include "powerapi/fleet_monitor.h"
 
 #include <algorithm>
-#include <any>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -10,74 +8,43 @@
 
 namespace powerapi::api {
 
-namespace {
-
-/// Advances a chunk of hosts and fires their due monitor ticks, in host
-/// order. The only writer of its hosts: the single-threaded receive
-/// guarantee makes host advancement race-free even on the work-stealing
-/// dispatcher, and one AdvanceHost per chunk (instead of per host) amortizes
-/// mailbox/steal overhead across hosts_per_chunk hosts.
-class ChunkAgent final : public actors::Actor {
- public:
-  struct HostSlot {
-    os::MonitorableHost* host = nullptr;
-    Pipeline* pipeline = nullptr;
-  };
-
-  explicit ChunkAgent(std::vector<HostSlot> slots) : slots_(std::move(slots)) {}
-
-  void receive(actors::Envelope& envelope) override {
-    const AdvanceHost* cmd = envelope.payload.get<AdvanceHost>();
-    if (cmd == nullptr) return;
-    for (const HostSlot& slot : slots_) {
-      slot.host->advance(cmd->duration);
-      slot.pipeline->publish_due_ticks();
-    }
-  }
-
- private:
-  std::vector<HostSlot> slots_;
-};
-
-}  // namespace
-
 FleetMonitor::FleetMonitor(Options options)
     : options_(options),
       obs_(options.with_observability ? std::make_unique<obs::Observability>()
                                       : nullptr),
-      actors_(options.mode, options.workers, obs_.get()),
+      actors_(actors::ActorSystem::Mode::kManual, 1, obs_.get()),
       bus_(actors_),
-      fleet_topic_(bus_.intern("fleet/power:aggregated")),
-      host_count_(std::make_shared<std::size_t>(0)) {
+      fleet_topic_(bus_.intern("fleet/power:aggregated")) {
   if (obs_ != nullptr) bus_.set_observability(obs_.get());
-  if (options_.fleet_aggregation) {
-    fleet_aggregator_ = actors_.spawn_as<FleetAggregator>("fleet-aggregator", bus_,
-                                                          fleet_topic_, host_count_);
-  }
 }
 
 FleetMonitor::~FleetMonitor() {
   finish();
   actors_.shutdown();
-  if (actors_.mode() == actors::ActorSystem::Mode::kManual) actors_.drain();
+  actors_.drain();
 }
 
 std::size_t FleetMonitor::add_host(os::MonitorableHost& host, PipelineSpec spec) {
   const std::size_t index = entries_.size();
   auto entry = std::make_unique<HostEntry>();
   entry->host = &host;
+  entry->group = actors_.add_group();
   // The fleet's bundle observes every host pipeline unless the spec brought
   // its own.
   if (obs_ != nullptr && spec.observability == nullptr) {
     spec.observability = obs_.get();
   }
+  const std::string ns = "h" + std::to_string(index) + "/";
   PipelineBuilder builder(actors_, bus_);
-  entry->pipeline = builder.build(host, std::move(spec), "h" + std::to_string(index) + "/");
+  entry->pipeline = builder.build(host, std::move(spec), ns, entry->group);
   if (options_.fleet_aggregation) {
-    bus_.subscribe(entry->pipeline->aggregated_topic(), fleet_aggregator_);
+    const auto tap = actors_.spawn_in<CallbackReporter>(
+        entry->group, ns + "fleet-tap", [rows = &entry->fleet_rows](const AggregatedPower& row) {
+          if (FleetSum::counts(row)) rows->push_back(row);
+        });
+    bus_.subscribe(entry->pipeline->aggregated_topic(), tap);
   }
   entries_.push_back(std::move(entry));
-  *host_count_ = entries_.size();
   return index;
 }
 
@@ -147,38 +114,90 @@ void FleetMonitor::write_chrome_trace(std::ostream& out) const {
 }
 
 void FleetMonitor::settle() {
-  if (actors_.mode() == actors::ActorSystem::Mode::kThreaded) {
-    actors_.await_idle();
-  } else {
-    actors_.drain();
+  // Host groups first (their rows feed the fold), then the fleet level;
+  // repeat while the fleet level did anything, since it may tell hosts.
+  do {
+    for (const auto& entry : entries_) actors_.drain_group(entry->group);
+    fold_fleet_rows();
+  } while (actors_.drain_group(actors::ActorSystem::kDefaultGroup) != 0);
+}
+
+void FleetMonitor::fold_fleet_rows() {
+  for (const auto& entry : entries_) {
+    for (const AggregatedPower& row : entry->fleet_rows) {
+      if (auto out = fleet_sum_.add(row, entries_.size())) {
+        bus_.publish(fleet_topic_, std::move(*out));
+      }
+    }
+    entry->fleet_rows.clear();
   }
 }
 
-void FleetMonitor::ensure_chunk_agents() {
-  if (chunked_hosts_ == entries_.size()) return;
-  // Host count changed since the last build: retire the old generation and
-  // spawn fresh agents over the new host set (the generation counter keeps
-  // actor names unique across rebuilds).
-  if (!chunk_agents_.empty()) {
-    for (const auto& agent : chunk_agents_) actors_.stop(agent);
-    chunk_agents_.clear();
-    settle();
+void FleetMonitor::start_slices() {
+  const std::size_t hosts = entries_.size();
+  const std::size_t slices =
+      options_.mode == actors::ActorSystem::Mode::kThreaded
+          ? std::min(hosts, options_.workers + 1)
+          : 1;
+  if (slice_begin_.size() == slices + 1 && slice_begin_.back() == hosts) return;
+  stop_slices();
+  slice_begin_.clear();
+  for (std::size_t s = 0; s <= slices; ++s) slice_begin_.push_back(s * hosts / slices);
+  slice_errors_.assign(slices, nullptr);
+  if (slices == 1) return;
+  start_ = std::make_unique<std::barrier<>>(static_cast<std::ptrdiff_t>(slices));
+  done_ = std::make_unique<std::barrier<>>(static_cast<std::ptrdiff_t>(slices));
+  for (std::size_t s = 1; s < slices; ++s) {
+    threads_.emplace_back([this, s] { slice_loop(s); });
   }
-  ++chunk_generation_;
-  const std::size_t per_chunk = std::max<std::size_t>(options_.hosts_per_chunk, 1);
-  for (std::size_t begin = 0; begin < entries_.size(); begin += per_chunk) {
-    const std::size_t end = std::min(begin + per_chunk, entries_.size());
-    std::vector<ChunkAgent::HostSlot> slots;
-    slots.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      slots.push_back({entries_[i]->host, entries_[i]->pipeline.get()});
+}
+
+void FleetMonitor::stop_slices() {
+  if (threads_.empty()) return;
+  stopping_ = true;
+  start_->arrive_and_wait();
+  threads_.clear();  // Joins.
+  stopping_ = false;
+}
+
+void FleetMonitor::slice_loop(std::size_t slice) {
+  for (;;) {
+    start_->arrive_and_wait();
+    if (stopping_) return;
+    try {
+      run_slice(slice);
+    } catch (...) {
+      slice_errors_[slice] = std::current_exception();
     }
-    chunk_agents_.push_back(actors_.spawn_as<ChunkAgent>(
-        "chunk" + std::to_string(chunk_generation_) + "/" +
-            std::to_string(begin / per_chunk) + "/agent",
-        std::move(slots)));
+    done_->arrive_and_wait();
   }
-  chunked_hosts_ = entries_.size();
+}
+
+void FleetMonitor::run_slice(std::size_t slice) {
+  for (std::size_t i = slice_begin_[slice]; i < slice_begin_[slice + 1]; ++i) {
+    HostEntry& entry = *entries_[i];
+    entry.host->advance(step_);
+    entry.pipeline->publish_due_ticks();
+    actors_.drain_group(entry.group);
+  }
+}
+
+void FleetMonitor::step_hosts(util::DurationNs step) {
+  step_ = step;
+  if (threads_.empty()) {
+    run_slice(0);
+    return;
+  }
+  start_->arrive_and_wait();
+  try {
+    run_slice(0);
+  } catch (...) {
+    slice_errors_[0] = std::current_exception();
+  }
+  done_->arrive_and_wait();
+  for (std::exception_ptr& error : slice_errors_) {
+    if (error) std::rethrow_exception(std::exchange(error, nullptr));
+  }
 }
 
 void FleetMonitor::run_for(util::DurationNs duration) {
@@ -190,24 +209,22 @@ void FleetMonitor::run_for(
     const std::function<void(util::DurationNs advanced_ns)>& on_chunk) {
   if (finished_) throw std::logic_error("FleetMonitor::run_for after finish()");
   if (entries_.empty() || duration <= 0) return;
-  ensure_chunk_agents();
-  // Chunk at the smallest monitoring period so no host's ticks coalesce
+  start_slices();
+  // Step at the smallest monitoring period so no host's ticks coalesce
   // beyond what its own PowerMeter-equivalent run would produce.
-  util::DurationNs chunk = entries_.front()->pipeline->ticker().period();
+  util::DurationNs period = entries_.front()->pipeline->ticker().period();
   for (const auto& entry : entries_) {
-    chunk = std::min(chunk, entry->pipeline->ticker().period());
+    period = std::min(period, entry->pipeline->ticker().period());
   }
   util::DurationNs advanced = 0;
   while (advanced < duration) {
-    const util::DurationNs step = std::min(chunk, duration - advanced);
-    for (const auto& agent : chunk_agents_) {
-      actors_.tell(agent, actors::Payload(AdvanceHost{step}));
-    }
-    settle();  // Barrier: every host advanced, every pipeline drained.
+    const util::DurationNs step = std::min(period, duration - advanced);
+    step_hosts(step);
+    settle();
     advanced += step;
     if (on_chunk) {
       // The fleet is quiescent here: callbacks may actuate hosts or tell
-      // actors; settle again so their effects land before the next chunk.
+      // actors; settle again so their effects land before the next step.
       on_chunk(advanced);
       settle();
     }
@@ -217,12 +234,13 @@ void FleetMonitor::run_for(
 void FleetMonitor::finish() {
   if (finished_) return;
   finished_ = true;
+  stop_slices();
   settle();
   // Host aggregators flush first (their pending groups feed the fleet
-  // dimension), then the fleet aggregator flushes its partial buckets.
+  // dimension), then the fleet dimension flushes its partial buckets.
   for (const auto& entry : entries_) entry->pipeline->finish();
   settle();
-  if (options_.fleet_aggregation) actors_.stop(fleet_aggregator_);
+  for (AggregatedPower& row : fleet_sum_.flush()) bus_.publish(fleet_topic_, std::move(row));
   settle();
 }
 

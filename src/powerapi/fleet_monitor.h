@@ -1,27 +1,39 @@
-// FleetMonitor: one actor system monitoring N hosts concurrently.
+// FleetMonitor: one actor system monitoring N hosts in parallel.
 //
-// Each host gets its own pipeline under topic namespace "h<i>/". Hosts are
-// grouped into chunks of Options.hosts_per_chunk, each owned by one
-// ChunkAgent actor that advances its hosts' clocks and fires their monitor
-// ticks in host order. run_for() sends every chunk agent an AdvanceHost
-// command per time step and barriers on the actor system, so on the
-// threaded work-stealing dispatcher each steal advances a whole host-chunk
-// — amortizing dispatch overhead across hosts — while each host is only
-// ever touched by its own chunk's actor (no locks needed).
-// kManual mode runs the identical graph deterministically for tests; a
-// host's series is bit-for-bit the same as a standalone kManual PowerMeter
-// over an identically constructed host.
+// Each host gets its own pipeline under topic namespace "h<i>/", and every
+// actor of it (the reporters attached later included) joins the host's
+// drain group. run_for() cuts time into steps of the smallest pipeline
+// period and the fleet into contiguous slices of hosts, one per thread:
+// min(hosts, workers + 1) slices in threaded mode, one in kManual — the
+// same code either way. The caller runs slice 0; the other slices run on
+// plain threads released and collected by two barriers per step. For each
+// host of its slice, a thread advances the host, publishes its due ticks
+// and drains the host's group to quiescence in spawn order (the kManual
+// round-robin). A host is only ever touched by its slice's thread, so its
+// series is bit-for-bit the same at every slice count, and the same as a
+// standalone kManual PowerMeter over an identically constructed host.
 //
-// The fleet dimension: a FleetAggregator subscribes to every host's
-// "h<i>/power:aggregated" topic and re-publishes per-formula machine-power
-// sums across hosts on "fleet/power:aggregated" once all hosts have
-// reported a timestamp.
+// Everything spawned through actor_system() without a group — the governor
+// and its relays, fleet reporters, sinks, a watchdog — is fleet-level: it
+// drains on the caller in settle(), after the barrier. Slice threads only
+// tell() into it (mailboxes are MPSC), so the actor system is always
+// kManual.
+//
+// The fleet dimension: each host's machine-scope aggregated rows land in a
+// host-local buffer. After every step the caller folds the buffers in host
+// order (FleetSum, the bucket logic the collector-side FleetAggregator also
+// uses) and publishes per-formula sums across hosts on
+// "fleet/power:aggregated" once all hosts have reported a timestamp. The
+// fixed fold order makes fleet rows, too, identical at every slice count.
 #pragma once
 
+#include <barrier>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "actors/actor_system.h"
@@ -32,27 +44,19 @@
 
 namespace powerapi::api {
 
-/// Command to a HostAgent: advance your host by `duration`, then fire any
-/// monitor ticks that became due.
-struct AdvanceHost {
-  util::DurationNs duration = 0;
-};
-
 class FleetMonitor {
  public:
   struct Options {
+    /// kThreaded steps host slices in parallel; kManual steps them all on
+    /// the caller. Output is identical.
     actors::ActorSystem::Mode mode = actors::ActorSystem::Mode::kThreaded;
-    std::size_t workers = 4;        ///< Threaded mode only.
-    bool fleet_aggregation = true;  ///< Spawn the fleet-dimension aggregator.
+    std::size_t workers = 4;  ///< Threaded mode: slice threads beside the caller.
+    bool fleet_aggregation = true;  ///< Fold and publish the fleet dimension.
     /// Own an obs::Observability bundle and wire it through the actor
     /// system, the event bus and every host pipeline: metrics, stage spans
     /// and the monitor's own CPU/power accounting, exportable via
     /// add_metrics_reporter() and write_chrome_trace().
     bool with_observability = false;
-    /// Hosts advanced per ChunkAgent (and so per dispatcher steal). Larger
-    /// chunks amortize per-message overhead; smaller chunks expose more
-    /// parallelism to threaded workers. 0 is clamped to 1.
-    std::size_t hosts_per_chunk = 8;
   };
 
   FleetMonitor() : FleetMonitor(Options{}) {}
@@ -97,21 +101,26 @@ class FleetMonitor {
   /// (open in chrome://tracing or Perfetto). Requires with_observability.
   void write_chrome_trace(std::ostream& out) const;
 
-  /// Advances every host by `duration`, chunked at the smallest pipeline
-  /// period, firing due ticks per host per chunk. Hosts advance and their
-  /// pipelines run concurrently in threaded mode.
+  /// Advances every host by `duration` in steps of the smallest pipeline
+  /// period, firing due ticks per host per step. Host slices run in
+  /// parallel in threaded mode.
   void run_for(util::DurationNs duration);
 
-  /// Like run_for, but invokes `on_chunk(advanced_ns)` after every chunk has
+  /// Like run_for, but invokes `on_chunk(advanced_ns)` after every step has
   /// settled — the fleet is quiescent, so the callback may safely mutate
   /// hosts (the governor's actuation channel) or inject messages; anything
-  /// it sends is processed before the next chunk advances. Deterministic in
-  /// kManual: chunk boundaries depend only on pipeline periods.
+  /// it sends is processed before the next step advances. Step boundaries
+  /// depend only on pipeline periods.
   void run_for(util::DurationNs duration,
                const std::function<void(util::DurationNs advanced_ns)>& on_chunk);
 
+  /// Drains every host group and the fleet-level actors until the whole
+  /// system is quiescent, folding the fleet dimension on the way. Caller
+  /// thread only, between run_for calls or inside on_chunk.
+  void settle();
+
   /// Flushes every pipeline's pending aggregation groups, then the fleet
-  /// aggregator's; call once after the last run_for.
+  /// dimension's; call once after the last run_for.
   void finish();
 
   std::size_t host_count() const noexcept { return entries_.size(); }
@@ -122,14 +131,21 @@ class FleetMonitor {
   struct HostEntry {
     os::MonitorableHost* host = nullptr;
     std::unique_ptr<Pipeline> pipeline;
+    actors::ActorSystem::GroupId group = actors::ActorSystem::kDefaultGroup;
+    /// Machine rows awaiting the fleet fold; filled by the host's slice.
+    std::vector<AggregatedPower> fleet_rows;
   };
 
-  /// Blocks/drains until the system is quiescent (mode-appropriate).
-  void settle();
-  /// (Re)builds the chunk agents lazily: called at run_for, and a no-op
-  /// unless the host count changed since the last build. A change stops the
-  /// old generation of agents and spawns a fresh one over the new host set.
-  void ensure_chunk_agents();
+  /// (Re)starts the slice threads when the slice layout no longer matches
+  /// the host count; a no-op otherwise.
+  void start_slices();
+  void stop_slices();
+  void slice_loop(std::size_t slice);
+  /// Advances, ticks and drains every host of one slice by step_.
+  void run_slice(std::size_t slice);
+  /// Runs every slice for one step and rethrows the first slice failure.
+  void step_hosts(util::DurationNs step);
+  void fold_fleet_rows();
 
   Options options_;
   /// Declared before actors_/bus_: both unregister from it on destruction.
@@ -138,12 +154,19 @@ class FleetMonitor {
   actors::EventBus bus_;
   actors::EventBus::TopicId fleet_topic_;
   std::vector<std::unique_ptr<HostEntry>> entries_;
-  std::shared_ptr<std::size_t> host_count_;  ///< Read by the FleetAggregator.
-  actors::ActorRef fleet_aggregator_;
-  std::vector<actors::ActorRef> chunk_agents_;
-  std::size_t chunked_hosts_ = 0;      ///< Host count the agents were built for.
-  std::uint64_t chunk_generation_ = 0; ///< Keeps respawned agent names unique.
+  FleetSum fleet_sum_;
   bool finished_ = false;
+
+  // Host slices. Slice s owns hosts [slice_begin_[s], slice_begin_[s+1]);
+  // the fields below are written by the caller only while the slice
+  // threads wait at start_.
+  std::vector<std::size_t> slice_begin_;
+  util::DurationNs step_ = 0;
+  bool stopping_ = false;
+  std::vector<std::exception_ptr> slice_errors_;
+  std::unique_ptr<std::barrier<>> start_;
+  std::unique_ptr<std::barrier<>> done_;
+  std::vector<std::jthread> threads_;  ///< Slices 1..n-1; declared last, joined first.
 };
 
 }  // namespace powerapi::api

@@ -17,9 +17,11 @@
 namespace powerapi::api {
 
 Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
-                   os::MonitorableHost& host, PipelineSpec spec, std::string ns)
+                   os::MonitorableHost& host, PipelineSpec spec, std::string ns,
+                   actors::ActorSystem::GroupId group)
     : actors_(&actors),
       bus_(&bus),
+      group_(group),
       host_(&host),
       ns_(std::move(ns)),
       with_powerspy_(spec.with_powerspy),
@@ -53,7 +55,7 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
   };
 
   // --- Sensors ---
-  const auto hpc_sensor = actors_->spawn_as<HpcSensor>(
+  const auto hpc_sensor = actors_->spawn_in<HpcSensor>(group_,
       ns_ + "sensor-hpc", *bus_, hpc_topic_, *backend_, targets, host_, obs_);
   bus_->subscribe(tick_topic_, hpc_sensor);
 
@@ -68,10 +70,10 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
         [h = host_] { return h->now_ns(); }, rng.fork(1));
     const auto sensor_topic = bus_->intern(ns_ + "sensor:powerspy");
     powerspy_topic = sensor_topic;
-    const auto sensor = actors_->spawn_as<PowerSpySensor>(
+    const auto sensor = actors_->spawn_in<PowerSpySensor>(group_,
         ns_ + "sensor-powerspy", *bus_, sensor_topic, std::move(meter), obs_);
     bus_->subscribe(tick_topic_, sensor);
-    const auto formula = actors_->spawn_as<MeterFormula>(
+    const auto formula = actors_->spawn_in<MeterFormula>(group_,
         ns_ + "formula-powerspy", *bus_, estimate_topic_, "powerspy", obs_);
     bus_->subscribe(sensor_topic, formula);
   }
@@ -82,20 +84,20 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
         [h = host_] { return h->now_ns(); });
     const auto sensor_topic = bus_->intern(ns_ + "sensor:rapl");
     rapl_topic = sensor_topic;
-    const auto sensor = actors_->spawn_as<RaplSensor>(
+    const auto sensor = actors_->spawn_in<RaplSensor>(group_,
         ns_ + "sensor-rapl", *bus_, sensor_topic, std::move(msr), obs_);
     bus_->subscribe(tick_topic_, sensor);
-    const auto formula = actors_->spawn_as<MeterFormula>(ns_ + "formula-rapl", *bus_,
-                                                         estimate_topic_, "rapl", obs_);
+    const auto formula = actors_->spawn_in<MeterFormula>(
+        group_, ns_ + "formula-rapl", *bus_, estimate_topic_, "rapl", obs_);
     bus_->subscribe(sensor_topic, formula);
   }
 
   if (spec.with_io && host_->disk() != nullptr) {
     const auto sensor_topic = bus_->intern(ns_ + "sensor:io");
-    const auto sensor = actors_->spawn_as<IoSensor>(ns_ + "sensor-io", *bus_,
+    const auto sensor = actors_->spawn_in<IoSensor>(group_, ns_ + "sensor-io", *bus_,
                                                     sensor_topic, *host_, obs_);
     bus_->subscribe(tick_topic_, sensor);
-    const auto formula = actors_->spawn_as<IoFormula>(
+    const auto formula = actors_->spawn_in<IoFormula>(group_,
         ns_ + "formula-io", *bus_, estimate_topic_, host_->disk()->params(),
         host_->nic()->params(), obs_);
     bus_->subscribe(sensor_topic, formula);
@@ -103,14 +105,14 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
 
   if (spec.with_cpu_load) {
     const auto sensor_topic = bus_->intern(ns_ + "sensor:cpu-load");
-    const auto sensor = actors_->spawn_as<CpuLoadSensor>(
+    const auto sensor = actors_->spawn_in<CpuLoadSensor>(group_,
         ns_ + "sensor-cpu-load", *bus_, sensor_topic, *host_, targets, obs_);
     bus_->subscribe(tick_topic_, sensor);
   }
 
   // --- The paper's formula ---
   if (registry_ != nullptr) {
-    const auto formula = actors_->spawn_as<RegressionFormula>(
+    const auto formula = actors_->spawn_in<RegressionFormula>(group_,
         ns_ + "formula-hpc", *bus_, estimate_topic_, registry_, obs_);
     bus_->subscribe(hpc_topic_, formula);
   }
@@ -130,7 +132,7 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
     }
     with_calibration_ = true;
     calibration_topic_ = bus_->intern(ns_ + "calibration:updated");
-    const auto calibrator = actors_->spawn_as<CalibrationActor>(
+    const auto calibrator = actors_->spawn_in<CalibrationActor>(group_,
         ns_ + "calibrator", *bus_, calibration_topic_, registry_,
         std::move(spec.calibration));
     bus_->subscribe(hpc_topic_, calibrator);
@@ -142,7 +144,7 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
     const auto stat = h->proc_stat(pid);
     return stat ? stat->group : std::string();
   };
-  aggregator_ = actors_->spawn_as<Aggregator>(ns_ + "aggregator", *bus_,
+  aggregator_ = actors_->spawn_in<Aggregator>(group_, ns_ + "aggregator", *bus_,
                                               aggregated_topic_, spec.dimension,
                                               std::move(group_of), obs_);
   bus_->subscribe(estimate_topic_, aggregator_);
@@ -179,24 +181,25 @@ void Pipeline::add_estimator(
     std::shared_ptr<const baselines::MachinePowerEstimator> estimator) {
   if (!estimator) throw std::invalid_argument("Pipeline::add_estimator: null estimator");
   const std::string name = ns_ + "formula-" + estimator->name();
-  const auto formula = actors_->spawn_as<EstimatorFormula>(
+  const auto formula = actors_->spawn_in<EstimatorFormula>(group_,
       name, *bus_, estimate_topic_, std::move(estimator), obs_);
   bus_->subscribe(hpc_topic_, formula);
 }
 
 void Pipeline::add_console_reporter(std::ostream& out) {
-  const auto reporter = actors_->spawn_as<ConsoleReporter>(ns_ + "reporter-console", out);
+  const auto reporter =
+      actors_->spawn_in<ConsoleReporter>(group_, ns_ + "reporter-console", out);
   bus_->subscribe(aggregated_topic_, reporter);
 }
 
 void Pipeline::add_csv_reporter(std::ostream& out) {
-  const auto reporter = actors_->spawn_as<CsvReporter>(ns_ + "reporter-csv", out);
+  const auto reporter = actors_->spawn_in<CsvReporter>(group_, ns_ + "reporter-csv", out);
   bus_->subscribe(aggregated_topic_, reporter);
 }
 
 void Pipeline::add_callback_reporter(CallbackReporter::Callback callback) {
-  const auto reporter = actors_->spawn_as<CallbackReporter>(ns_ + "reporter-callback",
-                                                            std::move(callback));
+  const auto reporter = actors_->spawn_in<CallbackReporter>(
+      group_, ns_ + "reporter-callback", std::move(callback));
   bus_->subscribe(aggregated_topic_, reporter);
 }
 
@@ -205,7 +208,7 @@ void Pipeline::add_model_update_callback(ModelUpdateCallback::Callback callback)
     throw std::logic_error(
         "Pipeline::add_model_update_callback: built without with_calibration");
   }
-  const auto listener = actors_->spawn_as<ModelUpdateCallback>(
+  const auto listener = actors_->spawn_in<ModelUpdateCallback>(group_,
       ns_ + "calibration-listener", std::move(callback));
   bus_->subscribe(calibration_topic_, listener);
 }
@@ -221,20 +224,20 @@ void Pipeline::add_metrics_reporter(std::ostream& out, MetricsReporter::Format f
   options.format = format;
   options.every_n_ticks = every_n_ticks;
   const auto reporter =
-      actors_->spawn_as<MetricsReporter>(ns_ + "reporter-metrics", *obs_, options);
+      actors_->spawn_in<MetricsReporter>(group_, ns_ + "reporter-metrics", *obs_, options);
   bus_->subscribe(tick_topic_, reporter);
 }
 
 void Pipeline::add_remote_reporter(net::TelemetryClient& client) {
   const auto reporter =
-      actors_->spawn_as<RemoteReporter>(ns_ + "reporter-remote", client);
+      actors_->spawn_in<RemoteReporter>(group_, ns_ + "reporter-remote", client);
   bus_->subscribe(aggregated_topic_, reporter);
 }
 
 MemoryReporter& Pipeline::add_memory_reporter() {
   auto owned = std::make_unique<MemoryReporter>();
   MemoryReporter& ref = *owned;
-  const auto reporter = actors_->spawn(ns_ + "reporter-memory", std::move(owned));
+  const auto reporter = actors_->spawn(ns_ + "reporter-memory", std::move(owned), group_);
   bus_->subscribe(aggregated_topic_, reporter);
   return ref;
 }

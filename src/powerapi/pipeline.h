@@ -77,11 +77,14 @@ struct PipelineSpec {
 
 /// One assembled pipeline over one host: the handle PowerMeter and
 /// FleetMonitor drive. Owns the counter backend and the tick schedule;
-/// the actors live in the shared ActorSystem.
+/// the actors live in the shared ActorSystem, all in drain group `group`
+/// (reporters attached later included), so a FleetMonitor can drain one
+/// host's pipeline on its own.
 class Pipeline {
  public:
   Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
-           os::MonitorableHost& host, PipelineSpec spec, std::string ns);
+           os::MonitorableHost& host, PipelineSpec spec, std::string ns,
+           actors::ActorSystem::GroupId group = actors::ActorSystem::kDefaultGroup);
 
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
@@ -150,6 +153,7 @@ class Pipeline {
 
   actors::ActorSystem* actors_;
   actors::EventBus* bus_;
+  actors::ActorSystem::GroupId group_;
   os::MonitorableHost* host_;
   std::string ns_;
   bool with_powerspy_ = false;
@@ -181,11 +185,12 @@ class PipelineBuilder {
       : actors_(&actors), bus_(&bus) {}
 
   /// Builds `spec` over `host` under topic namespace `ns` ("" for a
-  /// standalone pipeline, "h3/" inside a fleet).
-  std::unique_ptr<Pipeline> build(os::MonitorableHost& host, PipelineSpec spec,
-                                  std::string ns = {}) {
+  /// standalone pipeline, "h3/" inside a fleet), spawning into `group`.
+  std::unique_ptr<Pipeline> build(
+      os::MonitorableHost& host, PipelineSpec spec, std::string ns = {},
+      actors::ActorSystem::GroupId group = actors::ActorSystem::kDefaultGroup) {
     return std::make_unique<Pipeline>(*actors_, *bus_, host, std::move(spec),
-                                      std::move(ns));
+                                      std::move(ns), group);
   }
 
  private:

@@ -623,9 +623,6 @@ class Parser {
       spec_.workers = parse_unsigned(v, line);
       if (spec_.workers == 0) fail(line, "fleet workers must be at least 1");
     }
-    if (auto v = take_arg(kv, "chunk", line); !v.empty()) {
-      spec_.hosts_per_chunk = parse_unsigned(v, line);
-    }
     reject_leftovers(kv, line, "fleet");
   }
 

@@ -293,7 +293,6 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
   fleet_options.mode = options.mode;
   fleet_options.workers = spec_.workers;
   fleet_options.fleet_aggregation = spec_.fleet_aggregation;
-  fleet_options.hosts_per_chunk = spec_.hosts_per_chunk;
   fleet_options.with_observability = spec_.observe.enabled;
   api::FleetMonitor fleet(fleet_options);
 
@@ -467,13 +466,6 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
                                                          : kNever;
   util::TimestampNs next_governor =
       (gov != nullptr && governor_interval > 0) ? governor_interval : kNever;
-  auto settle = [&] {
-    if (options.mode == actors::ActorSystem::Mode::kManual) {
-      fleet.actor_system().drain();
-    } else {
-      fleet.actor_system().await_idle();
-    }
-  };
   auto advance = [&](util::DurationNs amount) {
     const util::TimestampNs until = now + amount;
     while (now < until) {
@@ -484,13 +476,13 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
       if (now >= next_governor) {
         fleet.actor_system().tell(gov_ref,
                                   actors::Payload(governor::GovernorTick{now}));
-        settle();
+        fleet.settle();
         next_governor += governor_interval;
       }
       if (now >= next_watchdog) {
         fleet.actor_system().tell(watchdog_ref,
                                   actors::Payload(net::WatchdogTick{now}));
-        settle();
+        fleet.settle();
         next_watchdog += spec_.observe.cadence;
       }
       if (status_listener != nullptr) status_listener->poll_once(0);

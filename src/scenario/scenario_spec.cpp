@@ -167,7 +167,7 @@ std::string serialize(const ScenarioSpec& spec) {
   }
 
   out << "fleet aggregation=" << onoff(spec.fleet_aggregation)
-      << " workers=" << spec.workers << " chunk=" << spec.hosts_per_chunk << "\n";
+      << " workers=" << spec.workers << "\n";
 
   for (const InjectDecl& inj : spec.injections) {
     out << "inject at=" << inj.at << " host=" << inj.host;

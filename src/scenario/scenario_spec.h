@@ -226,7 +226,6 @@ struct ScenarioSpec {
 
   bool fleet_aggregation = true;
   std::size_t workers = 4;          ///< Threaded dispatch only.
-  std::size_t hosts_per_chunk = 8;
 
   std::vector<InjectDecl> injections;
 

@@ -1,6 +1,7 @@
 // Concurrency stress tests for the threaded work-stealing dispatcher:
 // many producers hammering many actors, ping-pong rings, and spawn/stop
-// racing a message storm. Every test asserts zero message loss with exact
+// racing a message storm; plus the event bus's lock-free publish racing
+// subscribe and intern. Every test asserts zero message loss with exact
 // bookkeeping: sent == processed + dead_letters. Designed to run under
 // ThreadSanitizer (the CI sanitizer job builds this suite with -fsanitize=
 // thread); all cross-thread test state is atomic.
@@ -10,10 +11,12 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "actors/actor_system.h"
+#include "actors/event_bus.h"
 
 namespace powerapi::actors {
 namespace {
@@ -188,6 +191,55 @@ TEST(ActorStress, StopDuringStormLosesNothing) {
   EXPECT_EQ(received.load(), system.messages_processed());
   EXPECT_GT(system.dead_letters(), 0u);  // The stopped half rejected something.
   system.shutdown();
+}
+
+TEST(BusStress, SubscribeAndInternRacePublishers) {
+  // Four threads publish to one topic, and to whatever topic was interned
+  // last, while the main thread adds subscribers and interns enough topics
+  // to grow the topic table by several chunks. Every publish must reach the
+  // subscribers of some list that was current during it — never a freed or
+  // torn one — so deliveries, receipts and dead letters balance exactly.
+  constexpr int kPublishers = 4;
+  constexpr int kPerPublisher = 4000;
+  constexpr int kLateSubscribers = 16;
+  constexpr int kLateTopics = 1000;
+  ActorSystem system(ActorSystem::Mode::kManual);
+  EventBus bus(system);
+  std::atomic<std::uint64_t> received{0};
+  const EventBus::TopicId hot = bus.intern("hot");
+  bus.subscribe(hot, system.spawn_as<Counter>("first", &received));
+  std::atomic<EventBus::TopicId> latest{bus.intern("late0")};
+
+  std::atomic<std::uint64_t> delivered{0};
+  std::atomic<std::uint64_t> unheard{0};
+  std::vector<std::thread> publishers;
+  for (int p = 0; p < kPublishers; ++p) {
+    publishers.emplace_back([&] {
+      for (int i = 0; i < kPerPublisher; ++i) {
+        const std::size_t to_hot = bus.publish(hot, i);
+        EXPECT_GE(to_hot, 1u);
+        const std::size_t to_late = bus.publish(latest.load(std::memory_order_acquire), i);
+        delivered.fetch_add(to_hot + to_late, std::memory_order_relaxed);
+        if (to_late == 0) unheard.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int i = 1; i <= kLateTopics; ++i) {
+    const EventBus::TopicId topic = bus.intern("late" + std::to_string(i));
+    if (i % 64 == 0) bus.subscribe(topic, system.spawn_as<Counter>("late", &received));
+    latest.store(topic, std::memory_order_release);
+    if (i % (kLateTopics / kLateSubscribers) == 0) {
+      bus.subscribe(hot, system.spawn_as<Counter>("hot", &received));
+    }
+  }
+  for (auto& t : publishers) t.join();
+  system.drain();
+
+  EXPECT_EQ(bus.subscriber_count(hot), 1u + kLateSubscribers);
+  EXPECT_EQ(received.load(), delivered.load());
+  EXPECT_EQ(system.messages_processed(), delivered.load());
+  EXPECT_EQ(bus.dead_letter_count(), unheard.load());
+  EXPECT_EQ(system.dead_letters(), 0u);
 }
 
 }  // namespace

@@ -236,7 +236,7 @@ std::string hex_double(double value) {
   return buffer;
 }
 
-model::CpuPowerModel chunk_model() {
+model::CpuPowerModel slice_model() {
   std::vector<model::FrequencyFormula> formulas;
   for (const double hz : simcpu::i3_2120().frequencies_hz) {
     model::FrequencyFormula f;
@@ -256,9 +256,11 @@ simcpu::CpuSpec heterogeneous_spec(std::size_t index) {
   }
 }
 
-/// Runs `host_count` heterogeneous hosts under kManual with the given
-/// chunking and serializes every host's per-formula series bit-exactly.
-std::string run_chunked_fleet(std::size_t host_count, std::size_t hosts_per_chunk) {
+/// Runs `host_count` heterogeneous hosts in `mode` (threaded with `workers`
+/// slice threads beside the caller) and serializes every host's
+/// per-formula series and the fleet dimension bit-exactly.
+std::string run_sliced_fleet(std::size_t host_count, actors::ActorSystem::Mode mode,
+                             std::size_t workers) {
   std::vector<std::unique_ptr<os::System>> hosts;
   for (std::size_t i = 0; i < host_count; ++i) {
     auto host = std::make_unique<os::System>(heterogeneous_spec(i));
@@ -270,14 +272,14 @@ std::string run_chunked_fleet(std::size_t host_count, std::size_t hosts_per_chun
   }
 
   FleetMonitor::Options options;
-  options.mode = actors::ActorSystem::Mode::kManual;
-  options.hosts_per_chunk = hosts_per_chunk;
+  options.mode = mode;
+  options.workers = workers;
   FleetMonitor fleet(options);
   std::vector<MemoryReporter*> memory;
   for (std::size_t i = 0; i < host_count; ++i) {
     PipelineSpec spec;
     spec.period = ms_to_ns(25);
-    spec.model = chunk_model();
+    spec.model = slice_model();
     spec.seed = 100 + i;
     const std::size_t index = fleet.add_host(*hosts[i], std::move(spec));
     memory.push_back(&fleet.add_memory_reporter(index));
@@ -296,27 +298,30 @@ std::string run_chunked_fleet(std::size_t host_count, std::size_t hosts_per_chun
       }
     }
   }
-  for (const auto& row : fleet_memory.group_series("powerapi-hpc", "(fleet)")) {
-    out << "fleet," << row.timestamp << ',' << hex_double(row.watts) << '\n';
+  for (const char* formula : {"powerapi-hpc", "powerspy"}) {
+    for (const auto& row : fleet_memory.group_series(formula, "(fleet)")) {
+      out << "fleet," << formula << ',' << row.timestamp << ',' << hex_double(row.watts)
+          << '\n';
+    }
   }
   return out.str();
 }
 
-TEST(FeatureBatch, HeterogeneousCoreCountsInOneChunkMatchPerHostChunking) {
-  // Three hosts with different core/SMT counts inside ONE chunk must
-  // produce exactly what per-host chunking produces: each host's
-  // hw_threads flows through its own batch extraction.
-  EXPECT_EQ(run_chunked_fleet(3, 8), run_chunked_fleet(3, 1));
-}
-
-TEST(FeatureBatch, ChunkSizeNotDividingFleetIsLossless) {
-  // 5 hosts into chunks of 2 leaves a remainder chunk of 1; output must be
-  // bit-identical to both per-host chunking and one whole-fleet chunk.
-  const std::string by_two = run_chunked_fleet(5, 2);
-  EXPECT_EQ(by_two, run_chunked_fleet(5, 1));
-  EXPECT_EQ(by_two, run_chunked_fleet(5, 5));
-  // Degenerate option value: 0 clamps to 1 instead of dividing by zero.
-  EXPECT_EQ(by_two, run_chunked_fleet(5, 0));
+TEST(FeatureBatch, EverySliceLayoutMatchesManual) {
+  // Heterogeneous core/SMT counts share a slice, slices split the fleet
+  // unevenly (5 hosts over 2 or 4 slices), and a slice count can exceed
+  // the host count: every layout must reproduce kManual bit for bit, host
+  // series and fleet rows alike.
+  for (const std::size_t hosts : {1u, 2u, 5u, 8u, 33u}) {
+    const std::string manual =
+        run_sliced_fleet(hosts, actors::ActorSystem::Mode::kManual, 0);
+    ASSERT_FALSE(manual.empty());
+    for (const std::size_t workers : {0u, 1u, 3u}) {
+      EXPECT_EQ(run_sliced_fleet(hosts, actors::ActorSystem::Mode::kThreaded, workers),
+                manual)
+          << hosts << " hosts, " << workers << " workers";
+    }
+  }
 }
 
 }  // namespace

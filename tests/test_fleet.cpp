@@ -1,7 +1,8 @@
 // FleetMonitor: N hosts on one actor system. The load-bearing property is
-// host-level isolation — a host monitored inside a fleet (threaded,
-// work-stealing dispatcher) must produce exactly the series a standalone
-// kManual PowerMeter produces over an identically constructed host.
+// host-level isolation — a host monitored inside a fleet (threaded, hosts
+// stepped on parallel slices) must produce exactly the series a standalone
+// kManual PowerMeter produces over an identically constructed host — and
+// the fleet dimension, folded in host order, must not depend on threading.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -55,7 +56,7 @@ TEST(FleetMonitor, ThreadedHostsMatchStandaloneManualMetersExactly) {
   constexpr std::size_t kHosts = 8;
   constexpr util::DurationNs kDuration = seconds_to_ns(2);
 
-  // Fleet run: 8 hosts advanced concurrently on the threaded dispatcher.
+  // Fleet run: 8 hosts advanced concurrently on parallel slices.
   std::vector<std::unique_ptr<os::System>> hosts;
   for (std::size_t i = 0; i < kHosts; ++i) hosts.push_back(make_host(i));
   FleetMonitor::Options options;
@@ -125,6 +126,34 @@ TEST(FleetMonitor, FleetDimensionSumsMachinePowerAcrossHosts) {
   EXPECT_GT(fleet_rows, 3u);
   // Every timestamp both hosts reported shows up in the fleet dimension.
   EXPECT_EQ(fleet_rows, a_watts.size());
+}
+
+TEST(FleetMonitor, ThreadedFleetRowsMatchManualBitForBit) {
+  const auto run = [](actors::ActorSystem::Mode mode) {
+    constexpr std::size_t kHosts = 7;  // Uneven over 4 slices.
+    std::vector<std::unique_ptr<os::System>> hosts;
+    for (std::size_t i = 0; i < kHosts; ++i) hosts.push_back(make_host(i));
+    FleetMonitor::Options options;
+    options.mode = mode;
+    options.workers = 3;
+    FleetMonitor fleet(options);
+    for (auto& host : hosts) fleet.add_host(*host, fleet_spec());
+    auto& fleet_mem = fleet.add_fleet_reporter();
+    fleet.run_for(seconds_to_ns(2));
+    fleet.finish();
+    return fleet_mem.all();
+  };
+  const auto manual = run(actors::ActorSystem::Mode::kManual);
+  const auto threaded = run(actors::ActorSystem::Mode::kThreaded);
+  ASSERT_GT(manual.size(), 6u);
+  ASSERT_EQ(threaded.size(), manual.size());
+  for (std::size_t i = 0; i < manual.size(); ++i) {
+    EXPECT_EQ(threaded[i].formula, manual[i].formula) << "row " << i;
+    EXPECT_EQ(threaded[i].timestamp, manual[i].timestamp) << "row " << i;
+    EXPECT_EQ(threaded[i].group, "(fleet)") << "row " << i;
+    // Exact: the fold sums hosts in host order at every slice count.
+    EXPECT_EQ(threaded[i].watts, manual[i].watts) << "row " << i;
+  }
 }
 
 TEST(FleetMonitor, ManualModeIsDeterministicAcrossRuns) {

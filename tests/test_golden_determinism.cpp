@@ -4,8 +4,8 @@
 // (pre-SoA) tick path; the batched SoA hot path must reproduce every watt
 // bit-for-bit (doubles are serialized as C99 hexfloats, so a single-ulp
 // drift fails the diff). Three seeds sweep heterogeneous fleets — mixed CPU
-// specs (different core/SMT counts inside one chunk), a fleet size that
-// does not divide evenly into host-chunks, and a per-pid pipeline.
+// specs (different core/SMT counts in one fleet), a fleet size that does
+// not divide evenly into host slices, and a per-pid pipeline.
 //
 // Regenerate (only when an intentional semantic change lands) with:
 //   POWERAPI_GOLDEN_REGEN=1 ./test_golden_determinism
@@ -89,14 +89,10 @@ void serialize(std::ostream& out, const std::string& label, const std::string& f
 
 const char* const kFormulas[] = {"powerapi-hpc", "powerspy"};
 
-/// Config A: five heterogeneous hosts (does not divide evenly into the
-/// default host-chunk), timestamp dimension, fleet dimension on.
-/// `serialize_fleet` is off for the threaded-equivalence check: the fleet
-/// dimension sums in host-arrival order, which threading legitimately
-/// permutes, while per-host series are single-writer and bit-stable.
+/// Config A: five heterogeneous hosts, timestamp dimension, fleet dimension
+/// on.
 void run_fleet_case(std::uint64_t seed, std::ostream& out,
-                    actors::ActorSystem::Mode mode = actors::ActorSystem::Mode::kManual,
-                    bool serialize_fleet = true) {
+                    actors::ActorSystem::Mode mode = actors::ActorSystem::Mode::kManual) {
   constexpr std::size_t kHosts = 5;
   std::vector<std::unique_ptr<os::System>> hosts;
   for (std::size_t i = 0; i < kHosts; ++i) hosts.push_back(make_host(seed, i));
@@ -123,7 +119,6 @@ void run_fleet_case(std::uint64_t seed, std::ostream& out,
       serialize(out, "A:h" + std::to_string(i), formula, memory[i]->series(formula));
     }
   }
-  if (!serialize_fleet) return;
   for (const char* formula : kFormulas) {
     serialize(out, "A:fleet", formula, fleet_memory.group_series(formula, "(fleet)"));
   }
@@ -215,18 +210,16 @@ TEST_P(GoldenDeterminism, RunTwiceIsIdentical) {
   EXPECT_EQ(run_case(seed), run_case(seed));
 }
 
-// Threaded-fleet equivalence (the TSan target in CI): the work-stealing
-// dispatcher may interleave host-chunks arbitrarily, but every host's
-// pipeline is single-writer, so its per-host series must match the kManual
-// run bit-for-bit. Fleet-dimension rows are excluded (summation order is
-// arrival order under threading).
-TEST_P(GoldenDeterminism, ThreadedFleetMatchesManualPerHostSeries) {
+// Threaded-fleet equivalence (the TSan target in CI): host slices run in
+// parallel, but every host's pipeline drains on its slice's thread and the
+// fleet dimension folds in host order after each step, so the whole output
+// — per-host series and fleet rows — must match the kManual run bit for
+// bit.
+TEST_P(GoldenDeterminism, ThreadedFleetMatchesManual) {
   const std::uint64_t seed = GetParam();
   std::ostringstream manual, threaded;
-  run_fleet_case(seed, manual, actors::ActorSystem::Mode::kManual,
-                 /*serialize_fleet=*/false);
-  run_fleet_case(seed, threaded, actors::ActorSystem::Mode::kThreaded,
-                 /*serialize_fleet=*/false);
+  run_fleet_case(seed, manual, actors::ActorSystem::Mode::kManual);
+  run_fleet_case(seed, threaded, actors::ActorSystem::Mode::kThreaded);
   EXPECT_EQ(manual.str(), threaded.str());
 }
 

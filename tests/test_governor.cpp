@@ -403,7 +403,7 @@ end
 monitor period=100ms dimension=timestamp
 formula fixed idle=30 coefficients=2.0e-9,3.0e-9,1.5e-8
 govern budget_w=64 policy=pace hysteresis_w=1 cooldown_ms=400 interval_ms=200
-fleet aggregation=on workers=2 chunk=2
+fleet aggregation=on workers=2
 )";
 
 scenario::RunResult run_govern_scenario(actors::ActorSystem::Mode mode) {

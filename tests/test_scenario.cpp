@@ -198,7 +198,7 @@ end
 monitor period=100ms dimension=pid powerspy=on rapl=off all=on
 formula fixed idle=30.5 coefficients=2.0e-9,3.0e-8,1.0e-7
 calibration on drift_window=8 threshold=1.5 min_samples=10 refit_interval=2s
-fleet aggregation=on workers=3 chunk=2
+fleet aggregation=on workers=3
 inject at=500ms host=fat0 frequency=2.0GHz
 inject at=800ms host=thin spawn=b name=extra
 inject at=1200ms host=thin kill=extra
@@ -266,7 +266,7 @@ host m
 end
 monitor period=25ms dimension=timestamp
 formula fixed idle=31.0 coefficients=2.2e-9,2.5e-8,1.9e-7
-fleet aggregation=on workers=3 chunk=2
+fleet aggregation=on workers=3
 inject at=200ms host=a0 frequency=1.6GHz
 inject at=300ms host=m spawn=w name=extra
 inject at=450ms host=m kill=extra
