@@ -7,6 +7,51 @@
 #include "powerapi/remote_reporter.h"
 
 namespace powerapi::api {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+// Spin budgets of the step hand-off, measured on a 4-vCPU VM (EXPERIMENTS
+// O10). The caller's serial section between steps — settle(), mostly the
+// fleet fold — is ~9 us on a 32-host 1 ms fleet, long enough for an idle
+// vCPU to halt, so a slice thread that parks at once pays a cross-vCPU
+// wake-up every step. A slice thread therefore spins for the next release
+// for up to kSliceSpin, but only when the caller's previous serial gap fit
+// in that budget: callers that work longer between steps (a median ~45 us
+// of settle + network polling on a remote fleet, ~35 us of settle +
+// governor + settle on a governed one) would only burn the spin, so their
+// slices park at once. The caller, which has nothing else to run, spins up to kCallerSpin
+// for the last slice thread before it parks.
+constexpr Clock::duration kSliceSpin = std::chrono::microseconds(25);
+constexpr Clock::duration kCallerSpin = std::chrono::microseconds(50);
+
+/// Waits until `done(word)`: spins on the word for up to `spin`, then parks
+/// in atomic::wait. Every load acquires. Returns whether it parked.
+template <typename Done>
+bool spin_then_park(const std::atomic<std::uint32_t>& word, Clock::duration spin,
+                    Done done) {
+  std::uint32_t value = word.load(std::memory_order_acquire);
+  if (done(value)) return false;
+  if (spin > Clock::duration::zero()) {
+    const Clock::time_point deadline = Clock::now() + spin;
+    do {
+      // Yield, not pause: a pause loop can hold a CPU that another fleet
+      // thread is queued on for the whole budget (after the machine sat
+      // idle, a 1 ms 8-host step took ~150 us with pause, 20-30 us with
+      // yield).
+      std::this_thread::yield();
+      value = word.load(std::memory_order_acquire);
+      if (done(value)) return false;
+    } while (Clock::now() < deadline);
+  }
+  do {
+    word.wait(value, std::memory_order_acquire);
+    value = word.load(std::memory_order_acquire);
+  } while (!done(value));
+  return true;
+}
+
+}  // namespace
 
 FleetMonitor::FleetMonitor(Options options)
     : options_(options),
@@ -15,7 +60,11 @@ FleetMonitor::FleetMonitor(Options options)
       actors_(actors::ActorSystem::Mode::kManual, 1, obs_.get()),
       bus_(actors_),
       fleet_topic_(bus_.intern("fleet/power:aggregated")) {
-  if (obs_ != nullptr) bus_.set_observability(obs_.get());
+  if (obs_ != nullptr) {
+    bus_.set_observability(obs_.get());
+    slice_wait_ns_ = &obs_->metrics.histogram("fleet.slice_wait_ns");
+    slice_parks_ = &obs_->metrics.counter("fleet.slice_parks");
+  }
 }
 
 FleetMonitor::~FleetMonitor() {
@@ -135,42 +184,53 @@ void FleetMonitor::fold_fleet_rows() {
 }
 
 void FleetMonitor::start_slices() {
+  // A spinning slice must not hold a CPU another slice needs.
+  static const std::size_t cpus = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t hosts = entries_.size();
   const std::size_t slices =
       options_.mode == actors::ActorSystem::Mode::kThreaded
-          ? std::min(hosts, options_.workers + 1)
+          ? std::min({hosts, options_.workers + 1, cpus})
           : 1;
   if (slice_begin_.size() == slices + 1 && slice_begin_.back() == hosts) return;
   stop_slices();
   slice_begin_.clear();
   for (std::size_t s = 0; s <= slices; ++s) slice_begin_.push_back(s * hosts / slices);
   slice_errors_.assign(slices, nullptr);
-  if (slices == 1) return;
-  start_ = std::make_unique<std::barrier<>>(static_cast<std::ptrdiff_t>(slices));
-  done_ = std::make_unique<std::barrier<>>(static_cast<std::ptrdiff_t>(slices));
+  const std::uint32_t epoch = step_epoch_.load(std::memory_order_relaxed);
   for (std::size_t s = 1; s < slices; ++s) {
-    threads_.emplace_back([this, s] { slice_loop(s); });
+    threads_.emplace_back([this, s, epoch] { slice_loop(s, epoch); });
   }
 }
 
 void FleetMonitor::stop_slices() {
   if (threads_.empty()) return;
   stopping_ = true;
-  start_->arrive_and_wait();
+  step_epoch_.fetch_add(1, std::memory_order_release);
+  step_epoch_.notify_all();
   threads_.clear();  // Joins.
   stopping_ = false;
 }
 
-void FleetMonitor::slice_loop(std::size_t slice) {
+void FleetMonitor::slice_loop(std::size_t slice, std::uint32_t epoch) {
+  Clock::duration spin{};  // The first release may be far off: park.
   for (;;) {
-    start_->arrive_and_wait();
+    const bool parked = spin_then_park(
+        step_epoch_, spin, [epoch](std::uint32_t now) { return now != epoch; });
+    // The caller releases once per step and not again before every slice
+    // has counted itself out, so the epoch moved by exactly one.
+    ++epoch;
     if (stopping_) return;
+    if (parked && slice_parks_ != nullptr && obs_->enabled()) slice_parks_->add();
     try {
       run_slice(slice);
     } catch (...) {
       slice_errors_[slice] = std::current_exception();
     }
-    done_->arrive_and_wait();
+    // Read before counting out: the caller rewrites it once all have.
+    spin = serial_gap_ <= kSliceSpin ? kSliceSpin : Clock::duration::zero();
+    if (slices_pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      slices_pending_.notify_one();
+    }
   }
 }
 
@@ -189,13 +249,25 @@ void FleetMonitor::step_hosts(util::DurationNs step) {
     run_slice(0);
     return;
   }
-  start_->arrive_and_wait();
+  serial_gap_ = Clock::now() - slices_done_;
+  slices_pending_.store(static_cast<std::uint32_t>(threads_.size()),
+                        std::memory_order_relaxed);
+  step_epoch_.fetch_add(1, std::memory_order_release);
+  step_epoch_.notify_all();
   try {
     run_slice(0);
   } catch (...) {
     slice_errors_[0] = std::current_exception();
   }
-  done_->arrive_and_wait();
+  const Clock::time_point own_done = Clock::now();
+  spin_then_park(slices_pending_, kCallerSpin,
+                 [](std::uint32_t pending) { return pending == 0; });
+  slices_done_ = Clock::now();
+  if (slice_wait_ns_ != nullptr && obs_->enabled()) {
+    slice_wait_ns_->record(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(slices_done_ - own_done)
+            .count());
+  }
   for (std::exception_ptr& error : slice_errors_) {
     if (error) std::rethrow_exception(std::exchange(error, nullptr));
   }

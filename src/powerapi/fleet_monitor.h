@@ -4,9 +4,12 @@
 // actor of it (the reporters attached later included) joins the host's
 // drain group. run_for() cuts time into steps of the smallest pipeline
 // period and the fleet into contiguous slices of hosts, one per thread:
-// min(hosts, workers + 1) slices in threaded mode, one in kManual — the
-// same code either way. The caller runs slice 0; the other slices run on
-// plain threads released and collected by two barriers per step. For each
+// min(hosts, workers + 1, CPUs) slices in threaded mode, one in kManual —
+// the same code either way. The caller runs slice 0; the other slices run on
+// plain threads, one hand-off per step: the caller releases a step by
+// bumping an epoch, each slice thread counts itself out when done, and the
+// last one wakes the caller. Both sides spin briefly before they park in
+// atomic::wait (see fleet_monitor.cpp for the budgets). For each
 // host of its slice, a thread advances the host, publishes its due ticks
 // and drains the host's group to quiescence in spawn order (the kManual
 // round-robin). A host is only ever touched by its slice's thread, so its
@@ -15,7 +18,7 @@
 //
 // Everything spawned through actor_system() without a group — the governor
 // and its relays, fleet reporters, sinks, a watchdog — is fleet-level: it
-// drains on the caller in settle(), after the barrier. Slice threads only
+// drains on the caller in settle(), after the hand-off. Slice threads only
 // tell() into it (mailboxes are MPSC), so the actor system is always
 // kManual.
 //
@@ -27,7 +30,8 @@
 // fixed fold order makes fleet rows, too, identical at every slice count.
 #pragma once
 
-#include <barrier>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -50,12 +54,18 @@ class FleetMonitor {
     /// kThreaded steps host slices in parallel; kManual steps them all on
     /// the caller. Output is identical.
     actors::ActorSystem::Mode mode = actors::ActorSystem::Mode::kThreaded;
-    std::size_t workers = 4;  ///< Threaded mode: slice threads beside the caller.
+    /// Threaded mode: slice threads beside the caller. Capped so that no
+    /// more slices than CPUs run (a spinning slice must not hold a CPU
+    /// another slice needs): min(hosts, workers + 1, CPUs) slices.
+    std::size_t workers = 4;
     bool fleet_aggregation = true;  ///< Fold and publish the fleet dimension.
     /// Own an obs::Observability bundle and wire it through the actor
     /// system, the event bus and every host pipeline: metrics, stage spans
     /// and the monitor's own CPU/power accounting, exportable via
-    /// add_metrics_reporter() and write_chrome_trace().
+    /// add_metrics_reporter() and write_chrome_trace(). The caller also
+    /// records its wait for the other slices per step
+    /// ("fleet.slice_wait_ns"), and slice threads count their waits that
+    /// parked in atomic::wait ("fleet.slice_parks").
     bool with_observability = false;
   };
 
@@ -67,8 +77,8 @@ class FleetMonitor {
   FleetMonitor& operator=(const FleetMonitor&) = delete;
 
   /// Adds a host under namespace "h<index>/" and returns its index. The
-  /// host must outlive the monitor. Add all hosts before the first
-  /// run_for().
+  /// host must outlive the monitor. A host added after a run_for() joins
+  /// at the next one, which rebuilds the slice layout.
   std::size_t add_host(os::MonitorableHost& host, PipelineSpec spec);
 
   /// The host's pipeline: retarget monitoring, attach reporters, etc.
@@ -140,7 +150,8 @@ class FleetMonitor {
   /// the host count; a no-op otherwise.
   void start_slices();
   void stop_slices();
-  void slice_loop(std::size_t slice);
+  /// A slice thread's loop; `epoch` is the step epoch when it was created.
+  void slice_loop(std::size_t slice, std::uint32_t epoch);
   /// Advances, ticks and drains every host of one slice by step_.
   void run_slice(std::size_t slice);
   /// Runs every slice for one step and rethrows the first slice failure.
@@ -158,14 +169,24 @@ class FleetMonitor {
   bool finished_ = false;
 
   // Host slices. Slice s owns hosts [slice_begin_[s], slice_begin_[s+1]);
-  // the fields below are written by the caller only while the slice
-  // threads wait at start_.
+  // the plain fields below are written by the caller only while the slice
+  // threads wait for the next step_epoch_.
   std::vector<std::size_t> slice_begin_;
   util::DurationNs step_ = 0;
   bool stopping_ = false;
-  std::vector<std::exception_ptr> slice_errors_;
-  std::unique_ptr<std::barrier<>> start_;
-  std::unique_ptr<std::barrier<>> done_;
+  /// The caller's serial time from the previous step's completion to this
+  /// step's release; slice threads read it to choose spin or park.
+  std::chrono::steady_clock::duration serial_gap_{};
+  std::chrono::steady_clock::time_point slices_done_{};
+  std::vector<std::exception_ptr> slice_errors_;  ///< Slot s: written by slice s.
+  /// Bumped (release) by the caller to start a step or, with stopping_, to
+  /// stop the slice threads.
+  alignas(64) std::atomic<std::uint32_t> step_epoch_{0};
+  /// Slice threads still running the current step; the last to finish
+  /// notifies the caller.
+  alignas(64) std::atomic<std::uint32_t> slices_pending_{0};
+  obs::Histogram* slice_wait_ns_ = nullptr;  ///< Null without observability.
+  obs::Counter* slice_parks_ = nullptr;
   std::vector<std::jthread> threads_;  ///< Slices 1..n-1; declared last, joined first.
 };
 

@@ -225,7 +225,9 @@ struct ScenarioSpec {
   GovernSpec govern;
 
   bool fleet_aggregation = true;
-  std::size_t workers = 4;          ///< Threaded dispatch only.
+  /// Threaded dispatch only: slice threads beside the caller, capped at
+  /// the CPU count (FleetMonitor::Options::workers).
+  std::size_t workers = 4;
 
   std::vector<InjectDecl> injections;
 

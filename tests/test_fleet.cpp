@@ -5,9 +5,12 @@
 // the fleet dimension, folded in host order, must not depend on threading.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "os/system.h"
 #include "powerapi/fleet_monitor.h"
@@ -50,6 +53,69 @@ PipelineSpec fleet_spec() {
   PipelineSpec spec;
   spec.model = fleet_model();
   return spec;
+}
+
+/// Slices a threaded fleet runs: FleetMonitor never runs more than CPUs.
+std::size_t threaded_slices(std::size_t hosts, std::size_t workers) {
+  const std::size_t cpus = std::max(1u, std::thread::hardware_concurrency());
+  return std::min({hosts, workers + 1, cpus});
+}
+
+/// A make_host() machine whose next advance() throws or stalls when armed.
+class ScriptedHost final : public os::MonitorableHost {
+ public:
+  explicit ScriptedHost(std::size_t index) : inner_(make_host(index)) {}
+
+  // Set on the caller between steps; the next advance() acts and clears it.
+  bool fail_next_advance = false;
+  bool stall_next_advance = false;  ///< Sleeps 300 us, then advances.
+
+  std::vector<os::Pid> pids() const override { return inner_->pids(); }
+  std::optional<os::ProcStat> proc_stat(os::Pid pid) const override {
+    return inner_->proc_stat(pid);
+  }
+  os::SystemStat system_stat() const override { return inner_->system_stat(); }
+  util::TimestampNs now_ns() const override { return inner_->now_ns(); }
+  const simcpu::CounterBlock& machine_counters() const override {
+    return inner_->machine_counters();
+  }
+  std::size_t hw_threads() const override { return inner_->hw_threads(); }
+  double total_energy_joules() const override { return inner_->total_energy_joules(); }
+  double package_energy_joules() const override {
+    return inner_->package_energy_joules();
+  }
+  const os::IoTotals& io_totals() const override { return inner_->io_totals(); }
+  const periph::DiskModel* disk() const override { return inner_->disk(); }
+  const periph::NicModel* nic() const override { return inner_->nic(); }
+  void gather_counter_lanes(std::span<const os::Pid> targets,
+                            simcpu::CounterLanes& out) const override {
+    inner_->gather_counter_lanes(targets, out);
+  }
+  void advance(util::DurationNs duration) override {
+    if (fail_next_advance) {
+      fail_next_advance = false;
+      throw std::runtime_error("advance failed");
+    }
+    if (stall_next_advance) {
+      stall_next_advance = false;
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+    inner_->advance(duration);
+  }
+
+ private:
+  std::unique_ptr<os::System> inner_;
+};
+
+void expect_same_rows(const std::vector<AggregatedPower>& actual,
+                      const std::vector<AggregatedPower>& expected, const char* what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].formula, expected[i].formula) << what << " row " << i;
+    EXPECT_EQ(actual[i].timestamp, expected[i].timestamp) << what << " row " << i;
+    EXPECT_EQ(actual[i].pid, expected[i].pid) << what << " row " << i;
+    EXPECT_EQ(actual[i].watts, expected[i].watts) << what << " row " << i;
+  }
 }
 
 TEST(FleetMonitor, ThreadedHostsMatchStandaloneManualMetersExactly) {
@@ -146,14 +212,9 @@ TEST(FleetMonitor, ThreadedFleetRowsMatchManualBitForBit) {
   const auto manual = run(actors::ActorSystem::Mode::kManual);
   const auto threaded = run(actors::ActorSystem::Mode::kThreaded);
   ASSERT_GT(manual.size(), 6u);
-  ASSERT_EQ(threaded.size(), manual.size());
-  for (std::size_t i = 0; i < manual.size(); ++i) {
-    EXPECT_EQ(threaded[i].formula, manual[i].formula) << "row " << i;
-    EXPECT_EQ(threaded[i].timestamp, manual[i].timestamp) << "row " << i;
-    EXPECT_EQ(threaded[i].group, "(fleet)") << "row " << i;
-    // Exact: the fold sums hosts in host order at every slice count.
-    EXPECT_EQ(threaded[i].watts, manual[i].watts) << "row " << i;
-  }
+  // Exact: the fold sums hosts in host order at every slice count.
+  expect_same_rows(threaded, manual, "fleet");
+  for (const auto& row : threaded) EXPECT_EQ(row.group, "(fleet)");
 }
 
 TEST(FleetMonitor, ManualModeIsDeterministicAcrossRuns) {
@@ -211,6 +272,128 @@ TEST(FleetMonitor, FleetReporterRequiresAggregationEnabled) {
   options.fleet_aggregation = false;
   FleetMonitor fleet(options);
   EXPECT_THROW(fleet.add_fleet_reporter(), std::logic_error);
+}
+
+TEST(FleetMonitor, SliceThreadFailureRethrowsAndLaterRunsContinue) {
+  constexpr std::size_t kHosts = 4;
+  std::vector<std::unique_ptr<ScriptedHost>> hosts;
+  for (std::size_t i = 0; i < kHosts; ++i) hosts.push_back(std::make_unique<ScriptedHost>(i));
+  FleetMonitor::Options options;
+  options.mode = actors::ActorSystem::Mode::kThreaded;
+  options.workers = 3;
+  FleetMonitor fleet(options);
+  std::vector<MemoryReporter*> memory;
+  for (auto& host : hosts) {
+    memory.push_back(&fleet.add_memory_reporter(fleet.add_host(*host, fleet_spec())));
+  }
+  fleet.run_for(ms_to_ns(500));
+  // The last host sits on the last slice: a slice thread whenever there is
+  // more than one slice.
+  hosts.back()->fail_next_advance = true;
+  EXPECT_THROW(fleet.run_for(ms_to_ns(500)), std::runtime_error);
+  EXPECT_FALSE(hosts.back()->fail_next_advance);
+
+  const std::size_t rows_before = memory.back()->total_rows();
+  fleet.run_for(ms_to_ns(500));  // The hand-off still works after a failure.
+  EXPECT_GT(memory.back()->total_rows(), rows_before);
+  EXPECT_GT(memory.front()->total_rows(), 0u);
+  // Destruction stops and joins the slice threads.
+}
+
+TEST(FleetMonitor, HostAddedAfterRunForRebuildsSlicesAndMatchesManual) {
+  struct Output {
+    std::vector<std::vector<AggregatedPower>> hosts;
+    std::vector<AggregatedPower> fleet;
+  };
+  const auto run = [](actors::ActorSystem::Mode mode) {
+    std::vector<std::unique_ptr<os::System>> hosts;
+    for (std::size_t i = 0; i < 5; ++i) hosts.push_back(make_host(i));
+    FleetMonitor::Options options;
+    options.mode = mode;
+    options.workers = 3;
+    FleetMonitor fleet(options);
+    std::vector<MemoryReporter*> memory;
+    auto& fleet_mem = fleet.add_fleet_reporter();
+    for (std::size_t i = 0; i < 2; ++i) {
+      memory.push_back(&fleet.add_memory_reporter(fleet.add_host(*hosts[i], fleet_spec())));
+    }
+    fleet.run_for(seconds_to_ns(1));
+    for (std::size_t i = 2; i < hosts.size(); ++i) {
+      memory.push_back(&fleet.add_memory_reporter(fleet.add_host(*hosts[i], fleet_spec())));
+    }
+    fleet.run_for(seconds_to_ns(2));
+    fleet.finish();
+    Output out;
+    for (const MemoryReporter* m : memory) out.hosts.push_back(m->all());
+    out.fleet = fleet_mem.all();
+    return out;
+  };
+  const Output manual = run(actors::ActorSystem::Mode::kManual);
+  const Output threaded = run(actors::ActorSystem::Mode::kThreaded);
+  ASSERT_EQ(threaded.hosts.size(), manual.hosts.size());
+  for (std::size_t i = 0; i < manual.hosts.size(); ++i) {
+    // Late hosts ran only the second run_for: the rebuilt layout reached them.
+    ASSERT_GT(manual.hosts[i].size(), 3u) << "host " << i;
+    expect_same_rows(threaded.hosts[i], manual.hosts[i], "host");
+  }
+  ASSERT_GT(manual.fleet.size(), 3u);
+  expect_same_rows(threaded.fleet, manual.fleet, "fleet");
+}
+
+TEST(FleetMonitor, OneStepRunsThroughSpinAndParkMatchManualBitForBit) {
+  constexpr std::size_t kHosts = 7;
+  constexpr std::size_t kWorkers = 3;
+  constexpr std::uint64_t kSteps = 5000;
+  struct Output {
+    std::vector<AggregatedPower> fleet;
+    double parks = 0.0;
+    std::uint64_t waits = 0;
+  };
+  const auto run = [](actors::ActorSystem::Mode mode) {
+    std::vector<std::unique_ptr<ScriptedHost>> hosts;
+    for (std::size_t i = 0; i < kHosts; ++i) hosts.push_back(std::make_unique<ScriptedHost>(i));
+    FleetMonitor::Options options;
+    options.mode = mode;
+    options.workers = kWorkers;
+    options.with_observability = true;
+    FleetMonitor fleet(options);
+    PipelineSpec spec = fleet_spec();
+    spec.period = ms_to_ns(1);
+    for (auto& host : hosts) fleet.add_host(*host, spec);
+    auto& fleet_mem = fleet.add_fleet_reporter();
+    std::uint64_t step = 0;
+    for (std::uint64_t i = 0; i < kSteps; ++i) {
+      fleet.run_for(ms_to_ns(1), [&](util::DurationNs) {
+        ++step;
+        // A long serial gap now and then: the slices park instead of spin.
+        if (step % 100 == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+        // A slow host on the last slice: the caller outwaits its spin and parks.
+        if (step % 100 == 50) hosts.back()->stall_next_advance = true;
+      });
+    }
+    const obs::MetricsSnapshot metrics = fleet.observability()->metrics.snapshot();
+    fleet.finish();
+    Output out;
+    out.fleet = fleet_mem.all();
+    out.parks = metrics.value_of("fleet.slice_parks");
+    const obs::MetricValue* waits = metrics.find("fleet.slice_wait_ns");
+    out.waits = waits == nullptr ? 0 : waits->hist.count;
+    return out;
+  };
+  const Output manual = run(actors::ActorSystem::Mode::kManual);
+  const Output threaded = run(actors::ActorSystem::Mode::kThreaded);
+  ASSERT_GT(manual.fleet.size(), kSteps);
+  expect_same_rows(threaded.fleet, manual.fleet, "fleet");
+
+  // One slice: no hand-off, nothing recorded.
+  EXPECT_EQ(manual.parks, 0.0);
+  EXPECT_EQ(manual.waits, 0u);
+  const std::size_t slices = threaded_slices(kHosts, kWorkers);
+  if (slices > 1) {
+    EXPECT_EQ(threaded.waits, kSteps);  // The caller's wait, once per step.
+    EXPECT_GE(threaded.parks, 1.0);     // The sleeps forced parks.
+    EXPECT_LE(threaded.parks, static_cast<double>(kSteps * (slices - 1)));
+  }
 }
 
 TEST(FleetMonitor, RunForAfterFinishThrows) {
