@@ -7,6 +7,11 @@
 // specs (different core/SMT counts in one fleet), a fleet size that does
 // not divide evenly into host slices, and a per-pid pipeline.
 //
+// A fourth golden, pipeline_every_stage.csv, pins every sensor and formula
+// kind on one host — PowerSpy, RAPL, IO, the HPC regression with online
+// calibration swapping the model mid-run, and a baseline estimator — under
+// the group dimension, in arrival order.
+//
 // Regenerate (only when an intentional semantic change lands) with:
 //   POWERAPI_GOLDEN_REGEN=1 ./test_golden_determinism
 #include <gtest/gtest.h>
@@ -19,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/cpuload_model.h"
 #include "os/system.h"
 #include "powerapi/fleet_monitor.h"
 #include "workloads/behaviors.h"
@@ -167,32 +173,30 @@ std::string run_case(std::uint64_t seed) {
   return out.str();
 }
 
-std::string golden_path(std::uint64_t seed) {
-  return std::string(POWERAPI_GOLDEN_DIR) + "/fleet_kmanual_seed" +
-         std::to_string(seed) + ".csv";
+std::string golden_path(const std::string& name) {
+  return std::string(POWERAPI_GOLDEN_DIR) + "/" + name + ".csv";
 }
 
-class GoldenDeterminism : public testing::TestWithParam<std::uint64_t> {};
+std::string golden_path(std::uint64_t seed) {
+  return golden_path("fleet_kmanual_seed" + std::to_string(seed));
+}
 
-TEST_P(GoldenDeterminism, MatchesCommittedCsvBitForBit) {
-  const std::uint64_t seed = GetParam();
-  const std::string actual = run_case(seed);
-  ASSERT_GT(actual.size(), 1000u) << "suspiciously small output";
-
+/// Compares `actual` with the committed golden at `path` line by line (a
+/// readable first divergence), or rewrites it under POWERAPI_GOLDEN_REGEN.
+void expect_matches_golden(const std::string& actual, const std::string& path) {
   if (std::getenv("POWERAPI_GOLDEN_REGEN") != nullptr) {
-    std::ofstream out(golden_path(seed), std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path(seed);
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << actual;
-    GTEST_SKIP() << "regenerated " << golden_path(seed);
+    GTEST_SKIP() << "regenerated " << path;
   }
 
-  std::ifstream in(golden_path(seed), std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path(seed)
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
                          << " — run with POWERAPI_GOLDEN_REGEN=1";
   std::ostringstream expected;
   expected << in.rdbuf();
 
-  // Compare line-by-line for a readable first divergence, then whole-file.
   std::istringstream actual_lines(actual), expected_lines(expected.str());
   std::string a, e;
   std::size_t line = 0;
@@ -203,6 +207,15 @@ TEST_P(GoldenDeterminism, MatchesCommittedCsvBitForBit) {
     ASSERT_EQ(a, e) << "first divergence at line " << line;
   }
   EXPECT_FALSE(std::getline(actual_lines, a)) << "extra rows beyond the golden file";
+}
+
+class GoldenDeterminism : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GoldenDeterminism, MatchesCommittedCsvBitForBit) {
+  const std::uint64_t seed = GetParam();
+  const std::string actual = run_case(seed);
+  ASSERT_GT(actual.size(), 1000u) << "suspiciously small output";
+  expect_matches_golden(actual, golden_path(seed));
 }
 
 TEST_P(GoldenDeterminism, RunTwiceIsIdentical) {
@@ -225,6 +238,108 @@ TEST_P(GoldenDeterminism, ThreadedFleetMatchesManual) {
 
 INSTANTIATE_TEST_SUITE_P(SeedSweep, GoldenDeterminism,
                          testing::Values(1u, 7u, 42u));
+
+/// A CPU-load baseline fitted on an exact synthetic linear world
+/// (watts = 28 + 14 * utilization at every ladder frequency), so the fit
+/// is deterministic without a training run.
+std::shared_ptr<const baselines::MachinePowerEstimator> golden_cpu_load() {
+  model::SampleSet samples;
+  samples.idle_watts = 28.0;
+  for (const double hz : simcpu::i3_2120().frequencies_hz) {
+    samples.frequencies_hz.push_back(hz);
+    std::vector<model::TrainingSample> batch;
+    for (int i = 1; i <= 10; ++i) {
+      model::TrainingSample s;
+      s.frequency_hz = hz;
+      s.utilization = 0.1 * i;
+      s.watts = 28.0 + 14.0 * s.utilization * (hz / 3.3e9);
+      batch.push_back(s);
+    }
+    samples.by_frequency.push_back(std::move(batch));
+  }
+  return std::make_shared<baselines::CpuLoadModel>(baselines::CpuLoadModel::train(samples));
+}
+
+/// Every pipeline stage on one kManual host with peripherals: PowerSpy,
+/// RAPL and IO sensors with their formulas, the regression formula fed a
+/// distorted model that online calibration refits mid-run, and a CPU-load
+/// baseline — all aggregated per group and serialized in arrival order.
+std::string run_every_stage_case(std::uint64_t* registry_version) {
+  os::System::Options host_options;
+  host_options.with_peripherals = true;
+  os::System host(simcpu::i3_2120(), std::move(host_options));
+  const os::Pid app = host.spawn("app", std::make_unique<workloads::SteadyBehavior>(
+                                            workloads::cpu_stress(0.6), 0));
+  const os::Pid mem = host.spawn("mem", std::make_unique<workloads::SteadyBehavior>(
+                                            workloads::memory_stress(8e6, 0.8), 0));
+  const os::Pid backup = host.spawn("backup", std::make_unique<workloads::SteadyBehavior>(
+                                                  workloads::io_stress(20, 10, 0.6), 0));
+  host.set_group(app, "web");
+  host.set_group(mem, "web");
+  host.set_group(backup, "batch");
+
+  // Distorted by 1.8x so the rolling error crosses the drift threshold
+  // and a refit lands inside the run.
+  model::CpuPowerModel distorted = golden_model(3);
+  std::vector<model::FrequencyFormula> formulas = distorted.formulas();
+  for (auto& f : formulas) {
+    for (double& c : f.coefficients) c *= 1.8;
+  }
+  auto registry = std::make_shared<model::ModelRegistry>(
+      model::CpuPowerModel(distorted.idle_watts(), std::move(formulas)));
+
+  FleetMonitor::Options options;
+  options.mode = actors::ActorSystem::Mode::kManual;
+  options.fleet_aggregation = false;
+  FleetMonitor fleet(options);
+  PipelineSpec spec;
+  spec.period = ms_to_ns(25);
+  spec.seed = 2024;
+  spec.with_powerspy = true;
+  spec.with_rapl = true;
+  spec.with_io = true;
+  spec.dimension = AggregationDimension::kGroup;
+  spec.registry = registry;
+  spec.with_calibration = true;
+  spec.calibration.min_samples_per_fit = 8;
+  spec.calibration.drift_window = 4;
+  spec.calibration.min_refit_interval = ms_to_ns(200);
+  spec.estimators.push_back(golden_cpu_load());
+  const std::size_t index = fleet.add_host(host, std::move(spec));
+
+  std::ostringstream out;
+  out << "formula,timestamp_ns,pid,group,watts_hex\n";
+  fleet.add_callback_reporter(index, [&out](const AggregatedPower& row) {
+    out << row.formula << ',' << row.timestamp << ',' << row.pid << ',' << row.group << ','
+        << hex_double(row.watts) << '\n';
+  });
+  fleet.monitor_all(index);
+  fleet.run_for(ms_to_ns(1000));
+  fleet.finish();
+  *registry_version = registry->current()->version;
+  return out.str();
+}
+
+TEST(GoldenEveryStage, MatchesCommittedCsvBitForBit) {
+  std::uint64_t version = 0;
+  const std::string actual = run_every_stage_case(&version);
+  EXPECT_GT(version, 1u) << "no calibration swap landed inside the run";
+  for (const char* formula :
+       {"powerapi-hpc", "powerspy", "rapl", "io-datasheet", "cpu-load"}) {
+    EXPECT_NE(actual.find(std::string("\n") + formula + ','), std::string::npos)
+        << "no " << formula << " rows";
+  }
+  for (const char* group : {",(machine),", ",web,", ",batch,"}) {
+    EXPECT_NE(actual.find(group), std::string::npos) << "no " << group << " rows";
+  }
+  expect_matches_golden(actual, golden_path("pipeline_every_stage"));
+}
+
+TEST(GoldenEveryStage, RunTwiceIsIdentical) {
+  std::uint64_t a = 0, b = 0;
+  EXPECT_EQ(run_every_stage_case(&a), run_every_stage_case(&b));
+  EXPECT_EQ(a, b);
+}
 
 }  // namespace
 }  // namespace powerapi::api
