@@ -80,10 +80,10 @@ BENCHMARK(BM_EventBusFanout)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_EventBusFanoutFatPayload(benchmark::State& state) {
   // Fan-out of a payload too big for inline storage (a 2 KiB sample vector,
-  // the shape of a SensorReport burst): the bus materializes it once per
-  // publish and shares it by refcount, so per-subscriber cost is a pointer
-  // copy instead of a deep copy. Publishes by interned TopicId, as the
-  // pipeline components do.
+  // the size of a many-target SensorBatch matrix): the bus materializes it
+  // once per publish and shares it by refcount, so per-subscriber cost is a
+  // pointer copy instead of a deep copy. Publishes by interned TopicId, as
+  // the pipeline components do.
   actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
   actors::EventBus bus(system);
   const auto topic = bus.intern("sensor:burst");

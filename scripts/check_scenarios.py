@@ -14,15 +14,21 @@ Two levels:
                      also report at least one governor actuation — the
                      closed loop demonstrably closes within the smoke
                      window.
+  --smoke --save DIR — also keep each scenario's kManual smoke CSV as
+                     DIR/<name>.csv, so two commits' outputs can be
+                     compared with `diff -r`.
 
 Usage:
   python3 scripts/check_scenarios.py --runner build/examples/scenario_runner
   python3 scripts/check_scenarios.py --runner build/examples/scenario_runner --smoke
+  python3 scripts/check_scenarios.py --runner build/examples/scenario_runner \
+      --smoke --save /tmp/scenarios_a
 """
 
 import argparse
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -60,8 +66,11 @@ def governor_actuations(stdout: str) -> int:
     return int(match.group(1)) if match else -1
 
 
-def check_smoke(runner: str, files: list[pathlib.Path]) -> bool:
+def check_smoke(runner: str, files: list[pathlib.Path],
+                save_dir: pathlib.Path | None = None) -> bool:
     ok = True
+    if save_dir is not None:
+        save_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="scenario_smoke_") as tmp:
         for f in files:
             csvs = []
@@ -98,6 +107,9 @@ def check_smoke(runner: str, files: list[pathlib.Path]) -> bool:
                                  "actuations")
                     print(f"OK {f} smoke: {len(csvs[0])} CSV bytes, "
                           f"run-twice byte-identical{extra}")
+                    if save_dir is not None:
+                        shutil.copyfile(pathlib.Path(tmp) / f"{f.stem}.1.csv",
+                                        save_dir / f"{f.stem}.csv")
     return ok
 
 
@@ -110,7 +122,12 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="also run each scenario twice (bounded, kManual) "
                              "and byte-compare the CSVs")
+    parser.add_argument("--save", metavar="DIR", type=pathlib.Path,
+                        help="with --smoke: keep each scenario's smoke CSV as "
+                             "DIR/<name>.csv (diff -r two commits' DIRs)")
     args = parser.parse_args()
+    if args.save is not None and not args.smoke:
+        parser.error("--save requires --smoke")
 
     runner = pathlib.Path(args.runner)
     if not runner.is_file():
@@ -119,7 +136,7 @@ def main() -> int:
     files = find_scenarios(pathlib.Path(args.scenario_dir))
     ok = check_parse(str(runner), files)
     if ok and args.smoke:
-        ok = check_smoke(str(runner), files)
+        ok = check_smoke(str(runner), files, args.save)
     print("check_scenarios:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -8,6 +8,11 @@
 // structs. row() gathers a classic FeatureVector for consumers that take
 // single samples (calibration, baseline estimators).
 //
+// The matrix is the payload of every sensor, not only the HPC one: four
+// more lanes carry the meters' measured watts and the IO sensor's disk and
+// network rates. The meter and IO sensors publish one machine-scope row
+// and fill only their own lanes; HPC rows leave those four at zero.
+//
 // A FeatureMatrix is published as a shared_ptr<const ...> in one
 // api::SensorBatch message and must stay immutable once published — the
 // sensor allocates a fresh matrix per tick rather than reusing a buffer,
@@ -25,11 +30,16 @@ namespace powerapi::model {
 
 class FeatureMatrix {
  public:
-  /// Ten event-rate lanes, then utilization, SMT rate, window seconds.
+  /// Ten event-rate lanes, then utilization, SMT rate, window seconds,
+  /// then the meter and IO lanes.
   static constexpr std::size_t kUtilizationLane = hpc::kEventCount;
   static constexpr std::size_t kSmtLane = hpc::kEventCount + 1;
   static constexpr std::size_t kWindowLane = hpc::kEventCount + 2;
-  static constexpr std::size_t kLanes = hpc::kEventCount + 3;
+  static constexpr std::size_t kMeasuredWattsLane = hpc::kEventCount + 3;  ///< Meters.
+  static constexpr std::size_t kDiskIopsLane = hpc::kEventCount + 4;       ///< IO.
+  static constexpr std::size_t kDiskBytesLane = hpc::kEventCount + 5;      ///< IO, B/s.
+  static constexpr std::size_t kNetBytesLane = hpc::kEventCount + 6;       ///< IO, B/s.
+  static constexpr std::size_t kLanes = hpc::kEventCount + 7;
 
   /// Frequency observed for the tick (one governor, one package — shared by
   /// every row of a batch).
@@ -57,6 +67,20 @@ class FeatureMatrix {
   const std::int64_t* pids() const noexcept { return pids_.data(); }
   std::int64_t pid(std::size_t row) const noexcept { return pids_[row]; }
   double window_seconds(std::size_t row) const noexcept { return lane(kWindowLane)[row]; }
+
+  /// Index of the machine-scope row (pid < 0), or rows() when there is none.
+  std::size_t find_machine_row() const noexcept {
+    std::size_t r = 0;
+    while (r < rows_ && pids_[r] >= 0) ++r;
+    return r;
+  }
+
+  /// Copies row `from` of `source` (every lane and the pid) into row `to`.
+  void copy_row_from(const FeatureMatrix& source, std::size_t from,
+                     std::size_t to) noexcept {
+    for (std::size_t l = 0; l < kLanes; ++l) lane(l)[to] = source.lane(l)[from];
+    pids_[to] = source.pids_[from];
+  }
 
   /// Gathers one row into the classic AoS feature struct.
   FeatureVector row(std::size_t r) const noexcept {

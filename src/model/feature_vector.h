@@ -4,9 +4,10 @@
 // online HpcSensor, the baseline estimators and the experiment harnesses —
 // used to carry its own copy of the same four fields (frequency, event
 // rates, utilization, SMT co-residency). FeatureVector is that shared
-// layer: TrainingSample and api::SensorReport derive from it, and
-// estimators consume it directly, so a sample flows from sensor to
-// regression to estimate without field-by-field copying.
+// layer: TrainingSample derives from it, FeatureMatrix::row() gathers one
+// from a sensor batch, and estimators consume it directly, so a sample
+// flows from sensor to regression to estimate without field-by-field
+// copying.
 #pragma once
 
 #include <array>

@@ -111,24 +111,16 @@ void Aggregator::emit(const std::string& formula, const Group& group) {
 }
 
 void Aggregator::receive(actors::Envelope& envelope) {
-  // SoA hot path: one EstimateBatch carries a whole tick's rows; absorbing
-  // them front to back reproduces the scalar per-estimate message order.
-  if (const auto* batch = envelope.payload.get<EstimateBatch>()) {
-    if (!batch->features) return;
-    const auto span = stage_.span(name(), batch->seq);
-    const std::size_t rows = batch->features->rows();
-    for (std::size_t i = 0; i < rows && i < batch->watts.size(); ++i) {
-      absorb(batch->formula, batch->timestamp, batch->features->pid(i),
-             batch->watts[i], batch->seq, batch->tick_wall_ns);
-    }
-    return;
+  // One EstimateBatch carries a formula's rows for one tick; they are
+  // absorbed front to back.
+  const auto* batch = envelope.payload.get<EstimateBatch>();
+  if (batch == nullptr || !batch->features) return;
+  const auto span = stage_.span(name(), batch->seq);
+  const std::size_t rows = batch->features->rows();
+  for (std::size_t i = 0; i < rows && i < batch->watts.size(); ++i) {
+    absorb(batch->formula, batch->timestamp, batch->features->pid(i), batch->watts[i],
+           batch->seq, batch->tick_wall_ns);
   }
-
-  const auto* estimate = envelope.payload.get<PowerEstimate>();
-  if (estimate == nullptr) return;
-  const auto span = stage_.span(name(), estimate->seq);
-  absorb(estimate->formula, estimate->timestamp, estimate->pid, estimate->watts,
-         estimate->seq, estimate->tick_wall_ns);
 }
 
 void Aggregator::post_stop() {

@@ -1,5 +1,6 @@
-// Aggregator actor: groups PowerEstimates along a dimension (the paper
-// names PID and timestamp) before they reach reporters.
+// Aggregator actor: groups the rows of the formulas' EstimateBatches along a
+// dimension (the paper names PID and timestamp) before they reach
+// reporters.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +55,7 @@ class Aggregator final : public actors::Actor {
 
   void emit(const std::string& formula, const Group& group);
   void emit_group_rows(const std::string& formula);
-  /// One estimate row entering the dimension logic — shared by the scalar
-  /// PowerEstimate path and the row loop of an EstimateBatch (which absorbs
-  /// rows front to back, reproducing the scalar message order exactly).
+  /// One estimate row of an EstimateBatch entering the dimension logic.
   void absorb(const std::string& formula, util::TimestampNs timestamp, std::int64_t pid,
               double watts, std::uint64_t seq, std::int64_t tick_wall_ns);
   void record_latency(std::int64_t tick_wall_ns);

@@ -36,41 +36,31 @@ CalibrationActor::CalibrationActor(actors::EventBus& bus,
 }
 
 void CalibrationActor::receive(actors::Envelope& envelope) {
-  // SoA hot path: the HPC sensor publishes one SensorBatch per tick; only
-  // its machine row matters for calibration, gathered back into the scalar
-  // feature struct the accumulators take.
-  if (const auto* batch = envelope.payload.get<SensorBatch>()) {
-    if (batch->sensor != SensorKind::kHpc || !batch->features) return;
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      if (batch->features->pid(i) >= 0) continue;
-      Pending& entry = pending_[batch->timestamp];
-      entry.features = batch->features->row(i);
-      complete_if_paired(batch->timestamp, entry);
-      break;
-    }
-    while (pending_.size() > kMaxPending) pending_.erase(pending_.begin());
-    return;
-  }
-
-  const auto* report = envelope.payload.get<SensorReport>();
-  if (report == nullptr || report->pid != kMachinePid) return;
+  // Only machine rows pair: the HPC batch's feature row with the meter
+  // batch's measured watts at the same tick timestamp.
+  const auto* batch = envelope.payload.get<SensorBatch>();
+  if (batch == nullptr || !batch->features) return;
+  const model::FeatureMatrix& rows = *batch->features;
+  const std::size_t machine = rows.find_machine_row();
+  if (machine == rows.rows()) return;
 
   Pending* entry = nullptr;
-  switch (report->sensor) {
+  switch (batch->sensor) {
     case SensorKind::kHpc:
-      entry = &pending_[report->timestamp];
-      entry->features = *report;  // Slices to the feature layer: exactly what we keep.
+      entry = &pending_[batch->timestamp];
+      entry->features = rows.row(machine);
       break;
     case SensorKind::kPowerSpy:
     case SensorKind::kRapl:
-      entry = &pending_[report->timestamp];
-      entry->measured_watts = report->measured_watts;
+      entry = &pending_[batch->timestamp];
+      entry->measured_watts =
+          rows.lane(model::FeatureMatrix::kMeasuredWattsLane)[machine];
       break;
     default:
       return;
   }
 
-  complete_if_paired(report->timestamp, *entry);
+  complete_if_paired(batch->timestamp, *entry);
   while (pending_.size() > kMaxPending) pending_.erase(pending_.begin());
 }
 

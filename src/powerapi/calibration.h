@@ -4,7 +4,7 @@
 // against a hermetic stress sweep; counter-based models drift as the real
 // workload mix departs from that sweep. The CalibrationActor closes the
 // loop inside the running pipeline: it pairs the HPC sensor's machine-scope
-// feature vectors with the meter's ground-truth watts (PowerSpy or RAPL, on
+// feature rows with the meter's ground-truth watts (PowerSpy or RAPL, on
 // the same tick timestamps), accumulates per-frequency streaming
 // regressions, and — when the rolling estimate-vs-ground-truth error drifts
 // beyond a threshold — refits and atomically swaps the ModelRegistry that
@@ -67,7 +67,8 @@ struct ModelUpdated {
   std::size_t bins_refit = 0;           ///< Frequency bins with new formulas.
 };
 
-/// Pairs feature reports with meter reports by tick timestamp, maintains
+/// Pairs the HPC batch's machine row with the meter batch's measured watts
+/// (told apart by SensorBatch::sensor) by tick timestamp, maintains
 /// one IncrementalOls per observed frequency bin, and swaps the registry on
 /// drift. Single actor: the streaming state needs no locks even on the
 /// threaded dispatcher, and timestamp-keyed pairing makes the result

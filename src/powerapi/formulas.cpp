@@ -6,11 +6,18 @@ namespace powerapi::api {
 
 namespace {
 
-const SensorReport* as_report(const actors::Envelope& envelope) {
-  return envelope.payload.get<SensorReport>();
-}
-
 constexpr std::string_view kEstimates = "pipeline.estimates";
+
+/// The EstimateBatch over `batch`'s rows, watts still to fill.
+EstimateBatch estimates_for(const SensorBatch& batch, std::string formula) {
+  EstimateBatch out;
+  out.timestamp = batch.timestamp;
+  out.formula = std::move(formula);
+  out.features = batch.features;
+  out.seq = batch.seq;
+  out.tick_wall_ns = batch.tick_wall_ns;
+  return out;
+}
 
 }  // namespace
 
@@ -25,59 +32,31 @@ RegressionFormula::RegressionFormula(actors::EventBus& bus,
 }
 
 void RegressionFormula::receive(actors::Envelope& envelope) {
-  // SoA hot path: one SensorBatch → one EstimateBatch, evaluated as a
-  // coefficient sweep down the rate lanes.
-  if (const auto* batch = envelope.payload.get<SensorBatch>()) {
-    if (batch->sensor != SensorKind::kHpc || !batch->features) return;
-    const auto span = stage_.span(name(), batch->seq);
-    const model::ModelRegistry::Snapshot& snapshot = registry_->refresh(pinned_);
-    const model::FeatureMatrix& features = *batch->features;
-
-    EstimateBatch out;
-    out.timestamp = batch->timestamp;
-    out.formula = "powerapi-hpc";
-    out.model_version = snapshot.version;
-    out.features = batch->features;
-    out.watts.assign(features.rows(), 0.0);
-    if (!snapshot.model.empty()) {
-      snapshot.model.estimate_activity_rows(features, out.watts);
-    }
-    // Machine rows carry the idle floor on top of activity, exactly as the
-    // scalar path adds it (idle + activity, in that order).
-    for (std::size_t i = 0; i < features.rows(); ++i) {
-      if (features.pid(i) < 0) out.watts[i] = snapshot.model.idle_watts() + out.watts[i];
-    }
-    out.seq = batch->seq;
-    out.tick_wall_ns = batch->tick_wall_ns;
-    const std::size_t rows = features.rows();
-    bus_->publish(out_topic_, std::move(out), self());
-    for (std::size_t i = 0; i < rows; ++i) stage_.count();
-    return;
-  }
-
-  const SensorReport* report = as_report(envelope);
-  if (report == nullptr || report->sensor != SensorKind::kHpc) return;
-  const auto span = stage_.span(name(), report->seq);
-
-  // One immutable snapshot serves this whole report; a concurrent swap
-  // affects the next report, never a half-read model.
+  // One SensorBatch → one EstimateBatch, evaluated as a coefficient sweep
+  // down the rate lanes.
+  const auto* batch = envelope.payload.get<SensorBatch>();
+  if (batch == nullptr || batch->sensor != SensorKind::kHpc || !batch->features) return;
+  const auto span = stage_.span(name(), batch->seq);
+  // One immutable snapshot serves this whole batch; a concurrent swap
+  // affects the next batch, never a half-read model.
   const model::ModelRegistry::Snapshot& snapshot = registry_->refresh(pinned_);
+  const model::FeatureMatrix& features = *batch->features;
 
-  PowerEstimate estimate;
-  estimate.timestamp = report->timestamp;
-  estimate.pid = report->pid;
-  estimate.formula = "powerapi-hpc";
-  estimate.model_version = snapshot.version;
+  EstimateBatch out = estimates_for(*batch, "powerapi-hpc");
+  out.model_version = snapshot.version;
+  out.watts.assign(features.rows(), 0.0);
   // An empty model (cold-start calibration: nothing learned yet) estimates
   // the idle floor only until the first swap fills in formulas.
-  const double activity =
-      snapshot.model.empty() ? 0.0 : snapshot.model.estimate_activity(*report);
-  estimate.watts =
-      report->pid == kMachinePid ? snapshot.model.idle_watts() + activity : activity;
-  estimate.seq = report->seq;
-  estimate.tick_wall_ns = report->tick_wall_ns;
-  bus_->publish(out_topic_, std::move(estimate), self());
-  stage_.count();
+  if (!snapshot.model.empty()) {
+    snapshot.model.estimate_activity_rows(features, out.watts);
+  }
+  // Machine rows carry the idle floor on top of activity (idle + activity,
+  // in that order).
+  for (std::size_t i = 0; i < features.rows(); ++i) {
+    if (features.pid(i) < 0) out.watts[i] = snapshot.model.idle_watts() + out.watts[i];
+  }
+  stage_.count(features.rows());
+  bus_->publish(out_topic_, std::move(out), self());
 }
 
 // --- EstimatorFormula ---
@@ -91,41 +70,26 @@ EstimatorFormula::EstimatorFormula(
 }
 
 void EstimatorFormula::receive(actors::Envelope& envelope) {
-  // Batch path: baselines are machine models, so only the machine row of a
-  // batch produces an estimate — gathered back into the scalar feature
-  // struct the estimator interface takes.
-  if (const auto* batch = envelope.payload.get<SensorBatch>()) {
-    if (!batch->features) return;
-    const auto span = stage_.span(name(), batch->seq);
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      if (batch->features->pid(i) >= 0) continue;
-      PowerEstimate estimate;
-      estimate.timestamp = batch->timestamp;
-      estimate.pid = kMachinePid;
-      estimate.formula = estimator_->name();
-      estimate.watts = estimator_->estimate(batch->features->row(i));
-      estimate.seq = batch->seq;
-      estimate.tick_wall_ns = batch->tick_wall_ns;
-      bus_->publish(out_topic_, std::move(estimate), self());
-      stage_.count();
-    }
-    return;
-  }
+  // Baselines are machine models: only the batch's machine row produces an
+  // estimate, gathered into the feature struct the estimator interface
+  // takes and published over a 1-row matrix of its own.
+  const auto* batch = envelope.payload.get<SensorBatch>();
+  if (batch == nullptr || batch->sensor != SensorKind::kHpc || !batch->features) return;
+  const auto span = stage_.span(name(), batch->seq);
+  const model::FeatureMatrix& features = *batch->features;
+  const std::size_t machine = features.find_machine_row();
+  if (machine == features.rows()) return;
 
-  const SensorReport* report = as_report(envelope);
-  if (report == nullptr || report->pid != kMachinePid) return;
-  const auto span = stage_.span(name(), report->seq);
+  auto row = std::make_shared<model::FeatureMatrix>();
+  row->frequency_hz = features.frequency_hz;
+  row->resize(1);
+  row->copy_row_from(features, machine, 0);
 
-  PowerEstimate estimate;
-  estimate.timestamp = report->timestamp;
-  estimate.pid = kMachinePid;
-  estimate.formula = estimator_->name();
-  // A report IS an Observation (the shared feature layer): no repacking.
-  estimate.watts = estimator_->estimate(*report);
-  estimate.seq = report->seq;
-  estimate.tick_wall_ns = report->tick_wall_ns;
-  bus_->publish(out_topic_, std::move(estimate), self());
+  EstimateBatch out = estimates_for(*batch, estimator_->name());
+  out.features = std::move(row);
+  out.watts.assign(1, estimator_->estimate(features.row(machine)));
   stage_.count();
+  bus_->publish(out_topic_, std::move(out), self());
 }
 
 // --- IoFormula ---
@@ -138,29 +102,30 @@ IoFormula::IoFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
 }
 
 void IoFormula::receive(actors::Envelope& envelope) {
-  const SensorReport* report = as_report(envelope);
-  if (report == nullptr || report->sensor != SensorKind::kIo) return;
-  const auto span = stage_.span(name(), report->seq);
+  const auto* batch = envelope.payload.get<SensorBatch>();
+  if (batch == nullptr || batch->sensor != SensorKind::kIo || !batch->features) return;
+  const auto span = stage_.span(name(), batch->seq);
+  const model::FeatureMatrix& features = *batch->features;
+  const double* disk_iops = features.lane(model::FeatureMatrix::kDiskIopsLane);
+  const double* disk_bytes = features.lane(model::FeatureMatrix::kDiskBytesLane);
+  const double* net_bytes = features.lane(model::FeatureMatrix::kNetBytesLane);
 
-  // Base power assumes the common steady states (platters spinning, link
-  // awake); transition states (spin-up surges, LPI) are below this formula's
-  // resolution — deliberately, as a datasheet model would be.
-  double watts = disk_.idle_spinning_watts + nic_.link_active_watts;
-  watts += report->disk_iops * disk_.joules_per_op;
-  watts += report->disk_bytes_per_sec / 1e6 * disk_.joules_per_megabyte;
-  // Without a tx/rx split in the counters, charge the average of the two.
-  watts += report->net_bytes_per_sec / 1e6 *
-           (nic_.joules_per_megabyte_tx + nic_.joules_per_megabyte_rx) / 2.0;
-
-  PowerEstimate estimate;
-  estimate.timestamp = report->timestamp;
-  estimate.pid = kMachinePid;
-  estimate.formula = "io-datasheet";
-  estimate.watts = watts;
-  estimate.seq = report->seq;
-  estimate.tick_wall_ns = report->tick_wall_ns;
-  bus_->publish(out_topic_, std::move(estimate), self());
-  stage_.count();
+  EstimateBatch out = estimates_for(*batch, "io-datasheet");
+  out.watts.resize(features.rows());
+  for (std::size_t i = 0; i < features.rows(); ++i) {
+    // Base power assumes the common steady states (platters spinning, link
+    // awake); transition states (spin-up surges, LPI) are below this
+    // formula's resolution — deliberately, as a datasheet model would be.
+    double watts = disk_.idle_spinning_watts + nic_.link_active_watts;
+    watts += disk_iops[i] * disk_.joules_per_op;
+    watts += disk_bytes[i] / 1e6 * disk_.joules_per_megabyte;
+    // Without a tx/rx split in the counters, charge the average of the two.
+    watts += net_bytes[i] / 1e6 *
+             (nic_.joules_per_megabyte_tx + nic_.joules_per_megabyte_rx) / 2.0;
+    out.watts[i] = watts;
+  }
+  stage_.count(features.rows());
+  bus_->publish(out_topic_, std::move(out), self());
 }
 
 // --- MeterFormula ---
@@ -172,18 +137,16 @@ MeterFormula::MeterFormula(actors::EventBus& bus, actors::EventBus::TopicId out_
 }
 
 void MeterFormula::receive(actors::Envelope& envelope) {
-  const SensorReport* report = as_report(envelope);
-  if (report == nullptr) return;
-  const auto span = stage_.span(name(), report->seq);
-  PowerEstimate estimate;
-  estimate.timestamp = report->timestamp;
-  estimate.pid = report->pid;
-  estimate.formula = formula_name_;
-  estimate.watts = report->measured_watts;
-  estimate.seq = report->seq;
-  estimate.tick_wall_ns = report->tick_wall_ns;
-  bus_->publish(out_topic_, std::move(estimate), self());
-  stage_.count();
+  const auto* batch = envelope.payload.get<SensorBatch>();
+  if (batch == nullptr || !batch->features) return;
+  const auto span = stage_.span(name(), batch->seq);
+  const model::FeatureMatrix& features = *batch->features;
+  const double* measured = features.lane(model::FeatureMatrix::kMeasuredWattsLane);
+
+  EstimateBatch out = estimates_for(*batch, formula_name_);
+  out.watts.assign(measured, measured + features.rows());
+  stage_.count(features.rows());
+  bus_->publish(out_topic_, std::move(out), self());
 }
 
 }  // namespace powerapi::api

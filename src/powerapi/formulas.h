@@ -1,4 +1,5 @@
-// Formula actors: turn SensorReports into PowerEstimates.
+// Formula actors: turn SensorBatches into EstimateBatches — one message
+// shape in, one out.
 //
 // Each formula publishes on the "power:estimate" topic of its pipeline's
 // namespace; the builder interns the topic and injects the id.
@@ -20,12 +21,12 @@
 namespace powerapi::api {
 
 /// The paper's formula: per-frequency linear regression over HPC rates.
-/// Machine-scope reports get idle + activity; process reports get activity
-/// only (the paper attributes the idle floor to the machine, not to any
+/// Machine-scope rows get idle + activity; process rows get activity only
+/// (the paper attributes the idle floor to the machine, not to any
 /// process).
 ///
 /// The formula does not own a model copy: it reads the registry's current
-/// snapshot per report through its own pin (ModelRegistry::refresh), so a
+/// snapshot per batch through its own pin (ModelRegistry::refresh), so a
 /// CalibrationActor refit (or any other registry.publish) takes effect on
 /// the very next estimate, and a fleet's formulas can all share one
 /// registry without writing to it. Every estimate carries the snapshot
@@ -48,7 +49,8 @@ class RegressionFormula final : public actors::Actor {
 };
 
 /// Adapter formula around any baseline MachinePowerEstimator (CPU-load,
-/// Bertran, HAPPY). Machine scope only — these models are machine models.
+/// Bertran, HAPPY). Machine scope only — these models are machine models —
+/// so it publishes over a 1-row matrix holding the HPC batch's machine row.
 class EstimatorFormula final : public actors::Actor {
  public:
   EstimatorFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
@@ -67,8 +69,9 @@ class EstimatorFormula final : public actors::Actor {
 /// Datasheet-based IO power formula: unlike CPU cores, disk and NIC power
 /// characteristics are published by their vendors, so the component model
 /// needs no regression — base power plus per-op and per-byte energies from
-/// the device parameters. Consumes SensorKind::kIo reports, emits
-/// machine-scope "io-datasheet" estimates of the peripheral power share.
+/// the device parameters. Consumes SensorKind::kIo batches, emits
+/// "io-datasheet" estimates of the peripheral power share over the same
+/// rows.
 class IoFormula final : public actors::Actor {
  public:
   IoFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
@@ -85,8 +88,9 @@ class IoFormula final : public actors::Actor {
   StageObs stage_;
 };
 
-/// Pass-through formula for direct meters (RAPL): the measured watts ARE
-/// the estimate — with the meter's scope limitation (package, machine-wide).
+/// Pass-through formula for direct meters (PowerSpy, RAPL): the
+/// measured-watts lane IS the estimate — with the meter's scope limitation
+/// (wall or package, machine-wide).
 class MeterFormula final : public actors::Actor {
  public:
   MeterFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,

@@ -1,13 +1,13 @@
 // Message vocabulary of the PowerAPI pipeline (Figure 2).
 //
-// Topics (within one pipeline's namespace — see pipeline.h):
-//   "tick"              MonitorTick   → all sensors
-//   "sensor:hpc"        SensorReport  → formulas
-//   "sensor:cpu-load"   SensorReport  → CPU-load formula
-//   "sensor:powerspy"   SensorReport  → reporters wanting ground truth
-//   "sensor:rapl"       SensorReport  → RAPL formula
-//   "sensor:io"         SensorReport  → IO datasheet formula
-//   "power:estimate"    PowerEstimate → aggregators
+// One message type per stage. Topics (within one pipeline's namespace —
+// see pipeline.h):
+//   "tick"              MonitorTick     → all sensors
+//   "sensor:hpc"        SensorBatch     → regression, baseline formulas, calibration
+//   "sensor:powerspy"   SensorBatch     → PowerSpy meter formula, calibration
+//   "sensor:rapl"       SensorBatch     → RAPL meter formula, calibration (fallback)
+//   "sensor:io"         SensorBatch     → IO datasheet formula
+//   "power:estimate"    EstimateBatch   → aggregator
 //   "power:aggregated"  AggregatedPower → reporters
 //
 // In a multi-host fleet each host's pipeline lives under a namespace prefix
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "model/feature_matrix.h"
-#include "model/feature_vector.h"
 #include "util/units.h"
 
 namespace powerapi::api {
@@ -33,7 +32,7 @@ inline constexpr std::int64_t kMachinePid = -1;
 ///
 /// When the pipeline carries an observability bundle, each tick also gets a
 /// per-pipeline sequence number and the real (monitor wall clock) time it
-/// was published. Both flow through SensorReport and PowerEstimate so trace
+/// was published. Both flow through SensorBatch and EstimateBatch so trace
 /// spans and end-to-end latency can be correlated per tick; both stay 0
 /// when observability is off.
 struct MonitorTick {
@@ -42,12 +41,11 @@ struct MonitorTick {
   std::int64_t wall_ns = 0;  ///< obs::wall_now_ns() at publish.
 };
 
-/// Which sensor produced a report. An enum rather than a string: reports are
-/// hot-path messages (one per target per tick), and an interned tag removes
+/// Which sensor produced a batch. An enum rather than a string: batches are
+/// hot-path messages (one per sensor per tick), and an interned tag removes
 /// a heap allocation + string compare per hop.
 enum class SensorKind : std::uint8_t {
   kHpc,
-  kCpuLoad,
   kPowerSpy,
   kRapl,
   kIo,
@@ -56,7 +54,6 @@ enum class SensorKind : std::uint8_t {
 constexpr std::string_view to_string(SensorKind kind) noexcept {
   switch (kind) {
     case SensorKind::kHpc: return "hpc";
-    case SensorKind::kCpuLoad: return "cpu-load";
     case SensorKind::kPowerSpy: return "powerspy";
     case SensorKind::kRapl: return "rapl";
     case SensorKind::kIo: return "io";
@@ -64,35 +61,14 @@ constexpr std::string_view to_string(SensorKind kind) noexcept {
   return "?";
 }
 
-/// One sensor's observation of one target over the last window. Derives
-/// from the shared feature layer (frequency, event rates, utilization, SMT
-/// co-residency), so formulas and estimators consume the report directly —
-/// no field-by-field repacking between pipeline stages.
-struct SensorReport : model::FeatureVector {
-  util::TimestampNs timestamp = 0;
-  std::int64_t pid = kMachinePid;
-  SensorKind sensor = SensorKind::kHpc;
-  double window_seconds = 0.0;
-  double measured_watts = 0.0;    ///< Meter sensors only (powerspy, rapl).
-
-  // IO sensor fields (machine scope, "sensor:io"):
-  double disk_iops = 0.0;
-  double disk_bytes_per_sec = 0.0;
-  double net_bytes_per_sec = 0.0;
-
-  // Observability correlation (copied from the triggering MonitorTick).
-  std::uint64_t seq = 0;
-  std::int64_t tick_wall_ns = 0;
-};
-
 /// One sensor's observations for EVERY completed target of a tick, as a
-/// single lane-major matrix — the SoA hot-path replacement for a burst of
-/// per-target SensorReports. Row order is the scalar publish order (machine
-/// scope first, then the targets in monitoring order), so a consumer that
-/// walks rows front to back sees exactly the scalar message sequence. The
-/// matrix is immutable once published; the sensor allocates a fresh one per
-/// tick because coalesced catch-up ticks can leave several batches queued
-/// in mailboxes at once.
+/// single lane-major matrix — the only message a sensor publishes. The HPC
+/// sensor's rows are the machine scope first, then the targets in
+/// monitoring order; the meter (PowerSpy, RAPL) and IO sensors publish one
+/// machine-scope row carrying their own lanes (measured watts; disk and
+/// network rates). The matrix is immutable once published; the sensor
+/// allocates a fresh one per tick because coalesced catch-up ticks can leave
+/// several batches queued in mailboxes at once.
 struct SensorBatch {
   util::TimestampNs timestamp = 0;
   SensorKind sensor = SensorKind::kHpc;
@@ -103,7 +79,10 @@ struct SensorBatch {
   std::int64_t tick_wall_ns = 0;
 };
 
-/// A formula's power attribution for one target at one timestamp.
+/// One power attribution for one target at one timestamp: the telemetry
+/// wire's per-estimate record (net::TelemetryClient::report, WireEncoder,
+/// BusBridge). No pipeline actor publishes it — formulas publish
+/// EstimateBatch.
 struct PowerEstimate {
   util::TimestampNs timestamp = 0;
   std::int64_t pid = kMachinePid;
@@ -113,14 +92,16 @@ struct PowerEstimate {
   /// formulas that do not read a versioned model (meters, datasheets).
   std::uint64_t model_version = 0;
 
-  // Observability correlation (carried forward from the SensorReport).
+  // Observability correlation (carried forward from the sensor batch).
   std::uint64_t seq = 0;
   std::int64_t tick_wall_ns = 0;
 };
 
-/// One formula's attributions for every row of a SensorBatch: watts[i]
-/// belongs to features->pid(i). The matrix rides along (shared, immutable)
-/// so downstream stages can reach pids and features without copying.
+/// One formula's attributions for the rows of a SensorBatch — the only
+/// message a formula publishes: watts[i] belongs to features->pid(i). The
+/// matrix rides along (shared, immutable) so downstream stages can reach
+/// pids and features without copying; a formula that narrows the rows (the
+/// machine-only baselines) publishes over a matrix of just those rows.
 struct EstimateBatch {
   util::TimestampNs timestamp = 0;
   std::string formula;

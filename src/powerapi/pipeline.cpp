@@ -48,7 +48,7 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
     registry_ = std::make_shared<model::ModelRegistry>(std::move(spec.model));
   }
 
-  // Targets provider shared by the sensors.
+  // Targets provider of the HPC sensor.
   TargetsFn targets = [state = targets_]() -> std::vector<std::int64_t> {
     if (state->all) return state->host->pids();
     return state->fixed;
@@ -56,7 +56,7 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
 
   // --- Sensors ---
   const auto hpc_sensor = actors_->spawn_in<HpcSensor>(group_,
-      ns_ + "sensor-hpc", *bus_, hpc_topic_, *backend_, targets, host_, obs_);
+      ns_ + "sensor-hpc", *bus_, hpc_topic_, *backend_, std::move(targets), host_, obs_);
   bus_->subscribe(tick_topic_, hpc_sensor);
 
   // Meter sensor topics survive the blocks below: the calibration actor
@@ -101,13 +101,6 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
         ns_ + "formula-io", *bus_, estimate_topic_, host_->disk()->params(),
         host_->nic()->params(), obs_);
     bus_->subscribe(sensor_topic, formula);
-  }
-
-  if (spec.with_cpu_load) {
-    const auto sensor_topic = bus_->intern(ns_ + "sensor:cpu-load");
-    const auto sensor = actors_->spawn_in<CpuLoadSensor>(group_,
-        ns_ + "sensor-cpu-load", *bus_, sensor_topic, *host_, targets, obs_);
-    bus_->subscribe(tick_topic_, sensor);
   }
 
   // --- The paper's formula ---

@@ -47,7 +47,6 @@ struct PipelineSpec {
   util::DurationNs period = util::ms_to_ns(250);  ///< Monitoring period.
   bool with_powerspy = true;   ///< Reference wall meter ("powerspy" series).
   bool with_rapl = false;      ///< Emulated RAPL package meter ("rapl").
-  bool with_cpu_load = false;  ///< CPU-load sensor (for baseline formulas).
   /// IO sensor + datasheet formula ("io-datasheet" series); only emits on
   /// hosts built with peripherals.
   bool with_io = false;

@@ -3,13 +3,7 @@
 namespace powerapi::api {
 
 void RemoteReporter::receive(actors::Envelope& envelope) {
-  // Subscribable to either stage: aggregated rows (the usual reporter
-  // position) or raw per-target estimates.
-  if (const auto* row = envelope.payload.get<AggregatedPower>()) {
-    client_->report(*row);
-  } else if (const auto* estimate = envelope.payload.get<PowerEstimate>()) {
-    client_->report(*estimate);
-  }
+  if (const auto* row = envelope.payload.get<AggregatedPower>()) client_->report(*row);
 }
 
 }  // namespace powerapi::api

@@ -1,9 +1,10 @@
 // RemoteReporter: the reporter that leaves the process — forwards the
-// pipeline's output rows to a net::TelemetryClient, which batches and
-// ships them to a CollectorServer. Attach via
-// Pipeline::add_remote_reporter() / FleetMonitor::add_remote_reporter();
-// the client is caller-owned (its lifetime spans connect/reconnect cycles,
-// not one pipeline) and must outlive the actor system.
+// pipeline's aggregated rows ("power:aggregated") to a
+// net::TelemetryClient, which batches and ships them to a CollectorServer.
+// Attach via Pipeline::add_remote_reporter() /
+// FleetMonitor::add_remote_reporter(); the client is caller-owned (its
+// lifetime spans connect/reconnect cycles, not one pipeline) and must
+// outlive the actor system.
 #pragma once
 
 #include "actors/actor.h"

@@ -14,7 +14,28 @@ const MonitorTick* as_tick(const actors::Envelope& envelope) {
   return envelope.payload.get<MonitorTick>();
 }
 
-constexpr std::string_view kSensorReports = "pipeline.sensor_reports";
+constexpr std::string_view kSensorRows = "pipeline.sensor_reports";
+
+/// A fresh 1-row machine-scope matrix for the meter and IO sensors, with
+/// the window lane set; the caller fills its own lanes.
+std::shared_ptr<model::FeatureMatrix> machine_matrix(double window_seconds) {
+  auto matrix = std::make_shared<model::FeatureMatrix>();
+  matrix->resize(1);
+  matrix->pids()[0] = kMachinePid;
+  matrix->lane(model::FeatureMatrix::kWindowLane)[0] = window_seconds;
+  return matrix;
+}
+
+SensorBatch batch_of(const MonitorTick& tick, SensorKind sensor,
+                     std::shared_ptr<model::FeatureMatrix> matrix) {
+  SensorBatch batch;
+  batch.timestamp = tick.timestamp;
+  batch.sensor = sensor;
+  batch.features = std::move(matrix);
+  batch.seq = tick.seq;
+  batch.tick_wall_ns = tick.wall_ns;
+  return batch;
+}
 
 }  // namespace
 
@@ -28,7 +49,7 @@ HpcSensor::HpcSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
       backend_(&backend),
       targets_(std::move(targets)),
       host_(host) {
-  stage_.attach(obs, kSensorReports);
+  stage_.attach(obs, kSensorRows);
 }
 
 void HpcSensor::realign_rows(const std::vector<std::int64_t>& new_pids) {
@@ -57,8 +78,7 @@ void HpcSensor::realign_rows(const std::vector<std::int64_t>& new_pids) {
 void HpcSensor::observe(const MonitorTick& tick) {
   const util::TimestampNs now = tick.timestamp;
 
-  // Row layout: machine scope first, then this tick's targets — the scalar
-  // publish order.
+  // Row layout: machine scope first, then this tick's targets.
   const std::vector<std::int64_t> targets = targets_();
   bool layout_changed = pids_.size() != targets.size() + 1;
   if (!layout_changed) {
@@ -82,7 +102,7 @@ void HpcSensor::observe(const MonitorTick& tick) {
   if (!extended && host_ != nullptr) {
     // The backend only fills generic event lanes (e.g. a real perf
     // backend): source the SMT co-residency and cpu-time side lanes from
-    // the host interface, exactly as the scalar path did.
+    // the host interface.
     for (std::size_t i = 0; i < rows; ++i) {
       if (!cur_.live()[i]) continue;
       if (pids_[i] < 0) {
@@ -162,28 +182,18 @@ void HpcSensor::observe(const MonitorTick& tick) {
       matrix->resize(completed_count);
       std::size_t out_row = 0;
       for (std::size_t i = 0; i < rows; ++i) {
-        if (!completed_[i]) continue;
-        for (std::size_t l = 0; l < model::FeatureMatrix::kLanes; ++l) {
-          matrix->lane(l)[out_row] = extract_scratch_.lane(l)[i];
-        }
-        matrix->pids()[out_row] = pids_[i];
-        ++out_row;
+        if (completed_[i]) matrix->copy_row_from(extract_scratch_, i, out_row++);
       }
     }
     if (host_ == nullptr) {
-      // Scalar parity: without a host there is no utilization signal.
+      // Without a host there is no utilization signal.
       double* util_lane = matrix->lane(model::FeatureMatrix::kUtilizationLane);
       for (std::size_t i = 0; i < matrix->rows(); ++i) util_lane[i] = 0.0;
     }
 
-    SensorBatch batch;
-    batch.timestamp = now;
-    batch.sensor = SensorKind::kHpc;
-    batch.features = std::move(matrix);
-    batch.seq = tick.seq;
-    batch.tick_wall_ns = tick.wall_ns;
-    bus_->publish(out_topic_, std::move(batch), self());
-    for (std::size_t i = 0; i < completed_count; ++i) stage_.count();
+    bus_->publish(out_topic_, batch_of(tick, SensorKind::kHpc, std::move(matrix)),
+                  self());
+    stage_.count(completed_count);
   }
 
   // Roll the completed rows' windows forward (primed rows already rolled).
@@ -207,7 +217,7 @@ PowerSpySensor::PowerSpySensor(actors::EventBus& bus, actors::EventBus::TopicId 
                                std::shared_ptr<powermeter::PowerSpy> meter,
                                obs::Observability* obs)
     : bus_(&bus), out_topic_(out_topic), meter_(std::move(meter)) {
-  stage_.attach(obs, kSensorReports);
+  stage_.attach(obs, kSensorRows);
 }
 
 void PowerSpySensor::receive(actors::Envelope& envelope) {
@@ -216,14 +226,10 @@ void PowerSpySensor::receive(actors::Envelope& envelope) {
   const auto span = stage_.span(name(), tick->seq);
   const auto sample = meter_->sample();
   if (!sample) return;  // Dropped sample or first (priming) call.
-  SensorReport report;
-  report.timestamp = tick->timestamp;
-  report.pid = kMachinePid;
-  report.sensor = SensorKind::kPowerSpy;
-  report.measured_watts = sample->watts;
-  report.seq = tick->seq;
-  report.tick_wall_ns = tick->wall_ns;
-  bus_->publish(out_topic_, std::move(report), self());
+  auto matrix = machine_matrix(0.0);
+  matrix->lane(model::FeatureMatrix::kMeasuredWattsLane)[0] = sample->watts;
+  bus_->publish(out_topic_, batch_of(*tick, SensorKind::kPowerSpy, std::move(matrix)),
+                self());
   stage_.count();
 }
 
@@ -233,7 +239,7 @@ RaplSensor::RaplSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topi
                        std::shared_ptr<powermeter::RaplMsr> msr,
                        obs::Observability* obs)
     : bus_(&bus), out_topic_(out_topic), msr_(std::move(msr)) {
-  stage_.attach(obs, kSensorReports);
+  stage_.attach(obs, kSensorRows);
 }
 
 void RaplSensor::receive(actors::Envelope& envelope) {
@@ -246,15 +252,10 @@ void RaplSensor::receive(actors::Envelope& envelope) {
   if (!completed) return;
   const double joules = powermeter::RaplMsr::energy_between(completed->previous, raw);
 
-  SensorReport report;
-  report.timestamp = tick->timestamp;
-  report.pid = kMachinePid;
-  report.sensor = SensorKind::kRapl;
-  report.window_seconds = completed->seconds;
-  report.measured_watts = joules / completed->seconds;
-  report.seq = tick->seq;
-  report.tick_wall_ns = tick->wall_ns;
-  bus_->publish(out_topic_, std::move(report), self());
+  auto matrix = machine_matrix(completed->seconds);
+  matrix->lane(model::FeatureMatrix::kMeasuredWattsLane)[0] = joules / completed->seconds;
+  bus_->publish(out_topic_, batch_of(*tick, SensorKind::kRapl, std::move(matrix)),
+                self());
   stage_.count();
 }
 
@@ -263,7 +264,7 @@ void RaplSensor::receive(actors::Envelope& envelope) {
 IoSensor::IoSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
                    const os::MonitorableHost& host, obs::Observability* obs)
     : bus_(&bus), out_topic_(out_topic), host_(&host) {
-  stage_.attach(obs, kSensorReports);
+  stage_.attach(obs, kSensorRows);
 }
 
 void IoSensor::receive(actors::Envelope& envelope) {
@@ -290,64 +291,15 @@ void IoSensor::receive(actors::Envelope& envelope) {
   const double window_s = completed->seconds;
   const os::IoTotals& last = completed->previous;
 
-  SensorReport report;
-  report.timestamp = tick->timestamp;
-  report.pid = kMachinePid;
-  report.sensor = SensorKind::kIo;
-  report.window_seconds = window_s;
-  report.disk_iops = (totals.disk_ops - last.disk_ops) / window_s;
-  report.disk_bytes_per_sec = (totals.disk_bytes - last.disk_bytes) / window_s;
-  report.net_bytes_per_sec = (totals.net_bytes - last.net_bytes) / window_s;
-  report.seq = tick->seq;
-  report.tick_wall_ns = tick->wall_ns;
-  bus_->publish(out_topic_, std::move(report), self());
+  auto matrix = machine_matrix(window_s);
+  matrix->lane(model::FeatureMatrix::kDiskIopsLane)[0] =
+      (totals.disk_ops - last.disk_ops) / window_s;
+  matrix->lane(model::FeatureMatrix::kDiskBytesLane)[0] =
+      (totals.disk_bytes - last.disk_bytes) / window_s;
+  matrix->lane(model::FeatureMatrix::kNetBytesLane)[0] =
+      (totals.net_bytes - last.net_bytes) / window_s;
+  bus_->publish(out_topic_, batch_of(*tick, SensorKind::kIo, std::move(matrix)), self());
   stage_.count();
-}
-
-// --- CpuLoadSensor ---
-
-CpuLoadSensor::CpuLoadSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                             const os::MonitorableHost& host, TargetsFn targets,
-                             obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), host_(&host), targets_(std::move(targets)) {
-  stage_.attach(obs, kSensorReports);
-}
-
-void CpuLoadSensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-
-  auto publish = [&](std::int64_t pid, double utilization) {
-    SensorReport report;
-    report.timestamp = tick->timestamp;
-    report.pid = pid;
-    report.sensor = SensorKind::kCpuLoad;
-    report.frequency_hz = host_->system_stat().frequency_hz;
-    report.utilization = utilization;
-    report.seq = tick->seq;
-    report.tick_wall_ns = tick->wall_ns;
-    bus_->publish(out_topic_, std::move(report), self());
-    stage_.count();
-  };
-
-  // Machine scope: immediate utilization from the last tick.
-  publish(kMachinePid, host_->system_stat().utilization);
-
-  for (const std::int64_t pid : targets_()) {
-    const auto stat = host_->proc_stat(pid);
-    if (!stat) {
-      windows_.erase(pid);
-      continue;
-    }
-    SamplingWindow<util::DurationNs>& window = windows_[pid];
-    if (window.primed() && stat->cpu_time_ns < window.last()) window.reset();
-    const auto completed = window.advance(tick->timestamp, stat->cpu_time_ns);
-    if (!completed) continue;
-    const double busy_s = util::ns_to_seconds(stat->cpu_time_ns - completed->previous);
-    const auto hw = static_cast<double>(host_->hw_threads());
-    publish(pid, busy_s / (completed->seconds * hw));
-  }
 }
 
 }  // namespace powerapi::api

@@ -1,4 +1,7 @@
-// Sensor actors: turn MonitorTicks into SensorReports on the event bus.
+// Sensor actors: turn MonitorTicks into SensorBatches on the event bus —
+// the one message shape of the sensor stage. The HPC sensor publishes a row
+// per monitored target; the meter and IO sensors publish one machine-scope
+// row carrying their own FeatureMatrix lanes.
 //
 // Every sensor publishes on an output topic the builder interns for it —
 // "sensor:hpc" in a standalone pipeline, "h3/sensor:hpc" inside a fleet
@@ -8,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -32,8 +34,7 @@ using TargetsFn = std::function<std::vector<std::int64_t>()>;
 /// Reads HPC counters for each target plus the machine scope in one batched
 /// lane gather, converts the per-window deltas into rates lane-by-lane and
 /// publishes ONE SensorKind::kHpc SensorBatch per tick on `out_topic` (row
-/// 0 = machine scope, then the targets in monitoring order — the scalar
-/// publish order).
+/// 0 = machine scope, then the targets in monitoring order).
 ///
 /// Window bookkeeping is kept per row as parallel arrays instead of a
 /// pid→SamplingWindow map: prime/stale/regression semantics are identical
@@ -80,7 +81,8 @@ class HpcSensor final : public actors::Actor {
   StageObs stage_;
 };
 
-/// Publishes the (simulated) wall meter's reading as SensorKind::kPowerSpy.
+/// Publishes the (simulated) wall meter's reading as a 1-row
+/// SensorKind::kPowerSpy batch (measured-watts lane).
 class PowerSpySensor final : public actors::Actor {
  public:
   PowerSpySensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
@@ -97,7 +99,8 @@ class PowerSpySensor final : public actors::Actor {
 };
 
 /// Reads the emulated RAPL MSR, differentiates energy into watts and
-/// publishes SensorKind::kRapl. The raw MSR value is a wrapping 32-bit
+/// publishes a 1-row SensorKind::kRapl batch (measured-watts and window
+/// lanes). The raw MSR value is a wrapping 32-bit
 /// counter, so a decrease is a wraparound, not a reset — energy_between
 /// unwraps it and the window never re-primes.
 class RaplSensor final : public actors::Actor {
@@ -117,7 +120,8 @@ class RaplSensor final : public actors::Actor {
 };
 
 /// Differences the host's iostat-style IO counters into machine-scope rates
-/// (the disk/network dimension of the paper's component splitting).
+/// (the disk/network dimension of the paper's component splitting),
+/// published as a 1-row SensorKind::kIo batch (IO and window lanes).
 /// Publishes nothing when the host has no peripherals.
 class IoSensor final : public actors::Actor {
  public:
@@ -131,25 +135,6 @@ class IoSensor final : public actors::Actor {
   actors::EventBus::TopicId out_topic_;
   const os::MonitorableHost* host_;
   SamplingWindow<os::IoTotals> window_;
-  StageObs stage_;
-};
-
-/// Publishes per-target CPU utilization as SensorKind::kCpuLoad (the input
-/// of the Versick-style baseline formula). Simulation only.
-class CpuLoadSensor final : public actors::Actor {
- public:
-  CpuLoadSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                const os::MonitorableHost& host, TargetsFn targets,
-                obs::Observability* obs = nullptr);
-
-  void receive(actors::Envelope& envelope) override;
-
- private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
-  const os::MonitorableHost* host_;
-  TargetsFn targets_;
-  std::map<std::int64_t, SamplingWindow<util::DurationNs>> windows_;
   StageObs stage_;
 };
 

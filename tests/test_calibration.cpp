@@ -40,33 +40,6 @@ class Collector final : public actors::Actor {
   std::vector<T> items;
 };
 
-/// Collects "power:estimate" traffic, flattening EstimateBatch rows into
-/// the scalar PowerEstimate shape the assertions use.
-class EstimateCollector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    if (const auto* estimate = envelope.payload.get<PowerEstimate>()) {
-      items.push_back(*estimate);
-      return;
-    }
-    const auto* batch = envelope.payload.get<EstimateBatch>();
-    if (batch == nullptr || !batch->features) return;
-    for (std::size_t i = 0; i < batch->features->rows() && i < batch->watts.size();
-         ++i) {
-      PowerEstimate row;
-      row.timestamp = batch->timestamp;
-      row.pid = batch->features->pid(i);
-      row.formula = batch->formula;
-      row.model_version = batch->model_version;
-      row.watts = batch->watts[i];
-      row.seq = batch->seq;
-      row.tick_wall_ns = batch->tick_wall_ns;
-      items.push_back(row);
-    }
-  }
-  std::vector<PowerEstimate> items;
-};
-
 /// A model whose structure matches the machine but whose coefficients are
 /// scaled by `distortion` — the "shipped profile gone stale" scenario.
 model::CpuPowerModel scaled_model(double distortion) {
@@ -109,7 +82,7 @@ PowerMeter::Config calibrating_config() {
 
 struct CalibratedRun {
   std::vector<ModelUpdated> swaps;
-  std::vector<PowerEstimate> estimates;  ///< Raw "power:estimate" traffic.
+  std::vector<EstimateBatch> estimates;  ///< Raw "power:estimate" traffic.
 };
 
 CalibratedRun run_calibrated(double distortion, util::DurationNs duration,
@@ -120,8 +93,8 @@ CalibratedRun run_calibrated(double distortion, util::DurationNs duration,
   CalibratedRun run;
   meter.pipeline().add_model_update_callback(
       [&run](const ModelUpdated& update) { run.swaps.push_back(update); });
-  auto collector = std::make_unique<EstimateCollector>();
-  EstimateCollector& estimates = *collector;
+  auto collector = std::make_unique<Collector<EstimateBatch>>();
+  Collector<EstimateBatch>& estimates = *collector;
   meter.bus().subscribe("power:estimate",
                         meter.actor_system().spawn("collector", std::move(collector)));
 
@@ -143,15 +116,17 @@ TEST(Calibration, DriftTriggersSwapAndReducesError) {
   // the error of version-1 (pre-swap) rows against post-swap rows.
   std::map<util::TimestampNs, double> truth;
   for (const auto& e : run.estimates) {
-    if (e.formula == "powerspy") truth[e.timestamp] = e.watts;
+    if (e.formula == "powerspy") truth[e.timestamp] = e.watts.at(0);
   }
   double pre_error = 0.0, post_error = 0.0;
   std::size_t pre_n = 0, post_n = 0;
   for (const auto& e : run.estimates) {
-    if (e.formula != "powerapi-hpc" || e.pid != kMachinePid) continue;
+    if (e.formula != "powerapi-hpc") continue;
+    const std::size_t machine = e.features->find_machine_row();
+    if (machine == e.features->rows()) continue;
     const auto it = truth.find(e.timestamp);
     if (it == truth.end()) continue;
-    const double error = std::abs(e.watts - it->second);
+    const double error = std::abs(e.watts.at(machine) - it->second);
     if (e.model_version <= 1) {
       pre_error += error;
       ++pre_n;
@@ -223,7 +198,7 @@ TEST(Calibration, ManualModeIsDeterministicAcrossRuns) {
   for (std::size_t i = 0; i < first.estimates.size(); ++i) {
     EXPECT_EQ(first.estimates[i].timestamp, second.estimates[i].timestamp);
     EXPECT_EQ(first.estimates[i].model_version, second.estimates[i].model_version);
-    EXPECT_DOUBLE_EQ(first.estimates[i].watts, second.estimates[i].watts);
+    EXPECT_EQ(first.estimates[i].watts, second.estimates[i].watts);
   }
 }
 

@@ -131,35 +131,45 @@ TEST(IoTotals, AccountingIsDeterministic) {
 
 // --- IoSensor: totals → rates ---
 
+/// The single row of a 1-row machine-scope IO batch, by lane.
+double io_lane(const SensorBatch& batch, std::size_t lane) {
+  return batch.features->lane(lane)[0];
+}
+
 TEST(IoSensor, DifferencesTotalsIntoExactRates) {
   ScriptedIoHost host;
   Harness h;
-  auto& reports = h.collect<SensorReport>("sensor:io");
+  auto& batches = h.collect<SensorBatch>("sensor:io");
   const auto sensor = h.actors.spawn_as<IoSensor>(
       "sensor", h.bus, h.bus.intern("sensor:io"), host);
 
   host.totals_ = {100.0, 1e6, 2e6};
   sensor.tell(MonitorTick{seconds_to_ns(1)});
   h.actors.drain();
-  EXPECT_TRUE(reports.items.empty());  // Priming tick.
+  EXPECT_TRUE(batches.items.empty());  // Priming tick.
 
   host.totals_ = {150.0, 3e6, 6e6};  // +50 ops, +2 MB disk, +4 MB net.
   sensor.tell(MonitorTick{seconds_to_ns(3)});  // 2 s window.
   h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);
-  const SensorReport& r = reports.items[0];
-  EXPECT_EQ(r.pid, kMachinePid);
-  EXPECT_EQ(r.sensor, SensorKind::kIo);
-  EXPECT_DOUBLE_EQ(r.window_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(r.disk_iops, 25.0);
-  EXPECT_DOUBLE_EQ(r.disk_bytes_per_sec, 1e6);
-  EXPECT_DOUBLE_EQ(r.net_bytes_per_sec, 2e6);
+  ASSERT_EQ(batches.items.size(), 1u);
+  const SensorBatch& b = batches.items[0];
+  EXPECT_EQ(b.sensor, SensorKind::kIo);
+  EXPECT_EQ(b.timestamp, seconds_to_ns(3));
+  ASSERT_EQ(b.features->rows(), 1u);
+  EXPECT_EQ(b.features->pid(0), kMachinePid);
+  EXPECT_DOUBLE_EQ(b.features->window_seconds(0), 2.0);
+  EXPECT_DOUBLE_EQ(io_lane(b, model::FeatureMatrix::kDiskIopsLane), 25.0);
+  EXPECT_DOUBLE_EQ(io_lane(b, model::FeatureMatrix::kDiskBytesLane), 1e6);
+  EXPECT_DOUBLE_EQ(io_lane(b, model::FeatureMatrix::kNetBytesLane), 2e6);
+  // The other sensors' lanes stay zero on an IO row.
+  EXPECT_EQ(io_lane(b, model::FeatureMatrix::kMeasuredWattsLane), 0.0);
+  EXPECT_EQ(b.features->rate_lane(hpc::EventId::kInstructions)[0], 0.0);
 }
 
 TEST(IoSensor, CounterRegressionReprimesInsteadOfNegativeRates) {
   ScriptedIoHost host;
   Harness h;
-  auto& reports = h.collect<SensorReport>("sensor:io");
+  auto& batches = h.collect<SensorBatch>("sensor:io");
   const auto sensor = h.actors.spawn_as<IoSensor>(
       "sensor", h.bus, h.bus.intern("sensor:io"), host);
 
@@ -168,7 +178,7 @@ TEST(IoSensor, CounterRegressionReprimesInsteadOfNegativeRates) {
   host.totals_ = {200.0, 2e6, 2e6};
   sensor.tell(MonitorTick{seconds_to_ns(2)});
   h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);
+  ASSERT_EQ(batches.items.size(), 1u);
 
   // The counter source resets (device re-probe / wraparound at the OS
   // boundary): totals regress. Differencing across the reset would yield a
@@ -176,74 +186,87 @@ TEST(IoSensor, CounterRegressionReprimesInsteadOfNegativeRates) {
   host.totals_ = {10.0, 1e5, 1e5};
   sensor.tell(MonitorTick{seconds_to_ns(3)});
   h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);  // No report on the reset tick.
+  ASSERT_EQ(batches.items.size(), 1u);  // No batch on the reset tick.
 
   // The next window differences against the POST-reset baseline.
   host.totals_ = {20.0, 2e5, 3e5};
   sensor.tell(MonitorTick{seconds_to_ns(4)});
   h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 2u);
-  const SensorReport& r = reports.items[1];
-  EXPECT_DOUBLE_EQ(r.disk_iops, 10.0);
-  EXPECT_DOUBLE_EQ(r.disk_bytes_per_sec, 1e5);
-  EXPECT_DOUBLE_EQ(r.net_bytes_per_sec, 2e5);
+  ASSERT_EQ(batches.items.size(), 2u);
+  const SensorBatch& b = batches.items[1];
+  EXPECT_DOUBLE_EQ(io_lane(b, model::FeatureMatrix::kDiskIopsLane), 10.0);
+  EXPECT_DOUBLE_EQ(io_lane(b, model::FeatureMatrix::kDiskBytesLane), 1e5);
+  EXPECT_DOUBLE_EQ(io_lane(b, model::FeatureMatrix::kNetBytesLane), 2e5);
 }
 
 TEST(IoSensor, SilentWhenHostHasNoDisk) {
   os::System system(simcpu::i3_2120());  // No peripherals.
   Harness h;
-  auto& reports = h.collect<SensorReport>("sensor:io");
+  auto& batches = h.collect<SensorBatch>("sensor:io");
   const auto sensor = h.actors.spawn_as<IoSensor>(
       "sensor", h.bus, h.bus.intern("sensor:io"), system);
   for (int i = 1; i <= 3; ++i) {
     sensor.tell(MonitorTick{seconds_to_ns(i)});
     h.actors.drain();
   }
-  EXPECT_TRUE(reports.items.empty());
+  EXPECT_TRUE(batches.items.empty());
 }
 
 // --- The rates' contribution to the datasheet power estimate ---
 
+/// A 1-row machine-scope batch from `sensor` with the given IO rates.
+SensorBatch io_batch(SensorKind sensor, double iops, double disk_bytes_per_sec,
+                     double net_bytes_per_sec) {
+  auto matrix = std::make_shared<model::FeatureMatrix>();
+  matrix->resize(1);
+  matrix->pids()[0] = kMachinePid;
+  matrix->lane(model::FeatureMatrix::kWindowLane)[0] = 1.0;
+  matrix->lane(model::FeatureMatrix::kDiskIopsLane)[0] = iops;
+  matrix->lane(model::FeatureMatrix::kDiskBytesLane)[0] = disk_bytes_per_sec;
+  matrix->lane(model::FeatureMatrix::kNetBytesLane)[0] = net_bytes_per_sec;
+  SensorBatch batch;
+  batch.timestamp = seconds_to_ns(2);
+  batch.sensor = sensor;
+  batch.features = std::move(matrix);
+  return batch;
+}
+
 TEST(IoFormula, ChargesDatasheetEnergiesForReportedRates) {
   Harness h;
-  auto& estimates = h.collect<PowerEstimate>("power:estimate");
+  auto& estimates = h.collect<EstimateBatch>("power:estimate");
   const periph::DiskParams disk;
   const periph::NicParams nic;
   const auto formula = h.actors.spawn_as<IoFormula>(
       "formula", h.bus, h.bus.intern("power:estimate"), disk, nic);
 
-  SensorReport report;
-  report.timestamp = seconds_to_ns(2);
-  report.pid = kMachinePid;
-  report.sensor = SensorKind::kIo;
-  report.window_seconds = 1.0;
-  report.disk_iops = 50.0;
-  report.disk_bytes_per_sec = 10e6;
-  report.net_bytes_per_sec = 4e6;
-  formula.tell(report);
+  const SensorBatch batch = io_batch(SensorKind::kIo, 50.0, 10e6, 4e6);
+  formula.tell(batch);
   h.actors.drain();
 
   ASSERT_EQ(estimates.items.size(), 1u);
-  const PowerEstimate& e = estimates.items[0];
+  const EstimateBatch& e = estimates.items[0];
   EXPECT_EQ(e.formula, "io-datasheet");
-  EXPECT_EQ(e.pid, kMachinePid);
+  EXPECT_EQ(e.timestamp, seconds_to_ns(2));
+  EXPECT_EQ(e.model_version, 0u);
+  // The input's matrix passes through: the estimate's row is its row.
+  EXPECT_EQ(e.features, batch.features);
+  ASSERT_EQ(e.watts.size(), 1u);
+  EXPECT_EQ(e.features->pid(0), kMachinePid);
   const double expected = disk.idle_spinning_watts + nic.link_active_watts +
                           50.0 * disk.joules_per_op +
                           10.0 * disk.joules_per_megabyte +
                           4.0 * (nic.joules_per_megabyte_tx +
                                  nic.joules_per_megabyte_rx) / 2.0;
-  EXPECT_DOUBLE_EQ(e.watts, expected);
+  EXPECT_DOUBLE_EQ(e.watts[0], expected);
 }
 
 TEST(IoFormula, IgnoresReportsFromOtherSensors) {
   Harness h;
-  auto& estimates = h.collect<PowerEstimate>("power:estimate");
+  auto& estimates = h.collect<EstimateBatch>("power:estimate");
   const auto formula = h.actors.spawn_as<IoFormula>(
       "formula", h.bus, h.bus.intern("power:estimate"), periph::DiskParams{},
       periph::NicParams{});
-  SensorReport report;
-  report.sensor = SensorKind::kHpc;  // Not an IO report.
-  formula.tell(report);
+  formula.tell(io_batch(SensorKind::kHpc, 50.0, 10e6, 4e6));  // Not an IO batch.
   h.actors.drain();
   EXPECT_TRUE(estimates.items.empty());
 }

@@ -1,15 +1,18 @@
 // Pipeline-layer units: the SamplingWindow bookkeeping core, the
 // counter-underflow guard in HpcSensor (pid reuse), PowerMeter's tick
-// coalescing under a coarse kernel quantum, and finish() flush semantics.
+// coalescing under a coarse kernel quantum, finish() flush semantics, and
+// the one message shape of each stage.
 #include <gtest/gtest.h>
 
 #include <any>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "actors/actor_system.h"
 #include "actors/event_bus.h"
+#include "baselines/estimator.h"
 #include "hpc/backend.h"
 #include "os/system.h"
 #include "powerapi/power_meter.h"
@@ -107,35 +110,14 @@ class ScriptedBackend final : public hpc::CounterBackend {
   std::map<std::int64_t, hpc::EventValues> values;
 };
 
-/// Flattens SensorBatch rows back into per-target SensorReports so the
-/// regression assertions stay row-level.
-class BatchRowCollector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    const auto* batch = envelope.payload.get<SensorBatch>();
-    if (batch == nullptr || !batch->features) return;
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      SensorReport row;
-      static_cast<model::FeatureVector&>(row) = batch->features->row(i);
-      row.timestamp = batch->timestamp;
-      row.pid = batch->features->pid(i);
-      row.sensor = batch->sensor;
-      row.window_seconds = batch->features->window_seconds(i);
-      row.seq = batch->seq;
-      items.push_back(row);
-    }
-  }
-  std::vector<SensorReport> items;
-};
-
 TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
   actors::ActorSystem actors(actors::ActorSystem::Mode::kManual);
   actors::EventBus bus(actors);
   ScriptedBackend backend;
   constexpr std::int64_t kPid = 42;
 
-  auto collector = std::make_unique<BatchRowCollector>();
-  BatchRowCollector& reports = *collector;
+  auto collector = std::make_unique<Collector<SensorBatch>>();
+  Collector<SensorBatch>& batches = *collector;
   bus.subscribe("sensor:hpc", actors.spawn("collector", std::move(collector)));
   const auto sensor = actors.spawn_as<HpcSensor>(
       "sensor", bus, bus.intern("sensor:hpc"), backend,
@@ -156,20 +138,21 @@ TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
   tick(3, 50'000);  // Regressed: must re-prime, not wrap to ~1.8e19/s.
   tick(4, 250'000);  // First window of the reincarnated pid.
 
-  std::vector<SensorReport> pid_rows;
-  for (const auto& r : reports.items) {
-    if (r.pid == kPid) pid_rows.push_back(r);
+  // The pid row's instruction rate of every batch that carries one.
+  std::vector<double> pid_rates;
+  for (const auto& batch : batches.items) {
+    const model::FeatureMatrix& rows = *batch.features;
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+      if (rows.pid(i) == kPid) {
+        pid_rates.push_back(rows.rate_lane(hpc::EventId::kInstructions)[i]);
+      }
+    }
   }
-  ASSERT_EQ(pid_rows.size(), 2u);  // Ticks 2 and 4; tick 3 only re-primed.
-  EXPECT_NEAR(model::rate_of(pid_rows[0].rates, hpc::EventId::kInstructions),
-              2e6, 1e-6);
+  ASSERT_EQ(pid_rates.size(), 2u);  // Ticks 2 and 4; tick 3 only re-primed.
+  EXPECT_NEAR(pid_rates[0], 2e6, 1e-6);
   // Post-reuse window differences against the tick-3 baseline (50k), not the
   // stale 3e6 snapshot: an unsigned wrap would read ~1.8e19 events/s.
-  EXPECT_NEAR(model::rate_of(pid_rows[1].rates, hpc::EventId::kInstructions),
-              2e5, 1e-6);
-  for (const auto& r : pid_rows) {
-    EXPECT_LT(model::rate_of(r.rates, hpc::EventId::kInstructions), 1e12);
-  }
+  EXPECT_NEAR(pid_rates[1], 2e5, 1e-6);
 
   actors.shutdown();
 }
@@ -265,6 +248,93 @@ TEST(PowerMeter, FinishFlushesPendingGroupsExactlyOnce) {
         seen.insert({row.timestamp, row.pid, row.group, row.formula}).second)
         << "duplicate row for formula " << row.formula << " at t=" << row.timestamp;
   }
+}
+
+// --- One message shape per stage ---
+
+/// Records every payload on its topics: the sensor kind of each
+/// SensorBatch, the formula of each EstimateBatch, and how many payloads
+/// were neither.
+class ShapeSniffer final : public actors::Actor {
+ public:
+  void receive(actors::Envelope& envelope) override {
+    if (const auto* sensor = envelope.payload.get<SensorBatch>()) {
+      sensors.insert(sensor->sensor);
+    } else if (const auto* estimate = envelope.payload.get<EstimateBatch>()) {
+      formulas.insert(estimate->formula);
+    } else {
+      ++other;
+    }
+  }
+  std::set<SensorKind> sensors;
+  std::set<std::string> formulas;
+  std::size_t other = 0;
+};
+
+/// A machine-scope baseline: 25 W plus 10 W at full utilization.
+class LinearLoadEstimator final : public baselines::MachinePowerEstimator {
+ public:
+  std::string name() const override { return "linear-load"; }
+  double estimate(const baselines::Observation& obs) const override {
+    return 25.0 + estimate_task(obs);
+  }
+  double estimate_task(const baselines::Observation& obs) const override {
+    return 10.0 * obs.utilization;
+  }
+};
+
+TEST(Pipeline, EveryStageCarriesOneMessageShape) {
+  os::System::Options host_options;
+  host_options.with_peripherals = true;
+  os::System system(simcpu::i3_2120(), std::move(host_options));
+  system.spawn("app", std::make_unique<workloads::SteadyBehavior>(
+                          workloads::cpu_stress(0.6), 0));
+  system.spawn("backup", std::make_unique<workloads::SteadyBehavior>(
+                             workloads::io_stress(20, 10, 0.6), 0));
+
+  PowerMeter::Config config;
+  config.period = ms_to_ns(25);
+  config.with_powerspy = true;
+  config.with_rapl = true;
+  config.with_io = true;
+  config.with_calibration = true;
+  config.calibration.min_samples_per_fit = 8;
+  config.calibration.drift_window = 4;
+  config.calibration.min_refit_interval = ms_to_ns(200);
+  config.estimators.push_back(std::make_shared<LinearLoadEstimator>());
+  PowerMeter meter(system, tiny_model(), config);
+  meter.monitor_all();
+
+  auto sensor_owned = std::make_unique<ShapeSniffer>();
+  ShapeSniffer& sensor_stage = *sensor_owned;
+  const auto sensor_sniffer =
+      meter.actor_system().spawn("sensor-sniffer", std::move(sensor_owned));
+  for (const char* topic :
+       {"sensor:hpc", "sensor:powerspy", "sensor:rapl", "sensor:io"}) {
+    meter.bus().subscribe(topic, sensor_sniffer);
+  }
+  auto estimate_owned = std::make_unique<ShapeSniffer>();
+  ShapeSniffer& estimate_stage = *estimate_owned;
+  meter.bus().subscribe("power:estimate",
+                        meter.actor_system().spawn("estimate-sniffer",
+                                                   std::move(estimate_owned)));
+
+  meter.run_for(ms_to_ns(500));
+  meter.finish();
+
+  EXPECT_EQ(meter.actor_system().failures(), 0u);
+  EXPECT_EQ(sensor_stage.other, 0u)
+      << "a sensor published something other than a SensorBatch";
+  EXPECT_TRUE(sensor_stage.formulas.empty());
+  EXPECT_EQ(sensor_stage.sensors,
+            (std::set<SensorKind>{SensorKind::kHpc, SensorKind::kPowerSpy,
+                                  SensorKind::kRapl, SensorKind::kIo}));
+  EXPECT_EQ(estimate_stage.other, 0u)
+      << "a formula published something other than an EstimateBatch";
+  EXPECT_TRUE(estimate_stage.sensors.empty());
+  EXPECT_EQ(estimate_stage.formulas,
+            (std::set<std::string>{"powerapi-hpc", "powerspy", "rapl", "io-datasheet",
+                                   "linear-load"}));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the pipeline actors in isolation: sensors driven by
-// hand-crafted MonitorTicks, formulas fed synthetic SensorReports, and the
+// hand-crafted MonitorTicks, formulas fed synthetic SensorBatches, and the
 // aggregator's watermark/flush semantics — complementing the end-to-end
 // PowerMeter tests with message-level checks.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 
 #include "actors/actor_system.h"
 #include "actors/event_bus.h"
+#include "baselines/estimator.h"
 #include "hpc/sim_backend.h"
 #include "os/system.h"
 #include "powerapi/aggregators.h"
@@ -36,27 +37,16 @@ class Collector final : public actors::Actor {
   std::vector<T> items;
 };
 
-/// Flattens each SensorBatch into per-row SensorReports (the pre-SoA shape)
-/// so window-semantics assertions stay row-level.
-class BatchRowCollector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    const auto* batch = envelope.payload.get<SensorBatch>();
-    if (batch == nullptr || !batch->features) return;
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      SensorReport row;
-      static_cast<model::FeatureVector&>(row) = batch->features->row(i);
-      row.timestamp = batch->timestamp;
-      row.pid = batch->features->pid(i);
-      row.sensor = batch->sensor;
-      row.window_seconds = batch->features->window_seconds(i);
-      row.seq = batch->seq;
-      row.tick_wall_ns = batch->tick_wall_ns;
-      items.push_back(row);
+/// The pid of every row of every batch, in publish order.
+std::vector<std::int64_t> row_pids(const std::vector<SensorBatch>& batches) {
+  std::vector<std::int64_t> pids;
+  for (const auto& batch : batches) {
+    for (std::size_t i = 0; i < batch.features->rows(); ++i) {
+      pids.push_back(batch.features->pid(i));
     }
   }
-  std::vector<SensorReport> items;
-};
+  return pids;
+}
 
 struct PipelineHarness {
   PipelineHarness() : actors(actors::ActorSystem::Mode::kManual), bus(actors) {}
@@ -73,13 +63,6 @@ struct PipelineHarness {
     return ref;
   }
 
-  BatchRowCollector& collect_batch_rows(const std::string& topic) {
-    auto owned = std::make_unique<BatchRowCollector>();
-    BatchRowCollector& ref = *owned;
-    bus.subscribe(topic, actors.spawn("collector", std::move(owned)));
-    return ref;
-  }
-
   actors::ActorSystem actors;
   actors::EventBus bus;
 };
@@ -92,7 +75,7 @@ TEST(HpcSensor, FirstTickPrimesSecondTickReports) {
                           workloads::cpu_stress(), 0));
   PipelineHarness h;
   hpc::SimBackend backend(system);
-  auto& reports = h.collect_batch_rows("sensor:hpc");
+  auto& batches = h.collect<SensorBatch>("sensor:hpc");
   const auto sensor = h.actors.spawn_as<HpcSensor>(
       "sensor", h.bus, h.bus.intern("sensor:hpc"), backend,
       [] { return std::vector<std::int64_t>{}; }, &system);
@@ -100,19 +83,23 @@ TEST(HpcSensor, FirstTickPrimesSecondTickReports) {
   system.run_for(ms_to_ns(10));
   sensor.tell(MonitorTick{system.now_ns()});
   h.actors.drain();
-  EXPECT_TRUE(reports.items.empty());  // Priming tick: no window yet.
+  EXPECT_TRUE(batches.items.empty());  // Priming tick: no window yet.
 
   system.run_for(ms_to_ns(10));
   sensor.tell(MonitorTick{system.now_ns()});
   h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);  // Machine scope only.
-  const SensorReport& r = reports.items[0];
-  EXPECT_EQ(r.pid, kMachinePid);
-  EXPECT_EQ(r.sensor, SensorKind::kHpc);
-  EXPECT_NEAR(r.window_seconds, 0.010, 1e-9);
-  EXPECT_GT(model::rate_of(r.rates, hpc::EventId::kInstructions), 0.0);
-  EXPECT_GT(r.utilization, 0.0);
-  EXPECT_DOUBLE_EQ(r.frequency_hz, 3.3e9);
+  ASSERT_EQ(batches.items.size(), 1u);
+  EXPECT_EQ(batches.items[0].sensor, SensorKind::kHpc);
+  const model::FeatureMatrix& m = *batches.items[0].features;
+  ASSERT_EQ(m.rows(), 1u);  // Machine scope only.
+  EXPECT_EQ(m.pid(0), kMachinePid);
+  EXPECT_NEAR(m.window_seconds(0), 0.010, 1e-9);
+  EXPECT_GT(m.rate_lane(hpc::EventId::kInstructions)[0], 0.0);
+  EXPECT_GT(m.lane(model::FeatureMatrix::kUtilizationLane)[0], 0.0);
+  EXPECT_DOUBLE_EQ(m.frequency_hz, 3.3e9);
+  // The meter and IO lanes stay zero on an HPC row.
+  EXPECT_EQ(m.lane(model::FeatureMatrix::kMeasuredWattsLane)[0], 0.0);
+  EXPECT_EQ(m.lane(model::FeatureMatrix::kDiskIopsLane)[0], 0.0);
 }
 
 TEST(HpcSensor, ReportsEachMonitoredPidAndForgetsDeadOnes) {
@@ -121,7 +108,7 @@ TEST(HpcSensor, ReportsEachMonitoredPidAndForgetsDeadOnes) {
       "app", std::make_unique<workloads::SteadyBehavior>(workloads::cpu_stress(), 0));
   PipelineHarness h;
   hpc::SimBackend backend(system);
-  auto& reports = h.collect_batch_rows("sensor:hpc");
+  auto& batches = h.collect<SensorBatch>("sensor:hpc");
   std::vector<std::int64_t> targets = {pid};
   const auto sensor = h.actors.spawn_as<HpcSensor>(
       "sensor", h.bus, h.bus.intern("sensor:hpc"), backend,
@@ -132,24 +119,20 @@ TEST(HpcSensor, ReportsEachMonitoredPidAndForgetsDeadOnes) {
     sensor.tell(MonitorTick{system.now_ns()});
     h.actors.drain();
   }
-  // 2 reporting ticks x (machine + pid).
-  ASSERT_EQ(reports.items.size(), 4u);
-  int pid_rows = 0;
-  for (const auto& r : reports.items) {
-    if (r.pid == pid) ++pid_rows;
-  }
-  EXPECT_EQ(pid_rows, 2);
+  // 2 reporting ticks x (machine + pid), machine row first.
+  ASSERT_EQ(batches.items.size(), 2u);
+  EXPECT_EQ(row_pids(batches.items),
+            (std::vector<std::int64_t>{kMachinePid, pid, kMachinePid, pid}));
 
   // Kill the process and drop it from the target list (as monitor_all's
   // dynamic provider does): the sensor must keep going without failing.
   system.kill(pid);
   targets.clear();
-  reports.items.clear();
+  batches.items.clear();
   system.run_for(ms_to_ns(10));
   sensor.tell(MonitorTick{system.now_ns()});
   h.actors.drain();
-  ASSERT_EQ(reports.items.size(), 1u);
-  EXPECT_EQ(reports.items[0].pid, kMachinePid);
+  EXPECT_EQ(row_pids(batches.items), (std::vector<std::int64_t>{kMachinePid}));
   EXPECT_EQ(h.actors.failures(), 0u);
 }
 
@@ -157,20 +140,20 @@ TEST(HpcSensor, IgnoresNonTickPayloadsAndStaleTimestamps) {
   os::System system(simcpu::i3_2120());
   PipelineHarness h;
   hpc::SimBackend backend(system);
-  auto& reports = h.collect_batch_rows("sensor:hpc");
+  auto& batches = h.collect<SensorBatch>("sensor:hpc");
   const auto sensor = h.actors.spawn_as<HpcSensor>(
       "sensor", h.bus, h.bus.intern("sensor:hpc"), backend,
       [] { return std::vector<std::int64_t>{}; }, &system);
 
   sensor.tell(std::string("not a tick"));
   h.actors.drain();
-  EXPECT_TRUE(reports.items.empty());
+  EXPECT_TRUE(batches.items.empty());
 
   system.run_for(ms_to_ns(5));
   sensor.tell(MonitorTick{system.now_ns()});  // Prime.
   sensor.tell(MonitorTick{system.now_ns()});  // Same timestamp: no window.
   h.actors.drain();
-  EXPECT_TRUE(reports.items.empty());
+  EXPECT_TRUE(batches.items.empty());
   EXPECT_EQ(h.actors.failures(), 0u);
 }
 
@@ -186,40 +169,109 @@ TEST(RegressionFormula, MachineRowsGetIdleProcessRowsDoNot) {
   const auto registry = std::make_shared<model::ModelRegistry>(std::move(model));
   const auto formula = h.actors.spawn_as<RegressionFormula>(
       "formula", h.bus, h.bus.intern("power:estimate"), registry);
-  auto& estimates = h.collect<PowerEstimate>("power:estimate");
+  auto& estimates = h.collect<EstimateBatch>("power:estimate");
 
-  SensorReport machine;
-  machine.sensor = SensorKind::kHpc;
-  machine.pid = kMachinePid;
-  machine.frequency_hz = 3.3e9;
-  model::set_rate(machine.rates, hpc::EventId::kInstructions, 1e9);
-  formula.tell(machine);
+  // Two rows: the machine scope, then process 42, with the same rates.
+  auto matrix = std::make_shared<model::FeatureMatrix>();
+  matrix->frequency_hz = 3.3e9;
+  matrix->resize(2);
+  matrix->pids()[0] = kMachinePid;
+  matrix->pids()[1] = 42;
+  for (std::size_t i = 0; i < 2; ++i) {
+    matrix->rate_lane(hpc::EventId::kInstructions)[i] = 1e9;
+  }
+  SensorBatch hpc;
+  hpc.timestamp = 100;
+  hpc.sensor = SensorKind::kHpc;
+  hpc.features = matrix;
+  formula.tell(hpc);
 
-  SensorReport process = machine;
-  process.pid = 42;
-  formula.tell(process);
-
-  // A non-hpc report must be ignored.
-  SensorReport io = machine;
+  // An IO batch must be ignored.
+  SensorBatch io = hpc;
   io.sensor = SensorKind::kIo;
   formula.tell(io);
 
   h.actors.drain();
-  ASSERT_EQ(estimates.items.size(), 2u);
-  EXPECT_NEAR(estimates.items[0].watts, 30.0 + 2.0, 1e-9);  // Idle + activity.
-  EXPECT_EQ(estimates.items[1].pid, 42);
-  EXPECT_NEAR(estimates.items[1].watts, 2.0, 1e-9);  // Activity only.
+  ASSERT_EQ(estimates.items.size(), 1u);
+  const EstimateBatch& e = estimates.items[0];
+  EXPECT_EQ(e.formula, "powerapi-hpc");
+  EXPECT_EQ(e.timestamp, 100);
+  EXPECT_EQ(e.model_version, 1u);
+  EXPECT_EQ(e.features, hpc.features);
+  ASSERT_EQ(e.watts.size(), 2u);
+  EXPECT_NEAR(e.watts[0], 30.0 + 2.0, 1e-9);  // Idle + activity.
+  EXPECT_NEAR(e.watts[1], 2.0, 1e-9);         // Activity only.
+}
+
+// --- EstimatorFormula ---
+
+/// A baseline that charges 1 W per billion instructions per second.
+class InstructionEstimator final : public baselines::MachinePowerEstimator {
+ public:
+  std::string name() const override { return "per-instruction"; }
+  double estimate(const baselines::Observation& obs) const override {
+    return 1e-9 * model::rate_of(obs.rates, hpc::EventId::kInstructions);
+  }
+  double estimate_task(const baselines::Observation& obs) const override {
+    return estimate(obs);
+  }
+};
+
+TEST(EstimatorFormula, EstimatesOnlyTheMachineRowOverItsOwnMatrix) {
+  PipelineHarness h;
+  const auto formula = h.actors.spawn_as<EstimatorFormula>(
+      "formula", h.bus, h.bus.intern("power:estimate"),
+      std::make_shared<InstructionEstimator>());
+  auto& estimates = h.collect<EstimateBatch>("power:estimate");
+
+  // A process row before the machine row: the formula must find the latter.
+  auto matrix = std::make_shared<model::FeatureMatrix>();
+  matrix->frequency_hz = 3.3e9;
+  matrix->resize(2);
+  matrix->pids()[0] = 42;
+  matrix->pids()[1] = kMachinePid;
+  matrix->rate_lane(hpc::EventId::kInstructions)[0] = 1e9;
+  matrix->rate_lane(hpc::EventId::kInstructions)[1] = 5e9;
+  SensorBatch hpc;
+  hpc.timestamp = 100;
+  hpc.sensor = SensorKind::kHpc;
+  hpc.features = matrix;
+  formula.tell(hpc);
+
+  // A batch without a machine row estimates nothing.
+  auto process_only = std::make_shared<model::FeatureMatrix>();
+  process_only->resize(1);
+  process_only->pids()[0] = 42;
+  SensorBatch no_machine = hpc;
+  no_machine.features = process_only;
+  formula.tell(no_machine);
+
+  h.actors.drain();
+  ASSERT_EQ(estimates.items.size(), 1u);
+  const EstimateBatch& e = estimates.items[0];
+  EXPECT_EQ(e.formula, "per-instruction");
+  EXPECT_EQ(e.timestamp, 100);
+  ASSERT_EQ(e.features->rows(), 1u);
+  EXPECT_EQ(e.features->pid(0), kMachinePid);
+  EXPECT_EQ(e.features->rate_lane(hpc::EventId::kInstructions)[0], 5e9);
+  EXPECT_DOUBLE_EQ(e.features->frequency_hz, 3.3e9);
+  ASSERT_EQ(e.watts.size(), 1u);
+  EXPECT_DOUBLE_EQ(e.watts[0], 5.0);
 }
 
 // --- Aggregator watermark semantics ---
 
-PowerEstimate estimate_of(util::TimestampNs t, std::int64_t pid, double watts,
+/// A 1-row EstimateBatch: `formula` attributes `watts` to `pid` at `t`.
+EstimateBatch estimate_of(util::TimestampNs t, std::int64_t pid, double watts,
                           const char* formula = "powerapi-hpc") {
-  PowerEstimate e;
+  auto matrix = std::make_shared<model::FeatureMatrix>();
+  matrix->resize(1);
+  matrix->pids()[0] = pid;
+  EstimateBatch e;
   e.timestamp = t;
-  e.pid = pid;
   e.formula = formula;
-  e.watts = watts;
+  e.features = std::move(matrix);
+  e.watts = {watts};
   return e;
 }
 
@@ -310,34 +362,6 @@ TEST(AggregatorUnit, GroupModeRoutesByResolver) {
   EXPECT_NEAR(small, 3.0, 1e-12);
   EXPECT_NEAR(large, 7.0, 1e-12);
   EXPECT_NEAR(machine, 50.0, 1e-12);
-}
-
-// --- IoFormula unit ---
-
-TEST(IoFormulaUnit, ChargesDatasheetEnergies) {
-  PipelineHarness h;
-  periph::DiskParams disk;
-  periph::NicParams nic;
-  const auto formula = h.actors.spawn_as<IoFormula>(
-      "formula", h.bus, h.bus.intern("power:estimate"), disk, nic);
-  auto& estimates = h.collect<PowerEstimate>("power:estimate");
-
-  SensorReport report;
-  report.sensor = SensorKind::kIo;
-  report.pid = kMachinePid;
-  report.disk_iops = 50;
-  report.disk_bytes_per_sec = 10e6;
-  report.net_bytes_per_sec = 20e6;
-  formula.tell(report);
-  h.actors.drain();
-
-  ASSERT_EQ(estimates.items.size(), 1u);
-  const double expected =
-      disk.idle_spinning_watts + nic.link_active_watts + 50 * disk.joules_per_op +
-      10 * disk.joules_per_megabyte +
-      20 * (nic.joules_per_megabyte_tx + nic.joules_per_megabyte_rx) / 2.0;
-  EXPECT_NEAR(estimates.items[0].watts, expected, 1e-9);
-  EXPECT_EQ(estimates.items[0].formula, "io-datasheet");
 }
 
 }  // namespace
