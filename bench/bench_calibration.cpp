@@ -2,7 +2,7 @@
 // the in-pipeline learn→deploy loop is cheap enough to leave on: this
 // google-benchmark binary measures host monitoring throughput (host-ticks/s)
 // with calibration off vs on — same host, same workload, same meters — in
-// both dispatcher modes, plus the cost of one registry swap cycle. Emits
+// both fleet modes, plus the cost of one registry swap cycle. Emits
 // BENCH_calibration.json for the results pipeline.
 #include <benchmark/benchmark.h>
 

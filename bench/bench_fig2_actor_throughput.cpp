@@ -3,10 +3,12 @@
 // property for supporting real-time power estimations". This google-benchmark
 // binary measures the runtime's message throughput in the configurations the
 // pipeline uses: single-actor drain, pipeline chains, event-bus fan-out, and
-// the threaded dispatcher.
+// host-slice dispatch (threads draining their own groups, as FleetMonitor's
+// parallel slices do).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "actors/actor_system.h"
@@ -35,7 +37,7 @@ class CountingActor final : public actors::Actor {
 };
 
 void BM_ManualDrainSingleActor(benchmark::State& state) {
-  actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem system;
   const auto actor = system.spawn_as<CountingActor>("sink");
   const std::int64_t batch = state.range(0);
   for (auto _ : state) {
@@ -48,7 +50,7 @@ BENCHMARK(BM_ManualDrainSingleActor)->Arg(1024)->Arg(16384);
 
 void BM_ManualPipelineChain(benchmark::State& state) {
   // Sensor -> Formula -> Aggregator -> Reporter chain, as in Figure 2.
-  actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem system;
   const auto reporter = system.spawn_as<CountingActor>("reporter");
   const auto aggregator = system.spawn_as<CountingActor>("aggregator", reporter);
   const auto formula = system.spawn_as<CountingActor>("formula", aggregator);
@@ -64,7 +66,7 @@ void BM_ManualPipelineChain(benchmark::State& state) {
 BENCHMARK(BM_ManualPipelineChain)->Arg(4096);
 
 void BM_EventBusFanout(benchmark::State& state) {
-  actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem system;
   actors::EventBus bus(system);
   const std::int64_t subscribers = state.range(0);
   for (std::int64_t i = 0; i < subscribers; ++i) {
@@ -84,7 +86,7 @@ void BM_EventBusFanoutFatPayload(benchmark::State& state) {
   // once per publish and shares it by refcount, so per-subscriber cost is a
   // pointer copy instead of a deep copy. Publishes by interned TopicId, as
   // the pipeline components do.
-  actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem system;
   actors::EventBus bus(system);
   const auto topic = bus.intern("sensor:burst");
   const std::int64_t subscribers = state.range(0);
@@ -100,21 +102,58 @@ void BM_EventBusFanoutFatPayload(benchmark::State& state) {
 }
 BENCHMARK(BM_EventBusFanoutFatPayload)->Arg(1)->Arg(8)->Arg(64);
 
-void BM_ThreadedDispatch(benchmark::State& state) {
-  actors::ActorSystem system(actors::ActorSystem::Mode::kThreaded, /*workers=*/2);
-  std::vector<actors::ActorRef> actors;
-  for (int i = 0; i < 8; ++i) actors.push_back(system.spawn_as<CountingActor>("worker"));
+// Host-slice dispatch, the path FleetMonitor's parallel mode runs: each
+// benchmark thread owns one drain group of 8 actors in a shared system,
+// tells a batch into it and drains it with drain_group(). Setup builds the
+// groups before the threads start, since membership is frozen while groups
+// drain.
+constexpr int kActorsPerSlice = 8;
+std::unique_ptr<actors::ActorSystem> g_slice_system;
+std::vector<actors::ActorSystem::GroupId> g_slice_groups;
+std::vector<std::vector<actors::ActorRef>> g_slice_actors;
+
+void SetupSlices(const benchmark::State& state) {
+  g_slice_system = std::make_unique<actors::ActorSystem>();
+  g_slice_groups.clear();
+  g_slice_actors.assign(static_cast<std::size_t>(state.threads()), {});
+  for (auto& slice : g_slice_actors) {
+    const auto group = g_slice_system->add_group();
+    g_slice_groups.push_back(group);
+    for (int i = 0; i < kActorsPerSlice; ++i) {
+      slice.push_back(g_slice_system->spawn_in<CountingActor>(group, "slice"));
+    }
+  }
+}
+
+void TeardownSlices(const benchmark::State&) {
+  g_slice_actors.clear();
+  g_slice_system.reset();
+}
+
+void BM_HostSliceDispatch(benchmark::State& state) {
+  const auto index = static_cast<std::size_t>(state.thread_index());
+  const auto& slice = g_slice_actors[index];
+  const auto group = g_slice_groups[index];
   const std::int64_t batch = state.range(0);
   for (auto _ : state) {
-    for (std::int64_t i = 0; i < batch; ++i) actors[i % actors.size()].tell(i);
-    system.await_idle();
+    for (std::int64_t i = 0; i < batch; ++i) {
+      slice[static_cast<std::size_t>(i) % slice.size()].tell(i);
+    }
+    benchmark::DoNotOptimize(g_slice_system->drain_group(group));
   }
   state.SetItemsProcessed(state.iterations() * batch);
-  system.shutdown();
 }
-// Wall time: the main thread mostly waits in await_idle() while the
-// workers run, so its CPU time would overstate the rate several-fold.
-BENCHMARK(BM_ThreadedDispatch)->Arg(8192)->UseRealTime();
+// Wall time: the rate is the slices' combined throughput, which per-thread
+// CPU time would not show. 64 messages is a few host-ticks' worth; 8192
+// overflows each thread's mailbox node cache, so every node passes through
+// the shared spill pool and the slices no longer scale.
+BENCHMARK(BM_HostSliceDispatch)
+    ->Arg(64)
+    ->Arg(8192)
+    ->ThreadRange(1, 4)
+    ->UseRealTime()
+    ->Setup(SetupSlices)
+    ->Teardown(TeardownSlices);
 
 }  // namespace
 

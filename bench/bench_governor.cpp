@@ -57,7 +57,7 @@ std::unique_ptr<os::System> loaded_host() {
   return host;
 }
 
-/// One fleet monitoring tick across N hosts on the threaded dispatcher
+/// One fleet monitoring tick across N hosts in parallel host slices
 /// (the bench_pipeline configuration), optionally with the governor's
 /// sense relays and a per-iteration governor tick in the graph.
 void fleet_tick_bench(benchmark::State& state, bool governed) {
@@ -146,7 +146,7 @@ BENCHMARK(BM_FleetTick_GovernorOn)
 /// monitoring pipeline, no simulated machines — just the governor.
 void BM_GovernorDecide(benchmark::State& state) {
   const std::size_t host_count = static_cast<std::size_t>(state.range(0));
-  actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem system;
   actors::EventBus bus(system);
   governor::GovernorOptions options;
   options.budget_watts = 40.0 * static_cast<double>(host_count);

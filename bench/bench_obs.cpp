@@ -1,6 +1,6 @@
 // Experiment O1 — what does self-observability cost? The obs layer's pitch
 // is "cheap enough to leave on": this binary measures the fleet monitoring
-// tick (8 hosts, threaded dispatcher — the bench_pipeline configuration)
+// tick (8 hosts in parallel slices — the bench_pipeline configuration)
 // in three states: no obs bundle compiled into the run at all, a bundle
 // attached but disabled (the single-branch path every hot site pays), and
 // fully enabled (counters + latency histograms + spans). Micro-benchmarks
@@ -50,7 +50,7 @@ std::unique_ptr<os::System> loaded_host() {
 
 enum class ObsState { kNone, kDisabled, kEnabled };
 
-/// One fleet monitoring tick across 8 hosts on the threaded dispatcher —
+/// One fleet monitoring tick across 8 hosts in parallel host slices —
 /// the same configuration bench_pipeline measures — with the obs bundle in
 /// the given state. kNone vs kDisabled prices the dormant branches; kNone
 /// vs kEnabled is the headline overhead number.

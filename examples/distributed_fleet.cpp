@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
   const model::CpuPowerModel power_model = examples::train_quick_model();
 
   // --- Collector: server + bridge + fleet aggregation over the bridge ---
-  actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem system;
   actors::EventBus bus(system);
   net::BusBridgeOptions bridge_options;
   bridge_options.per_agent_topics = false;  // Only the merged topic is consumed.

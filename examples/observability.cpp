@@ -2,9 +2,8 @@
 //
 // Runs a single-host PowerMeter with the self-observability bundle
 // attached: every pipeline stage records spans and throughput counters,
-// mailbox latency and dispatcher behavior are histogrammed, and the
-// SelfMonitor converts the monitor's own CPU share into watts — the energy
-// spent measuring energy. The run emits:
+// mailbox latency is histogrammed, and the SelfMonitor converts the
+// monitor's own CPU share into watts — the energy spent measuring energy. The run emits:
 //
 //   - periodic metrics snapshots on stdout (MetricsReporter, text format),
 //   - a final registry dump with percentiles,

@@ -24,8 +24,9 @@ class Actor {
  public:
   virtual ~Actor() = default;
 
-  /// Handles one message. Must only be called by the dispatcher (the system
-  /// guarantees no concurrent invocations for the same actor).
+  /// Handles one message. Must only be called by the actor system's drain
+  /// (one group drains on one thread at a time, so the same actor never
+  /// receives concurrently).
   virtual void receive(Envelope& envelope) = 0;
 
   /// Lifecycle hooks.

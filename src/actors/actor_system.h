@@ -1,35 +1,27 @@
-// The actor runtime.
-//
-// Two dispatch modes cover the library's needs:
-//  * kManual    — no threads; drain() processes messages deterministically.
-//                 All simulation experiments and most tests run here.
-//                 Cells may be spawned into drain groups, and drain_group()
-//                 drains one group; different groups may drain on different
-//                 threads at once (FleetMonitor's host slices).
-//  * kThreaded  — a work-stealing worker pool dispatches actors concurrently
-//                 with the classic schedule-on-first-message protocol; used
-//                 for live monitoring and exercised by the concurrency tests
-//                 and the Figure-2 throughput benchmark.
+// The actor runtime. An actor processes its messages one at a time, in
+// arrival order, on whichever thread drains it; there is no thread pool.
+//  * drain() processes messages deterministically on the calling thread.
+//    All simulation experiments and most tests run here.
+//  * Cells may be spawned into drain groups, and drain_group() drains one
+//    group; different groups may drain on different threads at once
+//    (FleetMonitor's host slices). Each group drains on one thread at a
+//    time, which is what makes every mailbox single-consumer.
+//  * tell() is safe from any thread, including while a group drains.
 //
 // Hot-path design (see DESIGN.md §4 "Dispatcher architecture"):
 //  * Actor lookup is a wait-free chunked slot table indexed by ActorId —
 //    tell() never scans the actor list or blocks on a concurrent spawn.
 //  * Mailboxes are lock-free Vyukov MPSC queues (see mailbox.h).
-//  * Each worker owns a run queue; idle workers steal from random victims
-//    and park on a condition variable only when the whole system is empty.
-//  * Idle tracking folds per-message counter traffic into one atomic
-//    add/sub per scheduling slot instead of two per message.
+//  * A drain round skips an idle actor on its mailbox's size counter and
+//    an idle group on the group's drain hint, one load each.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,7 +30,6 @@
 #include "actors/message.h"
 
 namespace powerapi::obs {
-class Counter;
 class Histogram;
 class Observability;
 }  // namespace powerapi::obs
@@ -47,6 +38,9 @@ namespace powerapi::actors {
 
 class ActorSystem {
  public:
+  /// Kept for fleet_bench.cpp; remove in the next benchmark PR. Only
+  /// kManual constructs a system; FleetMonitor::Options reuses the type to
+  /// pick serial or parallel host slices.
   enum class Mode { kManual, kThreaded };
 
   /// A drain group: a subset of the cells that drain_group() drains on its
@@ -56,11 +50,13 @@ class ActorSystem {
   static constexpr GroupId kDefaultGroup = 0;
 
   /// `obs` (optional, non-owning, must outlive the system) turns on runtime
-  /// self-instrumentation: mailbox enqueue-to-drain latency, dispatcher
-  /// steal/park counters, and a snapshot collector exposing actor counts,
-  /// mailbox depths and run-queue depth as "actors.*" metrics.
-  explicit ActorSystem(Mode mode, std::size_t workers = 2,
-                       obs::Observability* obs = nullptr);
+  /// self-instrumentation: mailbox enqueue-to-drain latency and a snapshot
+  /// collector exposing actor counts and mailbox depths as "actors.*"
+  /// metrics.
+  explicit ActorSystem(obs::Observability* obs = nullptr);
+  /// Kept for fleet_bench.cpp; remove in the next benchmark PR. Throws
+  /// std::invalid_argument on kThreaded.
+  explicit ActorSystem(Mode mode, obs::Observability* obs = nullptr);
   ~ActorSystem();
 
   ActorSystem(const ActorSystem&) = delete;
@@ -94,27 +90,28 @@ class ActorSystem {
   /// remaining mailbox drains to dead letters.
   void stop(const ActorRef& ref);
 
-  /// kManual only: processes messages until quiescent or `max_messages`
-  /// processed. Returns the number processed. Deterministic: actors are
-  /// visited in spawn order, one message per visit (fair round-robin).
+  /// Processes messages until quiescent or `max_messages` processed.
+  /// Returns the number processed. Deterministic: actors are visited in
+  /// spawn order, one message per visit (fair round-robin).
   std::size_t drain(std::size_t max_messages = SIZE_MAX);
 
-  /// kManual only: drain() over one group's cells, in their spawn order.
-  /// Distinct groups may drain on distinct threads at once — tell() is safe
-  /// from any thread — but one group drains on one thread at a time.
+  /// drain() over one group's cells, in their spawn order. Distinct groups
+  /// may drain on distinct threads at once — tell() is safe from any
+  /// thread — but one group drains on one thread at a time.
   /// A group whose hint is clear (nothing told into it since its last
   /// drain) returns 0 after one load, without visiting a cell: FleetMonitor's
   /// settle() skips the host groups its slices already drained that way.
   std::size_t drain_group(GroupId group, std::size_t max_messages = SIZE_MAX);
 
-  /// kThreaded only: blocks until every mailbox is empty and no message is
-  /// being processed.
-  void await_idle();
+  /// Kept for fleet_bench.cpp; remove in the next benchmark PR. Calls
+  /// drain().
+  void await_idle() { drain(); }
 
-  /// Stops workers (threaded) and all actors. Idempotent; runs in ~dtor.
+  /// Stops all actors. Idempotent; runs in ~dtor.
   void shutdown();
 
-  Mode mode() const noexcept { return mode_; }
+  /// Kept for fleet_bench.cpp; remove in the next benchmark PR.
+  Mode mode() const noexcept { return Mode::kManual; }
   /// Messages processed so far, drain groups included. Exact once the
   /// system is quiescent.
   std::uint64_t messages_processed() const;
@@ -137,13 +134,7 @@ class ActorSystem {
     std::string name;
     std::unique_ptr<Actor> actor;
     Mailbox mailbox;
-    std::atomic<bool> scheduled{false};
     std::atomic<bool> stopped{false};
-    /// Manual-mode drain hint: set after every push, cleared by drain() when
-    /// the mailbox is observed empty (with a re-check for a racing push).
-    /// Lets drain rounds skip idle actors with one load instead of a consume
-    /// attempt; in a steady fleet tick ~95% of per-round visits are idle.
-    std::atomic<bool> has_mail{false};
     Group* group = nullptr;  ///< Set at spawn, never changes.
   };
 
@@ -166,41 +157,23 @@ class ActorSystem {
   struct Group {
     std::vector<Cell*> cells;
     /// Set by every tell into a member, cleared by drain_group() before each
-    /// round it visits: the group-level twin of Cell::has_mail.
+    /// round it visits.
     std::atomic<bool> has_mail{false};
     alignas(64) std::atomic<std::uint64_t> processed{0};
-  };
-
-  // --- Work-stealing dispatcher state. ---
-  struct alignas(64) WorkerQueue {
-    std::mutex mutex;
-    std::deque<Cell*> cells;
   };
 
   Cell* lookup(ActorId id) const noexcept;
   Cell* find_cell(ActorId id) const noexcept;  ///< lookup + not-stopped.
   void process_one(Cell& cell, Envelope& envelope);
-  /// One manual-mode visit: processes at most one message (or flushes a
+  /// One drain visit: processes at most one message (or flushes a
   /// stopped cell's backlog); returns whether a message was processed.
   bool drain_visit(Cell& cell);
-  void require_manual(const char* what) const;
-  std::size_t drain_dead_letters(Cell& cell);
-  void schedule(Cell& cell);
-  void enqueue_cell(Cell& cell);
-  Cell* try_pop_local(std::size_t index);
-  Cell* try_steal(std::size_t thief_index, std::uint64_t& rng_state);
-  Cell* acquire_work(std::size_t index, std::uint64_t& rng_state);
-  void run_cell(Cell& cell);
-  void worker_loop(std::size_t index);
+  void drain_dead_letters(Cell& cell);
   void handle_failure(Cell& cell, const std::exception& error);
-  void fold_processed(std::uint64_t handled);
 
-  Mode mode_;
   // Observability handles, interned once at construction; null when the
   // system is not observed, so hot paths pay one pointer test.
   obs::Observability* obs_ = nullptr;
-  obs::Counter* steals_metric_ = nullptr;
-  obs::Counter* parks_metric_ = nullptr;
   obs::Histogram* mailbox_latency_ = nullptr;
   std::uint64_t obs_collector_ = 0;
   mutable std::mutex cells_mutex_;  ///< Guards spawns/chunk growth, not lookups.
@@ -210,32 +183,11 @@ class ActorSystem {
   /// Drain groups, indexed by GroupId; grown under cells_mutex_.
   std::vector<std::unique_ptr<Group>> groups_;
   std::atomic<ActorId> next_id_{1};
-  // Hot counters on separate cache lines: producers hammer pending_ while
-  // workers hammer messages_processed_ (drain() and the threaded workers;
-  // drain_group() counts into its Group instead).
+  // Counted by drain(); drain_group() counts into its Group instead.
   alignas(64) std::atomic<std::uint64_t> messages_processed_{0};
   alignas(64) std::atomic<std::uint64_t> dead_letters_{0};
   std::atomic<std::uint64_t> failures_{0};
   std::atomic<std::uint64_t> restarts_{0};
-
-  // Threaded dispatch state.
-  std::vector<std::unique_ptr<WorkerQueue>> worker_queues_;
-  std::vector<std::thread> workers_;
-  std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> external_rr_{0};  ///< Round-robin for non-worker producers.
-
-  // Parked-worker wakeup protocol: producers bump the epoch after enqueueing
-  // and notify only when someone is actually parked.
-  std::mutex park_mutex_;
-  std::condition_variable park_cv_;
-  std::atomic<int> parked_{0};
-  std::atomic<std::uint64_t> unpark_epoch_{0};
-
-  // Idle tracking: producers add one relaxed increment per tell; workers
-  // fold one subtraction per scheduling slot (not per message).
-  alignas(64) std::atomic<std::int64_t> pending_{0};  ///< Enqueued but not yet processed.
-  std::condition_variable idle_cv_;
-  std::mutex idle_mutex_;
 };
 
 }  // namespace powerapi::actors

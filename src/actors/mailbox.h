@@ -1,24 +1,24 @@
 // MPSC actor mailbox: many producers (any thread may tell), one consumer
-// (the dispatcher guarantees single-threaded processing per actor).
+// (a cell's drain group drains on one thread at a time).
 //
 // Implementation: Vyukov-style intrusive MPSC node queue. push() is
 // wait-free for practical purposes (one atomic exchange + one store, no
-// locks, no CAS loop); pop() is a single-consumer dequeue that touches at
-// most two cache lines. A separate approximate size counter preserves the
-// "did the mailbox transition empty -> non-empty" signal the scheduling
-// protocol needs, and lets empty() be queried from any thread.
+// locks, no CAS loop); consume() dequeues on the single consumer, touching
+// at most two cache lines per envelope. A separate size counter lets empty()
+// be queried from any thread: a drain visit skips an idle actor on it.
 //
-// pop() may transiently return nullopt while size() > 0 when a producer has
-// exchanged the head but not yet linked its node; callers treat that as
-// "retry later" (the dispatcher re-schedules the actor), never as loss.
+// consume() may transiently find nothing while size() > 0 when a producer
+// has exchanged the head but not yet linked its node; callers treat that as
+// "retry later" (the size stays raised, so a later visit tries again),
+// never as loss.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <new>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -34,36 +34,21 @@ class Mailbox {
 
   ~Mailbox() {
     // Drain remaining nodes (messages abandoned at system shutdown).
-    while (pop()) {
-    }
+    consume(SIZE_MAX, [](Envelope&&) {});
   }
 
-  /// Enqueues; returns the queue length after insertion (1 means the
-  /// mailbox was empty and the actor needs scheduling). Any thread.
-  std::size_t push(Envelope&& envelope) {
+  /// Enqueues. Any thread.
+  void push(Envelope&& envelope) {
     Node* node = new (allocate_block()) Node(std::move(envelope));
-    // seq_cst so the consumer's "release token, then re-check size" path
-    // cannot miss this increment while our schedule CAS misses its token
-    // release (the classic schedule/unschedule store-load race).
-    const std::size_t prior = size_.fetch_add(1, std::memory_order_seq_cst);
+    // Raised before the envelope is linked, so a consumer that pops the
+    // envelope has seen the raise and the counter never underflows.
+    size_.fetch_add(1, std::memory_order_seq_cst);
     Node* prev = head_.exchange(node, std::memory_order_acq_rel);
     prev->next.store(node, std::memory_order_release);
-    return prior + 1;
-  }
-
-  /// Dequeues one envelope. Single consumer only.
-  std::optional<Envelope> pop() {
-    Node* node = pop_node();
-    if (node == nullptr) return std::nullopt;
-    std::optional<Envelope> out(std::move(node->envelope));
-    recycle(node);
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    return out;
   }
 
   /// Batch drain: pops up to `max` envelopes, invoking `fn(Envelope&&)` for
-  /// each; `fn` returns false to stop early (the popped envelope is still
-  /// consumed). The size counter is folded once per batch rather than per
+  /// each. The size counter is folded once per batch rather than per
   /// message. Returns the number consumed. Single consumer only.
   template <typename Fn>
   std::size_t consume(std::size_t max, Fn&& fn) {
@@ -71,10 +56,9 @@ class Mailbox {
     while (n < max) {
       Node* node = pop_node();
       if (node == nullptr) break;
-      const bool keep_going = fn(std::move(node->envelope));
+      fn(std::move(node->envelope));
       recycle(node);
       ++n;
-      if (!keep_going) break;
     }
     if (n != 0) size_.fetch_sub(n, std::memory_order_relaxed);
     return n;

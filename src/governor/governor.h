@@ -12,7 +12,7 @@
 // aggregated row for the elapsed window has been delivered, and the
 // actuations land before the next chunk advances. In kManual mode the whole
 // loop is single-threaded and bit-reproducible; in kThreaded mode the
-// actor-system barrier gives the same per-host decision series.
+// step hand-off between host slices gives the same per-host decision series.
 //
 // Observability: decisions are counted ("governor.actuations", ".steps_up",
 // ".steps_down", ".ticks"), the sensed fleet draw and the budget are gauges
@@ -118,7 +118,7 @@ class GovernorActor final : public actors::Actor {
                                             std::size_t host_index,
                                             const std::string& name);
 
-  // --- Post-barrier introspection (drain()/await_idle() first) ---
+  // --- Post-settle introspection (drain() first) ---
   std::uint64_t actuation_count() const noexcept { return actuation_count_; }
   const std::vector<Actuation>& history() const noexcept { return history_; }
   std::size_t current_rung(std::size_t host) const { return hosts_.at(host).rung; }

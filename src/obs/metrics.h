@@ -11,7 +11,7 @@
 //  * Histogram — HDR-style log-bucketed: 16 sub-buckets per power of two
 //                (~6 % value resolution), one relaxed increment per record.
 // Naming scheme (see DESIGN.md "Observability"): dot-separated lowercase,
-// "<subsystem>.<object>.<quantity>[_<unit>]", e.g. "actors.dispatch.steals",
+// "<subsystem>.<object>.<quantity>[_<unit>]", e.g. "actors.mailbox.latency_ns",
 // "pipeline.tick_to_aggregate_ns".
 //
 // Snapshots are pull-based: snapshot() folds shards and copies buckets under

@@ -3,7 +3,7 @@
 // Instrumented components record complete spans ('X') and instant events
 // ('i') against a wall (steady) clock; write_chrome_trace() emits the
 // chrome://tracing / Perfetto JSON array format, so any monitoring run can
-// be opened as a timeline: one track per dispatcher thread, spans named
+// be opened as a timeline: one track per draining thread, spans named
 // after the pipeline stage actors, correlated across stages by the tick
 // sequence id carried in the event args.
 //

@@ -69,7 +69,7 @@ void CalibrationActor::complete_if_paired(util::TimestampNs timestamp, Pending& 
   const model::FeatureVector features = *entry.features;
   const double watts = *entry.measured_watts;
   // Everything at or before a completed pair is done: sensors publish per
-  // tick, and ticks drain in order in both dispatcher modes.
+  // tick, and ticks drain in order in both fleet modes.
   pending_.erase(pending_.begin(), pending_.upper_bound(timestamp));
   on_pair(timestamp, features, watts);
 }

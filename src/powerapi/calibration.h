@@ -70,8 +70,8 @@ struct ModelUpdated {
 /// Pairs the HPC batch's machine row with the meter batch's measured watts
 /// (told apart by SensorBatch::sensor) by tick timestamp, maintains
 /// one IncrementalOls per observed frequency bin, and swaps the registry on
-/// drift. Single actor: the streaming state needs no locks even on the
-/// threaded dispatcher, and timestamp-keyed pairing makes the result
+/// drift. Single actor: the streaming state needs no locks even when host
+/// slices drain in parallel, and timestamp-keyed pairing makes the result
 /// independent of hpc-vs-meter arrival order.
 class CalibrationActor final : public actors::Actor {
  public:

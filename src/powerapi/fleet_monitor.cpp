@@ -57,7 +57,7 @@ FleetMonitor::FleetMonitor(Options options)
     : options_(options),
       obs_(options.with_observability ? std::make_unique<obs::Observability>()
                                       : nullptr),
-      actors_(actors::ActorSystem::Mode::kManual, 1, obs_.get()),
+      actors_(obs_.get()),
       bus_(actors_),
       fleet_topic_(bus_.intern("fleet/power:aggregated")) {
   if (obs_ != nullptr) {

@@ -10,7 +10,7 @@ PowerMeter::PowerMeter(os::MonitorableHost& host, model::CpuPowerModel model,
                        Config config)
     : host_(&host),
       config_(config),
-      actors_(actors::ActorSystem::Mode::kManual, 2, config.observability),
+      actors_(config.observability),
       bus_(actors_) {
   PipelineSpec spec = std::move(config);
   if (!model.empty()) spec.model = std::move(model);

@@ -4,7 +4,7 @@
 // one MonitorableHost, one kManual actor system, the empty topic namespace.
 // A monitoring clock ("tick" topic) drives Sensor actors, whose reports
 // flow through Formula actors into an Aggregator and out to Reporters —
-// all over the event bus. For many hosts on the threaded dispatcher, see
+// all over the event bus. For many hosts stepped in parallel slices, see
 // fleet_monitor.h.
 // Usage:
 //

@@ -48,10 +48,13 @@ class Rng {
     return d(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation (0 returns
+  /// `mean`). Draws a standard normal and scales it, which is what
+  /// std::normal_distribution(mean, stddev) computes, without its
+  /// stddev > 0 precondition.
   double gaussian(double mean, double stddev) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
+    std::normal_distribution<double> d(0.0, 1.0);
+    return d(engine_) * stddev + mean;
   }
 
   /// Bernoulli draw with probability p of returning true.

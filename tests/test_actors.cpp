@@ -1,6 +1,5 @@
-// Tests for the actor runtime: manual drain determinism, drain groups,
-// supervision, dead letters, the event bus, tickers, and the threaded
-// dispatcher's concurrency guarantees.
+// Tests for the actor runtime: drain determinism, drain groups (including
+// concurrent drains), supervision, dead letters, the event bus and tickers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,7 +26,7 @@ class Recorder final : public Actor {
 };
 
 TEST(ActorSystem, DeliversInFifoOrderPerActor) {
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   auto owned = std::make_unique<Recorder>();
   Recorder* recorder = owned.get();
   const auto ref = system.spawn("recorder", std::move(owned));
@@ -39,7 +38,7 @@ TEST(ActorSystem, DeliversInFifoOrderPerActor) {
 TEST(ActorSystem, DrainIsDeterministicRoundRobin) {
   // Two actors, interleaved sends: drain must process one message per actor
   // per round, in spawn order.
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   std::vector<std::string> log;
   class Logging final : public Actor {
    public:
@@ -60,7 +59,7 @@ TEST(ActorSystem, DrainIsDeterministicRoundRobin) {
 }
 
 TEST(ActorSystem, MessagesToUnknownActorsAreDeadLetters) {
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   ActorRef bogus(&system, 999);
   bogus.tell(1);
   EXPECT_EQ(system.dead_letters(), 1u);
@@ -70,7 +69,7 @@ TEST(ActorSystem, MessagesToUnknownActorsAreDeadLetters) {
 }
 
 TEST(ActorSystem, StopDrainsRemainingToDeadLetters) {
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   auto owned = std::make_unique<Recorder>();
   const auto ref = system.spawn("r", std::move(owned));
   ref.tell(1);
@@ -85,7 +84,7 @@ TEST(ActorSystem, StoppedThenDrainedMessageIsDeadLetteredExactlyOnce) {
   // A message queued before stop() must be converted to a dead letter by the
   // drain-dead-letters path exactly once: repeated drains must not double
   // count, and the books must balance (nothing processed, nothing lost).
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   const auto ref = system.spawn("r", std::make_unique<Recorder>());
   ref.tell(1);
   system.stop(ref);
@@ -99,7 +98,7 @@ TEST(ActorSystem, StoppedThenDrainedMessageIsDeadLetteredExactlyOnce) {
 }
 
 TEST(ActorSystem, MaxMessagesBoundsDrain) {
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   const auto ref = system.spawn("r", std::make_unique<Recorder>());
   for (int i = 0; i < 10; ++i) ref.tell(i);
   EXPECT_EQ(system.drain(3), 3u);
@@ -110,7 +109,7 @@ TEST(ActorSystem, DrainGroupTouchesOnlyItsGroup) {
   // drain_group() drains one group to quiescence in spawn order and leaves
   // every other group's mail queued; a stopped member's backlog becomes
   // dead letters there, exactly once.
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   const ActorSystem::GroupId group = system.add_group();
   auto in_group = std::make_unique<Recorder>();
   Recorder* member = in_group.get();
@@ -142,7 +141,7 @@ TEST(ActorSystem, DrainGroupTouchesOnlyItsGroup) {
 
 TEST(ActorSystem, DrainGroupCapLeavesTheRestForTheNextDrain) {
   // A drain cut short by its cap must not lose the group's drain hint.
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   const ActorSystem::GroupId group = system.add_group();
   auto owned = std::make_unique<Recorder>();
   Recorder* recorder = owned.get();
@@ -158,7 +157,7 @@ TEST(ActorSystem, DrainGroupCapLeavesTheRestForTheNextDrain) {
 TEST(ActorSystem, GroupsDrainConcurrently) {
   // One thread per group: cross-group tells land in MPSC mailboxes while
   // both groups drain, and the caller drains what arrived afterwards.
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   class Forwarder final : public Actor {
    public:
     explicit Forwarder(ActorRef next) : next_(next) {}
@@ -221,7 +220,7 @@ class Flaky final : public Actor {
 };
 
 TEST(Supervision, ResumeKeepsProcessing) {
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   auto owned = std::make_unique<Flaky>(SupervisionDirective::kResume);
   Flaky* actor = owned.get();
   const auto ref = system.spawn("flaky", std::move(owned));
@@ -235,7 +234,7 @@ TEST(Supervision, ResumeKeepsProcessing) {
 }
 
 TEST(Supervision, RestartCyclesLifecycle) {
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   auto owned = std::make_unique<Flaky>(SupervisionDirective::kRestart);
   Flaky* actor = owned.get();
   const auto ref = system.spawn("flaky", std::move(owned));
@@ -250,7 +249,7 @@ TEST(Supervision, RestartCyclesLifecycle) {
 }
 
 TEST(Supervision, StopRemovesActor) {
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   const auto ref = system.spawn("flaky",
                                 std::make_unique<Flaky>(SupervisionDirective::kStop));
   ref.tell(std::string("boom"));
@@ -263,7 +262,7 @@ TEST(Supervision, StopRemovesActor) {
 // --- EventBus ---
 
 TEST(EventBus, FanoutAndUnsubscribe) {
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   EventBus bus(system);
   auto o1 = std::make_unique<Recorder>();
   auto o2 = std::make_unique<Recorder>();
@@ -304,7 +303,7 @@ TEST(EventBus, ZeroSubscriberPublishConstructsNothing) {
   // Publishing to a topic with no subscribers (or one never seen) must take
   // the early-return fast path: no Payload is built, no copy of the value is
   // made, and the call reports zero deliveries.
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   EventBus bus(system);
   const CopyCounted value;
   CopyCounted::copies.store(0);
@@ -337,75 +336,23 @@ TEST(Ticker, FiresOncePerPeriodWithCatchUp) {
   EXPECT_THROW(Ticker(0, 0), std::invalid_argument);
 }
 
-// --- Threaded mode ---
-
-TEST(ThreadedActorSystem, ProcessesAllMessages) {
-  ActorSystem system(ActorSystem::Mode::kThreaded, 3);
-  class Counting final : public Actor {
-   public:
-    void receive(Envelope&) override { count.fetch_add(1, std::memory_order_relaxed); }
-    std::atomic<int> count{0};
-  };
-  auto owned = std::make_unique<Counting>();
-  Counting* actor = owned.get();
-  const auto ref = system.spawn("counting", std::move(owned));
-
-  constexpr int kMessages = 20000;
-  std::vector<std::thread> senders;
-  for (int t = 0; t < 4; ++t) {
-    senders.emplace_back([&ref] {
-      for (int i = 0; i < kMessages / 4; ++i) ref.tell(i);
-    });
-  }
-  for (auto& s : senders) s.join();
+TEST(ActorSystem, ModeShimsAreDrainOnly) {
+  // Mode, mode() and await_idle() survive only as shims for the end-to-end
+  // benchmark: a threaded system no longer exists, and await_idle() drains.
+  EXPECT_THROW(ActorSystem(ActorSystem::Mode::kThreaded), std::invalid_argument);
+  ActorSystem system(ActorSystem::Mode::kManual);
+  EXPECT_EQ(system.mode(), ActorSystem::Mode::kManual);
+  auto owned = std::make_unique<Recorder>();
+  Recorder* recorder = owned.get();
+  const auto ref = system.spawn("r", std::move(owned));
+  for (int i = 0; i < 3; ++i) ref.tell(i);
   system.await_idle();
-  EXPECT_EQ(actor->count.load(), kMessages);
-  system.shutdown();
-}
-
-TEST(ThreadedActorSystem, SingleThreadedReceiveGuarantee) {
-  ActorSystem system(ActorSystem::Mode::kThreaded, 4);
-  class Exclusive final : public Actor {
-   public:
-    void receive(Envelope&) override {
-      const bool was_busy = busy.exchange(true);
-      EXPECT_FALSE(was_busy);  // No concurrent receive for the same actor.
-      int spin = 0;
-      for (int i = 0; i < 50; ++i) spin += i;
-      benchmark_sink += spin;
-      busy.store(false);
-      ++handled;
-    }
-    std::atomic<bool> busy{false};
-    int handled = 0;  // Safe: only touched inside receive.
-    int benchmark_sink = 0;
-  };
-  auto owned = std::make_unique<Exclusive>();
-  Exclusive* actor = owned.get();
-  const auto ref = system.spawn("exclusive", std::move(owned));
-  std::vector<std::thread> senders;
-  for (int t = 0; t < 4; ++t) {
-    senders.emplace_back([&ref] {
-      for (int i = 0; i < 2000; ++i) ref.tell(i);
-    });
-  }
-  for (auto& s : senders) s.join();
-  system.await_idle();
-  EXPECT_EQ(actor->handled, 8000);
-  system.shutdown();
-}
-
-TEST(ThreadedActorSystem, ModeGuards) {
-  ActorSystem manual(ActorSystem::Mode::kManual);
-  EXPECT_THROW(manual.await_idle(), std::logic_error);
-  ActorSystem threaded(ActorSystem::Mode::kThreaded, 1);
-  EXPECT_THROW(threaded.drain(), std::logic_error);
-  threaded.shutdown();
-  EXPECT_THROW(ActorSystem(ActorSystem::Mode::kThreaded, 0), std::invalid_argument);
+  EXPECT_EQ(recorder->values, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(system.messages_processed(), 3u);
 }
 
 TEST(ActorSystem, ShutdownIsIdempotentAndStopsActors) {
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   auto owned = std::make_unique<Flaky>(SupervisionDirective::kResume);
   Flaky* actor = owned.get();
   system.spawn("f", std::move(owned));

@@ -1,12 +1,16 @@
-// Concurrency stress tests for the threaded work-stealing dispatcher:
-// many producers hammering many actors, ping-pong rings, and spawn/stop
-// racing a message storm; plus the event bus's lock-free publish racing
-// subscribe and intern. Every test asserts zero message loss with exact
-// bookkeeping: sent == processed + dead_letters. Designed to run under
-// ThreadSanitizer (the CI sanitizer job builds this suite with -fsanitize=
-// thread); all cross-thread test state is atomic.
+// Concurrency stress tests for the actor runtime: producers on many threads
+// tell() into a system that one consumer thread drain()s at the same time
+// (the cross-thread tells FleetMonitor's host slices make into
+// default-group actors), including ping-pong rings and spawn/stop racing a
+// message storm; plus the event bus's lock-free publish racing subscribe
+// and intern. Every storm ends with a final drain() at quiescence and
+// asserts zero message loss with exact bookkeeping: sent == processed +
+// dead_letters. Designed to run under ThreadSanitizer (the CI sanitizer job
+// builds this suite with -fsanitize=thread); all cross-thread test state is
+// atomic.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -31,11 +35,35 @@ class Counter final : public Actor {
   std::atomic<std::uint64_t>* total_;
 };
 
+/// A thread that drain()s `system` in a loop until stopped; join() stops it.
+/// The storms' producers tell() while it runs, then the test drains once
+/// more at quiescence.
+class Consumer {
+ public:
+  explicit Consumer(ActorSystem& system)
+      : thread_([this, &system] {
+          while (!done_.load(std::memory_order_acquire)) system.drain();
+        }) {}
+  Consumer(const Consumer&) = delete;
+  Consumer& operator=(const Consumer&) = delete;
+  ~Consumer() {
+    if (thread_.joinable()) join();
+  }
+  void join() {
+    done_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+
+ private:
+  std::atomic<bool> done_{false};
+  std::thread thread_;
+};
+
 TEST(ActorStress, ManyProducersManyActorsStorm) {
   constexpr int kProducers = 4;
   constexpr int kActors = 16;
   constexpr int kPerProducer = 25000;
-  ActorSystem system(ActorSystem::Mode::kThreaded, 3);
+  ActorSystem system;
   std::atomic<std::uint64_t> received{0};
   std::vector<ActorRef> actors;
   actors.reserve(kActors);
@@ -43,6 +71,7 @@ TEST(ActorStress, ManyProducersManyActorsStorm) {
     actors.push_back(system.spawn_as<Counter>("counter", &received));
   }
 
+  Consumer consumer(system);
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
@@ -53,13 +82,13 @@ TEST(ActorStress, ManyProducersManyActorsStorm) {
     });
   }
   for (auto& t : producers) t.join();
-  system.await_idle();
+  consumer.join();
+  system.drain();
 
   constexpr std::uint64_t kTotal = std::uint64_t{kProducers} * kPerProducer;
   EXPECT_EQ(received.load(), kTotal);
   EXPECT_EQ(system.messages_processed(), kTotal);
   EXPECT_EQ(system.dead_letters(), 0u);
-  system.shutdown();
 }
 
 /// Forwards a hop-count token around a ring until it reaches zero.
@@ -81,13 +110,13 @@ class RingNode final : public Actor {
 };
 
 TEST(ActorStress, PingPongRings) {
-  // Worker-to-worker sends: each receive forwards to the next ring node, so
-  // messages originate from inside worker threads (the local-queue fast
-  // path) rather than from external producers.
+  // Actor-to-actor sends: each receive forwards to the next ring node, so
+  // most messages are told from inside the consumer's drain, while the
+  // main thread tells the ring entries into the running drain loop.
   constexpr int kRings = 4;
   constexpr int kNodesPerRing = 4;
   constexpr int kHops = 5000;
-  ActorSystem system(ActorSystem::Mode::kThreaded, 3);
+  ActorSystem system;
   std::atomic<std::uint64_t> hops{0};
 
   std::vector<ActorRef> entries;
@@ -106,28 +135,39 @@ TEST(ActorStress, PingPongRings) {
     }
     entries.push_back(refs.front());
   }
-  for (const auto& entry : entries) entry.tell(kHops);
-  system.await_idle();
-
   // Each token is received kHops + 1 times (hop counts kHops .. 0).
   constexpr std::uint64_t kExpected = std::uint64_t{kRings} * (kHops + 1);
+  Consumer consumer(system);
+  for (const auto& entry : entries) entry.tell(kHops);
+  // Let the consumer carry the tokens round; the final drain() picks up
+  // whatever it left (a stranded token would still be missing after it).
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (hops.load(std::memory_order_relaxed) < kExpected &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  consumer.join();
+  system.drain();
+
   EXPECT_EQ(hops.load(), kExpected);
   EXPECT_EQ(system.messages_processed(), kExpected);
   EXPECT_EQ(system.dead_letters(), 0u);
-  system.shutdown();
 }
 
 TEST(ActorStress, SpawnDuringStorm) {
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 10000;
   constexpr int kLateActors = 200;
-  ActorSystem system(ActorSystem::Mode::kThreaded, 3);
+  ActorSystem system;
   std::atomic<std::uint64_t> received{0};
   std::vector<ActorRef> actors;
   for (int i = 0; i < 8; ++i) {
     actors.push_back(system.spawn_as<Counter>("early", &received));
   }
 
+  // drain(), not drain_group(): spawn() grows the default group, whose
+  // membership is frozen only while drain_group() runs.
+  Consumer consumer(system);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&actors, p] {
@@ -144,13 +184,13 @@ TEST(ActorStress, SpawnDuringStorm) {
     ++late_sent;
   }
   for (auto& t : producers) t.join();
-  system.await_idle();
+  consumer.join();
+  system.drain();
 
   const std::uint64_t total = std::uint64_t{kProducers} * kPerProducer + late_sent;
   EXPECT_EQ(received.load(), total);
   EXPECT_EQ(system.messages_processed(), total);
   EXPECT_EQ(system.dead_letters(), 0u);
-  system.shutdown();
 }
 
 TEST(ActorStress, StopDuringStormLosesNothing) {
@@ -160,13 +200,14 @@ TEST(ActorStress, StopDuringStormLosesNothing) {
   constexpr int kProducers = 3;
   constexpr int kActors = 8;
   constexpr int kPerProducer = 20000;
-  ActorSystem system(ActorSystem::Mode::kThreaded, 3);
+  ActorSystem system;
   std::atomic<std::uint64_t> received{0};
   std::vector<ActorRef> actors;
   for (int i = 0; i < kActors; ++i) {
     actors.push_back(system.spawn_as<Counter>("victim", &received));
   }
 
+  Consumer consumer(system);
   std::atomic<std::uint64_t> sent{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
@@ -183,14 +224,64 @@ TEST(ActorStress, StopDuringStormLosesNothing) {
   actors[0].tell(-1);  // Actor 0 is stopped: a guaranteed dead letter.
   sent.fetch_add(1, std::memory_order_relaxed);
   for (auto& t : producers) t.join();
-  system.await_idle();
+  consumer.join();
+  system.drain();
 
   const std::uint64_t total = sent.load();
   EXPECT_EQ(total, std::uint64_t{kProducers} * kPerProducer + 1);
   EXPECT_EQ(system.messages_processed() + system.dead_letters(), total);
   EXPECT_EQ(received.load(), system.messages_processed());
   EXPECT_GT(system.dead_letters(), 0u);  // The stopped half rejected something.
-  system.shutdown();
+}
+
+TEST(ActorStress, TellRacingDrainNeverStrandsAMessage) {
+  // Each producer keeps exactly one message in flight to its own actor and
+  // waits for it to be received before telling the next, while the
+  // consumer loops drain(). Every tell races a drain visit of the same
+  // cell. A visit that misses the message must leave it visible to the
+  // next one; a skip flag the visit clears after the tell has set it would
+  // strand the message: no drain() processes it until the next tell into
+  // that cell, which its producer never sends. A 100 ms wait is far longer
+  // than a drain loop takes to reach the message, so it counts as stranded.
+  constexpr int kProducers = 3;
+  constexpr auto kBudget = std::chrono::milliseconds(1900);
+  constexpr auto kStranded = std::chrono::milliseconds(100);
+  ActorSystem system;
+  std::array<std::atomic<std::uint64_t>, kProducers> received{};
+  std::vector<ActorRef> actors;
+  for (auto& count : received) actors.push_back(system.spawn_as<Counter>("own", &count));
+
+  const auto deadline = std::chrono::steady_clock::now() + kBudget;
+  std::atomic<int> stranded{0};
+  std::atomic<std::uint64_t> sent{0};
+  Consumer consumer(system);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      const auto index = static_cast<std::size_t>(p);
+      std::uint64_t mine = 0;
+      while (stranded.load(std::memory_order_relaxed) == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        actors[index].tell(0);
+        ++mine;
+        const auto told = std::chrono::steady_clock::now();
+        while (received[index].load(std::memory_order_acquire) != mine) {
+          if (std::chrono::steady_clock::now() - told > kStranded) {
+            stranded.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+        }
+      }
+      sent.fetch_add(mine, std::memory_order_relaxed);
+    });
+  }
+  for (auto& t : producers) t.join();
+  consumer.join();
+
+  RecordProperty("tells", std::to_string(sent.load()));
+  EXPECT_EQ(stranded.load(), 0) << "after " << sent.load() << " tells";
+  system.drain();
+  EXPECT_EQ(system.messages_processed(), sent.load());
 }
 
 TEST(BusStress, SubscribeAndInternRacePublishers) {
@@ -203,7 +294,7 @@ TEST(BusStress, SubscribeAndInternRacePublishers) {
   constexpr int kPerPublisher = 4000;
   constexpr int kLateSubscribers = 16;
   constexpr int kLateTopics = 1000;
-  ActorSystem system(ActorSystem::Mode::kManual);
+  ActorSystem system;
   EventBus bus(system);
   std::atomic<std::uint64_t> received{0};
   const EventBus::TopicId hot = bus.intern("hot");

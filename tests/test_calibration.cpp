@@ -203,8 +203,8 @@ TEST(Calibration, ManualModeIsDeterministicAcrossRuns) {
 }
 
 TEST(Calibration, ThreadedFleetCalibratesEveryHostIndependently) {
-  // The TSan target: registry swaps race against formula reads across a
-  // work-stealing dispatcher. Each host owns a private registry (spec.model
+  // The TSan target: registry swaps race against formula reads across
+  // parallel host slices. Each host owns a private registry (spec.model
   // is wrapped per pipeline), so versions advance per host.
   constexpr std::size_t kHosts = 4;
   std::vector<std::unique_ptr<os::System>> hosts;

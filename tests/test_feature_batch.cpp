@@ -177,7 +177,7 @@ class ScriptedBackend final : public hpc::CounterBackend {
 };
 
 TEST(FeatureBatch, RePrimeMidChunkDropsOnlyTheRegressedRow) {
-  actors::ActorSystem actors(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem actors;
   actors::EventBus bus(actors);
   ScriptedBackend backend;
   constexpr std::int64_t kPidA = 7;

@@ -1,8 +1,8 @@
 // The power governor: policy arithmetic (rung ladders, budget shares, the
 // hysteresis/cooldown step controller), core parking in the simulated
 // machine, and the closed loop end to end — budget held without pstate
-// oscillation under a step load, parked cores re-waking, and the threaded
-// dispatcher reproducing the kManual decision series exactly.
+// oscillation under a step load, parked cores re-waking, and parallel host
+// slices reproducing the kManual decision series exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -248,7 +248,7 @@ struct Plant {
 };
 
 struct Loop {
-  actors::ActorSystem system{actors::ActorSystem::Mode::kManual};
+  actors::ActorSystem system;
   actors::EventBus bus{system};
   GovernorActor* governor = nullptr;
   actors::ActorRef ref;
@@ -430,8 +430,8 @@ TEST(GovernorScenario, ManualRunsAreByteIdenticalAndActuate) {
 }
 
 /// Per-formula machine series: (timestamp, watts) pairs in emission order.
-/// Rows of different formulas may interleave differently under the threaded
-/// dispatcher (that interleaving is not part of the determinism contract);
+/// Rows of different formulas may interleave differently under parallel
+/// host slices (that interleaving is not part of the determinism contract);
 /// within a formula, order and values must match bit-exactly.
 std::map<std::string, std::vector<std::pair<util::TimestampNs, double>>>
 series_by_formula(const scenario::HostSeries& host) {
@@ -451,7 +451,7 @@ TEST(GovernorScenario, ThreadedMatchesManualPerHostSeries) {
     const auto m = series_by_formula(manual.hosts[h]);
     const auto t = series_by_formula(threaded.hosts[h]);
     // Bit-exact: the governor's decisions (and so the DVFS trajectory)
-    // must be identical under both dispatchers.
+    // must be identical in both fleet modes.
     EXPECT_EQ(m, t) << manual.hosts[h].id;
   }
 }

@@ -662,7 +662,7 @@ class Collector final : public actors::Actor {
 };
 
 struct BridgeHarness {
-  BridgeHarness() : actors(actors::ActorSystem::Mode::kManual), bus(actors) {}
+  BridgeHarness() : bus(actors) {}
   ~BridgeHarness() { actors.shutdown(); }
 
   template <typename T>

@@ -385,7 +385,7 @@ TEST(EventBusObs, DeadLettersAreCountedAndExposed) {
   // The bundle must outlive the bus (the bus unregisters its collector on
   // destruction), so it is declared first.
   obs::Observability obs;
-  actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem system;
   actors::EventBus bus(system);
   bus.set_observability(&obs);
   const auto topic = bus.intern("nobody:listens");
@@ -398,7 +398,7 @@ TEST(EventBusObs, DeadLettersAreCountedAndExposed) {
 }
 
 TEST(EventBusObs, DeadLettersCountWithoutObservabilityToo) {
-  actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem system;
   actors::EventBus bus(system);
   bus.publish(bus.intern("void"), 1);
   EXPECT_EQ(bus.dead_letter_count(), 1u);

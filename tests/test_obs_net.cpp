@@ -350,7 +350,7 @@ class PayloadCollector final : public actors::Actor {
 
 struct WatchdogHarness {
   explicit WatchdogHarness(WatchdogOptions options = {})
-      : actors(actors::ActorSystem::Mode::kManual), bus(actors) {
+      : bus(actors) {
     auto collector = std::make_unique<PayloadCollector<Alert>>();
     alerts = &collector->items;
     bus.subscribe("obs/alert", actors.spawn("alerts", std::move(collector)));
@@ -492,7 +492,7 @@ TEST(Watchdog, RepeatsAreRateLimitedAndCounted) {
 // --- BusBridge remote-metric gauges ---
 
 struct BridgeHarness {
-  BridgeHarness() : actors(actors::ActorSystem::Mode::kManual), bus(actors) {}
+  BridgeHarness() : bus(actors) {}
   ~BridgeHarness() { actors.shutdown(); }
   actors::ActorSystem actors;
   actors::EventBus bus;
@@ -724,7 +724,7 @@ TelemetryClientOptions fast_client(std::uint16_t port) {
 }
 
 TEST(Loopback, ObsPlaneFlowsEndToEnd) {
-  actors::ActorSystem system(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem system;
   actors::EventBus bus(system);
   obs::Observability collector_obs;
   BusBridgeOptions bridge_options;

@@ -35,7 +35,7 @@ class Collector final : public actors::Actor {
 };
 
 struct Harness {
-  Harness() : actors(actors::ActorSystem::Mode::kManual), bus(actors) {}
+  Harness() : bus(actors) {}
   ~Harness() { actors.shutdown(); }
 
   template <typename T>

@@ -111,7 +111,7 @@ class ScriptedBackend final : public hpc::CounterBackend {
 };
 
 TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
-  actors::ActorSystem actors(actors::ActorSystem::Mode::kManual);
+  actors::ActorSystem actors;
   actors::EventBus bus(actors);
   ScriptedBackend backend;
   constexpr std::int64_t kPid = 42;

@@ -49,7 +49,7 @@ std::vector<std::int64_t> row_pids(const std::vector<SensorBatch>& batches) {
 }
 
 struct PipelineHarness {
-  PipelineHarness() : actors(actors::ActorSystem::Mode::kManual), bus(actors) {}
+  PipelineHarness() : bus(actors) {}
 
   /// Stop actors while the bus is still alive: post_stop hooks (e.g. the
   /// aggregator's flush) may publish.

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -216,6 +217,29 @@ TEST(Rng, GaussianMoments) {
   for (int i = 0; i < 20000; ++i) stats.add(rng.gaussian(5.0, 2.0));
   EXPECT_NEAR(stats.mean(), 5.0, 0.1);
   EXPECT_NEAR(stats.stddev(), 2.0, 0.1);
+}
+
+TEST(Rng, GaussianMatchesStdNormalDistribution) {
+  // gaussian() scales a standard normal draw; the values must equal what
+  // std::normal_distribution(mean, stddev) returns, so seeded streams (and
+  // the goldens built on them) are unchanged.
+  Rng rng(17);
+  std::mt19937_64 engine(17);
+  for (int i = 0; i < 1000; ++i) {
+    const double stddev = 0.25 * (i % 7 + 1);
+    std::normal_distribution<double> d(-1.5, stddev);
+    EXPECT_EQ(rng.gaussian(-1.5, stddev), d(engine));
+  }
+}
+
+TEST(Rng, GaussianWithZeroStddevReturnsMeanAndAdvancesLikeOne) {
+  Rng zero(19);
+  Rng one(19);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(zero.gaussian(2.5, 0.0), 2.5);
+    one.gaussian(2.5, 1.0);
+    EXPECT_EQ(zero.engine()(), one.engine()());
+  }
 }
 
 TEST(Rng, UniformIntInRange) {
