@@ -1,10 +1,10 @@
 // Experiment F2 — Figure 2 of the paper: the actor architecture. The paper
 // claims an actor "can handle millions of messages per second ... a key
 // property for supporting real-time power estimations". This google-benchmark
-// binary measures the runtime's message throughput in the configurations the
-// pipeline uses: single-actor drain, pipeline chains, event-bus fan-out, and
-// host-slice dispatch (threads draining their own groups, as FleetMonitor's
-// parallel slices do).
+// binary measures the runtime's message throughput: single-actor drain, an
+// actor chain shaped like Figure 2, event-bus fan-out (the hop that remains
+// an actor hop: aggregated rows to governor relays and fleet reporters), and
+// per-thread dispatch (threads each draining a system of their own).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -49,7 +49,9 @@ void BM_ManualDrainSingleActor(benchmark::State& state) {
 BENCHMARK(BM_ManualDrainSingleActor)->Arg(1024)->Arg(16384);
 
 void BM_ManualPipelineChain(benchmark::State& state) {
-  // Sensor -> Formula -> Aggregator -> Reporter chain, as in Figure 2.
+  // Sensor -> Formula -> Aggregator -> Reporter chain, as in Figure 2 (a
+  // host's Pipeline makes these hops plain calls; this is the actor cost
+  // they would have).
   actors::ActorSystem system;
   const auto reporter = system.spawn_as<CountingActor>("reporter");
   const auto aggregator = system.spawn_as<CountingActor>("aggregator", reporter);
@@ -70,10 +72,10 @@ void BM_EventBusFanout(benchmark::State& state) {
   actors::EventBus bus(system);
   const std::int64_t subscribers = state.range(0);
   for (std::int64_t i = 0; i < subscribers; ++i) {
-    bus.subscribe("power:estimate", system.spawn_as<CountingActor>("sub"));
+    bus.subscribe("power:aggregated", system.spawn_as<CountingActor>("sub"));
   }
   for (auto _ : state) {
-    for (int i = 0; i < 256; ++i) bus.publish("power:estimate", i);
+    for (int i = 0; i < 256; ++i) bus.publish("power:aggregated", i);
     system.drain();
   }
   state.SetItemsProcessed(state.iterations() * 256 * subscribers);
@@ -82,13 +84,13 @@ BENCHMARK(BM_EventBusFanout)->Arg(1)->Arg(8)->Arg(64);
 
 void BM_EventBusFanoutFatPayload(benchmark::State& state) {
   // Fan-out of a payload too big for inline storage (a 2 KiB sample vector,
-  // the size of a many-target SensorBatch matrix): the bus materializes it
-  // once per publish and shares it by refcount, so per-subscriber cost is a
+  // the size of a many-target feature matrix): the bus materializes it once
+  // per publish and shares it by refcount, so per-subscriber cost is a
   // pointer copy instead of a deep copy. Publishes by interned TopicId, as
-  // the pipeline components do.
+  // the pipeline does.
   actors::ActorSystem system;
   actors::EventBus bus(system);
-  const auto topic = bus.intern("sensor:burst");
+  const auto topic = bus.intern("burst");
   const std::int64_t subscribers = state.range(0);
   for (std::int64_t i = 0; i < subscribers; ++i) {
     bus.subscribe(topic, system.spawn_as<CountingActor>("sub"));
@@ -102,51 +104,47 @@ void BM_EventBusFanoutFatPayload(benchmark::State& state) {
 }
 BENCHMARK(BM_EventBusFanoutFatPayload)->Arg(1)->Arg(8)->Arg(64);
 
-// Host-slice dispatch, the path FleetMonitor's parallel mode runs: each
-// benchmark thread owns one drain group of 8 actors in a shared system,
-// tells a batch into it and drains it with drain_group(). Setup builds the
-// groups before the threads start, since membership is frozen while groups
-// drain.
+// Per-thread dispatch: each benchmark thread owns an actor system of 8
+// actors, tells a batch into it and drain()s it — parallel threads that
+// share no actor state. Setup builds the systems before the threads start.
 constexpr int kActorsPerSlice = 8;
-std::unique_ptr<actors::ActorSystem> g_slice_system;
-std::vector<actors::ActorSystem::GroupId> g_slice_groups;
+std::vector<std::unique_ptr<actors::ActorSystem>> g_slice_systems;
 std::vector<std::vector<actors::ActorRef>> g_slice_actors;
 
 void SetupSlices(const benchmark::State& state) {
-  g_slice_system = std::make_unique<actors::ActorSystem>();
-  g_slice_groups.clear();
-  g_slice_actors.assign(static_cast<std::size_t>(state.threads()), {});
-  for (auto& slice : g_slice_actors) {
-    const auto group = g_slice_system->add_group();
-    g_slice_groups.push_back(group);
+  const auto threads = static_cast<std::size_t>(state.threads());
+  g_slice_systems.clear();
+  g_slice_actors.assign(threads, {});
+  for (std::size_t t = 0; t < threads; ++t) {
+    g_slice_systems.push_back(std::make_unique<actors::ActorSystem>());
     for (int i = 0; i < kActorsPerSlice; ++i) {
-      slice.push_back(g_slice_system->spawn_in<CountingActor>(group, "slice"));
+      g_slice_actors[t].push_back(g_slice_systems[t]->spawn_as<CountingActor>("slice"));
     }
   }
 }
 
 void TeardownSlices(const benchmark::State&) {
   g_slice_actors.clear();
-  g_slice_system.reset();
+  g_slice_systems.clear();
 }
 
 void BM_HostSliceDispatch(benchmark::State& state) {
   const auto index = static_cast<std::size_t>(state.thread_index());
   const auto& slice = g_slice_actors[index];
-  const auto group = g_slice_groups[index];
+  actors::ActorSystem& system = *g_slice_systems[index];
   const std::int64_t batch = state.range(0);
   for (auto _ : state) {
     for (std::int64_t i = 0; i < batch; ++i) {
       slice[static_cast<std::size_t>(i) % slice.size()].tell(i);
     }
-    benchmark::DoNotOptimize(g_slice_system->drain_group(group));
+    benchmark::DoNotOptimize(system.drain());
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-// Wall time: the rate is the slices' combined throughput, which per-thread
-// CPU time would not show. 64 messages is a few host-ticks' worth; 8192
-// overflows each thread's mailbox node cache, so every node passes through
-// the shared spill pool and the slices no longer scale.
+// Wall time: the rate is the threads' combined throughput, which
+// per-thread CPU time would not show. 64 messages is a few host-ticks'
+// worth; 8192 overflows each thread's mailbox node cache, so every node
+// passes through the shared spill pool and the threads no longer scale.
 BENCHMARK(BM_HostSliceDispatch)
     ->Arg(64)
     ->Arg(8192)

@@ -77,7 +77,7 @@ void fleet_tick_obs_bench(benchmark::State& state, ObsState obs_state) {
     spec.with_powerspy = false;
     const std::size_t index = fleet.add_host(*host, spec);
     fleet.monitor_all(index);
-    // Consume the aggregated rows: a complete graph, no dead letters.
+    // Consume the aggregated rows, as a deployment would.
     fleet.add_callback_reporter(index, [](const api::AggregatedPower&) {});
   }
 
@@ -85,12 +85,6 @@ void fleet_tick_obs_bench(benchmark::State& state, ObsState obs_state) {
     fleet.run_for(util::ms_to_ns(1));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kHostCount));
-  if (obs_state == ObsState::kEnabled) {
-    const auto snap = fleet.observability()->metrics.snapshot();
-    state.counters["trace_events"] =
-        static_cast<double>(fleet.observability()->trace.size());
-    state.counters["messages"] = snap.value_of("actors.messages_processed");
-  }
 }
 
 void BM_FleetTick_NoObs(benchmark::State& state) {

@@ -1,10 +1,13 @@
 // Actor base class and supervision policy.
 //
-// The paper's architecture (Figure 2) is a pipeline of actor components —
-// Sensor, Formula, Aggregator, Reporter — processing messages event-driven.
-// This base class provides the single-threaded receive guarantee, lifecycle
-// hooks and a per-actor supervision directive applied by the system when
-// receive throws.
+// The paper's architecture (Figure 2) wires Sensor, Formula, Aggregator and
+// Reporter components as actors. Within one host those hops are plain calls
+// here (powerapi/pipeline.h); actors remain where a message crosses a
+// thread or a process, or fans out to fleet-level consumers: reporters
+// spawned on a bus topic, the governor and its relays, the collector's
+// fleet aggregation. This base class provides the single-threaded receive
+// guarantee, lifecycle hooks and a per-actor supervision directive applied
+// by the system when receive throws.
 #pragma once
 
 #include <any>
@@ -25,8 +28,8 @@ class Actor {
   virtual ~Actor() = default;
 
   /// Handles one message. Must only be called by the actor system's drain
-  /// (one group drains on one thread at a time, so the same actor never
-  /// receives concurrently).
+  /// (one thread drains at a time, so the same actor never receives
+  /// concurrently).
   virtual void receive(Envelope& envelope) = 0;
 
   /// Lifecycle hooks.

@@ -16,7 +16,6 @@ void ActorRef::tell(Payload payload, ActorRef sender) const {
 }
 
 ActorSystem::ActorSystem(obs::Observability* obs) : obs_(obs) {
-  groups_.push_back(std::make_unique<Group>());  // kDefaultGroup.
   if (obs_ != nullptr) {
     mailbox_latency_ = &obs_->metrics.histogram("actors.mailbox.latency_ns");
     // Depth-style gauges are computed only when someone snapshots — per-event
@@ -60,15 +59,8 @@ ActorSystem::~ActorSystem() {
   }
 }
 
-ActorRef ActorSystem::spawn(std::string name, std::unique_ptr<Actor> actor,
-                           GroupId group) {
+ActorRef ActorSystem::spawn(std::string name, std::unique_ptr<Actor> actor) {
   if (!actor) throw std::invalid_argument("ActorSystem::spawn: null actor");
-  {
-    std::lock_guard lock(cells_mutex_);
-    if (group >= groups_.size()) {
-      throw std::out_of_range("ActorSystem::spawn: no such group");
-    }
-  }
   auto cell = std::make_unique<Cell>();
   cell->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   if ((cell->id >> kChunkBits) >= kMaxChunks) {
@@ -89,18 +81,10 @@ ActorRef ActorSystem::spawn(std::string name, std::unique_ptr<Actor> actor,
       chunks_[chunk_index].store(chunk, std::memory_order_release);
     }
     chunk->slots[cell->id & kChunkMask].store(cell.get(), std::memory_order_release);
-    cell->group = groups_[group].get();
-    cell->group->cells.push_back(cell.get());
     cells_.push_back(std::move(cell));
     cells_version_.fetch_add(1, std::memory_order_release);
   }
   return ref;
-}
-
-ActorSystem::GroupId ActorSystem::add_group() {
-  std::lock_guard lock(cells_mutex_);
-  groups_.push_back(std::make_unique<Group>());
-  return static_cast<GroupId>(groups_.size() - 1);
 }
 
 ActorSystem::Cell* ActorSystem::lookup(ActorId id) const noexcept {
@@ -115,13 +99,6 @@ ActorSystem::Cell* ActorSystem::find_cell(ActorId id) const noexcept {
   Cell* cell = lookup(id);
   if (cell == nullptr || cell->stopped.load(std::memory_order_acquire)) return nullptr;
   return cell;
-}
-
-std::uint64_t ActorSystem::messages_processed() const {
-  std::uint64_t total = messages_processed_.load(std::memory_order_relaxed);
-  std::lock_guard lock(cells_mutex_);
-  for (const auto& group : groups_) total += group->processed.load(std::memory_order_relaxed);
-  return total;
 }
 
 std::size_t ActorSystem::actor_count() const {
@@ -142,9 +119,6 @@ void ActorSystem::tell(const ActorRef& target, Payload payload, ActorRef sender)
   Envelope envelope{std::move(payload), sender};
   if (obs_ != nullptr && obs_->enabled()) envelope.enqueue_ns = obs::wall_now_ns();
   cell->mailbox.push(std::move(envelope));
-  // Publish the group hint after the push so a drain round that takes the
-  // hint also observes the message.
-  cell->group->has_mail.store(true, std::memory_order_release);
 }
 
 void ActorSystem::handle_failure(Cell& cell, const std::exception& error) {
@@ -236,47 +210,12 @@ std::size_t ActorSystem::drain(std::size_t max_messages) {
   return processed;
 }
 
-std::size_t ActorSystem::drain_group(GroupId group, std::size_t max_messages) {
-  // No lock: membership is frozen while groups drain concurrently, and a
-  // spawn into this group from one of its own actors (same thread) is seen
-  // by the size re-read below.
-  Group& owner = *groups_.at(group);
-  const std::vector<Cell*>& cells = owner.cells;
-  // Rounds run while the last one progressed or the hint is set. Each round
-  // clears the hint before its visits: mail told after the clear sets it
-  // again, mail told before it is seen by the visits (acquire).
-  const auto take_hint = [&owner] {
-    return owner.has_mail.load(std::memory_order_relaxed) &&
-           owner.has_mail.exchange(false, std::memory_order_acquire);
-  };
-  std::size_t processed = 0;
-  bool progressed = false;
-  while (processed < max_messages && (progressed || take_hint())) {
-    progressed = false;
-    for (std::size_t i = 0; i < cells.size() && processed < max_messages; ++i) {
-      if (drain_visit(*cells[i])) {
-        ++processed;
-        progressed = true;
-      }
-    }
-  }
-  // Cut short by the cap: mail may remain.
-  if (processed >= max_messages) owner.has_mail.store(true, std::memory_order_relaxed);
-  // Only this thread writes the group's count: no read-modify-write, and no
-  // line shared with groups draining on other threads.
-  if (processed != 0) {
-    owner.processed.store(owner.processed.load(std::memory_order_relaxed) + processed,
-                          std::memory_order_relaxed);
-  }
-  return processed;
-}
-
 void ActorSystem::stop(const ActorRef& ref) {
   Cell* cell = ref.system() == this ? find_cell(ref.id()) : nullptr;
   if (cell == nullptr) return;
   cell->stopped.store(true, std::memory_order_release);
-  // The backlog keeps its hint set: the next drain visit turns it into
-  // dead letters.
+  // The backlog keeps its mailbox size raised: the next drain visit turns
+  // it into dead letters.
   cell->actor->post_stop();
 }
 

@@ -1,5 +1,5 @@
 // MPSC actor mailbox: many producers (any thread may tell), one consumer
-// (a cell's drain group drains on one thread at a time).
+// (one thread drains the actor system at a time).
 //
 // Implementation: Vyukov-style intrusive MPSC node queue. push() is
 // wait-free for practical purposes (one atomic exchange + one store, no

@@ -4,7 +4,7 @@
 // CpuPowerModel copy" design could not give: (1) one immutable model shared
 // by every consumer (a fleet's 32 RegressionFormulas reference one snapshot
 // instead of 32 copies), and (2) atomic replacement while the pipeline is
-// running (the CalibrationActor publishes a refit without stopping a tick).
+// running (the Calibrator publishes a refit without stopping a tick).
 //
 // Snapshots are immutable `shared_ptr<const Snapshot>` replaced under a
 // mutex (libstdc++ 12's std::atomic<std::shared_ptr> releases a load's

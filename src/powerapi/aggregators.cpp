@@ -1,17 +1,12 @@
 #include "powerapi/aggregators.h"
 
-#include <any>
-
 namespace powerapi::api {
 
-Aggregator::Aggregator(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                       AggregationDimension dimension, GroupResolver group_of,
-                       obs::Observability* obs)
-    : bus_(&bus),
-      out_topic_(out_topic),
-      dimension_(dimension),
-      group_of_(std::move(group_of)) {
-  stage_.attach(obs, "pipeline.aggregated_rows");
+Aggregator::Aggregator(AggregationDimension dimension, GroupResolver group_of,
+                       obs::Observability* obs, std::string_view name)
+    : dimension_(dimension),
+      group_of_(std::move(group_of)),
+      stage_(obs, name, "pipeline.aggregated_rows") {
   if (obs != nullptr) {
     tick_to_aggregate_ = &obs->metrics.histogram("pipeline.tick_to_aggregate_ns");
   }
@@ -22,30 +17,31 @@ void Aggregator::record_latency(std::int64_t tick_wall_ns) {
   tick_to_aggregate_->record(obs::wall_now_ns() - tick_wall_ns);
 }
 
-void Aggregator::emit_group_rows(const std::string& formula) {
+void Aggregator::emit_group_rows(const std::string& formula,
+                                 std::vector<AggregatedPower>& out) {
   auto& bucket = pending_groups_[formula];
   for (const auto& [group, watts] : bucket.watts_by_group) {
-    AggregatedPower out;
-    out.timestamp = bucket.timestamp;
-    out.pid = kMachinePid;
-    out.group = group;
-    out.formula = formula;
-    out.watts = watts;
-    out.seq = bucket.seq;
-    bus_->publish(out_topic_, std::move(out), self());
+    AggregatedPower& row = out.emplace_back();
+    row.timestamp = bucket.timestamp;
+    row.pid = kMachinePid;
+    row.group = group;
+    row.formula = formula;
+    row.watts = watts;
+    row.seq = bucket.seq;
     stage_.count();
   }
   record_latency(bucket.tick_wall_ns);
   bucket.watts_by_group.clear();
 }
 
-void Aggregator::absorb(const std::string& formula, util::TimestampNs timestamp,
-                        std::int64_t pid, double watts, std::uint64_t seq,
-                        std::int64_t tick_wall_ns) {
+void Aggregator::absorb_row(const std::string& formula, util::TimestampNs timestamp,
+                            std::int64_t pid, double watts, std::uint64_t seq,
+                            std::int64_t tick_wall_ns,
+                            std::vector<AggregatedPower>& out) {
   if (dimension_ == AggregationDimension::kGroup) {
     auto& bucket = pending_groups_[formula];
     if (!bucket.watts_by_group.empty() && timestamp > bucket.timestamp) {
-      emit_group_rows(formula);
+      emit_group_rows(formula, out);
     }
     bucket.timestamp = timestamp;
     bucket.seq = seq;
@@ -62,13 +58,12 @@ void Aggregator::absorb(const std::string& formula, util::TimestampNs timestamp,
 
   if (dimension_ == AggregationDimension::kPid) {
     // Per-PID view: forward every row unchanged.
-    AggregatedPower out;
-    out.timestamp = timestamp;
-    out.pid = pid;
-    out.formula = formula;
-    out.watts = watts;
-    out.seq = seq;
-    bus_->publish(out_topic_, std::move(out), self());
+    AggregatedPower& row = out.emplace_back();
+    row.timestamp = timestamp;
+    row.pid = pid;
+    row.formula = formula;
+    row.watts = watts;
+    row.seq = seq;
     stage_.count();
     record_latency(tick_wall_ns);
     return;
@@ -76,7 +71,7 @@ void Aggregator::absorb(const std::string& formula, util::TimestampNs timestamp,
 
   auto it = pending_.find(formula);
   if (it != pending_.end() && timestamp > it->second.timestamp) {
-    emit(formula, it->second);
+    emit(formula, it->second, out);
     pending_.erase(it);
     it = pending_.end();
   }
@@ -96,38 +91,35 @@ void Aggregator::absorb(const std::string& formula, util::TimestampNs timestamp,
   }
 }
 
-void Aggregator::emit(const std::string& formula, const Group& group) {
-  AggregatedPower out;
-  out.timestamp = group.timestamp;
-  out.pid = kMachinePid;
-  out.formula = formula;
+void Aggregator::emit(const std::string& formula, const Group& group,
+                      std::vector<AggregatedPower>& out) {
+  AggregatedPower& row = out.emplace_back();
+  row.timestamp = group.timestamp;
+  row.pid = kMachinePid;
+  row.formula = formula;
   // Prefer the machine-scope estimate when the formula produced one (it
   // includes the idle floor); otherwise sum the per-process estimates.
-  out.watts = group.has_machine_row ? group.machine_watts : group.sum_watts;
-  out.seq = group.seq;
-  bus_->publish(out_topic_, std::move(out), self());
+  row.watts = group.has_machine_row ? group.machine_watts : group.sum_watts;
+  row.seq = group.seq;
   stage_.count();
   record_latency(group.tick_wall_ns);
 }
 
-void Aggregator::receive(actors::Envelope& envelope) {
-  // One EstimateBatch carries a formula's rows for one tick; they are
-  // absorbed front to back.
-  const auto* batch = envelope.payload.get<EstimateBatch>();
-  if (batch == nullptr || !batch->features) return;
-  const auto span = stage_.span(name(), batch->seq);
-  const std::size_t rows = batch->features->rows();
-  for (std::size_t i = 0; i < rows && i < batch->watts.size(); ++i) {
-    absorb(batch->formula, batch->timestamp, batch->features->pid(i), batch->watts[i],
-           batch->seq, batch->tick_wall_ns);
+void Aggregator::absorb(const EstimateBatch& batch, std::vector<AggregatedPower>& out) {
+  if (!batch.features) return;
+  const auto span = stage_.span(batch.seq);
+  const std::size_t rows = batch.features->rows();
+  for (std::size_t i = 0; i < rows && i < batch.watts.size(); ++i) {
+    absorb_row(batch.formula, batch.timestamp, batch.features->pid(i), batch.watts[i],
+               batch.seq, batch.tick_wall_ns, out);
   }
 }
 
-void Aggregator::post_stop() {
-  for (const auto& [formula, group] : pending_) emit(formula, group);
+void Aggregator::flush(std::vector<AggregatedPower>& out) {
+  for (const auto& [formula, group] : pending_) emit(formula, group, out);
   pending_.clear();
   for (auto& [formula, bucket] : pending_groups_) {
-    if (!bucket.watts_by_group.empty()) emit_group_rows(formula);
+    if (!bucket.watts_by_group.empty()) emit_group_rows(formula, out);
   }
   pending_groups_.clear();
 }

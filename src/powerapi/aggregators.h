@@ -1,6 +1,7 @@
-// Aggregator actor: groups the rows of the formulas' EstimateBatches along a
-// dimension (the paper names PID and timestamp) before they reach
-// reporters.
+// Aggregation: the Aggregator stage groups the rows of a host's
+// EstimateBatches along a dimension (the paper names PID and timestamp)
+// before they reach reporters; FleetSum and the FleetAggregator actor sum
+// machine rows across hosts.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,23 +27,23 @@ enum class AggregationDimension {
   kGroup,      ///< Sum per process group — the cgroup/VM view.
 };
 
-class Aggregator final : public actors::Actor {
+/// The aggregation stage of one host's pipeline. The Pipeline absorbs each
+/// tick's estimate batches in formula order; completed rows are appended to
+/// the caller's `out`, in emit order.
+class Aggregator final {
  public:
   /// Resolves a pid to its group label (kGroup dimension only); processes
   /// whose resolver returns "" aggregate under the empty group.
   using GroupResolver = std::function<std::string(std::int64_t pid)>;
 
-  Aggregator(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-             AggregationDimension dimension)
-      : Aggregator(bus, out_topic, dimension, GroupResolver{}) {}
-  Aggregator(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-             AggregationDimension dimension, GroupResolver group_of,
-             obs::Observability* obs = nullptr);
+  explicit Aggregator(AggregationDimension dimension, GroupResolver group_of = {},
+                      obs::Observability* obs = nullptr, std::string_view name = {});
 
-  void receive(actors::Envelope& envelope) override;
+  /// Absorbs one formula's rows for one tick, front to back.
+  void absorb(const EstimateBatch& batch, std::vector<AggregatedPower>& out);
 
-  /// Flushes any pending timestamp groups (call at end of monitoring).
-  void post_stop() override;
+  /// Emits every pending group (call at end of monitoring).
+  void flush(std::vector<AggregatedPower>& out);
 
  private:
   struct Group {
@@ -50,18 +52,18 @@ class Aggregator final : public actors::Actor {
     bool has_machine_row = false;
     double machine_watts = 0.0;
     std::uint64_t seq = 0;           ///< Tick seq of the grouped estimates.
-    std::int64_t tick_wall_ns = 0;   ///< Wall time the tick was published.
+    std::int64_t tick_wall_ns = 0;   ///< Wall time the tick was issued.
   };
 
-  void emit(const std::string& formula, const Group& group);
-  void emit_group_rows(const std::string& formula);
+  void emit(const std::string& formula, const Group& group,
+            std::vector<AggregatedPower>& out);
+  void emit_group_rows(const std::string& formula, std::vector<AggregatedPower>& out);
   /// One estimate row of an EstimateBatch entering the dimension logic.
-  void absorb(const std::string& formula, util::TimestampNs timestamp, std::int64_t pid,
-              double watts, std::uint64_t seq, std::int64_t tick_wall_ns);
+  void absorb_row(const std::string& formula, util::TimestampNs timestamp,
+                  std::int64_t pid, double watts, std::uint64_t seq,
+                  std::int64_t tick_wall_ns, std::vector<AggregatedPower>& out);
   void record_latency(std::int64_t tick_wall_ns);
 
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;  ///< The namespace's "power:aggregated".
   AggregationDimension dimension_;
   GroupResolver group_of_;
   /// Per-formula group under construction; emitted when a newer timestamp
@@ -76,7 +78,7 @@ class Aggregator final : public actors::Actor {
   };
   std::map<std::string, GroupBucket> pending_groups_;
   StageObs stage_;
-  /// End-to-end pipeline latency: tick publish → aggregated row emit.
+  /// End-to-end pipeline latency: tick issued → aggregated row emitted.
   obs::Histogram* tick_to_aggregate_ = nullptr;
 };
 

@@ -14,20 +14,15 @@ namespace {
 constexpr std::size_t kMaxPending = 64;
 }  // namespace
 
-CalibrationActor::CalibrationActor(actors::EventBus& bus,
-                                   actors::EventBus::TopicId out_topic,
-                                   std::shared_ptr<model::ModelRegistry> registry,
-                                   CalibrationOptions options)
-    : bus_(&bus),
-      out_topic_(out_topic),
-      registry_(std::move(registry)),
-      options_(std::move(options)) {
-  if (!registry_) throw std::invalid_argument("CalibrationActor: null registry");
+Calibrator::Calibrator(std::shared_ptr<model::ModelRegistry> registry,
+                       CalibrationOptions options)
+    : registry_(std::move(registry)), options_(std::move(options)) {
+  if (!registry_) throw std::invalid_argument("Calibrator: null registry");
   if (options_.events.empty()) {
     options_.events.assign(hpc::paper_events().begin(), hpc::paper_events().end());
   }
   if (options_.drift_window == 0) {
-    throw std::invalid_argument("CalibrationActor: zero drift window");
+    throw std::invalid_argument("Calibrator: zero drift window");
   }
   if (options_.min_samples_per_fit < options_.events.size() + 2) {
     // Below this the fit is under-determined by construction; raise the gate.
@@ -35,24 +30,27 @@ CalibrationActor::CalibrationActor(actors::EventBus& bus,
   }
 }
 
-void CalibrationActor::receive(actors::Envelope& envelope) {
+void Calibrator::on_update(UpdateCallback callback) {
+  callbacks_.push_back(std::move(callback));
+}
+
+void Calibrator::observe(const SensorBatch& batch) {
   // Only machine rows pair: the HPC batch's feature row with the meter
   // batch's measured watts at the same tick timestamp.
-  const auto* batch = envelope.payload.get<SensorBatch>();
-  if (batch == nullptr || !batch->features) return;
-  const model::FeatureMatrix& rows = *batch->features;
+  if (!batch.features) return;
+  const model::FeatureMatrix& rows = *batch.features;
   const std::size_t machine = rows.find_machine_row();
   if (machine == rows.rows()) return;
 
   Pending* entry = nullptr;
-  switch (batch->sensor) {
+  switch (batch.sensor) {
     case SensorKind::kHpc:
-      entry = &pending_[batch->timestamp];
+      entry = &pending_[batch.timestamp];
       entry->features = rows.row(machine);
       break;
     case SensorKind::kPowerSpy:
     case SensorKind::kRapl:
-      entry = &pending_[batch->timestamp];
+      entry = &pending_[batch.timestamp];
       entry->measured_watts =
           rows.lane(model::FeatureMatrix::kMeasuredWattsLane)[machine];
       break;
@@ -60,23 +58,22 @@ void CalibrationActor::receive(actors::Envelope& envelope) {
       return;
   }
 
-  complete_if_paired(batch->timestamp, *entry);
+  complete_if_paired(batch.timestamp, *entry);
   while (pending_.size() > kMaxPending) pending_.erase(pending_.begin());
 }
 
-void CalibrationActor::complete_if_paired(util::TimestampNs timestamp, Pending& entry) {
+void Calibrator::complete_if_paired(util::TimestampNs timestamp, Pending& entry) {
   if (!entry.features || !entry.measured_watts) return;
   const model::FeatureVector features = *entry.features;
   const double watts = *entry.measured_watts;
-  // Everything at or before a completed pair is done: sensors publish per
-  // tick, and ticks drain in order in both fleet modes.
+  // Everything at or before a completed pair is done: sensors sample once
+  // per tick, and a host's ticks run in order.
   pending_.erase(pending_.begin(), pending_.upper_bound(timestamp));
   on_pair(timestamp, features, watts);
 }
 
-void CalibrationActor::on_pair(util::TimestampNs timestamp,
-                               const model::FeatureVector& features,
-                               double measured_watts) {
+void Calibrator::on_pair(util::TimestampNs timestamp,
+                         const model::FeatureVector& features, double measured_watts) {
   const model::ModelRegistry::Snapshot& snapshot = registry_->refresh(pinned_);
 
   // Rolling drift: how far is the deployed model from the meter right now?
@@ -116,8 +113,7 @@ void CalibrationActor::on_pair(util::TimestampNs timestamp,
   refit(timestamp, features);
 }
 
-void CalibrationActor::refit(util::TimestampNs timestamp,
-                             const model::FeatureVector& latest) {
+void Calibrator::refit(util::TimestampNs timestamp, const model::FeatureVector& latest) {
   // Warmup gate, applied to the regime that is actually drifting: the bin
   // the latest sample landed in must be ready, or the swap would not
   // address the error that triggered it.
@@ -184,7 +180,7 @@ void CalibrationActor::refit(util::TimestampNs timestamp,
   update.pre_swap_error_watts = pre_swap_error;
   update.samples_used = paired_samples_;
   update.bins_refit = bins_refit;
-  bus_->publish(out_topic_, update, self());
+  for (const UpdateCallback& callback : callbacks_) callback(update);
 }
 
 }  // namespace powerapi::api

@@ -2,8 +2,8 @@
 //
 // The offline Trainer (Figure 1) learns the per-frequency regression once,
 // against a hermetic stress sweep; counter-based models drift as the real
-// workload mix departs from that sweep. The CalibrationActor closes the
-// loop inside the running pipeline: it pairs the HPC sensor's machine-scope
+// workload mix departs from that sweep. The Calibrator closes the loop
+// inside the running pipeline: it pairs the HPC sensor's machine-scope
 // feature rows with the meter's ground-truth watts (PowerSpy or RAPL, on
 // the same tick timestamps), accumulates per-frequency streaming
 // regressions, and — when the rolling estimate-vs-ground-truth error drifts
@@ -11,10 +11,13 @@
 // every RegressionFormula reads through. A warmup gate keeps an
 // under-determined fit from ever being swapped in.
 //
-//   sensor:hpc ──┐
-//                ├─→ CalibrationActor ──(registry.publish)──→ RegressionFormula
-//   sensor:powerspy ┘        │
-//                            └─→ "calibration:updated" (ModelUpdated)
+//   HpcSensor batch ───────┐
+//                          ├─→ Calibrator ──(registry.publish)──→ RegressionFormula
+//   PowerSpy/RAPL batch ───┘       │                               (from the next tick)
+//                                  └─→ update callbacks (ModelUpdated)
+//
+// The Pipeline calls observe() after the tick's regression estimate, so a
+// swap at tick t first shows in tick t+1's estimates.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +28,6 @@
 #include <optional>
 #include <vector>
 
-#include "actors/actor.h"
-#include "actors/event_bus.h"
 #include "hpc/events.h"
 #include "mathx/incremental_ols.h"
 #include "model/feature_vector.h"
@@ -58,7 +59,7 @@ struct CalibrationOptions {
   bool non_negative = true;
 };
 
-/// Published on "calibration:updated" after every registry swap.
+/// Passed to every update callback after a registry swap.
 struct ModelUpdated {
   util::TimestampNs timestamp = 0;
   std::uint64_t version = 0;            ///< The registry version swapped in.
@@ -70,16 +71,22 @@ struct ModelUpdated {
 /// Pairs the HPC batch's machine row with the meter batch's measured watts
 /// (told apart by SensorBatch::sensor) by tick timestamp, maintains
 /// one IncrementalOls per observed frequency bin, and swaps the registry on
-/// drift. Single actor: the streaming state needs no locks even when host
-/// slices drain in parallel, and timestamp-keyed pairing makes the result
-/// independent of hpc-vs-meter arrival order.
-class CalibrationActor final : public actors::Actor {
+/// drift. One per host pipeline, called only by the thread that runs that
+/// host: the streaming state needs no locks, and timestamp-keyed pairing
+/// makes the result independent of hpc-vs-meter call order.
+class Calibrator final {
  public:
-  CalibrationActor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                   std::shared_ptr<model::ModelRegistry> registry,
-                   CalibrationOptions options);
+  using UpdateCallback = std::function<void(const ModelUpdated&)>;
 
-  void receive(actors::Envelope& envelope) override;
+  Calibrator(std::shared_ptr<model::ModelRegistry> registry, CalibrationOptions options);
+
+  /// Absorbs one sensor batch: HPC batches supply features, PowerSpy and
+  /// RAPL batches ground truth; others are ignored.
+  void observe(const SensorBatch& batch);
+
+  /// Calls `callback` after every swap, on the thread that observed the
+  /// batch completing the triggering pair, in registration order.
+  void on_update(UpdateCallback callback);
 
  private:
   struct Pending {
@@ -104,8 +111,6 @@ class CalibrationActor final : public actors::Actor {
                double measured_watts);
   void refit(util::TimestampNs timestamp, const model::FeatureVector& latest);
 
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   std::shared_ptr<model::ModelRegistry> registry_;
   /// on_pair's pin on the deployed snapshot (ModelRegistry::refresh).
   std::shared_ptr<const model::ModelRegistry::Snapshot> pinned_;
@@ -117,21 +122,7 @@ class CalibrationActor final : public actors::Actor {
   double drift_error_sum_ = 0.0;
   std::uint64_t paired_samples_ = 0;
   std::optional<util::TimestampNs> last_refit_;
-};
-
-/// Invokes a user callback per ModelUpdated — how examples and embedders
-/// observe swaps (Pipeline::add_model_update_callback spawns one).
-class ModelUpdateCallback final : public actors::Actor {
- public:
-  using Callback = std::function<void(const ModelUpdated&)>;
-  explicit ModelUpdateCallback(Callback callback) : callback_(std::move(callback)) {}
-
-  void receive(actors::Envelope& envelope) override {
-    if (const auto* update = envelope.payload.get<ModelUpdated>()) callback_(*update);
-  }
-
- private:
-  Callback callback_;
+  std::vector<UpdateCallback> callbacks_;
 };
 
 }  // namespace powerapi::api

@@ -77,21 +77,18 @@ std::size_t FleetMonitor::add_host(os::MonitorableHost& host, PipelineSpec spec)
   const std::size_t index = entries_.size();
   auto entry = std::make_unique<HostEntry>();
   entry->host = &host;
-  entry->group = actors_.add_group();
   // The fleet's bundle observes every host pipeline unless the spec brought
   // its own.
   if (obs_ != nullptr && spec.observability == nullptr) {
     spec.observability = obs_.get();
   }
-  const std::string ns = "h" + std::to_string(index) + "/";
-  PipelineBuilder builder(actors_, bus_);
-  entry->pipeline = builder.build(host, std::move(spec), ns, entry->group);
+  entry->pipeline = std::make_unique<Pipeline>(actors_, bus_, host, std::move(spec),
+                                               "h" + std::to_string(index) + "/");
   if (options_.fleet_aggregation) {
-    const auto tap = actors_.spawn_in<CallbackReporter>(
-        entry->group, ns + "fleet-tap", [rows = &entry->fleet_rows](const AggregatedPower& row) {
+    entry->pipeline->add_callback_reporter(
+        [rows = &entry->fleet_rows](const AggregatedPower& row) {
           if (FleetSum::counts(row)) rows->push_back(row);
         });
-    bus_.subscribe(entry->pipeline->aggregated_topic(), tap);
   }
   entries_.push_back(std::move(entry));
   return index;
@@ -163,13 +160,8 @@ void FleetMonitor::write_chrome_trace(std::ostream& out) const {
 }
 
 void FleetMonitor::settle() {
-  // Host groups first (their rows feed the fold), then the fleet level;
-  // repeat while the fleet level did anything, since it may tell hosts. A
-  // host group its slice already drained costs one load of its drain hint.
-  do {
-    for (const auto& entry : entries_) actors_.drain_group(entry->group);
-    fold_fleet_rows();
-  } while (actors_.drain_group(actors::ActorSystem::kDefaultGroup) != 0);
+  fold_fleet_rows();
+  actors_.drain();
 }
 
 void FleetMonitor::fold_fleet_rows() {
@@ -238,8 +230,7 @@ void FleetMonitor::run_slice(std::size_t slice) {
   for (std::size_t i = slice_begin_[slice]; i < slice_begin_[slice + 1]; ++i) {
     HostEntry& entry = *entries_[i];
     entry.host->advance(step_);
-    entry.pipeline->publish_due_ticks();
-    actors_.drain_group(entry.group);
+    entry.pipeline->run_due_ticks();
   }
 }
 

@@ -1,33 +1,34 @@
-// FleetMonitor: one actor system monitoring N hosts in parallel.
+// FleetMonitor: N hosts monitored in parallel host slices.
 //
-// Each host gets its own pipeline under topic namespace "h<i>/", and every
-// actor of it (the reporters attached later included) joins the host's
-// drain group. run_for() cuts time into steps of the smallest pipeline
-// period and the fleet into contiguous slices of hosts, one per thread:
-// min(hosts, workers + 1, CPUs) slices in threaded mode, one in kManual —
-// the same code either way. The caller runs slice 0; the other slices run on
-// plain threads, one hand-off per step: the caller releases a step by
-// bumping an epoch, each slice thread counts itself out when done, and the
-// last one wakes the caller. Both sides spin briefly before they park in
-// atomic::wait (see fleet_monitor.cpp for the budgets). For each
-// host of its slice, a thread advances the host, publishes its due ticks
-// and drains the host's group to quiescence in spawn order (the kManual
-// round-robin). A host is only ever touched by its slice's thread, so its
-// series is bit-for-bit the same at every slice count, and the same as a
-// standalone kManual PowerMeter over an identically constructed host.
+// Each host gets its own Pipeline under topic namespace "h<i>/": a plain
+// call chain (sensors → formulas → calibration → aggregator → reporters)
+// that runs on whichever thread advances the host. run_for() cuts time into
+// steps of the smallest pipeline period and the fleet into contiguous
+// slices of hosts, one per thread: min(hosts, workers + 1, CPUs) slices in
+// threaded mode, one in kManual — the same code either way. The caller runs
+// slice 0; the other slices run on plain threads, one hand-off per step:
+// the caller releases a step by bumping an epoch, each slice thread counts
+// itself out when done, and the last one wakes the caller. Both sides spin
+// briefly before they park in atomic::wait (see fleet_monitor.cpp for the
+// budgets). For each host of its slice, a thread advances the host and runs
+// its due ticks through the pipeline. A host is only ever touched by its
+// slice's thread, so its series is bit-for-bit the same at every slice
+// count, and the same as a standalone kManual PowerMeter over an
+// identically constructed host.
 //
-// Everything spawned through actor_system() without a group — the governor
-// and its relays, fleet reporters, sinks, a watchdog — is fleet-level: it
-// drains on the caller in settle(), after the hand-off. Slice threads only
-// tell() into it (mailboxes are MPSC), so the actor system is always
-// kManual.
+// Everything spawned through actor_system() — the governor and its relays,
+// fleet reporters, sinks, a watchdog, a metrics reporter — is fleet-level:
+// slice threads only tell() into it (mailboxes are MPSC, e.g. a relay
+// subscribed to "h3/power:aggregated"), and the caller drains it in
+// settle(), after the hand-off.
 //
-// The fleet dimension: each host's machine-scope aggregated rows land in a
-// host-local buffer. After every step the caller folds the buffers in host
-// order (FleetSum, the bucket logic the collector-side FleetAggregator also
-// uses) and publishes per-formula sums across hosts on
-// "fleet/power:aggregated" once all hosts have reported a timestamp. The
-// fixed fold order makes fleet rows, too, identical at every slice count.
+// The fleet dimension: each host's machine-scope aggregated rows are
+// appended to a host-local buffer by a reporter the fleet attaches first.
+// After every step the caller folds the buffers in host order (FleetSum,
+// the bucket logic the collector-side FleetAggregator also uses) and
+// publishes per-formula sums across hosts on "fleet/power:aggregated" once
+// all hosts have reported a timestamp. The fixed fold order makes fleet
+// rows, too, identical at every slice count.
 #pragma once
 
 #include <atomic>
@@ -121,12 +122,16 @@ class FleetMonitor {
   /// hosts (the governor's actuation channel) or inject messages; anything
   /// it sends is processed before the next step advances. Step boundaries
   /// depend only on pipeline periods.
+  ///
+  /// A host, stage or reporter that throws on any slice stops the step;
+  /// run_for rethrows the first such error after every slice has counted
+  /// itself out, and a later run_for continues from there.
   void run_for(util::DurationNs duration,
                const std::function<void(util::DurationNs advanced_ns)>& on_chunk);
 
-  /// Drains every host group and the fleet-level actors until the whole
-  /// system is quiescent, folding the fleet dimension on the way. Caller
-  /// thread only, between run_for calls or inside on_chunk.
+  /// Folds the fleet dimension, then drains the fleet-level actors until
+  /// the system is quiescent. Caller thread only, between run_for calls or
+  /// inside on_chunk.
   void settle();
 
   /// Flushes every pipeline's pending aggregation groups, then the fleet
@@ -141,7 +146,6 @@ class FleetMonitor {
   struct HostEntry {
     os::MonitorableHost* host = nullptr;
     std::unique_ptr<Pipeline> pipeline;
-    actors::ActorSystem::GroupId group = actors::ActorSystem::kDefaultGroup;
     /// Machine rows awaiting the fleet fold; filled by the host's slice.
     std::vector<AggregatedPower> fleet_rows;
   };
@@ -152,7 +156,7 @@ class FleetMonitor {
   void stop_slices();
   /// A slice thread's loop; `epoch` is the step epoch when it was created.
   void slice_loop(std::size_t slice, std::uint32_t epoch);
-  /// Advances, ticks and drains every host of one slice by step_.
+  /// Advances every host of one slice by step_ and runs its due ticks.
   void run_slice(std::size_t slice);
   /// Runs every slice for one step and rethrows the first slice failure.
   void step_hosts(util::DurationNs step);

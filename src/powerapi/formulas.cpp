@@ -1,6 +1,6 @@
 #include "powerapi/formulas.h"
 
-#include <any>
+#include <utility>
 
 namespace powerapi::api {
 
@@ -23,26 +23,21 @@ EstimateBatch estimates_for(const SensorBatch& batch, std::string formula) {
 
 // --- RegressionFormula ---
 
-RegressionFormula::RegressionFormula(actors::EventBus& bus,
-                                     actors::EventBus::TopicId out_topic,
-                                     std::shared_ptr<const model::ModelRegistry> registry,
-                                     obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), registry_(std::move(registry)) {
-  stage_.attach(obs, kEstimates);
-}
+RegressionFormula::RegressionFormula(std::shared_ptr<const model::ModelRegistry> registry,
+                                     obs::Observability* obs, std::string_view name)
+    : registry_(std::move(registry)), stage_(obs, name, kEstimates) {}
 
-void RegressionFormula::receive(actors::Envelope& envelope) {
+EstimateBatch RegressionFormula::estimate(const SensorBatch& batch) {
   // One SensorBatch → one EstimateBatch, evaluated as a coefficient sweep
   // down the rate lanes.
-  const auto* batch = envelope.payload.get<SensorBatch>();
-  if (batch == nullptr || batch->sensor != SensorKind::kHpc || !batch->features) return;
-  const auto span = stage_.span(name(), batch->seq);
+  if (batch.sensor != SensorKind::kHpc || !batch.features) return {};
+  const auto span = stage_.span(batch.seq);
   // One immutable snapshot serves this whole batch; a concurrent swap
   // affects the next batch, never a half-read model.
   const model::ModelRegistry::Snapshot& snapshot = registry_->refresh(pinned_);
-  const model::FeatureMatrix& features = *batch->features;
+  const model::FeatureMatrix& features = *batch.features;
 
-  EstimateBatch out = estimates_for(*batch, "powerapi-hpc");
+  EstimateBatch out = estimates_for(batch, "powerapi-hpc");
   out.model_version = snapshot.version;
   out.watts.assign(features.rows(), 0.0);
   // An empty model (cold-start calibration: nothing learned yet) estimates
@@ -56,61 +51,53 @@ void RegressionFormula::receive(actors::Envelope& envelope) {
     if (features.pid(i) < 0) out.watts[i] = snapshot.model.idle_watts() + out.watts[i];
   }
   stage_.count(features.rows());
-  bus_->publish(out_topic_, std::move(out), self());
+  return out;
 }
 
 // --- EstimatorFormula ---
 
 EstimatorFormula::EstimatorFormula(
-    actors::EventBus& bus, actors::EventBus::TopicId out_topic,
     std::shared_ptr<const baselines::MachinePowerEstimator> estimator,
-    obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), estimator_(std::move(estimator)) {
-  stage_.attach(obs, kEstimates);
-}
+    obs::Observability* obs, std::string_view name)
+    : estimator_(std::move(estimator)), stage_(obs, name, kEstimates) {}
 
-void EstimatorFormula::receive(actors::Envelope& envelope) {
+EstimateBatch EstimatorFormula::estimate(const SensorBatch& batch) {
   // Baselines are machine models: only the batch's machine row produces an
   // estimate, gathered into the feature struct the estimator interface
-  // takes and published over a 1-row matrix of its own.
-  const auto* batch = envelope.payload.get<SensorBatch>();
-  if (batch == nullptr || batch->sensor != SensorKind::kHpc || !batch->features) return;
-  const auto span = stage_.span(name(), batch->seq);
-  const model::FeatureMatrix& features = *batch->features;
+  // takes and returned over a 1-row matrix of its own.
+  if (batch.sensor != SensorKind::kHpc || !batch.features) return {};
+  const auto span = stage_.span(batch.seq);
+  const model::FeatureMatrix& features = *batch.features;
   const std::size_t machine = features.find_machine_row();
-  if (machine == features.rows()) return;
+  if (machine == features.rows()) return {};
 
   auto row = std::make_shared<model::FeatureMatrix>();
   row->frequency_hz = features.frequency_hz;
   row->resize(1);
   row->copy_row_from(features, machine, 0);
 
-  EstimateBatch out = estimates_for(*batch, estimator_->name());
+  EstimateBatch out = estimates_for(batch, estimator_->name());
   out.features = std::move(row);
   out.watts.assign(1, estimator_->estimate(features.row(machine)));
   stage_.count();
-  bus_->publish(out_topic_, std::move(out), self());
+  return out;
 }
 
 // --- IoFormula ---
 
-IoFormula::IoFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                     periph::DiskParams disk, periph::NicParams nic,
-                     obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), disk_(disk), nic_(nic) {
-  stage_.attach(obs, kEstimates);
-}
+IoFormula::IoFormula(periph::DiskParams disk, periph::NicParams nic,
+                     obs::Observability* obs, std::string_view name)
+    : disk_(disk), nic_(nic), stage_(obs, name, kEstimates) {}
 
-void IoFormula::receive(actors::Envelope& envelope) {
-  const auto* batch = envelope.payload.get<SensorBatch>();
-  if (batch == nullptr || batch->sensor != SensorKind::kIo || !batch->features) return;
-  const auto span = stage_.span(name(), batch->seq);
-  const model::FeatureMatrix& features = *batch->features;
+EstimateBatch IoFormula::estimate(const SensorBatch& batch) {
+  if (batch.sensor != SensorKind::kIo || !batch.features) return {};
+  const auto span = stage_.span(batch.seq);
+  const model::FeatureMatrix& features = *batch.features;
   const double* disk_iops = features.lane(model::FeatureMatrix::kDiskIopsLane);
   const double* disk_bytes = features.lane(model::FeatureMatrix::kDiskBytesLane);
   const double* net_bytes = features.lane(model::FeatureMatrix::kNetBytesLane);
 
-  EstimateBatch out = estimates_for(*batch, "io-datasheet");
+  EstimateBatch out = estimates_for(batch, "io-datasheet");
   out.watts.resize(features.rows());
   for (std::size_t i = 0; i < features.rows(); ++i) {
     // Base power assumes the common steady states (platters spinning, link
@@ -125,28 +112,25 @@ void IoFormula::receive(actors::Envelope& envelope) {
     out.watts[i] = watts;
   }
   stage_.count(features.rows());
-  bus_->publish(out_topic_, std::move(out), self());
+  return out;
 }
 
 // --- MeterFormula ---
 
-MeterFormula::MeterFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                           std::string formula_name, obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), formula_name_(std::move(formula_name)) {
-  stage_.attach(obs, kEstimates);
-}
+MeterFormula::MeterFormula(std::string formula_name, obs::Observability* obs,
+                           std::string_view name)
+    : formula_name_(std::move(formula_name)), stage_(obs, name, kEstimates) {}
 
-void MeterFormula::receive(actors::Envelope& envelope) {
-  const auto* batch = envelope.payload.get<SensorBatch>();
-  if (batch == nullptr || !batch->features) return;
-  const auto span = stage_.span(name(), batch->seq);
-  const model::FeatureMatrix& features = *batch->features;
+EstimateBatch MeterFormula::estimate(const SensorBatch& batch) {
+  if (!batch.features) return {};
+  const auto span = stage_.span(batch.seq);
+  const model::FeatureMatrix& features = *batch.features;
   const double* measured = features.lane(model::FeatureMatrix::kMeasuredWattsLane);
 
-  EstimateBatch out = estimates_for(*batch, formula_name_);
+  EstimateBatch out = estimates_for(batch, formula_name_);
   out.watts.assign(measured, measured + features.rows());
   stage_.count(features.rows());
-  bus_->publish(out_topic_, std::move(out), self());
+  return out;
 }
 
 }  // namespace powerapi::api

@@ -1,14 +1,14 @@
-// Formula actors: turn SensorBatches into EstimateBatches — one message
-// shape in, one out.
-//
-// Each formula publishes on the "power:estimate" topic of its pipeline's
-// namespace; the builder interns the topic and injects the id.
+// Formula stages: turn a SensorBatch into an EstimateBatch — one shape in,
+// one out. The Pipeline calls estimate() directly, in a fixed order, with
+// the batches of the sensor each formula consumes; a batch from another
+// sensor (or one without the rows a formula needs) estimates nothing: the
+// result has no rows.
 #pragma once
 
 #include <memory>
+#include <string>
+#include <string_view>
 
-#include "actors/actor.h"
-#include "actors/event_bus.h"
 #include "baselines/cpuload_model.h"
 #include "baselines/estimator.h"
 #include "model/model_registry.h"
@@ -27,41 +27,38 @@ namespace powerapi::api {
 ///
 /// The formula does not own a model copy: it reads the registry's current
 /// snapshot per batch through its own pin (ModelRegistry::refresh), so a
-/// CalibrationActor refit (or any other registry.publish) takes effect on
-/// the very next estimate, and a fleet's formulas can all share one
-/// registry without writing to it. Every estimate carries the snapshot
-/// version that produced it.
-class RegressionFormula final : public actors::Actor {
+/// Calibrator refit (or any other registry.publish) takes effect on the
+/// very next estimate, and a fleet's formulas can all share one registry
+/// without writing to it. Every estimate carries the snapshot version that
+/// produced it.
+class RegressionFormula final {
  public:
-  RegressionFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                    std::shared_ptr<const model::ModelRegistry> registry,
-                    obs::Observability* obs = nullptr);
+  explicit RegressionFormula(std::shared_ptr<const model::ModelRegistry> registry,
+                             obs::Observability* obs = nullptr,
+                             std::string_view name = {});
 
-  void receive(actors::Envelope& envelope) override;
+  /// Estimates every row of a SensorKind::kHpc batch.
+  EstimateBatch estimate(const SensorBatch& batch);
 
  private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   std::shared_ptr<const model::ModelRegistry> registry_;
-  /// receive()'s pin on the deployed snapshot (ModelRegistry::refresh).
+  /// estimate()'s pin on the deployed snapshot (ModelRegistry::refresh).
   std::shared_ptr<const model::ModelRegistry::Snapshot> pinned_;
   StageObs stage_;
 };
 
 /// Adapter formula around any baseline MachinePowerEstimator (CPU-load,
 /// Bertran, HAPPY). Machine scope only — these models are machine models —
-/// so it publishes over a 1-row matrix holding the HPC batch's machine row.
-class EstimatorFormula final : public actors::Actor {
+/// so it estimates over a 1-row matrix holding the HPC batch's machine row.
+class EstimatorFormula final {
  public:
-  EstimatorFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                   std::shared_ptr<const baselines::MachinePowerEstimator> estimator,
-                   obs::Observability* obs = nullptr);
+  explicit EstimatorFormula(
+      std::shared_ptr<const baselines::MachinePowerEstimator> estimator,
+      obs::Observability* obs = nullptr, std::string_view name = {});
 
-  void receive(actors::Envelope& envelope) override;
+  EstimateBatch estimate(const SensorBatch& batch);
 
  private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   std::shared_ptr<const baselines::MachinePowerEstimator> estimator_;
   StageObs stage_;
 };
@@ -72,17 +69,14 @@ class EstimatorFormula final : public actors::Actor {
 /// the device parameters. Consumes SensorKind::kIo batches, emits
 /// "io-datasheet" estimates of the peripheral power share over the same
 /// rows.
-class IoFormula final : public actors::Actor {
+class IoFormula final {
  public:
-  IoFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-            periph::DiskParams disk, periph::NicParams nic,
-            obs::Observability* obs = nullptr);
+  IoFormula(periph::DiskParams disk, periph::NicParams nic,
+            obs::Observability* obs = nullptr, std::string_view name = {});
 
-  void receive(actors::Envelope& envelope) override;
+  EstimateBatch estimate(const SensorBatch& batch);
 
  private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   periph::DiskParams disk_;
   periph::NicParams nic_;
   StageObs stage_;
@@ -91,16 +85,14 @@ class IoFormula final : public actors::Actor {
 /// Pass-through formula for direct meters (PowerSpy, RAPL): the
 /// measured-watts lane IS the estimate — with the meter's scope limitation
 /// (wall or package, machine-wide).
-class MeterFormula final : public actors::Actor {
+class MeterFormula final {
  public:
-  MeterFormula(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-               std::string formula_name, obs::Observability* obs = nullptr);
+  explicit MeterFormula(std::string formula_name, obs::Observability* obs = nullptr,
+                        std::string_view name = {});
 
-  void receive(actors::Envelope& envelope) override;
+  EstimateBatch estimate(const SensorBatch& batch);
 
  private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   std::string formula_name_;
   StageObs stage_;
 };

@@ -1,17 +1,20 @@
 // Message vocabulary of the PowerAPI pipeline (Figure 2).
 //
-// One message type per stage. Topics (within one pipeline's namespace —
-// see pipeline.h):
-//   "tick"              MonitorTick     → all sensors
-//   "sensor:hpc"        SensorBatch     → regression, baseline formulas, calibration
-//   "sensor:powerspy"   SensorBatch     → PowerSpy meter formula, calibration
-//   "sensor:rapl"       SensorBatch     → RAPL meter formula, calibration (fallback)
-//   "sensor:io"         SensorBatch     → IO datasheet formula
-//   "power:estimate"    EstimateBatch   → aggregator
-//   "power:aggregated"  AggregatedPower → reporters
+// One shape per stage, handed from stage to stage by direct call within a
+// host's Pipeline (see pipeline.h):
+//   MonitorTick     → every sensor's sample()
+//   SensorBatch     → the formulas' estimate() and the calibrator
+//   EstimateBatch   → the aggregator's absorb()
+//   AggregatedPower → every attached reporter's report()
 //
-// In a multi-host fleet each host's pipeline lives under a namespace prefix
-// ("h3/sensor:hpc"); the fleet dimension adds "fleet/power:aggregated".
+// Two of them also travel the event bus, published only when something
+// subscribes. Topics, within one pipeline's namespace:
+//   "tick"              MonitorTick     → metrics reporters, probes
+//   "power:aggregated"  AggregatedPower → governor sense relays, probes
+// In a multi-host fleet each host's topics live under a namespace prefix
+// ("h3/power:aggregated"); the fleet dimension adds
+// "fleet/power:aggregated", and a telemetry collector's BusBridge
+// republishes remote rows on "remote/power:aggregated".
 #pragma once
 
 #include <cstdint>
@@ -28,21 +31,21 @@ namespace powerapi::api {
 /// Scope marker for machine-wide rows.
 inline constexpr std::int64_t kMachinePid = -1;
 
-/// Periodic monitoring tick, broadcast to sensors.
+/// Periodic monitoring tick, handed to every sensor.
 ///
 /// When the pipeline carries an observability bundle, each tick also gets a
 /// per-pipeline sequence number and the real (monitor wall clock) time it
-/// was published. Both flow through SensorBatch and EstimateBatch so trace
+/// was issued. Both flow through SensorBatch and EstimateBatch so trace
 /// spans and end-to-end latency can be correlated per tick; both stay 0
 /// when observability is off.
 struct MonitorTick {
   util::TimestampNs timestamp = 0;
   std::uint64_t seq = 0;
-  std::int64_t wall_ns = 0;  ///< obs::wall_now_ns() at publish.
+  std::int64_t wall_ns = 0;  ///< obs::wall_now_ns() when the tick was issued.
 };
 
 /// Which sensor produced a batch. An enum rather than a string: batches are
-/// hot-path messages (one per sensor per tick), and an interned tag removes
+/// hot-path values (one per sensor per tick), and an interned tag removes
 /// a heap allocation + string compare per hop.
 enum class SensorKind : std::uint8_t {
   kHpc,
@@ -62,13 +65,13 @@ constexpr std::string_view to_string(SensorKind kind) noexcept {
 }
 
 /// One sensor's observations for EVERY completed target of a tick, as a
-/// single lane-major matrix — the only message a sensor publishes. The HPC
+/// single lane-major matrix — the only thing a sensor produces. The HPC
 /// sensor's rows are the machine scope first, then the targets in
-/// monitoring order; the meter (PowerSpy, RAPL) and IO sensors publish one
+/// monitoring order; the meter (PowerSpy, RAPL) and IO sensors sample one
 /// machine-scope row carrying their own lanes (measured watts; disk and
-/// network rates). The matrix is immutable once published; the sensor
-/// allocates a fresh one per tick because coalesced catch-up ticks can leave
-/// several batches queued in mailboxes at once.
+/// network rates). The matrix is immutable once sampled; the sensor
+/// allocates a fresh one per tick because the tick's estimates share it and
+/// a caller may keep a batch beyond the tick.
 struct SensorBatch {
   util::TimestampNs timestamp = 0;
   SensorKind sensor = SensorKind::kHpc;
@@ -81,7 +84,7 @@ struct SensorBatch {
 
 /// One power attribution for one target at one timestamp: the telemetry
 /// wire's per-estimate record (net::TelemetryClient::report, WireEncoder,
-/// BusBridge). No pipeline actor publishes it — formulas publish
+/// BusBridge). No pipeline stage produces it — formulas produce
 /// EstimateBatch.
 struct PowerEstimate {
   util::TimestampNs timestamp = 0;
@@ -98,10 +101,11 @@ struct PowerEstimate {
 };
 
 /// One formula's attributions for the rows of a SensorBatch — the only
-/// message a formula publishes: watts[i] belongs to features->pid(i). The
+/// thing a formula produces: watts[i] belongs to features->pid(i). The
 /// matrix rides along (shared, immutable) so downstream stages can reach
 /// pids and features without copying; a formula that narrows the rows (the
-/// machine-only baselines) publishes over a matrix of just those rows.
+/// machine-only baselines) estimates over a matrix of just those rows, and
+/// one handed a batch it does not consume returns no matrix and no rows.
 struct EstimateBatch {
   util::TimestampNs timestamp = 0;
   std::string formula;

@@ -1,15 +1,12 @@
 #include "powerapi/pipeline.h"
 
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "hpc/sim_backend.h"
 #include "periph/disk.h"
 #include "periph/nic.h"
-#include "powerapi/formulas.h"
 #include "powerapi/remote_reporter.h"
-#include "powerapi/sensors.h"
 #include "powermeter/powerspy.h"
 #include "powermeter/rapl.h"
 #include "util/rng.h"
@@ -17,24 +14,26 @@
 namespace powerapi::api {
 
 Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
-                   os::MonitorableHost& host, PipelineSpec spec, std::string ns,
-                   actors::ActorSystem::GroupId group)
+                   os::MonitorableHost& host, PipelineSpec spec, std::string ns)
     : actors_(&actors),
       bus_(&bus),
-      group_(group),
       host_(&host),
       ns_(std::move(ns)),
-      with_powerspy_(spec.with_powerspy),
       backend_(std::make_unique<hpc::SimBackend>(host)),
-      targets_(std::make_shared<TargetsState>()),
       registry_(std::move(spec.registry)),
       ticker_(host.now_ns(), spec.period),
       tick_topic_(bus.intern(ns_ + "tick")),
-      hpc_topic_(bus.intern(ns_ + "sensor:hpc")),
-      estimate_topic_(bus.intern(ns_ + "power:estimate")),
       aggregated_topic_(bus.intern(ns_ + "power:aggregated")),
-      obs_(spec.observability) {
-  targets_->host = host_;
+      obs_(spec.observability),
+      hpc_sensor_(*backend_,
+                  [this] { return monitor_all_ ? host_->pids() : fixed_targets_; },
+                  host_, obs_, ns_ + "sensor-hpc"),
+      aggregator_(spec.dimension,
+                  [h = host_](std::int64_t pid) {
+                    const auto stat = h->proc_stat(pid);
+                    return stat ? stat->group : std::string();
+                  },
+                  obs_, ns_ + "aggregator") {
   util::Rng rng(spec.seed);
   if (obs_ != nullptr) {
     tick_counter_ = &obs_->metrics.counter("pipeline.ticks");
@@ -48,66 +47,30 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
     registry_ = std::make_shared<model::ModelRegistry>(std::move(spec.model));
   }
 
-  // Targets provider of the HPC sensor.
-  TargetsFn targets = [state = targets_]() -> std::vector<std::int64_t> {
-    if (state->all) return state->host->pids();
-    return state->fixed;
-  };
-
-  // --- Sensors ---
-  const auto hpc_sensor = actors_->spawn_in<HpcSensor>(group_,
-      ns_ + "sensor-hpc", *bus_, hpc_topic_, *backend_, std::move(targets), host_, obs_);
-  bus_->subscribe(tick_topic_, hpc_sensor);
-
-  // Meter sensor topics survive the blocks below: the calibration actor
-  // subscribes to one of them as its ground-truth stream.
-  std::optional<actors::EventBus::TopicId> powerspy_topic;
-  std::optional<actors::EventBus::TopicId> rapl_topic;
-
+  // --- Meter and IO sensors, each with its formula ---
   if (spec.with_powerspy) {
     auto meter = std::make_shared<powermeter::PowerSpy>(
         [h = host_] { return h->total_energy_joules(); },
         [h = host_] { return h->now_ns(); }, rng.fork(1));
-    const auto sensor_topic = bus_->intern(ns_ + "sensor:powerspy");
-    powerspy_topic = sensor_topic;
-    const auto sensor = actors_->spawn_in<PowerSpySensor>(group_,
-        ns_ + "sensor-powerspy", *bus_, sensor_topic, std::move(meter), obs_);
-    bus_->subscribe(tick_topic_, sensor);
-    const auto formula = actors_->spawn_in<MeterFormula>(group_,
-        ns_ + "formula-powerspy", *bus_, estimate_topic_, "powerspy", obs_);
-    bus_->subscribe(sensor_topic, formula);
+    powerspy_sensor_.emplace(std::move(meter), obs_, ns_ + "sensor-powerspy");
+    powerspy_formula_.emplace("powerspy", obs_, ns_ + "formula-powerspy");
   }
-
   if (spec.with_rapl) {
     auto msr = std::make_shared<powermeter::RaplMsr>(
         [h = host_] { return h->package_energy_joules(); },
         [h = host_] { return h->now_ns(); });
-    const auto sensor_topic = bus_->intern(ns_ + "sensor:rapl");
-    rapl_topic = sensor_topic;
-    const auto sensor = actors_->spawn_in<RaplSensor>(group_,
-        ns_ + "sensor-rapl", *bus_, sensor_topic, std::move(msr), obs_);
-    bus_->subscribe(tick_topic_, sensor);
-    const auto formula = actors_->spawn_in<MeterFormula>(
-        group_, ns_ + "formula-rapl", *bus_, estimate_topic_, "rapl", obs_);
-    bus_->subscribe(sensor_topic, formula);
+    rapl_sensor_.emplace(std::move(msr), obs_, ns_ + "sensor-rapl");
+    rapl_formula_.emplace("rapl", obs_, ns_ + "formula-rapl");
   }
-
   if (spec.with_io && host_->disk() != nullptr) {
-    const auto sensor_topic = bus_->intern(ns_ + "sensor:io");
-    const auto sensor = actors_->spawn_in<IoSensor>(group_, ns_ + "sensor-io", *bus_,
-                                                    sensor_topic, *host_, obs_);
-    bus_->subscribe(tick_topic_, sensor);
-    const auto formula = actors_->spawn_in<IoFormula>(group_,
-        ns_ + "formula-io", *bus_, estimate_topic_, host_->disk()->params(),
-        host_->nic()->params(), obs_);
-    bus_->subscribe(sensor_topic, formula);
+    io_sensor_.emplace(*host_, obs_, ns_ + "sensor-io");
+    io_formula_.emplace(host_->disk()->params(), host_->nic()->params(), obs_,
+                        ns_ + "formula-io");
   }
 
   // --- The paper's formula ---
   if (registry_ != nullptr) {
-    const auto formula = actors_->spawn_in<RegressionFormula>(group_,
-        ns_ + "formula-hpc", *bus_, estimate_topic_, registry_, obs_);
-    bus_->subscribe(hpc_topic_, formula);
+    regression_formula_.emplace(registry_, obs_, ns_ + "formula-hpc");
   }
 
   // --- Online calibration ---
@@ -118,42 +81,25 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
     }
     // PowerSpy is the wall-power reference the paper trains against;
     // RAPL (package scope) is the fallback ground truth.
-    const auto truth_topic = powerspy_topic ? powerspy_topic : rapl_topic;
-    if (!truth_topic) {
+    if (!spec.with_powerspy && !spec.with_rapl) {
       throw std::invalid_argument(
           "Pipeline: with_calibration requires with_powerspy or with_rapl");
     }
-    with_calibration_ = true;
-    calibration_topic_ = bus_->intern(ns_ + "calibration:updated");
-    const auto calibrator = actors_->spawn_in<CalibrationActor>(group_,
-        ns_ + "calibrator", *bus_, calibration_topic_, registry_,
-        std::move(spec.calibration));
-    bus_->subscribe(hpc_topic_, calibrator);
-    bus_->subscribe(*truth_topic, calibrator);
+    calibrator_.emplace(registry_, std::move(spec.calibration));
   }
-
-  // --- Aggregation ---
-  Aggregator::GroupResolver group_of = [h = host_](std::int64_t pid) {
-    const auto stat = h->proc_stat(pid);
-    return stat ? stat->group : std::string();
-  };
-  aggregator_ = actors_->spawn_in<Aggregator>(group_, ns_ + "aggregator", *bus_,
-                                              aggregated_topic_, spec.dimension,
-                                              std::move(group_of), obs_);
-  bus_->subscribe(estimate_topic_, aggregator_);
 
   // --- Declaratively attached baseline formulas ---
   for (auto& estimator : spec.estimators) add_estimator(std::move(estimator));
 }
 
 void Pipeline::monitor(std::vector<std::int64_t> pids) {
-  targets_->all = false;
-  targets_->fixed = std::move(pids);
+  monitor_all_ = false;
+  fixed_targets_ = std::move(pids);
 }
 
-void Pipeline::monitor_all() { targets_->all = true; }
+void Pipeline::monitor_all() { monitor_all_ = true; }
 
-std::uint64_t Pipeline::publish_due_ticks() {
+std::uint64_t Pipeline::run_due_ticks() {
   const util::TimestampNs now = host_->now_ns();
   const std::uint64_t due = ticker_.due(now);
   const bool observed = obs_ != nullptr && obs_->enabled();
@@ -165,45 +111,90 @@ std::uint64_t Pipeline::publish_due_ticks() {
       tick_counter_->add();
       obs_->trace.instant(tick_name_, tick.wall_ns, tick.seq);
     }
-    bus_->publish(tick_topic_, tick);
+    if (bus_->subscriber_count(tick_topic_) != 0) bus_->publish(tick_topic_, tick);
+    run_tick(tick);
   }
   return due;
+}
+
+void Pipeline::run_tick(const MonitorTick& tick) {
+  // 1. Sensors.
+  const std::optional<SensorBatch> hpc = hpc_sensor_.sample(tick);
+  const std::optional<SensorBatch> powerspy =
+      powerspy_sensor_ ? powerspy_sensor_->sample(tick) : std::nullopt;
+  const std::optional<SensorBatch> rapl =
+      rapl_sensor_ ? rapl_sensor_->sample(tick) : std::nullopt;
+  const std::optional<SensorBatch> io = io_sensor_ ? io_sensor_->sample(tick) : std::nullopt;
+
+  // 2. Formulas, each on its sensor's batch.
+  estimates_.clear();
+  if (powerspy) estimates_.push_back(powerspy_formula_->estimate(*powerspy));
+  if (rapl) estimates_.push_back(rapl_formula_->estimate(*rapl));
+  if (io) estimates_.push_back(io_formula_->estimate(*io));
+  if (hpc) {
+    if (regression_formula_) estimates_.push_back(regression_formula_->estimate(*hpc));
+    for (EstimatorFormula& formula : estimator_formulas_) {
+      estimates_.push_back(formula.estimate(*hpc));
+    }
+  }
+
+  // 3. Calibration, after this tick's regression estimate.
+  if (calibrator_) {
+    if (hpc) calibrator_->observe(*hpc);
+    const std::optional<SensorBatch>& truth = powerspy_sensor_ ? powerspy : rapl;
+    if (truth) calibrator_->observe(*truth);
+  }
+
+  // 4-5. Aggregation, then the completed rows to the reporters.
+  rows_.clear();
+  for (const EstimateBatch& batch : estimates_) aggregator_.absorb(batch, rows_);
+  report(rows_);
+}
+
+void Pipeline::report(const std::vector<AggregatedPower>& rows) {
+  if (rows.empty()) return;
+  const bool publish = bus_->subscriber_count(aggregated_topic_) != 0;
+  for (const AggregatedPower& row : rows) {
+    for (const auto& reporter : reporters_) reporter->report(row);
+    if (publish) bus_->publish(aggregated_topic_, row);
+  }
+}
+
+template <typename R, typename... Args>
+R& Pipeline::attach(Args&&... args) {
+  auto owned = std::make_unique<R>(std::forward<Args>(args)...);
+  R& ref = *owned;
+  reporters_.push_back(std::move(owned));
+  return ref;
 }
 
 void Pipeline::add_estimator(
     std::shared_ptr<const baselines::MachinePowerEstimator> estimator) {
   if (!estimator) throw std::invalid_argument("Pipeline::add_estimator: null estimator");
   const std::string name = ns_ + "formula-" + estimator->name();
-  const auto formula = actors_->spawn_in<EstimatorFormula>(group_,
-      name, *bus_, estimate_topic_, std::move(estimator), obs_);
-  bus_->subscribe(hpc_topic_, formula);
+  estimator_formulas_.emplace_back(std::move(estimator), obs_, name);
 }
 
-void Pipeline::add_console_reporter(std::ostream& out) {
-  const auto reporter =
-      actors_->spawn_in<ConsoleReporter>(group_, ns_ + "reporter-console", out);
-  bus_->subscribe(aggregated_topic_, reporter);
-}
+void Pipeline::add_console_reporter(std::ostream& out) { attach<ConsoleReporter>(out); }
 
-void Pipeline::add_csv_reporter(std::ostream& out) {
-  const auto reporter = actors_->spawn_in<CsvReporter>(group_, ns_ + "reporter-csv", out);
-  bus_->subscribe(aggregated_topic_, reporter);
-}
+void Pipeline::add_csv_reporter(std::ostream& out) { attach<CsvReporter>(out); }
 
 void Pipeline::add_callback_reporter(CallbackReporter::Callback callback) {
-  const auto reporter = actors_->spawn_in<CallbackReporter>(
-      group_, ns_ + "reporter-callback", std::move(callback));
-  bus_->subscribe(aggregated_topic_, reporter);
+  attach<CallbackReporter>(std::move(callback));
 }
 
-void Pipeline::add_model_update_callback(ModelUpdateCallback::Callback callback) {
-  if (!with_calibration_) {
+MemoryReporter& Pipeline::add_memory_reporter() { return attach<MemoryReporter>(); }
+
+void Pipeline::add_remote_reporter(net::TelemetryClient& client) {
+  attach<RemoteReporter>(client);
+}
+
+void Pipeline::add_model_update_callback(Calibrator::UpdateCallback callback) {
+  if (!calibrator_) {
     throw std::logic_error(
         "Pipeline::add_model_update_callback: built without with_calibration");
   }
-  const auto listener = actors_->spawn_in<ModelUpdateCallback>(group_,
-      ns_ + "calibration-listener", std::move(callback));
-  bus_->subscribe(calibration_topic_, listener);
+  calibrator_->on_update(std::move(callback));
 }
 
 void Pipeline::add_metrics_reporter(std::ostream& out, MetricsReporter::Format format,
@@ -217,28 +208,16 @@ void Pipeline::add_metrics_reporter(std::ostream& out, MetricsReporter::Format f
   options.format = format;
   options.every_n_ticks = every_n_ticks;
   const auto reporter =
-      actors_->spawn_in<MetricsReporter>(group_, ns_ + "reporter-metrics", *obs_, options);
+      actors_->spawn_as<MetricsReporter>(ns_ + "reporter-metrics", *obs_, options);
   bus_->subscribe(tick_topic_, reporter);
-}
-
-void Pipeline::add_remote_reporter(net::TelemetryClient& client) {
-  const auto reporter =
-      actors_->spawn_in<RemoteReporter>(group_, ns_ + "reporter-remote", client);
-  bus_->subscribe(aggregated_topic_, reporter);
-}
-
-MemoryReporter& Pipeline::add_memory_reporter() {
-  auto owned = std::make_unique<MemoryReporter>();
-  MemoryReporter& ref = *owned;
-  const auto reporter = actors_->spawn(ns_ + "reporter-memory", std::move(owned), group_);
-  bus_->subscribe(aggregated_topic_, reporter);
-  return ref;
 }
 
 void Pipeline::finish() {
   if (finished_) return;
   finished_ = true;
-  actors_->stop(aggregator_);  // post_stop flushes pending groups.
+  rows_.clear();
+  aggregator_.flush(rows_);
+  report(rows_);
 }
 
 }  // namespace powerapi::api

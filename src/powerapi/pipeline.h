@@ -1,22 +1,34 @@
-// Declarative monitoring-pipeline assembly.
+// One host's monitoring pipeline as one call chain.
 //
-// The paper's toolkit is composable middleware: Sensor → Formula →
-// Aggregator → Reporter actors wired over the event bus. PipelineSpec is
-// the declarative description of one such graph (which sensors, which
-// formulas, how to aggregate); PipelineBuilder assembles it over any
-// os::MonitorableHost into a Pipeline — the runtime handle that drives
-// ticks, retargets monitoring and attaches reporters.
+// The paper's toolkit wires Sensor → Formula → Aggregator → Reporter as
+// actors over an event bus (Figure 2). Every stage of one host runs on the
+// one thread that advanced that host, so here the hops are plain calls:
+// for each due tick, Pipeline calls
+//   1. every sensor's sample(), in order hpc, powerspy, rapl, io;
+//   2. every formula's estimate() on its sensor's batch, in order
+//      powerspy, rapl, io, hpc regression, then the baseline estimators in
+//      the order they were added;
+//   3. the calibrator's observe() on the hpc batch, then on the
+//      ground-truth batch — after the regression formula, so a swap at
+//      tick t first affects tick t+1;
+//   4. the aggregator's absorb() on each estimate batch, in formula order;
+//   5. every attached reporter's report() on each completed row, in attach
+//      order.
+// PipelineSpec is the declarative description of which stages exist.
 //
-// Topic namespaces make the graph multi-host capable: a standalone
-// PowerMeter builds under the empty namespace ("sensor:hpc"), a
-// FleetMonitor builds host i under "h<i>/" ("h3/sensor:hpc"), so N
-// independent pipelines share one actor system and one bus without
-// crosstalk. All topics are interned once at build time.
+// The bus is used only at the pipeline's edges, and only when someone
+// subscribes (a zero-subscriber publish counts as a bus dead letter):
+// "tick" carries each MonitorTick (metrics reporters, probes) and
+// "power:aggregated" each aggregated row (governor sense relays, probes).
+// A standalone PowerMeter uses the empty topic namespace, a FleetMonitor
+// host i the namespace "h<i>/" ("h3/power:aggregated"), which also
+// prefixes the stages' trace span names ("h3/sensor-hpc").
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,9 +43,11 @@
 #include "os/monitorable_host.h"
 #include "powerapi/aggregators.h"
 #include "powerapi/calibration.h"
+#include "powerapi/formulas.h"
 #include "powerapi/messages.h"
 #include "powerapi/obs_reporter.h"
 #include "powerapi/reporters.h"
+#include "powerapi/sensors.h"
 #include "util/units.h"
 
 namespace powerapi::net {
@@ -75,15 +89,16 @@ struct PipelineSpec {
 };
 
 /// One assembled pipeline over one host: the handle PowerMeter and
-/// FleetMonitor drive. Owns the counter backend and the tick schedule;
-/// the actors live in the shared ActorSystem, all in drain group `group`
-/// (reporters attached later included), so a FleetMonitor can drain one
-/// host's pipeline on its own.
+/// FleetMonitor drive. Owns the counter backend, the tick schedule, every
+/// stage and the reporters attached to it. Only the metrics reporter is an
+/// actor (spawned into `actors`, fed by the "tick" topic).
+///
+/// A stage or reporter that throws propagates out of run_due_ticks(); the
+/// tick's remaining stages are skipped.
 class Pipeline {
  public:
   Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
-           os::MonitorableHost& host, PipelineSpec spec, std::string ns,
-           actors::ActorSystem::GroupId group = actors::ActorSystem::kDefaultGroup);
+           os::MonitorableHost& host, PipelineSpec spec, std::string ns = {});
 
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
@@ -95,9 +110,10 @@ class Pipeline {
   void monitor_all();
 
   // --- Driving ---
-  /// Publishes one MonitorTick per period elapsed on the host clock since
-  /// the last call (catch-up semantics). Returns the number published.
-  std::uint64_t publish_due_ticks();
+  /// Runs the stage chain once per period elapsed on the host clock since
+  /// the last call (catch-up semantics: every due tick is stamped with the
+  /// host's now). Returns the number of ticks run.
+  std::uint64_t run_due_ticks();
 
   // --- Attachments (before the first tick, ideally) ---
   void add_estimator(std::shared_ptr<const baselines::MachinePowerEstimator> estimator);
@@ -105,34 +121,31 @@ class Pipeline {
   void add_csv_reporter(std::ostream& out);
   void add_callback_reporter(CallbackReporter::Callback callback);
   MemoryReporter& add_memory_reporter();
-  /// Invokes `callback` after every calibration swap (ModelUpdated).
-  /// Throws if the pipeline was built without with_calibration.
-  void add_model_update_callback(ModelUpdateCallback::Callback callback);
+  /// Invokes `callback` after every calibration swap (ModelUpdated), on the
+  /// thread that runs this pipeline. Throws if the pipeline was built
+  /// without with_calibration.
+  void add_model_update_callback(Calibrator::UpdateCallback callback);
   /// Writes a metrics-registry snapshot to `out` every `every_n_ticks`
-  /// ticks (plus a final one at shutdown). `out` must outlive the actor
-  /// system: the final flush runs when the reporter actor stops. Throws if
-  /// the pipeline was built without spec.observability.
+  /// ticks (plus a final one at shutdown). The reporter is an actor on the
+  /// "tick" topic: it writes when the actor system drains, and `out` must
+  /// outlive the actor system (the final flush runs when the actor stops).
+  /// Throws if the pipeline was built without spec.observability.
   void add_metrics_reporter(std::ostream& out,
                             MetricsReporter::Format format = MetricsReporter::Format::kText,
                             std::uint64_t every_n_ticks = 1);
   /// Forwards every aggregated row to a caller-owned telemetry client —
   /// this pipeline's output becomes visible to a remote CollectorServer.
-  /// The client must outlive the actor system.
+  /// The client must outlive the pipeline.
   void add_remote_reporter(net::TelemetryClient& client);
 
   // --- Lifecycle ---
-  /// Stops the aggregator so its pending groups flush; idempotent. The
-  /// caller still drains / awaits the actor system.
+  /// Flushes the aggregator's pending groups to the reporters; idempotent.
   void finish();
 
   const std::string& topic_namespace() const noexcept { return ns_; }
   actors::EventBus::TopicId tick_topic() const noexcept { return tick_topic_; }
   actors::EventBus::TopicId aggregated_topic() const noexcept {
     return aggregated_topic_;
-  }
-  /// "calibration:updated" topic; only valid with with_calibration.
-  actors::EventBus::TopicId calibration_topic() const noexcept {
-    return calibration_topic_;
   }
   /// The registry the regression formula reads through; null when the
   /// pipeline was built with neither a model nor a registry.
@@ -144,29 +157,25 @@ class Pipeline {
   obs::Observability* observability() const noexcept { return obs_; }
 
  private:
-  struct TargetsState {
-    const os::MonitorableHost* host = nullptr;
-    std::vector<std::int64_t> fixed;
-    bool all = false;
-  };
+  /// Steps 1-5 of the call chain for one tick.
+  void run_tick(const MonitorTick& tick);
+  /// Hands `rows` to every reporter, and to the bus when subscribed.
+  void report(const std::vector<AggregatedPower>& rows);
+  template <typename R, typename... Args>
+  R& attach(Args&&... args);
 
   actors::ActorSystem* actors_;
   actors::EventBus* bus_;
-  actors::ActorSystem::GroupId group_;
   os::MonitorableHost* host_;
   std::string ns_;
-  bool with_powerspy_ = false;
   std::unique_ptr<hpc::CounterBackend> backend_;
-  std::shared_ptr<TargetsState> targets_;
+  /// The HPC sensor's targets: every live process, or `fixed_targets_`.
+  bool monitor_all_ = false;
+  std::vector<std::int64_t> fixed_targets_;
   std::shared_ptr<model::ModelRegistry> registry_;
   actors::Ticker ticker_;
   actors::EventBus::TopicId tick_topic_;
-  actors::EventBus::TopicId hpc_topic_;
-  actors::EventBus::TopicId estimate_topic_;
   actors::EventBus::TopicId aggregated_topic_;
-  actors::EventBus::TopicId calibration_topic_{};
-  actors::ActorRef aggregator_;
-  bool with_calibration_ = false;
   bool finished_ = false;
 
   // Observability (null / 0 when the spec carried no bundle).
@@ -174,27 +183,24 @@ class Pipeline {
   std::uint64_t next_seq_ = 0;
   obs::Counter* tick_counter_ = nullptr;
   obs::TraceCollector::NameId tick_name_ = 0;
-};
 
-/// Assembles Pipelines over a shared actor system + bus. One builder can
-/// build many pipelines (FleetMonitor builds one per host).
-class PipelineBuilder {
- public:
-  PipelineBuilder(actors::ActorSystem& actors, actors::EventBus& bus)
-      : actors_(&actors), bus_(&bus) {}
+  // --- Stages, in call order ---
+  HpcSensor hpc_sensor_;
+  std::optional<PowerSpySensor> powerspy_sensor_;
+  std::optional<RaplSensor> rapl_sensor_;
+  std::optional<IoSensor> io_sensor_;
+  std::optional<MeterFormula> powerspy_formula_;
+  std::optional<MeterFormula> rapl_formula_;
+  std::optional<IoFormula> io_formula_;
+  std::optional<RegressionFormula> regression_formula_;
+  std::vector<EstimatorFormula> estimator_formulas_;
+  std::optional<Calibrator> calibrator_;
+  Aggregator aggregator_;
+  std::vector<std::unique_ptr<Reporter>> reporters_;
 
-  /// Builds `spec` over `host` under topic namespace `ns` ("" for a
-  /// standalone pipeline, "h3/" inside a fleet), spawning into `group`.
-  std::unique_ptr<Pipeline> build(
-      os::MonitorableHost& host, PipelineSpec spec, std::string ns = {},
-      actors::ActorSystem::GroupId group = actors::ActorSystem::kDefaultGroup) {
-    return std::make_unique<Pipeline>(*actors_, *bus_, host, std::move(spec),
-                                      std::move(ns), group);
-  }
-
- private:
-  actors::ActorSystem* actors_;
-  actors::EventBus* bus_;
+  // Per-tick scratch, reused across ticks.
+  std::vector<EstimateBatch> estimates_;
+  std::vector<AggregatedPower> rows_;
 };
 
 }  // namespace powerapi::api

@@ -15,7 +15,7 @@ PowerMeter::PowerMeter(os::MonitorableHost& host, model::CpuPowerModel model,
   PipelineSpec spec = std::move(config);
   if (!model.empty()) spec.model = std::move(model);
   if (spec.observability != nullptr) bus_.set_observability(spec.observability);
-  pipeline_ = PipelineBuilder(actors_, bus_).build(*host_, std::move(spec));
+  pipeline_ = std::make_unique<Pipeline>(actors_, bus_, *host_, std::move(spec));
 }
 
 PowerMeter::~PowerMeter() {
@@ -65,7 +65,7 @@ void PowerMeter::run_for(util::DurationNs duration) {
     const util::DurationNs chunk =
         std::min<util::DurationNs>(config_.period, deadline - host_->now_ns());
     host_->advance(chunk);
-    pipeline_->publish_due_ticks();
+    pipeline_->run_due_ticks();
     actors_.drain();
   }
 }
@@ -73,7 +73,7 @@ void PowerMeter::run_for(util::DurationNs duration) {
 void PowerMeter::finish() {
   if (finished_) return;
   finished_ = true;
-  pipeline_->finish();  // Aggregator post_stop flushes pending groups.
+  pipeline_->finish();  // Flushes the aggregator's pending groups.
   actors_.drain();
 }
 

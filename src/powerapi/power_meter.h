@@ -1,11 +1,11 @@
 // PowerMeter: the single-host library facade.
 //
-// A thin driver over a PipelineBuilder-assembled pipeline (see pipeline.h):
-// one MonitorableHost, one kManual actor system, the empty topic namespace.
-// A monitoring clock ("tick" topic) drives Sensor actors, whose reports
-// flow through Formula actors into an Aggregator and out to Reporters —
-// all over the event bus. For many hosts stepped in parallel slices, see
-// fleet_monitor.h.
+// A thin driver over one Pipeline (see pipeline.h): one MonitorableHost,
+// the empty topic namespace, and an actor system + event bus for whatever
+// subscribes at the pipeline's edges ("tick", "power:aggregated"). Each
+// monitoring tick calls the Sensor, Formula, Aggregator and Reporter
+// stages in turn; run_for() then drains the actor system. For many hosts
+// stepped in parallel slices, see fleet_monitor.h.
 // Usage:
 //
 //   os::System system(simcpu::i3_2120());
@@ -43,10 +43,9 @@ class PowerMeter {
       : PowerMeter(host, std::move(model), Config{}) {}
   PowerMeter(os::MonitorableHost& host, model::CpuPowerModel model, Config config);
 
-  /// Flushes via finish(): the aggregator's pending groups must drain while
-  /// the event bus still exists (members are destroyed in reverse order, so
-  /// an actor flushing from post_stop during ~ActorSystem would otherwise
-  /// publish through a dangling bus).
+  /// Flushes via finish(), then stops every actor while the event bus still
+  /// exists (members are destroyed in reverse order, so an actor publishing
+  /// from post_stop during ~ActorSystem would otherwise use a dangling bus).
   ~PowerMeter();
 
   /// Monitors the given pids (plus, always, the machine scope).
@@ -66,8 +65,8 @@ class PowerMeter {
   /// net/telemetry_client.h); the client must outlive the meter.
   void add_remote_reporter(net::TelemetryClient& client);
 
-  /// Advances the host by `duration`, firing monitor ticks at the
-  /// configured period and draining the pipeline after each.
+  /// Advances the host by `duration` one period at a time, running the
+  /// pipeline's due ticks and draining the actor system after each.
   void run_for(util::DurationNs duration);
 
   /// Flushes pending aggregation groups; call once after the last run_for.

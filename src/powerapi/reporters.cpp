@@ -1,52 +1,29 @@
 #include "powerapi/reporters.h"
 
-#include <any>
 #include <ostream>
 
 namespace powerapi::api {
 
-namespace {
-const AggregatedPower* as_row(const actors::Envelope& envelope) {
-  return envelope.payload.get<AggregatedPower>();
-}
-}  // namespace
-
-void ConsoleReporter::receive(actors::Envelope& envelope) {
-  const AggregatedPower* row = as_row(envelope);
-  if (row == nullptr) return;
-  (*out_) << "t=" << util::ns_to_seconds(row->timestamp) << "s ";
-  if (!row->group.empty()) {
-    (*out_) << "group=" << row->group;
-  } else if (row->pid == kMachinePid) {
+void ConsoleReporter::report(const AggregatedPower& row) {
+  (*out_) << "t=" << util::ns_to_seconds(row.timestamp) << "s ";
+  if (!row.group.empty()) {
+    (*out_) << "group=" << row.group;
+  } else if (row.pid == kMachinePid) {
     (*out_) << "machine";
   } else {
-    (*out_) << "pid=" << row->pid;
+    (*out_) << "pid=" << row.pid;
   }
-  (*out_) << " " << row->formula << " " << row->watts << " W\n";
+  (*out_) << " " << row.formula << " " << row.watts << " W\n";
 }
 
 CsvReporter::CsvReporter(std::ostream& out) : writer_(out) {
   writer_.header({"timestamp_s", "pid", "group", "formula", "watts"});
 }
 
-void CsvReporter::receive(actors::Envelope& envelope) {
-  const AggregatedPower* row = as_row(envelope);
-  if (row == nullptr) return;
-  writer_.row({util::format_double(util::ns_to_seconds(row->timestamp)),
-               std::to_string(row->pid), row->group, row->formula,
-               util::format_double(row->watts)});
-}
-
-void CallbackReporter::receive(actors::Envelope& envelope) {
-  const AggregatedPower* row = as_row(envelope);
-  if (row == nullptr) return;
-  callback_(*row);
-}
-
-void MemoryReporter::receive(actors::Envelope& envelope) {
-  const AggregatedPower* row = as_row(envelope);
-  if (row == nullptr) return;
-  rows_.push_back(*row);
+void CsvReporter::report(const AggregatedPower& row) {
+  writer_.row({util::format_double(util::ns_to_seconds(row.timestamp)),
+               std::to_string(row.pid), row.group, row.formula,
+               util::format_double(row.watts)});
 }
 
 std::vector<AggregatedPower> MemoryReporter::series(const std::string& formula) const {

@@ -1,6 +1,11 @@
-// Reporter actors: convert the pipeline's output into a consumable format —
-// console lines, CSV rows, user callbacks, or in-memory series for tests
-// and benches.
+// Reporters: convert aggregated rows into a consumable format — console
+// lines, CSV rows, user callbacks, or in-memory series for tests and
+// benches.
+//
+// A reporter attached to a host's Pipeline is called directly, once per
+// row, in attach order. Every reporter is also an actor, so the same
+// classes can be spawned on a bus topic: a fleet-level sink on
+// "fleet/power:aggregated", or a collector-side one behind a BusBridge.
 #pragma once
 
 #include <functional>
@@ -16,35 +21,46 @@
 
 namespace powerapi::api {
 
+/// Base of every row reporter: report() takes one row; as an actor,
+/// receive() unwraps each AggregatedPower and reports it.
+class Reporter : public actors::Actor {
+ public:
+  virtual void report(const AggregatedPower& row) = 0;
+
+  void receive(actors::Envelope& envelope) final {
+    if (const auto* row = envelope.payload.get<AggregatedPower>()) report(*row);
+  }
+};
+
 /// Human-readable rows on an ostream the caller owns (commonly std::cout).
-class ConsoleReporter final : public actors::Actor {
+class ConsoleReporter final : public Reporter {
  public:
   explicit ConsoleReporter(std::ostream& out) : out_(&out) {}
 
-  void receive(actors::Envelope& envelope) override;
+  void report(const AggregatedPower& row) override;
 
  private:
   std::ostream* out_;
 };
 
 /// CSV rows: timestamp_s, pid, formula, watts.
-class CsvReporter final : public actors::Actor {
+class CsvReporter final : public Reporter {
  public:
   explicit CsvReporter(std::ostream& out);
 
-  void receive(actors::Envelope& envelope) override;
+  void report(const AggregatedPower& row) override;
 
  private:
   util::CsvWriter writer_;
 };
 
 /// Invokes a user callback per aggregated row — the embedding API.
-class CallbackReporter final : public actors::Actor {
+class CallbackReporter final : public Reporter {
  public:
   using Callback = std::function<void(const AggregatedPower&)>;
   explicit CallbackReporter(Callback callback) : callback_(std::move(callback)) {}
 
-  void receive(actors::Envelope& envelope) override;
+  void report(const AggregatedPower& row) override { callback_(row); }
 
  private:
   Callback callback_;
@@ -52,9 +68,9 @@ class CallbackReporter final : public actors::Actor {
 
 /// Accumulates rows in memory, indexed by formula; the workhorse of tests
 /// and the benchmark harnesses.
-class MemoryReporter final : public actors::Actor {
+class MemoryReporter final : public Reporter {
  public:
-  void receive(actors::Envelope& envelope) override;
+  void report(const AggregatedPower& row) override { rows_.push_back(row); }
 
   /// Rows for one formula, machine scope only, in arrival order.
   std::vector<AggregatedPower> series(const std::string& formula) const;

@@ -1,7 +1,6 @@
 #include "powerapi/sensors.h"
 
 #include <algorithm>
-#include <any>
 #include <utility>
 
 #include "util/logging.h"
@@ -9,10 +8,6 @@
 namespace powerapi::api {
 
 namespace {
-
-const MonitorTick* as_tick(const actors::Envelope& envelope) {
-  return envelope.payload.get<MonitorTick>();
-}
 
 constexpr std::string_view kSensorRows = "pipeline.sensor_reports";
 
@@ -41,16 +36,13 @@ SensorBatch batch_of(const MonitorTick& tick, SensorKind sensor,
 
 // --- HpcSensor ---
 
-HpcSensor::HpcSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                     hpc::CounterBackend& backend, TargetsFn targets,
-                     const os::MonitorableHost* host, obs::Observability* obs)
-    : bus_(&bus),
-      out_topic_(out_topic),
-      backend_(&backend),
+HpcSensor::HpcSensor(hpc::CounterBackend& backend, TargetsFn targets,
+                     const os::MonitorableHost* host, obs::Observability* obs,
+                     std::string_view name)
+    : backend_(&backend),
       targets_(std::move(targets)),
-      host_(host) {
-  stage_.attach(obs, kSensorRows);
-}
+      host_(host),
+      stage_(obs, name, kSensorRows) {}
 
 void HpcSensor::realign_rows(const std::vector<std::int64_t>& new_pids) {
   // The target set changed: rebuild the row layout, carrying surviving
@@ -75,7 +67,8 @@ void HpcSensor::realign_rows(const std::vector<std::int64_t>& new_pids) {
   pids_ = new_pids;
 }
 
-void HpcSensor::observe(const MonitorTick& tick) {
+std::optional<SensorBatch> HpcSensor::sample(const MonitorTick& tick) {
+  const auto span = stage_.span(tick.seq);
   const util::TimestampNs now = tick.timestamp;
 
   // Row layout: machine scope first, then this tick's targets.
@@ -154,19 +147,20 @@ void HpcSensor::observe(const MonitorTick& tick) {
     ++completed_count;
   }
 
+  std::optional<SensorBatch> batch;
   if (completed_count > 0) {
     const double frequency_hz =
         host_ != nullptr ? host_->system_stat().frequency_hz : 0.0;
     const std::size_t hw_threads = host_ != nullptr ? host_->hw_threads() : 0;
 
-    // Fresh matrix per publish: catch-up ticks can queue several batches in
-    // mailboxes at once, so a reused buffer would be overwritten while the
-    // previous batch is still in flight.
+    // Fresh matrix per batch: the tick's estimates share it, and a caller
+    // may keep a batch (or an estimate over it) beyond the tick, so a
+    // reused buffer would be overwritten under it.
     auto matrix = std::make_shared<model::FeatureMatrix>();
     matrix->frequency_hz = frequency_hz;
     if (completed_count == rows) {
       // Steady state: every row completed — extract straight into the
-      // published matrix, whole lanes at a time.
+      // batch's matrix, whole lanes at a time.
       matrix->resize(rows);
       std::copy(pids_.begin(), pids_.end(), matrix->pids());
       model::extract_features_rows(cur_, prev_, window_seconds_.data(), hw_threads,
@@ -191,8 +185,7 @@ void HpcSensor::observe(const MonitorTick& tick) {
       for (std::size_t i = 0; i < matrix->rows(); ++i) util_lane[i] = 0.0;
     }
 
-    bus_->publish(out_topic_, batch_of(tick, SensorKind::kHpc, std::move(matrix)),
-                  self());
+    batch = batch_of(tick, SensorKind::kHpc, std::move(matrix));
     stage_.count(completed_count);
   }
 
@@ -202,80 +195,58 @@ void HpcSensor::observe(const MonitorTick& tick) {
     prev_.copy_row_from(cur_, i, i);
     last_time_[i] = now;
   }
-}
-
-void HpcSensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-  observe(*tick);
+  return batch;
 }
 
 // --- PowerSpySensor ---
 
-PowerSpySensor::PowerSpySensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                               std::shared_ptr<powermeter::PowerSpy> meter,
-                               obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), meter_(std::move(meter)) {
-  stage_.attach(obs, kSensorRows);
-}
+PowerSpySensor::PowerSpySensor(std::shared_ptr<powermeter::PowerSpy> meter,
+                               obs::Observability* obs, std::string_view name)
+    : meter_(std::move(meter)), stage_(obs, name, kSensorRows) {}
 
-void PowerSpySensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-  const auto sample = meter_->sample();
-  if (!sample) return;  // Dropped sample or first (priming) call.
+std::optional<SensorBatch> PowerSpySensor::sample(const MonitorTick& tick) {
+  const auto span = stage_.span(tick.seq);
+  const auto reading = meter_->sample();
+  if (!reading) return std::nullopt;  // Dropped sample or first (priming) call.
   auto matrix = machine_matrix(0.0);
-  matrix->lane(model::FeatureMatrix::kMeasuredWattsLane)[0] = sample->watts;
-  bus_->publish(out_topic_, batch_of(*tick, SensorKind::kPowerSpy, std::move(matrix)),
-                self());
+  matrix->lane(model::FeatureMatrix::kMeasuredWattsLane)[0] = reading->watts;
   stage_.count();
+  return batch_of(tick, SensorKind::kPowerSpy, std::move(matrix));
 }
 
 // --- RaplSensor ---
 
-RaplSensor::RaplSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                       std::shared_ptr<powermeter::RaplMsr> msr,
-                       obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), msr_(std::move(msr)) {
-  stage_.attach(obs, kSensorRows);
-}
+RaplSensor::RaplSensor(std::shared_ptr<powermeter::RaplMsr> msr,
+                       obs::Observability* obs, std::string_view name)
+    : msr_(std::move(msr)), stage_(obs, name, kSensorRows) {}
 
-void RaplSensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-  if (!msr_->available()) return;
+std::optional<SensorBatch> RaplSensor::sample(const MonitorTick& tick) {
+  const auto span = stage_.span(tick.seq);
+  if (!msr_->available()) return std::nullopt;
   const std::uint32_t raw = msr_->read_energy_status();
-  const auto completed = window_.advance(tick->timestamp, raw);
-  if (!completed) return;
+  const auto completed = window_.advance(tick.timestamp, raw);
+  if (!completed) return std::nullopt;
   const double joules = powermeter::RaplMsr::energy_between(completed->previous, raw);
 
   auto matrix = machine_matrix(completed->seconds);
   matrix->lane(model::FeatureMatrix::kMeasuredWattsLane)[0] = joules / completed->seconds;
-  bus_->publish(out_topic_, batch_of(*tick, SensorKind::kRapl, std::move(matrix)),
-                self());
   stage_.count();
+  return batch_of(tick, SensorKind::kRapl, std::move(matrix));
 }
 
 // --- IoSensor ---
 
-IoSensor::IoSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                   const os::MonitorableHost& host, obs::Observability* obs)
-    : bus_(&bus), out_topic_(out_topic), host_(&host) {
-  stage_.attach(obs, kSensorRows);
-}
+IoSensor::IoSensor(const os::MonitorableHost& host, obs::Observability* obs,
+                   std::string_view name)
+    : host_(&host), stage_(obs, name, kSensorRows) {}
 
-void IoSensor::receive(actors::Envelope& envelope) {
-  const MonitorTick* tick = as_tick(envelope);
-  if (tick == nullptr) return;
-  const auto span = stage_.span(name(), tick->seq);
-  if (host_->disk() == nullptr) return;  // No peripherals on this host.
+std::optional<SensorBatch> IoSensor::sample(const MonitorTick& tick) {
+  const auto span = stage_.span(tick.seq);
+  if (host_->disk() == nullptr) return std::nullopt;  // No peripherals on this host.
 
   const os::IoTotals totals = host_->io_totals();
-  // Same underflow guard as the HPC sensor: cumulative IO counters going
-  // backwards means the source reset (device re-probe, counter wrap at the
+  // The HPC sensor's underflow guard, applied to IO: cumulative counters
+  // going backwards means the source reset (device re-probe, counter wrap at the
   // OS boundary). Differencing across that would report a negative rate —
   // re-prime from the new baseline instead.
   if (window_.primed()) {
@@ -286,8 +257,8 @@ void IoSensor::receive(actors::Envelope& envelope) {
       window_.reset();
     }
   }
-  const auto completed = window_.advance(tick->timestamp, totals);
-  if (!completed) return;
+  const auto completed = window_.advance(tick.timestamp, totals);
+  if (!completed) return std::nullopt;
   const double window_s = completed->seconds;
   const os::IoTotals& last = completed->previous;
 
@@ -298,8 +269,8 @@ void IoSensor::receive(actors::Envelope& envelope) {
       (totals.disk_bytes - last.disk_bytes) / window_s;
   matrix->lane(model::FeatureMatrix::kNetBytesLane)[0] =
       (totals.net_bytes - last.net_bytes) / window_s;
-  bus_->publish(out_topic_, batch_of(*tick, SensorKind::kIo, std::move(matrix)), self());
   stage_.count();
+  return batch_of(tick, SensorKind::kIo, std::move(matrix));
 }
 
 }  // namespace powerapi::api

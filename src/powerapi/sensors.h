@@ -1,21 +1,23 @@
-// Sensor actors: turn MonitorTicks into SensorBatches on the event bus —
-// the one message shape of the sensor stage. The HPC sensor publishes a row
-// per monitored target; the meter and IO sensors publish one machine-scope
-// row carrying their own FeatureMatrix lanes.
+// Sensor stages: turn a MonitorTick into a SensorBatch — the one shape the
+// sensor stage produces. The HPC sensor samples a row per monitored
+// target; the meter and IO sensors sample one machine-scope row carrying
+// their own FeatureMatrix lanes.
 //
-// Every sensor publishes on an output topic the builder interns for it —
-// "sensor:hpc" in a standalone pipeline, "h3/sensor:hpc" inside a fleet
-// namespace — and keeps its window bookkeeping in SamplingWindow instances
-// rather than hand-rolled primed/last fields.
+// A sensor is a plain object the Pipeline calls once per due tick:
+// sample() returns the tick's batch, or nothing when no window completed
+// (the priming tick, a stale timestamp, a dropped meter sample). Window
+// bookkeeping lives in SamplingWindow instances (or, for the HPC sensor,
+// row-parallel arrays with the same semantics) rather than hand-rolled
+// primed/last fields.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
-#include "actors/actor.h"
-#include "actors/event_bus.h"
 #include "hpc/backend.h"
 #include "model/feature_matrix.h"
 #include "os/monitorable_host.h"
@@ -33,8 +35,9 @@ using TargetsFn = std::function<std::vector<std::int64_t>()>;
 
 /// Reads HPC counters for each target plus the machine scope in one batched
 /// lane gather, converts the per-window deltas into rates lane-by-lane and
-/// publishes ONE SensorKind::kHpc SensorBatch per tick on `out_topic` (row
-/// 0 = machine scope, then the targets in monitoring order).
+/// samples ONE SensorKind::kHpc SensorBatch per tick (row 0 = machine
+/// scope, then the targets in monitoring order; rows whose window did not
+/// complete are left out).
 ///
 /// Window bookkeeping is kept per row as parallel arrays instead of a
 /// pid→SamplingWindow map: prime/stale/regression semantics are identical
@@ -46,20 +49,20 @@ using TargetsFn = std::function<std::vector<std::int64_t>()>;
 /// utilization and — when the backend's batch read does not — the SMT
 /// co-residency and cpu-time side lanes; a live deployment passes nullptr
 /// and those fields default.
-class HpcSensor final : public actors::Actor {
+class HpcSensor final {
  public:
-  HpcSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-            hpc::CounterBackend& backend, TargetsFn targets,
-            const os::MonitorableHost* host, obs::Observability* obs = nullptr);
+  /// `obs` and `name` (the trace span's name, e.g. "h3/sensor-hpc") are
+  /// optional; every stage takes them last.
+  HpcSensor(hpc::CounterBackend& backend, TargetsFn targets,
+            const os::MonitorableHost* host, obs::Observability* obs = nullptr,
+            std::string_view name = {});
 
-  void receive(actors::Envelope& envelope) override;
+  /// The batch of every row whose window this tick completed, if any.
+  std::optional<SensorBatch> sample(const MonitorTick& tick);
 
  private:
-  void observe(const MonitorTick& tick);
   void realign_rows(const std::vector<std::int64_t>& new_pids);
 
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   hpc::CounterBackend* backend_;
   TargetsFn targets_;
   const os::MonitorableHost* host_;
@@ -81,39 +84,34 @@ class HpcSensor final : public actors::Actor {
   StageObs stage_;
 };
 
-/// Publishes the (simulated) wall meter's reading as a 1-row
+/// Samples the (simulated) wall meter's reading as a 1-row
 /// SensorKind::kPowerSpy batch (measured-watts lane).
-class PowerSpySensor final : public actors::Actor {
+class PowerSpySensor final {
  public:
-  PowerSpySensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                 std::shared_ptr<powermeter::PowerSpy> meter,
-                 obs::Observability* obs = nullptr);
+  explicit PowerSpySensor(std::shared_ptr<powermeter::PowerSpy> meter,
+                          obs::Observability* obs = nullptr, std::string_view name = {});
 
-  void receive(actors::Envelope& envelope) override;
+  /// Nothing on a dropped sample or the meter's first (priming) call.
+  std::optional<SensorBatch> sample(const MonitorTick& tick);
 
  private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   std::shared_ptr<powermeter::PowerSpy> meter_;
   StageObs stage_;
 };
 
 /// Reads the emulated RAPL MSR, differentiates energy into watts and
-/// publishes a 1-row SensorKind::kRapl batch (measured-watts and window
+/// samples a 1-row SensorKind::kRapl batch (measured-watts and window
 /// lanes). The raw MSR value is a wrapping 32-bit
 /// counter, so a decrease is a wraparound, not a reset — energy_between
 /// unwraps it and the window never re-primes.
-class RaplSensor final : public actors::Actor {
+class RaplSensor final {
  public:
-  RaplSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-             std::shared_ptr<powermeter::RaplMsr> msr,
-             obs::Observability* obs = nullptr);
+  explicit RaplSensor(std::shared_ptr<powermeter::RaplMsr> msr,
+                      obs::Observability* obs = nullptr, std::string_view name = {});
 
-  void receive(actors::Envelope& envelope) override;
+  std::optional<SensorBatch> sample(const MonitorTick& tick);
 
  private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   std::shared_ptr<powermeter::RaplMsr> msr_;
   SamplingWindow<std::uint32_t> window_;
   StageObs stage_;
@@ -121,18 +119,16 @@ class RaplSensor final : public actors::Actor {
 
 /// Differences the host's iostat-style IO counters into machine-scope rates
 /// (the disk/network dimension of the paper's component splitting),
-/// published as a 1-row SensorKind::kIo batch (IO and window lanes).
-/// Publishes nothing when the host has no peripherals.
-class IoSensor final : public actors::Actor {
+/// sampled as a 1-row SensorKind::kIo batch (IO and window lanes).
+/// Samples nothing when the host has no peripherals.
+class IoSensor final {
  public:
-  IoSensor(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-           const os::MonitorableHost& host, obs::Observability* obs = nullptr);
+  explicit IoSensor(const os::MonitorableHost& host, obs::Observability* obs = nullptr,
+                    std::string_view name = {});
 
-  void receive(actors::Envelope& envelope) override;
+  std::optional<SensorBatch> sample(const MonitorTick& tick);
 
  private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
   const os::MonitorableHost* host_;
   SamplingWindow<os::IoTotals> window_;
   StageObs stage_;

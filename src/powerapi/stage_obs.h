@@ -1,11 +1,12 @@
-// Per-stage observability hooks shared by the pipeline actors.
+// Per-stage observability hooks shared by the pipeline stages.
 //
-// Every Sensor/Formula/Aggregator actor owns one StageObs, attached at
-// construction when the pipeline was built with an Observability bundle.
-// It provides the two things a stage records per message: a Chrome-trace
-// span named after the actor (correlated across stages by the tick seq id)
-// and a throughput counter. Unattached (or disabled) stages pay one branch
-// per receive — the pipeline works identically without observability.
+// Every Sensor/Formula/Aggregator stage owns one StageObs, built at
+// construction when the pipeline was assembled with an Observability
+// bundle. It provides the two things a stage records per call: a
+// Chrome-trace span named after the stage ("sensor-hpc", "h3/formula-hpc";
+// correlated across stages by the tick seq id) and a throughput counter.
+// Unobserved (or disabled) stages pay one branch per call — the pipeline
+// works identically without observability.
 #pragma once
 
 #include <cstdint>
@@ -19,21 +20,21 @@ class StageObs {
  public:
   StageObs() = default;
 
-  /// `obs` is non-owning and may be null (stage not observed). The counter
-  /// ("pipeline.sensor_reports", "pipeline.estimates", ...) is interned once.
-  void attach(obs::Observability* obs, std::string_view counter_name) {
-    obs_ = obs;
-    if (obs_ != nullptr) counter_ = &obs_->metrics.counter(counter_name);
+  /// `obs` is non-owning and may be null (stage not observed). The span
+  /// name and the counter ("pipeline.sensor_reports", "pipeline.estimates",
+  /// ...) are interned once, here.
+  StageObs(obs::Observability* obs, std::string_view name, std::string_view counter_name)
+      : obs_(obs) {
+    if (obs_ == nullptr) return;
+    name_id_ = obs_->trace.intern(name);
+    counter_ = &obs_->metrics.counter(counter_name);
   }
 
   bool active() const noexcept { return obs_ != nullptr && obs_->enabled(); }
-  obs::Observability* observability() const noexcept { return obs_; }
 
-  /// Span covering one receive(). The actor's name is interned lazily on
-  /// the first traced message (spawn-time ctors don't know it yet).
-  obs::ScopedSpan span(std::string_view actor_name, std::uint64_t seq) {
+  /// Span covering one stage call.
+  obs::ScopedSpan span(std::uint64_t seq) const {
     if (!active()) return obs::ScopedSpan(nullptr, 0, 0);
-    if (name_id_ == 0) name_id_ = obs_->trace.intern(actor_name);
     return obs::ScopedSpan(&obs_->trace, name_id_, seq);
   }
 

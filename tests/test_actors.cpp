@@ -1,11 +1,10 @@
-// Tests for the actor runtime: drain determinism, drain groups (including
-// concurrent drains), supervision, dead letters, the event bus and tickers.
+// Tests for the actor runtime: drain determinism, supervision, dead letters,
+// the event bus and tickers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "actors/actor_system.h"
@@ -103,96 +102,6 @@ TEST(ActorSystem, MaxMessagesBoundsDrain) {
   for (int i = 0; i < 10; ++i) ref.tell(i);
   EXPECT_EQ(system.drain(3), 3u);
   EXPECT_EQ(system.drain(), 7u);
-}
-
-TEST(ActorSystem, DrainGroupTouchesOnlyItsGroup) {
-  // drain_group() drains one group to quiescence in spawn order and leaves
-  // every other group's mail queued; a stopped member's backlog becomes
-  // dead letters there, exactly once.
-  ActorSystem system;
-  const ActorSystem::GroupId group = system.add_group();
-  auto in_group = std::make_unique<Recorder>();
-  Recorder* member = in_group.get();
-  const auto a = system.spawn("a", std::move(in_group), group);
-  const auto doomed = system.spawn_in<Recorder>(group, "doomed");
-  auto outside = std::make_unique<Recorder>();
-  Recorder* other = outside.get();
-  const auto b = system.spawn("b", std::move(outside));
-  for (int i = 0; i < 3; ++i) {
-    a.tell(i);
-    b.tell(i);
-    doomed.tell(i);
-  }
-  system.stop(doomed);
-
-  EXPECT_EQ(system.drain_group(group), 3u);
-  EXPECT_EQ(member->values, (std::vector<int>{0, 1, 2}));
-  EXPECT_TRUE(other->values.empty());
-  EXPECT_EQ(system.dead_letters(), 3u);
-  EXPECT_EQ(system.drain_group(group), 0u);
-  EXPECT_EQ(system.dead_letters(), 3u);  // Not re-counted.
-
-  EXPECT_EQ(system.drain_group(ActorSystem::kDefaultGroup), 3u);
-  EXPECT_EQ(other->values, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(system.messages_processed(), 6u);
-  EXPECT_THROW(system.spawn_in<Recorder>(group + 1, "nowhere"), std::out_of_range);
-  EXPECT_THROW(system.drain_group(group + 1), std::out_of_range);
-}
-
-TEST(ActorSystem, DrainGroupCapLeavesTheRestForTheNextDrain) {
-  // A drain cut short by its cap must not lose the group's drain hint.
-  ActorSystem system;
-  const ActorSystem::GroupId group = system.add_group();
-  auto owned = std::make_unique<Recorder>();
-  Recorder* recorder = owned.get();
-  const auto ref = system.spawn("r", std::move(owned), group);
-  for (int i = 0; i < 5; ++i) ref.tell(i);
-  EXPECT_EQ(system.drain_group(group, 2), 2u);
-  EXPECT_EQ(system.drain_group(group), 3u);
-  EXPECT_EQ(system.drain_group(group), 0u);
-  EXPECT_EQ(recorder->values, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(system.messages_processed(), 5u);
-}
-
-TEST(ActorSystem, GroupsDrainConcurrently) {
-  // One thread per group: cross-group tells land in MPSC mailboxes while
-  // both groups drain, and the caller drains what arrived afterwards.
-  ActorSystem system;
-  class Forwarder final : public Actor {
-   public:
-    explicit Forwarder(ActorRef next) : next_(next) {}
-    void receive(Envelope& envelope) override {
-      ++handled;
-      if (const auto* v = envelope.payload.get<int>()) next_.tell(*v);
-    }
-    int handled = 0;
-
-   private:
-    ActorRef next_;
-  };
-  auto sink_owned = std::make_unique<Recorder>();
-  Recorder* sink = sink_owned.get();
-  const auto sink_ref = system.spawn("sink", std::move(sink_owned));
-  std::vector<ActorSystem::GroupId> groups;
-  std::vector<ActorRef> heads;
-  for (int g = 0; g < 2; ++g) {
-    groups.push_back(system.add_group());
-    heads.push_back(system.spawn_in<Forwarder>(groups.back(), "fwd", sink_ref));
-  }
-  constexpr int kPerGroup = 5000;
-  std::vector<std::thread> threads;
-  for (int g = 0; g < 2; ++g) {
-    threads.emplace_back([&, g] {
-      for (int i = 0; i < kPerGroup; ++i) {
-        heads[static_cast<std::size_t>(g)].tell(i);
-        system.drain_group(groups[static_cast<std::size_t>(g)]);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(system.drain(), 2u * kPerGroup);
-  EXPECT_EQ(sink->values.size(), 2u * kPerGroup);
-  EXPECT_EQ(system.messages_processed(), 4u * kPerGroup);
 }
 
 // --- Supervision ---

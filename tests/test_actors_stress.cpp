@@ -165,8 +165,6 @@ TEST(ActorStress, SpawnDuringStorm) {
     actors.push_back(system.spawn_as<Counter>("early", &received));
   }
 
-  // drain(), not drain_group(): spawn() grows the default group, whose
-  // membership is frozen only while drain_group() runs.
   Consumer consumer(system);
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {

@@ -5,7 +5,6 @@
 // fleet evenly.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -13,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "actors/actor_system.h"
-#include "actors/event_bus.h"
 #include "hpc/backend.h"
 #include "model/feature_matrix.h"
 #include "model/power_model.h"
@@ -149,16 +146,13 @@ TEST(FeatureBatch, RegressedCountersSaturateToZeroInsteadOfWrapping) {
 // --- HpcSensor: re-prime of one row mid-chunk ---
 
 /// Collects SensorBatch pids per tick, in row order.
-class BatchPidCollector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    const auto* batch = envelope.payload.get<SensorBatch>();
-    if (batch == nullptr || !batch->features) return;
+struct BatchPidCollector {
+  void add(const SensorBatch& batch) {
     std::vector<std::int64_t> row_pids;
-    for (std::size_t i = 0; i < batch->features->rows(); ++i) {
-      row_pids.push_back(batch->features->pid(i));
-      rates[batch->features->pid(i)] =
-          model::rate_of(batch->features->row(i).rates, hpc::EventId::kInstructions);
+    for (std::size_t i = 0; i < batch.features->rows(); ++i) {
+      row_pids.push_back(batch.features->pid(i));
+      rates[batch.features->pid(i)] =
+          model::rate_of(batch.features->row(i).rates, hpc::EventId::kInstructions);
     }
     batches.push_back(std::move(row_pids));
   }
@@ -177,18 +171,13 @@ class ScriptedBackend final : public hpc::CounterBackend {
 };
 
 TEST(FeatureBatch, RePrimeMidChunkDropsOnlyTheRegressedRow) {
-  actors::ActorSystem actors;
-  actors::EventBus bus(actors);
   ScriptedBackend backend;
   constexpr std::int64_t kPidA = 7;
   constexpr std::int64_t kPidB = 8;
 
-  auto collector = std::make_unique<BatchPidCollector>();
-  BatchPidCollector& seen = *collector;
-  bus.subscribe("sensor:hpc", actors.spawn("collector", std::move(collector)));
-  const auto sensor = actors.spawn_as<HpcSensor>(
-      "sensor", bus, bus.intern("sensor:hpc"), backend,
-      [] { return std::vector<std::int64_t>{kPidA, kPidB}; }, nullptr);
+  BatchPidCollector seen;
+  HpcSensor sensor(backend, [] { return std::vector<std::int64_t>{kPidA, kPidB}; },
+                   nullptr);
 
   auto tick = [&](int second, std::uint64_t a, std::uint64_t b) {
     // Machine counters stay monotone throughout — only pid A regresses.
@@ -196,8 +185,9 @@ TEST(FeatureBatch, RePrimeMidChunkDropsOnlyTheRegressedRow) {
         static_cast<std::uint64_t>(second) * 10'000'000;
     backend.values[kPidA][hpc::EventId::kInstructions] = a;
     backend.values[kPidB][hpc::EventId::kInstructions] = b;
-    sensor.tell(MonitorTick{seconds_to_ns(second)});
-    actors.drain();
+    if (const auto batch = sensor.sample(MonitorTick{seconds_to_ns(second)})) {
+      seen.add(*batch);
+    }
   };
 
   tick(1, 1'000'000, 2'000'000);  // Primes all three rows.
@@ -223,9 +213,6 @@ TEST(FeatureBatch, RePrimeMidChunkDropsOnlyTheRegressedRow) {
             (std::vector<std::int64_t>{kMachinePid, kPidA, kPidB}));
   EXPECT_EQ(seen.rates[kPidA], 240'000.0);
   EXPECT_EQ(seen.rates[kPidB], 4e5);
-
-  EXPECT_EQ(actors.failures(), 0u);
-  actors.shutdown();
 }
 
 // --- Fleet chunking: heterogeneous hosts, uneven chunk sizes ---

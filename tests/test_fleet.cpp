@@ -286,6 +286,14 @@ TEST(FleetMonitor, SliceThreadFailureRethrowsAndLaterRunsContinue) {
   for (auto& host : hosts) {
     memory.push_back(&fleet.add_memory_reporter(fleet.add_host(*host, fleet_spec())));
   }
+  // A reporter is called directly on its host's slice thread: when it
+  // throws, the error takes the same path as a throwing host.
+  bool fail_next_row = false;
+  fleet.add_callback_reporter(kHosts - 1, [&fail_next_row](const AggregatedPower&) {
+    if (!fail_next_row) return;
+    fail_next_row = false;
+    throw std::runtime_error("reporter failed");
+  });
   fleet.run_for(ms_to_ns(500));
   // The last host sits on the last slice: a slice thread whenever there is
   // more than one slice.
@@ -293,10 +301,18 @@ TEST(FleetMonitor, SliceThreadFailureRethrowsAndLaterRunsContinue) {
   EXPECT_THROW(fleet.run_for(ms_to_ns(500)), std::runtime_error);
   EXPECT_FALSE(hosts.back()->fail_next_advance);
 
-  const std::size_t rows_before = memory.back()->total_rows();
+  std::size_t rows_before = memory.back()->total_rows();
   fleet.run_for(ms_to_ns(500));  // The hand-off still works after a failure.
   EXPECT_GT(memory.back()->total_rows(), rows_before);
   EXPECT_GT(memory.front()->total_rows(), 0u);
+
+  fail_next_row = true;
+  EXPECT_THROW(fleet.run_for(ms_to_ns(500)), std::runtime_error);
+  EXPECT_FALSE(fail_next_row);
+
+  rows_before = memory.back()->total_rows();
+  fleet.run_for(ms_to_ns(500));  // ...and after a reporter failure.
+  EXPECT_GT(memory.back()->total_rows(), rows_before);
   // Destruction stops and joins the slice threads.
 }
 

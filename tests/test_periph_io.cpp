@@ -1,16 +1,15 @@
 // Tests for the IO counter path: the cumulative iostat-style IoTotals a
 // host exposes, the IoSensor that differences them into rates, and the
 // datasheet formula that turns those rates into a peripheral power share —
-// the disk/network dimension of the paper's component splitting, message
+// the disk/network dimension of the paper's component splitting, stage
 // level (complementing the peripheral POWER model tests in
 // test_periph_turbo.cpp).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include "actors/actor_system.h"
-#include "actors/event_bus.h"
 #include "os/monitorable_host.h"
 #include "os/system.h"
 #include "powerapi/formulas.h"
@@ -23,32 +22,6 @@ namespace {
 
 using util::ms_to_ns;
 using util::seconds_to_ns;
-
-/// Collects raw payloads of one type from a topic.
-template <typename T>
-class Collector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    if (const T* value = envelope.payload.get<T>()) items.push_back(*value);
-  }
-  std::vector<T> items;
-};
-
-struct Harness {
-  Harness() : bus(actors) {}
-  ~Harness() { actors.shutdown(); }
-
-  template <typename T>
-  Collector<T>& collect(const std::string& topic) {
-    auto owned = std::make_unique<Collector<T>>();
-    Collector<T>& ref = *owned;
-    bus.subscribe(topic, actors.spawn("collector", std::move(owned)));
-    return ref;
-  }
-
-  actors::ActorSystem actors;
-  actors::EventBus bus;
-};
 
 /// A host whose IO totals are scripted by the test: the sensor's input is
 /// then exact, so rate assertions can be EXPECT_DOUBLE_EQ, not NEAR.
@@ -138,21 +111,16 @@ double io_lane(const SensorBatch& batch, std::size_t lane) {
 
 TEST(IoSensor, DifferencesTotalsIntoExactRates) {
   ScriptedIoHost host;
-  Harness h;
-  auto& batches = h.collect<SensorBatch>("sensor:io");
-  const auto sensor = h.actors.spawn_as<IoSensor>(
-      "sensor", h.bus, h.bus.intern("sensor:io"), host);
+  IoSensor sensor(host);
 
   host.totals_ = {100.0, 1e6, 2e6};
-  sensor.tell(MonitorTick{seconds_to_ns(1)});
-  h.actors.drain();
-  EXPECT_TRUE(batches.items.empty());  // Priming tick.
+  EXPECT_FALSE(sensor.sample(MonitorTick{seconds_to_ns(1)}));  // Priming tick.
 
   host.totals_ = {150.0, 3e6, 6e6};  // +50 ops, +2 MB disk, +4 MB net.
-  sensor.tell(MonitorTick{seconds_to_ns(3)});  // 2 s window.
-  h.actors.drain();
-  ASSERT_EQ(batches.items.size(), 1u);
-  const SensorBatch& b = batches.items[0];
+  const std::optional<SensorBatch> batch =
+      sensor.sample(MonitorTick{seconds_to_ns(3)});  // 2 s window.
+  ASSERT_TRUE(batch);
+  const SensorBatch& b = *batch;
   EXPECT_EQ(b.sensor, SensorKind::kIo);
   EXPECT_EQ(b.timestamp, seconds_to_ns(3));
   ASSERT_EQ(b.features->rows(), 1u);
@@ -168,48 +136,34 @@ TEST(IoSensor, DifferencesTotalsIntoExactRates) {
 
 TEST(IoSensor, CounterRegressionReprimesInsteadOfNegativeRates) {
   ScriptedIoHost host;
-  Harness h;
-  auto& batches = h.collect<SensorBatch>("sensor:io");
-  const auto sensor = h.actors.spawn_as<IoSensor>(
-      "sensor", h.bus, h.bus.intern("sensor:io"), host);
+  IoSensor sensor(host);
 
   host.totals_ = {100.0, 1e6, 1e6};
-  sensor.tell(MonitorTick{seconds_to_ns(1)});
+  EXPECT_FALSE(sensor.sample(MonitorTick{seconds_to_ns(1)}));
   host.totals_ = {200.0, 2e6, 2e6};
-  sensor.tell(MonitorTick{seconds_to_ns(2)});
-  h.actors.drain();
-  ASSERT_EQ(batches.items.size(), 1u);
+  EXPECT_TRUE(sensor.sample(MonitorTick{seconds_to_ns(2)}));
 
   // The counter source resets (device re-probe / wraparound at the OS
   // boundary): totals regress. Differencing across the reset would yield a
   // negative rate — the sensor must skip the tick and re-prime instead.
   host.totals_ = {10.0, 1e5, 1e5};
-  sensor.tell(MonitorTick{seconds_to_ns(3)});
-  h.actors.drain();
-  ASSERT_EQ(batches.items.size(), 1u);  // No batch on the reset tick.
+  EXPECT_FALSE(sensor.sample(MonitorTick{seconds_to_ns(3)}));  // No batch on the reset tick.
 
   // The next window differences against the POST-reset baseline.
   host.totals_ = {20.0, 2e5, 3e5};
-  sensor.tell(MonitorTick{seconds_to_ns(4)});
-  h.actors.drain();
-  ASSERT_EQ(batches.items.size(), 2u);
-  const SensorBatch& b = batches.items[1];
-  EXPECT_DOUBLE_EQ(io_lane(b, model::FeatureMatrix::kDiskIopsLane), 10.0);
-  EXPECT_DOUBLE_EQ(io_lane(b, model::FeatureMatrix::kDiskBytesLane), 1e5);
-  EXPECT_DOUBLE_EQ(io_lane(b, model::FeatureMatrix::kNetBytesLane), 2e5);
+  const std::optional<SensorBatch> b = sensor.sample(MonitorTick{seconds_to_ns(4)});
+  ASSERT_TRUE(b);
+  EXPECT_DOUBLE_EQ(io_lane(*b, model::FeatureMatrix::kDiskIopsLane), 10.0);
+  EXPECT_DOUBLE_EQ(io_lane(*b, model::FeatureMatrix::kDiskBytesLane), 1e5);
+  EXPECT_DOUBLE_EQ(io_lane(*b, model::FeatureMatrix::kNetBytesLane), 2e5);
 }
 
 TEST(IoSensor, SilentWhenHostHasNoDisk) {
   os::System system(simcpu::i3_2120());  // No peripherals.
-  Harness h;
-  auto& batches = h.collect<SensorBatch>("sensor:io");
-  const auto sensor = h.actors.spawn_as<IoSensor>(
-      "sensor", h.bus, h.bus.intern("sensor:io"), system);
+  IoSensor sensor(system);
   for (int i = 1; i <= 3; ++i) {
-    sensor.tell(MonitorTick{seconds_to_ns(i)});
-    h.actors.drain();
+    EXPECT_FALSE(sensor.sample(MonitorTick{seconds_to_ns(i)}));
   }
-  EXPECT_TRUE(batches.items.empty());
 }
 
 // --- The rates' contribution to the datasheet power estimate ---
@@ -232,19 +186,12 @@ SensorBatch io_batch(SensorKind sensor, double iops, double disk_bytes_per_sec,
 }
 
 TEST(IoFormula, ChargesDatasheetEnergiesForReportedRates) {
-  Harness h;
-  auto& estimates = h.collect<EstimateBatch>("power:estimate");
   const periph::DiskParams disk;
   const periph::NicParams nic;
-  const auto formula = h.actors.spawn_as<IoFormula>(
-      "formula", h.bus, h.bus.intern("power:estimate"), disk, nic);
+  IoFormula formula(disk, nic);
 
   const SensorBatch batch = io_batch(SensorKind::kIo, 50.0, 10e6, 4e6);
-  formula.tell(batch);
-  h.actors.drain();
-
-  ASSERT_EQ(estimates.items.size(), 1u);
-  const EstimateBatch& e = estimates.items[0];
+  const EstimateBatch e = formula.estimate(batch);
   EXPECT_EQ(e.formula, "io-datasheet");
   EXPECT_EQ(e.timestamp, seconds_to_ns(2));
   EXPECT_EQ(e.model_version, 0u);
@@ -261,14 +208,11 @@ TEST(IoFormula, ChargesDatasheetEnergiesForReportedRates) {
 }
 
 TEST(IoFormula, IgnoresReportsFromOtherSensors) {
-  Harness h;
-  auto& estimates = h.collect<EstimateBatch>("power:estimate");
-  const auto formula = h.actors.spawn_as<IoFormula>(
-      "formula", h.bus, h.bus.intern("power:estimate"), periph::DiskParams{},
-      periph::NicParams{});
-  formula.tell(io_batch(SensorKind::kHpc, 50.0, 10e6, 4e6));  // Not an IO batch.
-  h.actors.drain();
-  EXPECT_TRUE(estimates.items.empty());
+  IoFormula formula(periph::DiskParams{}, periph::NicParams{});
+  // Not an IO batch: no rows.
+  const EstimateBatch e = formula.estimate(io_batch(SensorKind::kHpc, 50.0, 10e6, 4e6));
+  EXPECT_EQ(e.features, nullptr);
+  EXPECT_TRUE(e.watts.empty());
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 // Pipeline-layer units: the SamplingWindow bookkeeping core, the
 // counter-underflow guard in HpcSensor (pid reuse), PowerMeter's tick
-// coalescing under a coarse kernel quantum, finish() flush semantics, and
-// the one message shape of each stage.
+// coalescing under a coarse kernel quantum, and finish() flush semantics.
 #include <gtest/gtest.h>
 
-#include <any>
 #include <memory>
 #include <set>
 #include <string>
@@ -12,7 +10,6 @@
 
 #include "actors/actor_system.h"
 #include "actors/event_bus.h"
-#include "baselines/estimator.h"
 #include "hpc/backend.h"
 #include "os/system.h"
 #include "powerapi/power_meter.h"
@@ -89,16 +86,6 @@ TEST(SamplingWindow, ConsecutiveWindowsChain) {
 
 // --- HpcSensor counter-underflow guard (pid reuse / counter reset) ---
 
-/// Collects raw payloads of one type from a topic.
-template <typename T>
-class Collector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    if (const T* value = envelope.payload.get<T>()) items.push_back(*value);
-  }
-  std::vector<T> items;
-};
-
 /// A backend whose cumulative counters the test scripts directly.
 class ScriptedBackend final : public hpc::CounterBackend {
  public:
@@ -111,24 +98,18 @@ class ScriptedBackend final : public hpc::CounterBackend {
 };
 
 TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
-  actors::ActorSystem actors;
-  actors::EventBus bus(actors);
   ScriptedBackend backend;
   constexpr std::int64_t kPid = 42;
+  HpcSensor sensor(backend, [] { return std::vector<std::int64_t>{kPid}; }, nullptr);
 
-  auto collector = std::make_unique<Collector<SensorBatch>>();
-  Collector<SensorBatch>& batches = *collector;
-  bus.subscribe("sensor:hpc", actors.spawn("collector", std::move(collector)));
-  const auto sensor = actors.spawn_as<HpcSensor>(
-      "sensor", bus, bus.intern("sensor:hpc"), backend,
-      [] { return std::vector<std::int64_t>{kPid}; }, nullptr);
-
+  std::vector<SensorBatch> batches;
   auto tick = [&](int second, std::uint64_t instructions) {
     backend.values[hpc::Target::kMachine][hpc::EventId::kInstructions] =
         instructions * 10;  // Machine counters stay monotone throughout.
     backend.values[kPid][hpc::EventId::kInstructions] = instructions;
-    sensor.tell(MonitorTick{seconds_to_ns(second)});
-    actors.drain();
+    if (auto batch = sensor.sample(MonitorTick{seconds_to_ns(second)})) {
+      batches.push_back(std::move(*batch));
+    }
   };
 
   tick(1, 1'000'000);  // Primes.
@@ -140,7 +121,7 @@ TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
 
   // The pid row's instruction rate of every batch that carries one.
   std::vector<double> pid_rates;
-  for (const auto& batch : batches.items) {
+  for (const auto& batch : batches) {
     const model::FeatureMatrix& rows = *batch.features;
     for (std::size_t i = 0; i < rows.rows(); ++i) {
       if (rows.pid(i) == kPid) {
@@ -153,11 +134,18 @@ TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
   // Post-reuse window differences against the tick-3 baseline (50k), not the
   // stale 3e6 snapshot: an unsigned wrap would read ~1.8e19 events/s.
   EXPECT_NEAR(pid_rates[1], 2e5, 1e-6);
-
-  actors.shutdown();
 }
 
 // --- PowerMeter::run_for tick coalescing ---
+
+/// Collects every MonitorTick published on a pipeline's tick topic.
+class TickCollector final : public actors::Actor {
+ public:
+  void receive(actors::Envelope& envelope) override {
+    if (const auto* tick = envelope.payload.get<MonitorTick>()) items.push_back(*tick);
+  }
+  std::vector<MonitorTick> items;
+};
 
 model::CpuPowerModel tiny_model() {
   std::vector<model::FrequencyFormula> formulas;
@@ -184,8 +172,8 @@ TEST(PowerMeter, CoarseKernelQuantumCoalescesDueTicks) {
   config.period = ms_to_ns(3);
   PowerMeter meter(system, tiny_model(), config);
 
-  auto collector = std::make_unique<Collector<MonitorTick>>();
-  Collector<MonitorTick>& ticks = *collector;
+  auto collector = std::make_unique<TickCollector>();
+  TickCollector& ticks = *collector;
   meter.bus().subscribe(meter.pipeline().tick_topic(),
                         meter.actor_system().spawn("tick-probe", std::move(collector)));
 
@@ -209,8 +197,8 @@ TEST(PowerMeter, RunForAtExactPeriodMultiplesFiresOneTickPerChunk) {
   config.period = ms_to_ns(250);
   PowerMeter meter(system, tiny_model(), config);
 
-  auto collector = std::make_unique<Collector<MonitorTick>>();
-  Collector<MonitorTick>& ticks = *collector;
+  auto collector = std::make_unique<TickCollector>();
+  TickCollector& ticks = *collector;
   meter.bus().subscribe(meter.pipeline().tick_topic(),
                         meter.actor_system().spawn("tick-probe", std::move(collector)));
 
@@ -248,93 +236,6 @@ TEST(PowerMeter, FinishFlushesPendingGroupsExactlyOnce) {
         seen.insert({row.timestamp, row.pid, row.group, row.formula}).second)
         << "duplicate row for formula " << row.formula << " at t=" << row.timestamp;
   }
-}
-
-// --- One message shape per stage ---
-
-/// Records every payload on its topics: the sensor kind of each
-/// SensorBatch, the formula of each EstimateBatch, and how many payloads
-/// were neither.
-class ShapeSniffer final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    if (const auto* sensor = envelope.payload.get<SensorBatch>()) {
-      sensors.insert(sensor->sensor);
-    } else if (const auto* estimate = envelope.payload.get<EstimateBatch>()) {
-      formulas.insert(estimate->formula);
-    } else {
-      ++other;
-    }
-  }
-  std::set<SensorKind> sensors;
-  std::set<std::string> formulas;
-  std::size_t other = 0;
-};
-
-/// A machine-scope baseline: 25 W plus 10 W at full utilization.
-class LinearLoadEstimator final : public baselines::MachinePowerEstimator {
- public:
-  std::string name() const override { return "linear-load"; }
-  double estimate(const baselines::Observation& obs) const override {
-    return 25.0 + estimate_task(obs);
-  }
-  double estimate_task(const baselines::Observation& obs) const override {
-    return 10.0 * obs.utilization;
-  }
-};
-
-TEST(Pipeline, EveryStageCarriesOneMessageShape) {
-  os::System::Options host_options;
-  host_options.with_peripherals = true;
-  os::System system(simcpu::i3_2120(), std::move(host_options));
-  system.spawn("app", std::make_unique<workloads::SteadyBehavior>(
-                          workloads::cpu_stress(0.6), 0));
-  system.spawn("backup", std::make_unique<workloads::SteadyBehavior>(
-                             workloads::io_stress(20, 10, 0.6), 0));
-
-  PowerMeter::Config config;
-  config.period = ms_to_ns(25);
-  config.with_powerspy = true;
-  config.with_rapl = true;
-  config.with_io = true;
-  config.with_calibration = true;
-  config.calibration.min_samples_per_fit = 8;
-  config.calibration.drift_window = 4;
-  config.calibration.min_refit_interval = ms_to_ns(200);
-  config.estimators.push_back(std::make_shared<LinearLoadEstimator>());
-  PowerMeter meter(system, tiny_model(), config);
-  meter.monitor_all();
-
-  auto sensor_owned = std::make_unique<ShapeSniffer>();
-  ShapeSniffer& sensor_stage = *sensor_owned;
-  const auto sensor_sniffer =
-      meter.actor_system().spawn("sensor-sniffer", std::move(sensor_owned));
-  for (const char* topic :
-       {"sensor:hpc", "sensor:powerspy", "sensor:rapl", "sensor:io"}) {
-    meter.bus().subscribe(topic, sensor_sniffer);
-  }
-  auto estimate_owned = std::make_unique<ShapeSniffer>();
-  ShapeSniffer& estimate_stage = *estimate_owned;
-  meter.bus().subscribe("power:estimate",
-                        meter.actor_system().spawn("estimate-sniffer",
-                                                   std::move(estimate_owned)));
-
-  meter.run_for(ms_to_ns(500));
-  meter.finish();
-
-  EXPECT_EQ(meter.actor_system().failures(), 0u);
-  EXPECT_EQ(sensor_stage.other, 0u)
-      << "a sensor published something other than a SensorBatch";
-  EXPECT_TRUE(sensor_stage.formulas.empty());
-  EXPECT_EQ(sensor_stage.sensors,
-            (std::set<SensorKind>{SensorKind::kHpc, SensorKind::kPowerSpy,
-                                  SensorKind::kRapl, SensorKind::kIo}));
-  EXPECT_EQ(estimate_stage.other, 0u)
-      << "a formula published something other than an EstimateBatch";
-  EXPECT_TRUE(estimate_stage.sensors.empty());
-  EXPECT_EQ(estimate_stage.formulas,
-            (std::set<std::string>{"powerapi-hpc", "powerspy", "rapl", "io-datasheet",
-                                   "linear-load"}));
 }
 
 }  // namespace
