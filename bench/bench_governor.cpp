@@ -68,7 +68,6 @@ void fleet_tick_bench(benchmark::State& state, bool governed) {
   api::FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kThreaded;
   options.workers = 4;
-  options.fleet_aggregation = false;
   api::FleetMonitor fleet(options);
   const model::CpuPowerModel model = tiny_model();
   for (auto& host : hosts) {
@@ -197,7 +196,6 @@ double joules_per_gigainstr(std::size_t host_count, double budget_per_host) {
   }
   api::FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kManual;
-  options.fleet_aggregation = false;
   api::FleetMonitor fleet(options);
   const model::CpuPowerModel model = tiny_model();
   for (auto& host : hosts) {

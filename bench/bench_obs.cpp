@@ -59,15 +59,13 @@ void fleet_tick_obs_bench(benchmark::State& state, ObsState obs_state) {
   std::vector<std::unique_ptr<os::System>> hosts;
   for (std::size_t i = 0; i < kHostCount; ++i) hosts.push_back(loaded_host());
 
+  obs::Observability obs;
+  if (obs_state == ObsState::kDisabled) obs.set_enabled(false);
   api::FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kThreaded;
   options.workers = 4;
-  // No fleet reporter is attached, so skip the fleet aggregator: its
-  // unconsumed publishes would only add dead-letter noise to the run.
-  options.fleet_aggregation = false;
-  options.with_observability = obs_state != ObsState::kNone;
+  options.observability = obs_state != ObsState::kNone ? &obs : nullptr;
   api::FleetMonitor fleet(options);
-  if (obs_state == ObsState::kDisabled) fleet.observability()->set_enabled(false);
 
   const model::CpuPowerModel model = tiny_model();
   for (auto& host : hosts) {

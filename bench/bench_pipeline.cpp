@@ -61,7 +61,6 @@ void fleet_tick_bench(benchmark::State& state, actors::ActorSystem::Mode mode,
   api::FleetMonitor::Options options;
   options.mode = mode;
   options.workers = 4;
-  options.fleet_aggregation = false;  // Nothing subscribes to the fleet rows.
   api::FleetMonitor fleet(options);
   const model::CpuPowerModel model = tiny_model();
   const auto registry =

@@ -75,8 +75,9 @@ api::PipelineSpec make_spec(const model::CpuPowerModel& power_model,
   return spec;
 }
 
-/// One agent process: a standalone kManual PowerMeter over host `index`,
-/// with a RemoteReporter shipping every aggregated row to the collector.
+/// One agent process: a PowerMeter over host `index` (one host, run on
+/// this thread), with a RemoteReporter shipping every aggregated row to the
+/// collector.
 /// With obs_cadence_ms > 0 the agent also ships its own metrics snapshots
 /// and trace spans, feeding the collector's merged Chrome trace.
 int agent_main(std::size_t index, std::uint16_t port,

@@ -93,7 +93,6 @@ RunResult run_fleet(std::size_t host_count, double budget_watts,
 
   api::FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kManual;
-  options.fleet_aggregation = false;  // The governor sums hosts itself.
   api::FleetMonitor fleet(options);
   api::PipelineSpec spec;
   spec.period = kMonitorPeriod;

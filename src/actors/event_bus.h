@@ -3,9 +3,10 @@
 // The paper's architecture routes SensorMessages and PowerEstimations over
 // an event bus with topic classification (Akka's EventBus). Here a host's
 // pipeline calls its stages directly and uses the bus only at its edges:
-// ticks ("tick") and aggregated rows ("power:aggregated") for whoever
-// subscribes, plus fleet and collector topics ("fleet/power:aggregated",
-// "remote/power:aggregated", governor actuations).
+// ticks ("h0/tick") and aggregated rows ("h0/power:aggregated") for
+// whoever subscribes, plus fleet and collector topics
+// ("fleet/power:aggregated", "remote/power:aggregated", governor
+// actuations).
 //
 // Hot-path design: topic strings are interned to dense integer TopicIds at
 // subscribe time (one string lookup ever, integer indexing per publish).

@@ -5,8 +5,7 @@
 // pipeline graph can be built over the simulator, a live /proc+perf host,
 // or a remote host proxy — and a FleetMonitor can drive many hosts of mixed
 // provenance through one actor system. Everything here is an observation
-// except advance(), which host drivers use to move simulated time (a live
-// host advances itself; its implementation is a no-op).
+// except advance(), which the FleetMonitor calls to move a host's time.
 #pragma once
 
 #include <cstdint>
@@ -90,8 +89,10 @@ class MonitorableHost {
   virtual const periph::NicModel* nic() const = 0;
 
   // --- Time control (host drivers only) ---
-  /// Advances the host by `duration`. Simulated hosts run their kernel;
-  /// a wall-clock host would sleep or no-op.
+  /// Advances the host by `duration`. Simulated hosts run their kernel in
+  /// whole quanta, so they may overshoot. A wall-clock host would sleep
+  /// for `duration`: FleetMonitor counts requested time, not host time, so
+  /// a no-op would end its run_for at once, before any tick fell due.
   virtual void advance(util::DurationNs duration) = 0;
 
   // --- Batch counter gather (SoA hot path) ---

@@ -55,16 +55,10 @@ bool spin_then_park(const std::atomic<std::uint32_t>& word, Clock::duration spin
 
 FleetMonitor::FleetMonitor(Options options)
     : options_(options),
-      obs_(options.with_observability ? std::make_unique<obs::Observability>()
-                                      : nullptr),
-      actors_(obs_.get()),
+      actors_(options.observability),
       bus_(actors_),
       fleet_topic_(bus_.intern("fleet/power:aggregated")) {
-  if (obs_ != nullptr) {
-    bus_.set_observability(obs_.get());
-    slice_wait_ns_ = &obs_->metrics.histogram("fleet.slice_wait_ns");
-    slice_parks_ = &obs_->metrics.counter("fleet.slice_parks");
-  }
+  if (options_.observability != nullptr) bus_.set_observability(options_.observability);
 }
 
 FleetMonitor::~FleetMonitor() {
@@ -79,17 +73,14 @@ std::size_t FleetMonitor::add_host(os::MonitorableHost& host, PipelineSpec spec)
   entry->host = &host;
   // The fleet's bundle observes every host pipeline unless the spec brought
   // its own.
-  if (obs_ != nullptr && spec.observability == nullptr) {
-    spec.observability = obs_.get();
-  }
+  if (spec.observability == nullptr) spec.observability = options_.observability;
   entry->pipeline = std::make_unique<Pipeline>(actors_, bus_, host, std::move(spec),
                                                "h" + std::to_string(index) + "/");
-  if (options_.fleet_aggregation) {
-    entry->pipeline->add_callback_reporter(
-        [rows = &entry->fleet_rows](const AggregatedPower& row) {
-          if (FleetSum::counts(row)) rows->push_back(row);
-        });
-  }
+  // The fleet tap: always the host's first reporter.
+  entry->pipeline->add_callback_reporter(
+      [this, rows = &entry->fleet_rows](const AggregatedPower& row) {
+        if (collect_fleet_rows_ && FleetSum::counts(row)) rows->push_back(row);
+      });
   entries_.push_back(std::move(entry));
   return index;
 }
@@ -117,31 +108,22 @@ void FleetMonitor::add_remote_reporter(std::size_t host,
 }
 
 void FleetMonitor::add_fleet_remote_reporter(net::TelemetryClient& client) {
-  if (!options_.fleet_aggregation) {
-    throw std::logic_error("FleetMonitor: fleet_aggregation disabled in Options");
-  }
-  const auto reporter =
-      actors_.spawn_as<RemoteReporter>("fleet/reporter-remote", client);
-  bus_.subscribe(fleet_topic_, reporter);
+  fleet_reporters_.push_back(std::make_unique<RemoteReporter>(client));
 }
 
 MemoryReporter& FleetMonitor::add_fleet_reporter() {
-  if (!options_.fleet_aggregation) {
-    throw std::logic_error("FleetMonitor: fleet_aggregation disabled in Options");
-  }
   auto owned = std::make_unique<MemoryReporter>();
   MemoryReporter& ref = *owned;
-  const auto reporter = actors_.spawn("fleet/reporter-memory", std::move(owned));
-  bus_.subscribe(fleet_topic_, reporter);
+  fleet_reporters_.push_back(std::move(owned));
   return ref;
 }
 
 void FleetMonitor::add_metrics_reporter(std::ostream& out,
                                         MetricsReporter::Format format,
                                         std::uint64_t every_n_ticks) {
-  if (obs_ == nullptr) {
+  if (options_.observability == nullptr) {
     throw std::logic_error(
-        "FleetMonitor::add_metrics_reporter: requires Options.with_observability");
+        "FleetMonitor::add_metrics_reporter: requires Options.observability");
   }
   if (entries_.empty()) {
     throw std::logic_error(
@@ -152,11 +134,11 @@ void FleetMonitor::add_metrics_reporter(std::ostream& out,
 }
 
 void FleetMonitor::write_chrome_trace(std::ostream& out) const {
-  if (obs_ == nullptr) {
+  if (options_.observability == nullptr) {
     throw std::logic_error(
-        "FleetMonitor::write_chrome_trace: requires Options.with_observability");
+        "FleetMonitor::write_chrome_trace: requires Options.observability");
   }
-  obs_->trace.write_chrome_trace(out);
+  options_.observability->trace.write_chrome_trace(out);
 }
 
 void FleetMonitor::settle() {
@@ -164,15 +146,22 @@ void FleetMonitor::settle() {
   actors_.drain();
 }
 
+bool FleetMonitor::fleet_consumed() const {
+  return !fleet_reporters_.empty() || bus_.subscriber_count(fleet_topic_) != 0;
+}
+
 void FleetMonitor::fold_fleet_rows() {
   for (const auto& entry : entries_) {
     for (const AggregatedPower& row : entry->fleet_rows) {
-      if (auto out = fleet_sum_.add(row, entries_.size())) {
-        bus_.publish(fleet_topic_, std::move(*out));
-      }
+      if (auto out = fleet_sum_.add(row, entries_.size())) report_fleet_row(std::move(*out));
     }
     entry->fleet_rows.clear();
   }
+}
+
+void FleetMonitor::report_fleet_row(AggregatedPower row) {
+  for (const auto& reporter : fleet_reporters_) reporter->report(row);
+  if (bus_.subscriber_count(fleet_topic_) != 0) bus_.publish(fleet_topic_, std::move(row));
 }
 
 void FleetMonitor::start_slices() {
@@ -185,6 +174,11 @@ void FleetMonitor::start_slices() {
           : 1;
   if (slice_begin_.size() == slices + 1 && slice_begin_.back() == hosts) return;
   stop_slices();
+  obs::Observability* obs = options_.observability;
+  if (slices > 1 && obs != nullptr && slice_wait_ns_ == nullptr) {
+    slice_wait_ns_ = &obs->metrics.histogram("fleet.slice_wait_ns");
+    slice_parks_ = &obs->metrics.counter("fleet.slice_parks");
+  }
   slice_begin_.clear();
   for (std::size_t s = 0; s <= slices; ++s) slice_begin_.push_back(s * hosts / slices);
   slice_errors_.assign(slices, nullptr);
@@ -212,7 +206,9 @@ void FleetMonitor::slice_loop(std::size_t slice, std::uint32_t epoch) {
     // has counted itself out, so the epoch moved by exactly one.
     ++epoch;
     if (stopping_) return;
-    if (parked && slice_parks_ != nullptr && obs_->enabled()) slice_parks_->add();
+    if (parked && slice_parks_ != nullptr && options_.observability->enabled()) {
+      slice_parks_->add();
+    }
     try {
       run_slice(slice);
     } catch (...) {
@@ -254,7 +250,7 @@ void FleetMonitor::step_hosts(util::DurationNs step) {
   spin_then_park(slices_pending_, kCallerSpin,
                  [](std::uint32_t pending) { return pending == 0; });
   slices_done_ = Clock::now();
-  if (slice_wait_ns_ != nullptr && obs_->enabled()) {
+  if (slice_wait_ns_ != nullptr && options_.observability->enabled()) {
     slice_wait_ns_->record(
         std::chrono::duration_cast<std::chrono::nanoseconds>(slices_done_ - own_done)
             .count());
@@ -274,8 +270,9 @@ void FleetMonitor::run_for(
   if (finished_) throw std::logic_error("FleetMonitor::run_for after finish()");
   if (entries_.empty() || duration <= 0) return;
   start_slices();
+  collect_fleet_rows_ = fleet_consumed();
   // Step at the smallest monitoring period so no host's ticks coalesce
-  // beyond what its own PowerMeter-equivalent run would produce.
+  // beyond what a run of that host alone would produce.
   util::DurationNs period = entries_.front()->pipeline->ticker().period();
   for (const auto& entry : entries_) {
     period = std::min(period, entry->pipeline->ticker().period());
@@ -302,9 +299,10 @@ void FleetMonitor::finish() {
   settle();
   // Host aggregators flush first (their pending groups feed the fleet
   // dimension), then the fleet dimension flushes its partial buckets.
+  collect_fleet_rows_ = fleet_consumed();
   for (const auto& entry : entries_) entry->pipeline->finish();
   settle();
-  for (AggregatedPower& row : fleet_sum_.flush()) bus_.publish(fleet_topic_, std::move(row));
+  for (AggregatedPower& row : fleet_sum_.flush()) report_fleet_row(std::move(row));
   settle();
 }
 

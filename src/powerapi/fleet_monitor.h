@@ -1,34 +1,38 @@
-// FleetMonitor: N hosts monitored in parallel host slices.
+// FleetMonitor: N hosts monitored in parallel host slices — the one
+// pipeline driver (PowerMeter is a FleetMonitor of one host).
 //
 // Each host gets its own Pipeline under topic namespace "h<i>/": a plain
 // call chain (sensors → formulas → calibration → aggregator → reporters)
 // that runs on whichever thread advances the host. run_for() cuts time into
 // steps of the smallest pipeline period and the fleet into contiguous
 // slices of hosts, one per thread: min(hosts, workers + 1, CPUs) slices in
-// threaded mode, one in kManual — the same code either way. The caller runs
-// slice 0; the other slices run on plain threads, one hand-off per step:
-// the caller releases a step by bumping an epoch, each slice thread counts
-// itself out when done, and the last one wakes the caller. Both sides spin
-// briefly before they park in atomic::wait (see fleet_monitor.cpp for the
-// budgets). For each host of its slice, a thread advances the host and runs
-// its due ticks through the pipeline. A host is only ever touched by its
-// slice's thread, so its series is bit-for-bit the same at every slice
-// count, and the same as a standalone kManual PowerMeter over an
-// identically constructed host.
+// threaded mode, one in kManual — the same code either way, and one host
+// always runs as one slice on the caller. The caller runs slice 0; the
+// other slices run on plain threads, one hand-off per step: the caller
+// releases a step by bumping an epoch, each slice thread counts itself out
+// when done, and the last one wakes the caller. Both sides spin briefly
+// before they park in atomic::wait (see fleet_monitor.cpp for the budgets).
+// For each host of its slice, a thread advances the host and runs its due
+// ticks through the pipeline. A host is only ever touched by its slice's
+// thread, so its series is bit-for-bit the same at every slice count, and
+// the same as a PowerMeter's over an identically constructed host.
 //
 // Everything spawned through actor_system() — the governor and its relays,
-// fleet reporters, sinks, a watchdog, a metrics reporter — is fleet-level:
-// slice threads only tell() into it (mailboxes are MPSC, e.g. a relay
-// subscribed to "h3/power:aggregated"), and the caller drains it in
-// settle(), after the hand-off.
+// sinks, a watchdog, a metrics reporter — is fleet-level: slice threads
+// only tell() into it (mailboxes are MPSC, e.g. a relay subscribed to
+// "h3/power:aggregated"), and the caller drains it in settle(), after the
+// hand-off.
 //
-// The fleet dimension: each host's machine-scope aggregated rows are
-// appended to a host-local buffer by a reporter the fleet attaches first.
-// After every step the caller folds the buffers in host order (FleetSum,
-// the bucket logic the collector-side FleetAggregator also uses) and
-// publishes per-formula sums across hosts on "fleet/power:aggregated" once
-// all hosts have reported a timestamp. The fixed fold order makes fleet
-// rows, too, identical at every slice count.
+// The fleet dimension runs only while something consumes it: an attached
+// fleet reporter or a bus subscriber on "fleet/power:aggregated" (checked
+// at the start of each run_for and in finish). Then each host's
+// machine-scope aggregated rows are appended to a host-local buffer by a
+// reporter the fleet attaches first, and after every step the caller folds
+// the buffers in host order (FleetSum, the bucket logic the collector-side
+// FleetAggregator also uses). Once all hosts have reported a timestamp, the
+// per-formula sum across hosts goes to the fleet reporters by direct call,
+// in attach order, and to the bus topic when subscribed. The fixed fold
+// order makes fleet rows, too, identical at every slice count.
 #pragma once
 
 #include <atomic>
@@ -59,15 +63,15 @@ class FleetMonitor {
     /// more slices than CPUs run (a spinning slice must not hold a CPU
     /// another slice needs): min(hosts, workers + 1, CPUs) slices.
     std::size_t workers = 4;
-    bool fleet_aggregation = true;  ///< Fold and publish the fleet dimension.
-    /// Own an obs::Observability bundle and wire it through the actor
-    /// system, the event bus and every host pipeline: metrics, stage spans
-    /// and the monitor's own CPU/power accounting, exportable via
-    /// add_metrics_reporter() and write_chrome_trace(). The caller also
-    /// records its wait for the other slices per step
+    /// Self-observability bundle (non-owning; must outlive the monitor),
+    /// wired through the actor system, the event bus and every host
+    /// pipeline whose spec brings none: metrics, stage spans and the
+    /// monitor's own CPU/power accounting, exportable via
+    /// add_metrics_reporter() and write_chrome_trace(). With slice threads,
+    /// the caller also records its wait for them per step
     /// ("fleet.slice_wait_ns"), and slice threads count their waits that
     /// parked in atomic::wait ("fleet.slice_parks").
-    bool with_observability = false;
+    obs::Observability* observability = nullptr;
   };
 
   FleetMonitor() : FleetMonitor(Options{}) {}
@@ -85,14 +89,16 @@ class FleetMonitor {
   /// The host's pipeline: retarget monitoring, attach reporters, etc.
   Pipeline& pipeline(std::size_t host) { return *entries_[host]->pipeline; }
 
-  // Per-host conveniences (mirroring PowerMeter's surface).
+  // Per-host conveniences.
   void monitor(std::size_t host, std::vector<std::int64_t> pids);
   void monitor_all(std::size_t host);
   MemoryReporter& add_memory_reporter(std::size_t host);
   void add_callback_reporter(std::size_t host, CallbackReporter::Callback callback);
 
   /// Reporter over the fleet dimension: rows carry group "(fleet)" and the
-  /// per-formula machine power summed across hosts.
+  /// per-formula machine power summed across hosts. Fleet reporters are
+  /// called by the caller's fold, in attach order; one attached between two
+  /// run_for calls receives the rows from the next run_for on.
   MemoryReporter& add_fleet_reporter();
 
   /// Forwards one host's aggregated rows to a caller-owned telemetry
@@ -101,20 +107,23 @@ class FleetMonitor {
   /// Forwards the fleet dimension's "(fleet)" rows to the client.
   void add_fleet_remote_reporter(net::TelemetryClient& client);
 
-  /// The fleet's observability bundle; null unless Options.with_observability.
-  obs::Observability* observability() noexcept { return obs_.get(); }
+  /// The fleet's observability bundle; null unless Options.observability.
+  obs::Observability* observability() const noexcept { return options_.observability; }
   /// Snapshots the whole fleet's metrics to `out` every N ticks of host 0.
-  /// Requires with_observability and at least one host.
+  /// Requires Options.observability and at least one host.
   void add_metrics_reporter(std::ostream& out,
                             MetricsReporter::Format format = MetricsReporter::Format::kText,
                             std::uint64_t every_n_ticks = 1);
   /// Writes the recorded message-flow trace as Chrome trace_event JSON
-  /// (open in chrome://tracing or Perfetto). Requires with_observability.
+  /// (open in chrome://tracing or Perfetto). Requires Options.observability.
   void write_chrome_trace(std::ostream& out) const;
 
   /// Advances every host by `duration` in steps of the smallest pipeline
-  /// period, firing due ticks per host per step. Host slices run in
-  /// parallel in threaded mode.
+  /// period, firing due ticks per host per step. Time is counted as
+  /// requested: each step calls every host's advance(step) once, whatever
+  /// the host clock reads afterwards (a host whose kernel quantum exceeds
+  /// the step runs a whole quantum per step). Host slices run in parallel
+  /// in threaded mode.
   void run_for(util::DurationNs duration);
 
   /// Like run_for, but invokes `on_chunk(advanced_ns)` after every step has
@@ -160,15 +169,20 @@ class FleetMonitor {
   void run_slice(std::size_t slice);
   /// Runs every slice for one step and rethrows the first slice failure.
   void step_hosts(util::DurationNs step);
+  /// Whether a fleet reporter or a bus subscriber consumes the fleet rows.
+  bool fleet_consumed() const;
   void fold_fleet_rows();
+  void report_fleet_row(AggregatedPower row);
 
   Options options_;
-  /// Declared before actors_/bus_: both unregister from it on destruction.
-  std::unique_ptr<obs::Observability> obs_;
   actors::ActorSystem actors_;
   actors::EventBus bus_;
   actors::EventBus::TopicId fleet_topic_;
   std::vector<std::unique_ptr<HostEntry>> entries_;
+  std::vector<std::unique_ptr<Reporter>> fleet_reporters_;
+  /// Whether hosts collect fleet rows; written by the caller only while the
+  /// slice threads wait for the next step.
+  bool collect_fleet_rows_ = false;
   FleetSum fleet_sum_;
   bool finished_ = false;
 
@@ -189,7 +203,8 @@ class FleetMonitor {
   /// Slice threads still running the current step; the last to finish
   /// notifies the caller.
   alignas(64) std::atomic<std::uint32_t> slices_pending_{0};
-  obs::Histogram* slice_wait_ns_ = nullptr;  ///< Null without observability.
+  /// Null without observability or slice threads.
+  obs::Histogram* slice_wait_ns_ = nullptr;
   obs::Counter* slice_parks_ = nullptr;
   std::vector<std::jthread> threads_;  ///< Slices 1..n-1; declared last, joined first.
 };

@@ -11,10 +11,11 @@
 // subscribes. Topics, within one pipeline's namespace:
 //   "tick"              MonitorTick     → metrics reporters, probes
 //   "power:aggregated"  AggregatedPower → governor sense relays, probes
-// In a multi-host fleet each host's topics live under a namespace prefix
-// ("h3/power:aggregated"); the fleet dimension adds
-// "fleet/power:aggregated", and a telemetry collector's BusBridge
-// republishes remote rows on "remote/power:aggregated".
+// Every pipeline is a FleetMonitor host, so its topics live under the
+// host's namespace prefix ("h0/tick", "h3/power:aggregated"). The fleet
+// dimension publishes "(fleet)" rows on "fleet/power:aggregated", also
+// only when subscribed, and a telemetry collector's BusBridge republishes
+// remote rows on "remote/power:aggregated".
 #pragma once
 
 #include <cstdint>

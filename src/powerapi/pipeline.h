@@ -20,9 +20,9 @@
 // subscribes (a zero-subscriber publish counts as a bus dead letter):
 // "tick" carries each MonitorTick (metrics reporters, probes) and
 // "power:aggregated" each aggregated row (governor sense relays, probes).
-// A standalone PowerMeter uses the empty topic namespace, a FleetMonitor
-// host i the namespace "h<i>/" ("h3/power:aggregated"), which also
-// prefixes the stages' trace span names ("h3/sensor-hpc").
+// Every pipeline is a FleetMonitor host: host i lives under the namespace
+// "h<i>/" ("h3/power:aggregated"; a PowerMeter's one host is "h0/"), which
+// also prefixes the stages' trace span names ("h3/sensor-hpc").
 #pragma once
 
 #include <cstdint>
@@ -88,8 +88,7 @@ struct PipelineSpec {
   obs::Observability* observability = nullptr;
 };
 
-/// One assembled pipeline over one host: the handle PowerMeter and
-/// FleetMonitor drive. Owns the counter backend, the tick schedule, every
+/// One assembled pipeline over one host: the handle FleetMonitor drives. Owns the counter backend, the tick schedule, every
 /// stage and the reporters attached to it. Only the metrics reporter is an
 /// actor (spawned into `actors`, fed by the "tick" topic).
 ///
@@ -98,7 +97,7 @@ struct PipelineSpec {
 class Pipeline {
  public:
   Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
-           os::MonitorableHost& host, PipelineSpec spec, std::string ns = {});
+           os::MonitorableHost& host, PipelineSpec spec, std::string ns);
 
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;

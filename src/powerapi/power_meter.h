@@ -1,11 +1,12 @@
-// PowerMeter: the single-host library facade.
+// PowerMeter: the single-host library facade — a FleetMonitor of one host.
 //
-// A thin driver over one Pipeline (see pipeline.h): one MonitorableHost,
-// the empty topic namespace, and an actor system + event bus for whatever
-// subscribes at the pipeline's edges ("tick", "power:aggregated"). Each
-// monitoring tick calls the Sensor, Formula, Aggregator and Reporter
-// stages in turn; run_for() then drains the actor system. For many hosts
-// stepped in parallel slices, see fleet_monitor.h.
+// The meter adds its one host (namespace "h0/": topics "h0/tick" and
+// "h0/power:aggregated", spans "h0/sensor-hpc", …) and keeps the
+// single-host surface as one-liners on that host's Pipeline (see
+// pipeline.h). run_for(), finish(), actor_system() and bus() are the
+// fleet's: one host runs as one slice on the caller, so a meter starts no
+// thread, and config.observability observes the meter's actor system and
+// bus as well as its pipeline.
 // Usage:
 //
 //   os::System system(simcpu::i3_2120());
@@ -20,70 +21,54 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "actors/actor_system.h"
-#include "actors/event_bus.h"
 #include "baselines/estimator.h"
 #include "model/power_model.h"
 #include "os/monitorable_host.h"
-#include "powerapi/messages.h"
+#include "powerapi/fleet_monitor.h"
 #include "powerapi/pipeline.h"
 #include "powerapi/reporters.h"
 
 namespace powerapi::api {
 
-class PowerMeter {
+class PowerMeter final : public FleetMonitor {
  public:
-  /// The meter's configuration IS the pipeline spec: the model and
-  /// estimators slots are filled from the constructor arguments.
+  /// The meter's configuration IS the pipeline spec; a non-empty `model`
+  /// fills its model slot.
   using Config = PipelineSpec;
 
-  PowerMeter(os::MonitorableHost& host, model::CpuPowerModel model)
-      : PowerMeter(host, std::move(model), Config{}) {}
-  PowerMeter(os::MonitorableHost& host, model::CpuPowerModel model, Config config);
-
-  /// Flushes via finish(), then stops every actor while the event bus still
-  /// exists (members are destroyed in reverse order, so an actor publishing
-  /// from post_stop during ~ActorSystem would otherwise use a dangling bus).
-  ~PowerMeter();
+  PowerMeter(os::MonitorableHost& host, model::CpuPowerModel model, Config config = {})
+      : FleetMonitor(Options{.observability = config.observability}) {
+    if (!model.empty()) config.model = std::move(model);
+    add_host(host, std::move(config));
+  }
 
   /// Monitors the given pids (plus, always, the machine scope).
-  void monitor(std::vector<std::int64_t> pids);
+  void monitor(std::vector<std::int64_t> pids) { pipeline().monitor(std::move(pids)); }
   /// Monitors every live process, tracked dynamically.
-  void monitor_all();
+  void monitor_all() { pipeline().monitor_all(); }
 
   /// Attaches an additional baseline formula fed by the hpc sensor.
-  void add_estimator(std::shared_ptr<const baselines::MachinePowerEstimator> estimator);
+  void add_estimator(std::shared_ptr<const baselines::MachinePowerEstimator> estimator) {
+    pipeline().add_estimator(std::move(estimator));
+  }
 
   // --- Reporters (attach before run_for) ---
-  void add_console_reporter(std::ostream& out);
-  void add_csv_reporter(std::ostream& out);
-  void add_callback_reporter(CallbackReporter::Callback callback);
-  MemoryReporter& add_memory_reporter();
+  void add_console_reporter(std::ostream& out) { pipeline().add_console_reporter(out); }
+  void add_csv_reporter(std::ostream& out) { pipeline().add_csv_reporter(out); }
+  void add_callback_reporter(CallbackReporter::Callback callback) {
+    pipeline().add_callback_reporter(std::move(callback));
+  }
+  MemoryReporter& add_memory_reporter() { return pipeline().add_memory_reporter(); }
   /// Forwards aggregated rows to a caller-owned telemetry client (see
   /// net/telemetry_client.h); the client must outlive the meter.
-  void add_remote_reporter(net::TelemetryClient& client);
+  void add_remote_reporter(net::TelemetryClient& client) {
+    pipeline().add_remote_reporter(client);
+  }
 
-  /// Advances the host by `duration` one period at a time, running the
-  /// pipeline's due ticks and draining the actor system after each.
-  void run_for(util::DurationNs duration);
-
-  /// Flushes pending aggregation groups; call once after the last run_for.
-  void finish();
-
-  actors::ActorSystem& actor_system() noexcept { return actors_; }
-  actors::EventBus& bus() noexcept { return bus_; }
-  const Config& config() const noexcept { return config_; }
-  Pipeline& pipeline() noexcept { return *pipeline_; }
-
- private:
-  os::MonitorableHost* host_;
-  Config config_;  ///< As configured (model slot left empty; it moves into the formula).
-  actors::ActorSystem actors_;
-  actors::EventBus bus_;
-  std::unique_ptr<Pipeline> pipeline_;
-  bool finished_ = false;
+  Pipeline& pipeline() { return FleetMonitor::pipeline(0); }
 };
 
 }  // namespace powerapi::api

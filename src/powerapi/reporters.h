@@ -2,10 +2,11 @@
 // lines, CSV rows, user callbacks, or in-memory series for tests and
 // benches.
 //
-// A reporter attached to a host's Pipeline is called directly, once per
-// row, in attach order. Every reporter is also an actor, so the same
-// classes can be spawned on a bus topic: a fleet-level sink on
-// "fleet/power:aggregated", or a collector-side one behind a BusBridge.
+// A reporter attached to a host's Pipeline, or to a FleetMonitor's fleet
+// dimension, is called directly, once per row, in attach order. Every
+// reporter is also an actor, so the same classes can be spawned on a bus
+// topic: a sink subscribed to "fleet/power:aggregated", or a
+// collector-side one behind a BusBridge.
 #pragma once
 
 #include <functional>

@@ -617,7 +617,7 @@ class Parser {
   void parse_fleet(const std::string& tail, std::size_t line) {
     auto kv = parse_args(tail, line);
     if (auto v = take_arg(kv, "aggregation", line); !v.empty()) {
-      spec_.fleet_aggregation = parse_bool(v, line);
+      spec_.fleet_reporter = parse_bool(v, line);
     }
     if (auto v = take_arg(kv, "workers", line); !v.empty()) {
       spec_.workers = parse_unsigned(v, line);

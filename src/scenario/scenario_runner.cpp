@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -289,11 +290,13 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
   }
 
   // --- Wire the fleet ---
+  // Declared before the fleet, which must not outlive it.
+  std::unique_ptr<obs::Observability> observability;
+  if (spec_.observe.enabled) observability = std::make_unique<obs::Observability>();
   api::FleetMonitor::Options fleet_options;
   fleet_options.mode = options.mode;
   fleet_options.workers = spec_.workers;
-  fleet_options.fleet_aggregation = spec_.fleet_aggregation;
-  fleet_options.with_observability = spec_.observe.enabled;
+  fleet_options.observability = observability.get();
   api::FleetMonitor fleet(fleet_options);
 
   std::atomic<std::size_t> swaps{0};
@@ -327,7 +330,7 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
     }
   }
   api::MemoryReporter* fleet_reporter =
-      spec_.fleet_aggregation ? &fleet.add_fleet_reporter() : nullptr;
+      spec_.fleet_reporter ? &fleet.add_fleet_reporter() : nullptr;
 
   // --- Observability plane (observe directive) ---
   // In-process there is no collector, so the watchdog probe synthesizes a

@@ -166,7 +166,7 @@ std::string serialize(const ScenarioSpec& spec) {
         << " min_active_cores=" << spec.govern.min_active_cores << "\n";
   }
 
-  out << "fleet aggregation=" << onoff(spec.fleet_aggregation)
+  out << "fleet aggregation=" << onoff(spec.fleet_reporter)
       << " workers=" << spec.workers << "\n";
 
   for (const InjectDecl& inj : spec.injections) {

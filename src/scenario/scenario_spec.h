@@ -224,7 +224,9 @@ struct ScenarioSpec {
   ObserveSpec observe;
   GovernSpec govern;
 
-  bool fleet_aggregation = true;
+  /// `fleet aggregation=on|off`: whether the runner attaches a fleet
+  /// reporter, which fills RunResult::fleet.
+  bool fleet_reporter = true;
   /// Threaded dispatch only: slice threads beside the caller, capped at
   /// the CPU count (FleetMonitor::Options::workers).
   std::size_t workers = 4;

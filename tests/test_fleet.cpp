@@ -1,8 +1,8 @@
 // FleetMonitor: N hosts on one actor system. The load-bearing property is
 // host-level isolation — a host monitored inside a fleet (threaded, hosts
-// stepped on parallel slices) must produce exactly the series a standalone
-// kManual PowerMeter produces over an identically constructed host — and
-// the fleet dimension, folded in host order, must not depend on threading.
+// stepped on parallel slices) must produce exactly the series a one-host
+// PowerMeter produces over an identically constructed host — and the fleet
+// dimension, folded in host order, must not depend on threading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -137,7 +137,7 @@ TEST(FleetMonitor, ThreadedHostsMatchStandaloneManualMetersExactly) {
   fleet.run_for(kDuration);
   fleet.finish();
 
-  // Reference runs: each host standalone under a deterministic kManual meter.
+  // Reference runs: each host alone under a one-host meter.
   for (std::size_t i = 0; i < kHosts; ++i) {
     auto solo_host = make_host(i);
     PowerMeter meter(*solo_host, fleet_model());
@@ -172,8 +172,21 @@ TEST(FleetMonitor, FleetDimensionSumsMachinePowerAcrossHosts) {
   auto& mem_a = fleet.add_memory_reporter(a);
   auto& mem_b = fleet.add_memory_reporter(b);
   auto& fleet_mem = fleet.add_fleet_reporter();
-  fleet.run_for(seconds_to_ns(2));
+  fleet.run_for(seconds_to_ns(1));
+  // Attached between two runs: receives the second run's fleet rows.
+  auto& late_mem = fleet.add_fleet_reporter();
+  fleet.run_for(seconds_to_ns(1));
   fleet.finish();
+
+  // The first run's last timestamp completes only when the second run's
+  // first tick arrives, so the late reporter's rows start there.
+  std::vector<AggregatedPower> second_run;
+  for (const auto& row : fleet_mem.all()) {
+    if (row.timestamp >= seconds_to_ns(1)) second_run.push_back(row);
+  }
+  ASSERT_GT(second_run.size(), 3u);
+  expect_same_rows(late_mem.all(), second_run, "late fleet reporter");
+  for (const auto& row : late_mem.all()) EXPECT_EQ(row.group, "(fleet)");
 
   std::map<util::TimestampNs, double> a_watts, b_watts;
   for (const auto& row : mem_a.series("powerspy")) a_watts[row.timestamp] = row.watts;
@@ -266,12 +279,49 @@ TEST(FleetMonitor, PerHostMonitoringAndNamespacesStayIsolated) {
   for (const auto& row : mem_b.all()) EXPECT_EQ(row.pid, kMachinePid);
 }
 
-TEST(FleetMonitor, FleetReporterRequiresAggregationEnabled) {
+TEST(FleetMonitor, UnconsumedFleetDimensionCountsNoDeadLetter) {
+  auto host_a = make_host(0);
+  auto host_b = make_host(1);
   FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kManual;
-  options.fleet_aggregation = false;
   FleetMonitor fleet(options);
-  EXPECT_THROW(fleet.add_fleet_reporter(), std::logic_error);
+  PipelineSpec spec = fleet_spec();
+  spec.period = ms_to_ns(100);
+  fleet.add_host(*host_a, spec);
+  fleet.add_host(*host_b, spec);
+  fleet.run_for(seconds_to_ns(1));
+  fleet.finish();
+  EXPECT_EQ(fleet.bus().dead_letter_count(), 0u);
+}
+
+TEST(FleetMonitor, BusSubscriberAloneConsumesTheFleetDimension) {
+  const auto run = [](bool via_bus) {
+    auto host_a = make_host(2);
+    auto host_b = make_host(4);
+    std::vector<AggregatedPower> bus_rows;  // Outlives the fleet's actors.
+    FleetMonitor::Options options;
+    options.mode = actors::ActorSystem::Mode::kManual;
+    FleetMonitor fleet(options);
+    fleet.add_host(*host_a, fleet_spec());
+    fleet.add_host(*host_b, fleet_spec());
+    MemoryReporter* memory = nullptr;
+    if (via_bus) {
+      fleet.bus().subscribe("fleet/power:aggregated",
+                            fleet.actor_system().spawn_as<CallbackReporter>(
+                                "fleet-sink", [&bus_rows](const AggregatedPower& row) {
+                                  bus_rows.push_back(row);
+                                }));
+    } else {
+      memory = &fleet.add_fleet_reporter();
+    }
+    fleet.run_for(seconds_to_ns(2));
+    fleet.finish();
+    EXPECT_EQ(fleet.bus().dead_letter_count(), 0u);
+    return via_bus ? bus_rows : memory->all();
+  };
+  const auto reporter_rows = run(false);
+  ASSERT_GT(reporter_rows.size(), 3u);
+  expect_same_rows(run(true), reporter_rows, "bus subscriber");
 }
 
 TEST(FleetMonitor, SliceThreadFailureRethrowsAndLaterRunsContinue) {
@@ -368,10 +418,11 @@ TEST(FleetMonitor, OneStepRunsThroughSpinAndParkMatchManualBitForBit) {
   const auto run = [](actors::ActorSystem::Mode mode) {
     std::vector<std::unique_ptr<ScriptedHost>> hosts;
     for (std::size_t i = 0; i < kHosts; ++i) hosts.push_back(std::make_unique<ScriptedHost>(i));
+    obs::Observability obs;
     FleetMonitor::Options options;
     options.mode = mode;
     options.workers = kWorkers;
-    options.with_observability = true;
+    options.observability = &obs;
     FleetMonitor fleet(options);
     PipelineSpec spec = fleet_spec();
     spec.period = ms_to_ns(1);

@@ -144,7 +144,6 @@ void run_per_pid_case(std::uint64_t seed, std::ostream& out) {
 
   FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kManual;
-  options.fleet_aggregation = false;
   FleetMonitor fleet(options);
   PipelineSpec spec;
   spec.period = ms_to_ns(25);
@@ -290,7 +289,6 @@ std::string run_every_stage_case(std::uint64_t* registry_version) {
 
   FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kManual;
-  options.fleet_aggregation = false;
   FleetMonitor fleet(options);
   PipelineSpec spec;
   spec.period = ms_to_ns(25);

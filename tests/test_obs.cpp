@@ -463,6 +463,11 @@ TEST(PowerMeterObs, StampsSequencesAndRecordsPipelineMetrics) {
   const auto* latency = snap.find("pipeline.tick_to_aggregate_ns");
   ASSERT_NE(latency, nullptr);
   EXPECT_GT(latency->hist.count, 0u);
+  // The meter's actor system and bus report into the same bundle: one
+  // actor (the metrics reporter), and no publish reached zero subscribers.
+  EXPECT_EQ(snap.value_of("actors.count"), 1.0);
+  ASSERT_NE(snap.find("bus.dead_letters"), nullptr);
+  EXPECT_EQ(snap.value_of("bus.dead_letters"), 0.0);
 
   // The CSV reporter emitted a header plus rows.
   const std::string csv_text = csv.str();
@@ -529,10 +534,11 @@ TEST(FleetMonitorObs, ThreadedFleetRecordsAndExports) {
   for (int i = 0; i < 4; ++i) hosts.push_back(obs_test_host());
 
   std::ostringstream metrics_out;  // Outlives the fleet (final flush at stop).
+  obs::Observability obs;         // Outlives the fleet.
   FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kThreaded;
   options.workers = 4;
-  options.with_observability = true;
+  options.observability = &obs;
   FleetMonitor fleet(options);
   ASSERT_NE(fleet.observability(), nullptr);
 

@@ -160,10 +160,11 @@ model::CpuPowerModel tiny_model() {
 }
 
 TEST(PowerMeter, CoarseKernelQuantumCoalescesDueTicks) {
-  // Kernel quantum (10 ms) far above the monitor period (3 ms): each chunk
-  // advance overshoots to the next quantum and several ticks fall due at
-  // once. The ticker's catch-up must publish every one of them, stamped
-  // with the host's (coalesced) now.
+  // Kernel quantum (10 ms) far above the monitor period (3 ms): each 3 ms
+  // step's advance overshoots to the next quantum and several ticks fall
+  // due at once. The ticker's catch-up must publish every one of them,
+  // stamped with the host's (coalesced) now. run_for counts requested time,
+  // so 9 ms is three steps and three quanta.
   os::System::Options options;
   options.tick_ns = ms_to_ns(10);
   os::System system(simcpu::i3_2120(), std::move(options));
@@ -177,7 +178,8 @@ TEST(PowerMeter, CoarseKernelQuantumCoalescesDueTicks) {
   meter.bus().subscribe(meter.pipeline().tick_topic(),
                         meter.actor_system().spawn("tick-probe", std::move(collector)));
 
-  meter.run_for(ms_to_ns(30));
+  meter.run_for(ms_to_ns(9));
+  EXPECT_EQ(system.now_ns(), ms_to_ns(30));
 
   // Chunks land on the 10 ms quanta: ticks due at 3,6,9 ms fire at now=10ms,
   // 12,15,18 at 20 ms, and 21,24,27,30 at 30 ms.
