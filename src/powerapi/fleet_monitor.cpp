@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "powerapi/remote_reporter.h"
-
 namespace powerapi::api {
 namespace {
 
@@ -76,11 +74,6 @@ std::size_t FleetMonitor::add_host(os::MonitorableHost& host, PipelineSpec spec)
   if (spec.observability == nullptr) spec.observability = options_.observability;
   entry->pipeline = std::make_unique<Pipeline>(actors_, bus_, host, std::move(spec),
                                                "h" + std::to_string(index) + "/");
-  // The fleet tap: always the host's first reporter.
-  entry->pipeline->add_callback_reporter(
-      [this, rows = &entry->fleet_rows](const AggregatedPower& row) {
-        if (collect_fleet_rows_ && FleetSum::counts(row)) rows->push_back(row);
-      });
   entries_.push_back(std::move(entry));
   return index;
 }
@@ -105,10 +98,6 @@ void FleetMonitor::add_callback_reporter(std::size_t host,
 void FleetMonitor::add_remote_reporter(std::size_t host,
                                        net::TelemetryClient& client) {
   entries_[host]->pipeline->add_remote_reporter(client);
-}
-
-void FleetMonitor::add_fleet_remote_reporter(net::TelemetryClient& client) {
-  fleet_reporters_.push_back(std::make_unique<RemoteReporter>(client));
 }
 
 MemoryReporter& FleetMonitor::add_fleet_reporter() {
@@ -146,8 +135,12 @@ void FleetMonitor::settle() {
   actors_.drain();
 }
 
-bool FleetMonitor::fleet_consumed() const {
-  return !fleet_reporters_.empty() || bus_.subscriber_count(fleet_topic_) != 0;
+void FleetMonitor::tap_fleet_rows() {
+  const bool consumed =
+      !fleet_reporters_.empty() || bus_.subscriber_count(fleet_topic_) != 0;
+  for (const auto& entry : entries_) {
+    entry->pipeline->tap_machine_rows(consumed ? &entry->fleet_rows : nullptr);
+  }
 }
 
 void FleetMonitor::fold_fleet_rows() {
@@ -270,7 +263,7 @@ void FleetMonitor::run_for(
   if (finished_) throw std::logic_error("FleetMonitor::run_for after finish()");
   if (entries_.empty() || duration <= 0) return;
   start_slices();
-  collect_fleet_rows_ = fleet_consumed();
+  tap_fleet_rows();
   // Step at the smallest monitoring period so no host's ticks coalesce
   // beyond what a run of that host alone would produce.
   util::DurationNs period = entries_.front()->pipeline->ticker().period();
@@ -299,7 +292,7 @@ void FleetMonitor::finish() {
   settle();
   // Host aggregators flush first (their pending groups feed the fleet
   // dimension), then the fleet dimension flushes its partial buckets.
-  collect_fleet_rows_ = fleet_consumed();
+  tap_fleet_rows();
   for (const auto& entry : entries_) entry->pipeline->finish();
   settle();
   for (AggregatedPower& row : fleet_sum_.flush()) report_fleet_row(std::move(row));

@@ -25,14 +25,15 @@
 //
 // The fleet dimension runs only while something consumes it: an attached
 // fleet reporter or a bus subscriber on "fleet/power:aggregated" (checked
-// at the start of each run_for and in finish). Then each host's
-// machine-scope aggregated rows are appended to a host-local buffer by a
-// reporter the fleet attaches first, and after every step the caller folds
-// the buffers in host order (FleetSum, the bucket logic the collector-side
-// FleetAggregator also uses). Once all hosts have reported a timestamp, the
-// per-formula sum across hosts goes to the fleet reporters by direct call,
-// in attach order, and to the bus topic when subscribed. The fixed fold
-// order makes fleet rows, too, identical at every slice count.
+// at the start of each run_for and in finish). Then each host's pipeline
+// appends its machine-scope aggregated rows to a host-local buffer before
+// its reporters see them (Pipeline::tap_machine_rows), and after every
+// step the caller folds the buffers in host order (FleetSum, the bucket
+// logic the collector-side FleetAggregator also uses). Once all hosts have
+// reported a timestamp, the per-formula sum across hosts goes to the fleet
+// reporters by direct call, in attach order, and to the bus topic when
+// subscribed. The fixed fold order makes fleet rows, too, identical at
+// every slice count.
 #pragma once
 
 #include <atomic>
@@ -104,8 +105,6 @@ class FleetMonitor {
   /// Forwards one host's aggregated rows to a caller-owned telemetry
   /// client (a distributed agent shipping its output to a collector).
   void add_remote_reporter(std::size_t host, net::TelemetryClient& client);
-  /// Forwards the fleet dimension's "(fleet)" rows to the client.
-  void add_fleet_remote_reporter(net::TelemetryClient& client);
 
   /// The fleet's observability bundle; null unless Options.observability.
   obs::Observability* observability() const noexcept { return options_.observability; }
@@ -169,8 +168,9 @@ class FleetMonitor {
   void run_slice(std::size_t slice);
   /// Runs every slice for one step and rethrows the first slice failure.
   void step_hosts(util::DurationNs step);
-  /// Whether a fleet reporter or a bus subscriber consumes the fleet rows.
-  bool fleet_consumed() const;
+  /// Points every host's fleet tap at its buffer while a fleet reporter or
+  /// a bus subscriber consumes the fleet rows, and unsets it otherwise.
+  void tap_fleet_rows();
   void fold_fleet_rows();
   void report_fleet_row(AggregatedPower row);
 
@@ -180,9 +180,6 @@ class FleetMonitor {
   actors::EventBus::TopicId fleet_topic_;
   std::vector<std::unique_ptr<HostEntry>> entries_;
   std::vector<std::unique_ptr<Reporter>> fleet_reporters_;
-  /// Whether hosts collect fleet rows; written by the caller only while the
-  /// slice threads wait for the next step.
-  bool collect_fleet_rows_ = false;
   FleetSum fleet_sum_;
   bool finished_ = false;
 

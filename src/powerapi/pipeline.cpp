@@ -155,6 +155,7 @@ void Pipeline::report(const std::vector<AggregatedPower>& rows) {
   if (rows.empty()) return;
   const bool publish = bus_->subscriber_count(aggregated_topic_) != 0;
   for (const AggregatedPower& row : rows) {
+    if (machine_tap_ != nullptr && FleetSum::counts(row)) machine_tap_->push_back(row);
     for (const auto& reporter : reporters_) reporter->report(row);
     if (publish) bus_->publish(aggregated_topic_, row);
   }

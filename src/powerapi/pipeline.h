@@ -13,7 +13,7 @@
 //      tick t first affects tick t+1;
 //   4. the aggregator's absorb() on each estimate batch, in formula order;
 //   5. every attached reporter's report() on each completed row, in attach
-//      order.
+//      order (after the fleet tap, when FleetMonitor has set one).
 // PipelineSpec is the declarative description of which stages exist.
 //
 // The bus is used only at the pipeline's edges, and only when someone
@@ -136,6 +136,13 @@ class Pipeline {
   /// this pipeline's output becomes visible to a remote CollectorServer.
   /// The client must outlive the pipeline.
   void add_remote_reporter(net::TelemetryClient& client);
+  /// While `sink` is non-null, every machine-scope row (FleetSum::counts)
+  /// is appended to it before the reporters see the row: FleetMonitor's
+  /// fleet tap, set only while the fleet dimension has a consumer. Set it
+  /// only while no thread runs this pipeline.
+  void tap_machine_rows(std::vector<AggregatedPower>* sink) noexcept {
+    machine_tap_ = sink;
+  }
 
   // --- Lifecycle ---
   /// Flushes the aggregator's pending groups to the reporters; idempotent.
@@ -196,6 +203,7 @@ class Pipeline {
   std::optional<Calibrator> calibrator_;
   Aggregator aggregator_;
   std::vector<std::unique_ptr<Reporter>> reporters_;
+  std::vector<AggregatedPower>* machine_tap_ = nullptr;
 
   // Per-tick scratch, reused across ticks.
   std::vector<EstimateBatch> estimates_;

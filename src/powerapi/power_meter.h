@@ -6,7 +6,10 @@
 // pipeline.h). run_for(), finish(), actor_system() and bus() are the
 // fleet's: one host runs as one slice on the caller, so a meter starts no
 // thread, and config.observability observes the meter's actor system and
-// bus as well as its pipeline.
+// bus as well as its pipeline. run_for counts requested time in steps of
+// the period, so on a host whose kernel quantum is coarser than the period
+// the host clock overshoots: each step runs a whole quantum (period 3 ms,
+// quantum 10 ms: run_for(30 ms) leaves the host at 100 ms).
 // Usage:
 //
 //   os::System system(simcpu::i3_2120());

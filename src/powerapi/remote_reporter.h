@@ -1,10 +1,9 @@
 // RemoteReporter: the reporter that leaves the process — forwards the
 // pipeline's aggregated rows to a net::TelemetryClient, which batches and
 // ships them to a CollectorServer. Attach via
-// Pipeline::add_remote_reporter() / FleetMonitor::add_remote_reporter() /
-// FleetMonitor::add_fleet_remote_reporter(); the client is caller-owned
-// (its lifetime spans connect/reconnect cycles, not one pipeline) and must
-// outlive the pipeline (or, for a fleet reporter, the FleetMonitor).
+// Pipeline::add_remote_reporter() / FleetMonitor::add_remote_reporter();
+// the client is caller-owned (its lifetime spans connect/reconnect cycles,
+// not one pipeline) and must outlive the pipeline.
 #pragma once
 
 #include "net/telemetry_client.h"

@@ -1,8 +1,9 @@
 // FleetMonitor: N hosts on one actor system. The load-bearing property is
 // host-level isolation — a host monitored inside a fleet (threaded, hosts
-// stepped on parallel slices) must produce exactly the series a one-host
-// PowerMeter produces over an identically constructed host — and the fleet
-// dimension, folded in host order, must not depend on threading.
+// stepped on parallel slices) or under a one-host PowerMeter must produce
+// exactly the rows of an identically constructed host's Pipeline stepped by
+// hand — and the fleet dimension, folded in host order, must not depend on
+// threading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "os/system.h"
@@ -118,11 +120,33 @@ void expect_same_rows(const std::vector<AggregatedPower>& actual,
   }
 }
 
+/// The reference that shares no driver code with FleetMonitor: one host's
+/// Pipeline stepped by hand (advance by one period, then run the due ticks)
+/// and finished, on an actor system and bus of its own.
+std::vector<AggregatedPower> hand_driven_rows(std::size_t index, util::DurationNs duration) {
+  auto host = make_host(index);
+  actors::ActorSystem actors(actors::ActorSystem::Mode::kManual);
+  actors::EventBus bus(actors);
+  Pipeline pipeline(actors, bus, *host, fleet_spec(), "h0/");
+  auto& memory = pipeline.add_memory_reporter();
+  const util::DurationNs period = pipeline.ticker().period();
+  for (util::DurationNs advanced = 0; advanced < duration; advanced += period) {
+    host->advance(std::min(period, duration - advanced));
+    pipeline.run_due_ticks();
+  }
+  pipeline.finish();
+  return memory.all();
+}
+
 TEST(FleetMonitor, ThreadedHostsMatchStandaloneManualMetersExactly) {
+  // Both drivers against a hand-driven Pipeline: a bug in FleetMonitor's
+  // stepping, finish sequencing or fleet tap that every slice count shares
+  // (a one-host meter runs the same code on one slice) shows here too.
   constexpr std::size_t kHosts = 8;
   constexpr util::DurationNs kDuration = seconds_to_ns(2);
 
-  // Fleet run: 8 hosts advanced concurrently on parallel slices.
+  // Fleet run: 8 hosts advanced concurrently on parallel slices, with the
+  // fleet dimension consumed so every host's fleet tap is set.
   std::vector<std::unique_ptr<os::System>> hosts;
   for (std::size_t i = 0; i < kHosts; ++i) hosts.push_back(make_host(i));
   FleetMonitor::Options options;
@@ -134,30 +158,23 @@ TEST(FleetMonitor, ThreadedHostsMatchStandaloneManualMetersExactly) {
     const std::size_t index = fleet.add_host(*host, fleet_spec());
     fleet_memory.push_back(&fleet.add_memory_reporter(index));
   }
+  fleet.add_fleet_reporter();
   fleet.run_for(kDuration);
   fleet.finish();
 
-  // Reference runs: each host alone under a one-host meter.
   for (std::size_t i = 0; i < kHosts; ++i) {
+    const std::vector<AggregatedPower> reference = hand_driven_rows(i, kDuration);
+    ASSERT_GT(reference.size(), 3u) << "host " << i;
+    const std::string host = "host " + std::to_string(i);
+    expect_same_rows(fleet_memory[i]->all(), reference, (host + " in the fleet").c_str());
+
+    // The same host alone under a one-host meter.
     auto solo_host = make_host(i);
     PowerMeter meter(*solo_host, fleet_model());
     auto& solo_memory = meter.add_memory_reporter();
     meter.run_for(kDuration);
     meter.finish();
-
-    for (const char* formula : {"powerapi-hpc", "powerspy"}) {
-      const auto fleet_series = fleet_memory[i]->series(formula);
-      const auto solo_series = solo_memory.series(formula);
-      ASSERT_GT(solo_series.size(), 3u) << "host " << i << " " << formula;
-      ASSERT_EQ(fleet_series.size(), solo_series.size())
-          << "host " << i << " " << formula;
-      for (std::size_t k = 0; k < solo_series.size(); ++k) {
-        EXPECT_EQ(fleet_series[k].timestamp, solo_series[k].timestamp)
-            << "host " << i << " " << formula << " row " << k;
-        EXPECT_NEAR(fleet_series[k].watts, solo_series[k].watts, 1e-9)
-            << "host " << i << " " << formula << " row " << k;
-      }
-    }
+    expect_same_rows(solo_memory.all(), reference, (host + " under a meter").c_str());
   }
 }
 

@@ -191,6 +191,16 @@ TEST(PowerMeter, CoarseKernelQuantumCoalescesDueTicks) {
     EXPECT_EQ(ticks.items[i].timestamp, expected[i]) << "tick " << i;
   }
   meter.finish();
+
+  // The overshoot: 30 ms requested is ten 3 ms steps, each a whole 10 ms
+  // quantum on this host, so the host clock ends at 100 ms.
+  os::System::Options coarse;
+  coarse.tick_ns = ms_to_ns(10);
+  os::System overshot(simcpu::i3_2120(), std::move(coarse));
+  PowerMeter long_meter(overshot, tiny_model(), config);
+  long_meter.run_for(ms_to_ns(30));
+  EXPECT_EQ(overshot.now_ns(), ms_to_ns(100));
+  long_meter.finish();
 }
 
 TEST(PowerMeter, RunForAtExactPeriodMultiplesFiresOneTickPerChunk) {
