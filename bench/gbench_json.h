@@ -21,8 +21,15 @@ class JsonTeeReporter final : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
+      // With --benchmark_repetitions=N (N > 1) the sidecar keeps only the
+      // median of the N runs, under the benchmark's plain name, so a
+      // baseline recorded that way compares key for key with a single run.
+      const bool repeated = run.repetitions > 1;
+      if (repeated && (run.run_type != Run::RT_Aggregate || run.aggregate_name != "median")) {
+        continue;
+      }
       BenchMetric metric;
-      metric.name = run.benchmark_name();
+      metric.name = repeated ? run.run_name.str() : run.benchmark_name();
       const auto items = run.counters.find("items_per_second");
       if (items != run.counters.end()) {
         metric.value = items->second;
@@ -42,7 +49,7 @@ class JsonTeeReporter final : public benchmark::ConsoleReporter {
           continue;
         }
         BenchMetric extra;
-        extra.name = run.benchmark_name() + "/" + counter_name;
+        extra.name = metric.name + "/" + counter_name;
         extra.value = counter;
         extra.unit = "counter";
         extra.iterations = static_cast<std::uint64_t>(run.iterations);

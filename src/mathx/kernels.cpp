@@ -14,14 +14,6 @@ void axpy(double a, const double* x, double* y, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-void scale(const double* x, double a, double* out, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * a;
-}
-
-void divide(const double* x, const double* d, double* out, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] / d[i];
-}
-
 void fill(double* out, double value, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) out[i] = value;
 }

@@ -31,13 +31,6 @@ void saturating_delta_rate(const std::uint64_t* cur, const std::uint64_t* prev,
 /// sum bit-identical to per-row evaluation.
 void axpy(double a, const double* x, double* y, std::size_t n) noexcept;
 
-/// out[i] = x[i] * a — scalar broadcast multiply.
-void scale(const double* x, double a, double* out, std::size_t n) noexcept;
-
-/// out[i] = x[i] / d[i] — elementwise division (kept a division for bit
-/// parity with the scalar expression).
-void divide(const double* x, const double* d, double* out, std::size_t n) noexcept;
-
 void fill(double* out, double value, std::size_t n) noexcept;
 
 }  // namespace powerapi::mathx

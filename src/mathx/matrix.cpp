@@ -67,30 +67,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
   return out;
 }
 
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("Matrix add: shape mismatch");
-  }
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("Matrix subtract: shape mismatch");
-  }
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::scaled(double s) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v *= s;
-  return out;
-}
-
 std::vector<double> Matrix::multiply(std::span<const double> v) const {
   if (v.size() != cols_) throw std::invalid_argument("Matrix-vector multiply: shape mismatch");
   std::vector<double> out(rows_, 0.0);

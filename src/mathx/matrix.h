@@ -48,9 +48,6 @@ class Matrix {
 
   Matrix transposed() const;
   Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix scaled(double s) const;
 
   /// Matrix-vector product; `v.size()` must equal `cols()`.
   std::vector<double> multiply(std::span<const double> v) const;

@@ -52,12 +52,16 @@ class PackScheduler final : public Scheduler {
 };
 
 /// Spreads tasks one per core before using SMT siblings — maximizes
-/// per-task throughput, keeps every core awake.
+/// per-task throughput, keeps every core awake. The slot order is built
+/// from the first spec it is given (a host's spec never changes).
 class SpreadScheduler final : public Scheduler {
  public:
   const char* name() const noexcept override { return "spread"; }
   void assign(std::span<Task* const> runnable, std::span<Task*> slots,
               const simcpu::CpuSpec& spec) override;
+
+ private:
+  std::vector<std::size_t> order_;
 };
 
 }  // namespace powerapi::os

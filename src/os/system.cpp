@@ -32,7 +32,9 @@ System::System(simcpu::CpuSpec spec, Options options, simcpu::GroundTruthParams 
       tick_ns_(options.tick_ns),
       scheduler_(options.scheduler ? std::move(options.scheduler)
                                    : std::make_unique<RoundRobinScheduler>()),
-      governor_enabled_(options.use_ondemand_governor) {
+      governor_enabled_(options.use_ondemand_governor),
+      slots_scratch_(machine_.spec().hw_threads(), nullptr),
+      work_scratch_(machine_.spec().hw_threads()) {
   if (tick_ns_ <= 0) throw std::invalid_argument("System: non-positive tick");
   if (options.with_peripherals) {
     disk_.emplace(options.disk);
@@ -50,6 +52,7 @@ Pid System::spawn(std::string name, std::vector<std::unique_ptr<TaskBehavior>> t
   POWERAPI_LOG_DEBUG("os") << "spawn pid=" << pid << " name=" << process->name()
                            << " threads=" << process->tasks().size();
   processes_.emplace(pid, std::move(process));
+  runnable_stale_ = true;
   return pid;
 }
 
@@ -69,6 +72,7 @@ void System::kill(Pid pid) {
   const auto it = processes_.find(pid);
   if (it == processes_.end()) return;
   for (auto& task : it->second->tasks()) task->force_exit();
+  runnable_stale_ = true;
 }
 
 bool System::alive(Pid pid) const {
@@ -86,20 +90,22 @@ std::vector<Pid> System::pids() const {
 }
 
 const std::vector<Task*>& System::runnable_tasks() {
-  runnable_scratch_.clear();
+  if (!runnable_stale_) return runnable_;
+  runnable_.clear();
   for (auto& [pid, process] : processes_) {
     for (auto& task : process->tasks()) {
-      if (task->state() == RunState::kRunnable) runnable_scratch_.push_back(task.get());
+      if (task->state() == RunState::kRunnable) runnable_.push_back(task.get());
     }
   }
-  return runnable_scratch_;
+  runnable_stale_ = false;
+  return runnable_;
 }
 
 void System::tick() {
   const std::size_t slots_n = machine_.spec().hw_threads();
   const auto& runnable = runnable_tasks();
-  slots_scratch_.assign(slots_n, nullptr);
   std::vector<Task*>& slots = slots_scratch_;
+  std::fill(slots.begin(), slots.end(), nullptr);
   // Parked cores are invisible to the scheduler: it only sees the prefix of
   // hardware-thread slots belonging to unparked cores (parking always takes
   // the highest-indexed cores), so tasks pack onto what remains.
@@ -108,16 +114,23 @@ void System::tick() {
   scheduler_->assign(runnable, std::span<Task*>(slots.data(), active_n),
                      machine_.spec());
 
-  // Pull each placed task's demand; tasks may exit at this point.
-  work_scratch_.assign(slots_n, simcpu::ThreadWork{});
+  // Pull each placed task's demand; tasks may exit at this point (the
+  // runnable list then goes stale, but stays as is for this tick's
+  // accounting below).
   std::vector<simcpu::ThreadWork>& work = work_scratch_;
   const util::TimestampNs now = clock_.now();
   for (std::size_t i = 0; i < slots_n; ++i) {
     Task* task = slots[i];
-    if (task == nullptr) continue;
-    const auto profile = task->demand(now, tick_ns_);
+    std::optional<simcpu::ExecProfile> profile;
+    if (task != nullptr) {
+      profile = task->demand(now, tick_ns_);
+      if (!profile) {
+        slots[i] = nullptr;
+        runnable_stale_ = true;  // The task exited.
+      }
+    }
     if (!profile) {
-      slots[i] = nullptr;
+      work[i] = simcpu::ThreadWork{};
       continue;
     }
     work[i].active = true;
@@ -150,7 +163,12 @@ void System::tick() {
         (nic_demand.tx_bytes_per_sec + nic_demand.rx_bytes_per_sec) * dt_s;
   }
 
-  // Accounting.
+  // Accounting. Every runnable task first reads as not run this tick; the
+  // scheduled ones are then overwritten.
+  for (Task* task : runnable) {
+    task->last_utilization = 0.0;
+    task->last_hw_thread = -1;
+  }
   double busy = 0.0;
   for (std::size_t i = 0; i < slots_n; ++i) {
     Task* task = slots[i];
@@ -163,13 +181,6 @@ void System::tick() {
     task->last_utilization = tr.utilization;
     task->last_hw_thread = static_cast<int>(i);
     busy += tr.utilization;
-  }
-  // Tasks not scheduled this tick contributed zero.
-  for (Task* task : runnable) {
-    if (std::find(slots.begin(), slots.end(), task) == slots.end()) {
-      task->last_utilization = 0.0;
-      task->last_hw_thread = -1;
-    }
   }
   last_utilization_ = busy / static_cast<double>(slots_n);
 

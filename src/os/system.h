@@ -145,9 +145,13 @@ class System final : public MonitorableHost {
   std::optional<periph::DiskModel> disk_;
   std::optional<periph::NicModel> nic_;
   IoTotals io_totals_;
-  // Per-tick scratch (reused across ticks so the kernel loop is
-  // allocation-free in steady state).
-  std::vector<Task*> runnable_scratch_;
+  // Runnable tasks in (pid, tid) order, rebuilt only at the start of the
+  // first tick after the set changed: spawn, kill, or a task's demand()
+  // returning nullopt (the only way a task exits on its own).
+  std::vector<Task*> runnable_;
+  bool runnable_stale_ = true;
+  // Per-tick scratch (sized to the hardware threads once, so the kernel
+  // loop is allocation-free in steady state).
   std::vector<Task*> slots_scratch_;
   std::vector<simcpu::ThreadWork> work_scratch_;
 };

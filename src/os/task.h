@@ -55,7 +55,13 @@ class Task {
     return p;
   }
 
-  void force_exit() noexcept { state_ = RunState::kExited; }
+  /// Kernel-side (kill): exits without a final tick, so the task also
+  /// reads as not run, like one that exited through demand().
+  void force_exit() noexcept {
+    state_ = RunState::kExited;
+    last_utilization = 0.0;
+    last_hw_thread = -1;
+  }
 
   // --- Accounting, written by the kernel after each tick ---
   simcpu::CounterBlock counters;          ///< Cumulative HPC counts.

@@ -15,7 +15,7 @@ constexpr double kFillRatePerSec = 40.0;
 }  // namespace
 
 CacheHierarchy::CacheHierarchy(const CpuSpec& spec, std::size_t hw_threads)
-    : resident_(hw_threads, 0.0) {
+    : resident_(hw_threads, 0.0), llc_need_(hw_threads, 0.0) {
   for (const auto& level : spec.caches) {
     if (level.shared) llc_bytes_ = std::max(llc_bytes_, level.bytes);
     else if (level.name == "L2") l2_bytes_ = level.bytes;
@@ -36,9 +36,13 @@ void CacheHierarchy::tick_into(std::span<const CacheDemand> demands, util::Durat
     throw std::invalid_argument("CacheHierarchy::tick: demand slot mismatch");
   }
   const double dt_s = util::ns_to_seconds(dt);
+  if (dt != fill_dt_) {
+    fill_dt_ = dt;
+    fill_alpha_ = 1.0 - std::exp(-kFillRatePerSec * dt_s);
+  }
 
   // Demand beyond the private levels: what actually competes for LLC.
-  llc_need_.assign(demands.size(), 0.0);
+  // (llc_need is read only for active threads, each written here first.)
   std::vector<double>& llc_need = llc_need_;
   double total_need = 0.0;
   for (std::size_t i = 0; i < demands.size(); ++i) {
@@ -52,12 +56,13 @@ void CacheHierarchy::tick_into(std::span<const CacheDemand> demands, util::Durat
     total_need += llc_need[i];
   }
 
-  out.assign(demands.size(), CacheShare{});
+  out.resize(demands.size());
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const auto& d = demands[i];
     if (!d.active) {
       // Inactive threads decay their footprint (evicted by others).
       resident_[i] *= std::max(0.0, 1.0 - 2.0 * dt_s);
+      out[i] = CacheShare{};
       continue;
     }
     const double beyond_l2 =
@@ -71,8 +76,7 @@ void CacheHierarchy::tick_into(std::span<const CacheDemand> demands, util::Durat
     const double target_resident = std::min(beyond_l2, share);
 
     // Exponential fill towards the target (warm-up transient).
-    const double alpha = 1.0 - std::exp(-kFillRatePerSec * dt_s);
-    resident_[i] += (target_resident - resident_[i]) * alpha;
+    resident_[i] += (target_resident - resident_[i]) * fill_alpha_;
 
     double capacity_miss = 0.0;
     if (beyond_l2 > kLineBytes) {

@@ -59,6 +59,10 @@ class CacheHierarchy {
   std::size_t l2_bytes_ = 0;
   std::vector<double> resident_;  ///< Per-thread warmed-up footprint in LLC.
   std::vector<double> llc_need_;  ///< Per-tick scratch (reused, no alloc).
+  /// Fill factor 1 - exp(-rate·dt) for the last dt seen (dt is fixed per
+  /// host, so the exp runs once).
+  util::DurationNs fill_dt_ = 0;
+  double fill_alpha_ = 0.0;
 };
 
 }  // namespace powerapi::simcpu

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+
+#include "util/round.h"
 
 namespace powerapi::simcpu {
 
@@ -63,10 +66,26 @@ Machine::Machine(CpuSpec spec, GroundTruthParams params)
   for (std::size_t core = 0; core < spec_.cores; ++core) {
     core_cluster_[core] = static_cast<std::uint32_t>(spec_.cluster_of_core(core));
   }
-  cluster_eff_hz_.resize(domains);
+  // NaN compares unequal to every frequency, so the first tick computes
+  // every cluster's factors.
+  cluster_eff_hz_.assign(domains, std::numeric_limits<double>::quiet_NaN());
   cluster_dyn_scale_.resize(domains);
   cluster_static_scale_.resize(domains);
   cluster_dram_latency_cycles_.resize(domains);
+  for (const auto& c : spec_.caches) {
+    if (c.shared) llc_hit_cycles_ = c.hit_cycles;
+  }
+  const std::size_t n = spec_.hw_threads();
+  scratch_.demands.resize(n);
+  scratch_.core_has_work.resize(spec_.cores);
+  scratch_.core_busy.resize(spec_.cores);
+  scratch_.core_activity_joules.resize(spec_.cores);
+  scratch_.core_active_threads.resize(spec_.cores);
+  scratch_.thread_activity.resize(n);
+  scratch_.thread_refs.resize(n);
+  scratch_.thread_misses.resize(n);
+  scratch_.thread_prefetch.resize(n);
+  result_.threads.resize(n);
   effective_hz_ = cluster_freq_hz_[0];
 }
 
@@ -143,7 +162,7 @@ const TickResult& Machine::tick(std::span<const ThreadWork> work, util::Duration
   double f0 = cluster_freq_hz_[0];
   if (!spec_.turbo_frequencies_hz.empty() &&
       cluster_freq_hz_[0] >= spec_.max_frequency_hz() - 1.0) {
-    scratch_.core_has_work.assign(spec_.cores, 0);
+    std::fill(scratch_.core_has_work.begin(), scratch_.core_has_work.end(), 0);
     std::size_t busy_cores = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (work[i].active && work[i].profile.active_fraction > 0.0 &&
@@ -159,9 +178,11 @@ const TickResult& Machine::tick(std::span<const ThreadWork> work, util::Duration
   }
   effective_hz_ = f0;
 
-  // Per-domain effective frequency and V²f scale factors for this tick.
+  // Per-domain effective frequency and V²f scale factors for this tick,
+  // recomputed only for a domain whose frequency moved.
   for (std::size_t c = 0; c < cluster_eff_hz_.size(); ++c) {
     const double fc = c == 0 ? f0 : cluster_freq_hz_[c];
+    if (fc == cluster_eff_hz_[c]) continue;
     cluster_eff_hz_[c] = fc;
     cluster_dyn_scale_[c] = cluster_voltages_[c].dynamic_scale(fc);
     cluster_static_scale_[c] = cluster_voltages_[c].static_scale(fc);
@@ -171,11 +192,13 @@ const TickResult& Machine::tick(std::span<const ThreadWork> work, util::Duration
   }
 
   // --- Pass 1: cache demands (rates only; independent of retired counts) ---
-  scratch_.demands.assign(n, CacheDemand{});
   std::vector<CacheDemand>& demands = scratch_.demands;
   for (std::size_t i = 0; i < n; ++i) {
     const auto& w = work[i];
-    if (!w.active || w.profile.active_fraction <= 0.0 || core_parked_[i / tpc]) continue;
+    if (!w.active || w.profile.active_fraction <= 0.0 || core_parked_[i / tpc]) {
+      demands[i] = CacheDemand{};
+      continue;
+    }
     CacheDemand d;
     d.active = true;
     d.working_set_bytes = w.profile.working_set_bytes;
@@ -192,15 +215,9 @@ const TickResult& Machine::tick(std::span<const ThreadWork> work, util::Duration
 
   // --- Pass 2: execute each hardware thread ---
   TickResult& result = result_;
-  result.threads.resize(n);
-  for (std::size_t i = 0; i < n; ++i) result.threads[i] = ThreadTickResult{};
-  scratch_.core_busy.assign(spec_.cores, 0);
-  scratch_.core_activity_joules.assign(spec_.cores, 0.0);
-  scratch_.core_active_threads.assign(spec_.cores, 0);
-  scratch_.thread_activity.assign(n, 0.0);
-  scratch_.thread_refs.assign(n, 0.0);
-  scratch_.thread_misses.assign(n, 0.0);
-  scratch_.thread_prefetch.assign(n, 0.0);
+  std::fill(scratch_.core_busy.begin(), scratch_.core_busy.end(), 0);
+  std::fill(scratch_.core_activity_joules.begin(), scratch_.core_activity_joules.end(), 0.0);
+  std::fill(scratch_.core_active_threads.begin(), scratch_.core_active_threads.end(), 0);
   std::vector<std::uint8_t>& core_busy = scratch_.core_busy;
   std::vector<double>& core_activity_joules = scratch_.core_activity_joules;
   std::vector<std::size_t>& core_active_threads = scratch_.core_active_threads;
@@ -218,8 +235,14 @@ const TickResult& Machine::tick(std::span<const ThreadWork> work, util::Duration
 
   for (std::size_t i = 0; i < n; ++i) {
     auto& out = result.threads[i];
+    if (!demands[i].active) {
+      out = ThreadTickResult{};
+      out.task_id = work[i].task_id;
+      continue;
+    }
+    // An active thread's slot is overwritten field by field below (its
+    // attributed_joules in pass 3).
     out.task_id = work[i].task_id;
-    if (!demands[i].active) continue;
 
     const auto& p = work[i].profile;
     const std::size_t core = i / tpc;
@@ -237,14 +260,9 @@ const TickResult& Machine::tick(std::span<const ThreadWork> work, util::Duration
     const double misses_per_instr = refs_per_instr * miss_ratio;
     const double llc_hit_per_instr = refs_per_instr * (1.0 - miss_ratio);
 
-    double llc_hit_cycles = 30.0;
-    for (const auto& c : spec_.caches) {
-      if (c.shared) llc_hit_cycles = c.hit_cycles;
-    }
-
     const double mem_stall_per_instr =
         kMlpExposure *
-        (llc_hit_per_instr * llc_hit_cycles + misses_per_instr * dram_latency_cycles);
+        (llc_hit_per_instr * llc_hit_cycles_ + misses_per_instr * dram_latency_cycles);
     const double branch_stall_per_instr =
         p.branches_per_kinstr / 1000.0 * p.branch_miss_ratio * kBranchFlushCycles;
 
@@ -254,23 +272,23 @@ const TickResult& Machine::tick(std::span<const ThreadWork> work, util::Duration
     const double instructions = cycles / effective_cpi;
 
     CounterBlock d;
-    d.cycles = static_cast<std::uint64_t>(std::llround(cycles));
-    d.instructions = static_cast<std::uint64_t>(std::llround(instructions));
+    d.cycles = static_cast<std::uint64_t>(util::llround_fast(cycles));
+    d.instructions = static_cast<std::uint64_t>(util::llround_fast(instructions));
     const double refs = instructions * refs_per_instr;
     const double misses = refs * miss_ratio;
-    d.cache_references = static_cast<std::uint64_t>(std::llround(refs));
-    d.cache_misses = static_cast<std::uint64_t>(std::llround(misses));
+    d.cache_references = static_cast<std::uint64_t>(util::llround_fast(refs));
+    d.cache_misses = static_cast<std::uint64_t>(util::llround_fast(misses));
     const double branches = instructions * p.branches_per_kinstr / 1000.0;
     const double branch_misses = branches * p.branch_miss_ratio;
-    d.branch_instructions = static_cast<std::uint64_t>(std::llround(branches));
-    d.branch_misses = static_cast<std::uint64_t>(std::llround(branch_misses));
+    d.branch_instructions = static_cast<std::uint64_t>(util::llround_fast(branches));
+    d.branch_misses = static_cast<std::uint64_t>(util::llround_fast(branch_misses));
     d.stalled_cycles_backend =
-        static_cast<std::uint64_t>(std::llround(instructions * mem_stall_per_instr));
+        static_cast<std::uint64_t>(util::llround_fast(instructions * mem_stall_per_instr));
     d.stalled_cycles_frontend =
-        static_cast<std::uint64_t>(std::llround(instructions * branch_stall_per_instr));
-    d.bus_cycles = static_cast<std::uint64_t>(std::llround(cycles / 10.0));
+        static_cast<std::uint64_t>(util::llround_fast(instructions * branch_stall_per_instr));
+    d.bus_cycles = static_cast<std::uint64_t>(util::llround_fast(cycles / 10.0));
     d.ref_cycles =
-        static_cast<std::uint64_t>(std::llround(cluster_ladder_max_[cl] * active_s));
+        static_cast<std::uint64_t>(util::llround_fast(cluster_ladder_max_[cl] * active_s));
     if (smt_shared) d.smt_shared_cycles = d.cycles;
 
     out.delta = d;

@@ -111,6 +111,8 @@ class Machine {
  private:
   /// Per-tick working vectors, kept as members so steady-state ticks are
   /// allocation-free (sized once to hw_threads/cores, reused thereafter).
+  /// The per-thread ones are written for every active thread before they
+  /// are read, so only the per-core ones are cleared each tick.
   struct TickScratch {
     std::vector<CacheDemand> demands;
     std::vector<CacheShare> shares;
@@ -141,11 +143,15 @@ class Machine {
   std::vector<double> cluster_perf_;         ///< IPC multiplier.
   std::vector<double> cluster_energy_;       ///< Activity-energy multiplier.
   std::vector<std::uint32_t> core_cluster_;  ///< Core index → cluster index.
-  /// Per-tick effective frequency / scale per cluster (tick scratch).
+  /// Effective frequency per cluster and the factors that depend on it
+  /// alone. tick() recomputes a cluster's factors only when its effective
+  /// frequency differs from the one they were computed at, which covers
+  /// every way it can change (set points, turbo bins).
   std::vector<double> cluster_eff_hz_;
   std::vector<double> cluster_dyn_scale_;
   std::vector<double> cluster_static_scale_;
   std::vector<double> cluster_dram_latency_cycles_;
+  double llc_hit_cycles_ = 30.0;  ///< Shared-LLC hit latency from the spec.
   std::vector<std::uint8_t> core_parked_;    ///< 1 = power-gated by the OS.
   std::size_t parked_count_ = 0;
   double pending_wake_joules_ = 0.0;  ///< Charged on the tick after unpark.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "os/scheduler.h"
 #include "os/system.h"
@@ -179,6 +181,112 @@ TEST(Schedulers, SpreadBeatsPackOnThroughput) {
   const auto packed = run(std::make_unique<PackScheduler>());
   const auto spread = run(std::make_unique<SpreadScheduler>());
   EXPECT_GT(spread, packed);  // Two full cores beat one SMT-shared core.
+}
+
+// --- Runnable-list bookkeeping ---
+
+/// Round-robin placement that also keeps the runnable list it was handed
+/// each tick, so a test can read the kernel's per-task accounting (the
+/// Task objects stay owned by their process after exit).
+class RecordingScheduler final : public Scheduler {
+ public:
+  const char* name() const noexcept override { return "recording"; }
+  void assign(std::span<Task* const> runnable, std::span<Task*> slots,
+              const simcpu::CpuSpec& spec) override {
+    runnable_.assign(runnable.begin(), runnable.end());
+    inner_.assign(runnable, slots, spec);
+  }
+  const std::vector<Task*>& runnable() const noexcept { return runnable_; }
+  Task* find(Pid pid) const {
+    for (Task* task : runnable_) {
+      if (task->pid() == pid) return task;
+    }
+    return nullptr;
+  }
+
+ private:
+  std::vector<Task*> runnable_;
+  RoundRobinScheduler inner_;
+};
+
+struct Recorded {
+  std::unique_ptr<System> system;
+  RecordingScheduler* recorder;
+};
+
+Recorded recorded_i3() {
+  auto recorder = std::make_unique<RecordingScheduler>();
+  RecordingScheduler* raw = recorder.get();
+  System::Options options;
+  options.scheduler = std::move(recorder);
+  return {std::make_unique<System>(simcpu::i3_2120(), std::move(options)), raw};
+}
+
+TEST(RunnableList, SpawnedProcessRunsOnTheVeryNextQuantum) {
+  auto [system, recorder] = recorded_i3();
+  system->spawn("first", steady());
+  for (int i = 0; i < 7; ++i) system->tick();
+  const Pid late = system->spawn("late", steady());
+  system->tick();
+  Task* task = recorder->find(late);
+  ASSERT_NE(task, nullptr);
+  EXPECT_GE(task->last_hw_thread, 0);
+  EXPECT_GT(task->last_utilization, 0.0);
+  EXPECT_GT(system->proc_stat(late)->counters.instructions, 0u);
+  EXPECT_EQ(system->proc_stat(late)->cpu_time_ns, system->tick_ns());
+}
+
+TEST(RunnableList, TaskThatRunsOutReadsAsNotRunAndStopsCounting) {
+  auto [system, recorder] = recorded_i3();
+  // Five tasks on four hardware threads: while the short one lives, one
+  // task waits each tick; once it exits, all four others run every tick.
+  std::vector<Pid> others;
+  for (int i = 0; i < 2; ++i) others.push_back(system->spawn("long", steady()));
+  const Pid short_pid = system->spawn("short", steady(1.0, ms_to_ns(4)));
+  for (int i = 0; i < 2; ++i) others.push_back(system->spawn("long", steady()));
+  system->tick();
+  Task* task = recorder->find(short_pid);
+  ASSERT_NE(task, nullptr);
+  for (int i = 0; i < 100 && system->alive(short_pid); ++i) system->tick();
+  ASSERT_FALSE(system->alive(short_pid));
+  EXPECT_EQ(task->last_hw_thread, -1);
+  EXPECT_EQ(task->last_utilization, 0.0);
+  const simcpu::CounterBlock frozen = task->counters;
+  const util::DurationNs frozen_cpu = task->cpu_time_ns;
+  for (int i = 0; i < 10; ++i) {
+    system->tick();
+    EXPECT_EQ(recorder->find(short_pid), nullptr) << "tick " << i;
+    EXPECT_EQ(recorder->runnable().size(), others.size());
+    for (Task* other : recorder->runnable()) EXPECT_GE(other->last_hw_thread, 0);
+  }
+  EXPECT_EQ(task->counters, frozen);
+  EXPECT_EQ(task->cpu_time_ns, frozen_cpu);
+  EXPECT_EQ(task->last_hw_thread, -1);
+  EXPECT_EQ(task->last_utilization, 0.0);
+  EXPECT_EQ(system->proc_stat(short_pid)->last_utilization, 0.0);
+}
+
+TEST(RunnableList, KilledTaskReadsAsNotRunAndStopsCounting) {
+  auto [system, recorder] = recorded_i3();
+  const Pid keep = system->spawn("keep", steady());
+  const Pid victim = system->spawn("victim", steady());
+  for (int i = 0; i < 5; ++i) system->tick();
+  Task* task = recorder->find(victim);
+  ASSERT_NE(task, nullptr);
+  ASSERT_GE(task->last_hw_thread, 0);
+  system->kill(victim);
+  EXPECT_EQ(task->last_hw_thread, -1);
+  EXPECT_EQ(task->last_utilization, 0.0);
+  const simcpu::CounterBlock frozen = task->counters;
+  for (int i = 0; i < 5; ++i) {
+    system->tick();
+    EXPECT_EQ(recorder->find(victim), nullptr) << "tick " << i;
+    ASSERT_NE(recorder->find(keep), nullptr);
+  }
+  EXPECT_EQ(task->counters, frozen);
+  EXPECT_EQ(task->last_hw_thread, -1);
+  EXPECT_EQ(task->last_utilization, 0.0);
+  EXPECT_EQ(system->proc_stat(victim)->last_utilization, 0.0);
 }
 
 }  // namespace

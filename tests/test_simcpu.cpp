@@ -2,7 +2,10 @@
 // machine's counter/power semantics.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 
 #include "simcpu/cache.h"
 #include "simcpu/cpu_spec.h"
@@ -545,6 +548,104 @@ TEST(MachineClusters, DroppingLittleFrequencySavesPower) {
   }
   EXPECT_LT(rs.power.total(), rf.power.total());
   EXPECT_LT(slow.machine_counters().instructions, fast.machine_counters().instructions);
+}
+
+// --- Frequency-dependent factors after a detour ---
+
+bool bits_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_bit_equal(const TickResult& a, const TickResult& b, int tick) {
+  SCOPED_TRACE(testing::Message() << "tick " << tick);
+  EXPECT_TRUE(bits_equal(a.power.platform, b.power.platform));
+  EXPECT_TRUE(bits_equal(a.power.cpu_idle, b.power.cpu_idle));
+  EXPECT_TRUE(bits_equal(a.power.cpu_dynamic, b.power.cpu_dynamic));
+  EXPECT_TRUE(bits_equal(a.power.uncore, b.power.uncore));
+  EXPECT_TRUE(bits_equal(a.power.dram, b.power.dram));
+  EXPECT_TRUE(bits_equal(a.energy_joules, b.energy_joules));
+  ASSERT_EQ(a.threads.size(), b.threads.size());
+  for (std::size_t i = 0; i < a.threads.size(); ++i) {
+    EXPECT_EQ(a.threads[i].task_id, b.threads[i].task_id) << "thread " << i;
+    EXPECT_EQ(a.threads[i].delta, b.threads[i].delta) << "thread " << i;
+    EXPECT_TRUE(bits_equal(a.threads[i].utilization, b.threads[i].utilization));
+    EXPECT_TRUE(bits_equal(a.threads[i].instructions_per_sec,
+                           b.threads[i].instructions_per_sec));
+    EXPECT_TRUE(bits_equal(a.threads[i].attributed_joules, b.threads[i].attributed_joules))
+        << "thread " << i;
+  }
+}
+
+/// Drives one machine from set point B to A, with a core parked and
+/// unparked along the way (which also moves turbo bins), and a second
+/// machine straight at A with nothing parked. Every tick after the detour
+/// must be bit-equal between them: factors computed at B, or at a turbo
+/// bin left behind, must not survive the move. The workload fits the
+/// private caches, so the detour leaves no cache or C-state trace (every
+/// core stays busy).
+void check_detour(const CpuSpec& spec, std::size_t parked_core,
+                  const std::function<void(Machine&)>& set_a,
+                  const std::function<void(Machine&)>& set_b) {
+  const auto work = all_active(spec, workloads::cpu_stress(0.9));
+  const auto dt = ms_to_ns(1);
+  Machine detoured(spec);
+  Machine direct(spec);
+  set_b(detoured);
+  set_a(direct);
+  auto tick_both = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      detoured.tick(work, dt);
+      direct.tick(work, dt);
+    }
+  };
+  tick_both(3);
+  detoured.set_core_parked(parked_core, true);
+  tick_both(3);
+  set_a(detoured);
+  tick_both(3);
+  detoured.set_core_parked(parked_core, false);
+  tick_both(1);  // Carries the detoured machine's C6 wake spike.
+  for (int i = 0; i < 5; ++i) {
+    const TickResult a = detoured.tick(work, dt);
+    const TickResult b = direct.tick(work, dt);
+    expect_bit_equal(a, b, i);
+  }
+  EXPECT_TRUE(bits_equal(detoured.last_effective_frequency_hz(),
+                         direct.last_effective_frequency_hz()));
+}
+
+TEST(MachineFrequencyCache, I3DetourThroughLowFrequencyAndParking) {
+  check_detour(i3_2120(), 1, [](Machine& m) { m.set_frequency(3.3e9); },
+               [](Machine& m) { m.set_frequency(1.6e9); });
+}
+
+TEST(MachineFrequencyCache, I7TurboBinsFollowParking) {
+  const CpuSpec spec = i7_2600();
+  // With every core busy the set point's turbo bin applies; parking one
+  // core raises the bin, unparking lowers it, with the set point unchanged.
+  check_detour(spec, 3, [&](Machine& m) { m.set_frequency(spec.max_frequency_hz()); },
+               [](Machine& m) { m.set_frequency(1.6e9); });
+  Machine probe(spec);
+  const auto work = all_active(spec, workloads::cpu_stress(0.9));
+  probe.tick(work, ms_to_ns(1));
+  const double four_busy = probe.last_effective_frequency_hz();
+  probe.set_core_parked(3, true);
+  probe.tick(work, ms_to_ns(1));
+  EXPECT_GT(probe.last_effective_frequency_hz(), four_busy);
+  EXPECT_GT(four_busy, spec.max_frequency_hz());
+}
+
+TEST(MachineFrequencyCache, BigLittlePerClusterPins) {
+  const CpuSpec spec = big_little();
+  check_detour(spec, 5,
+               [](Machine& m) {
+                 m.set_cluster_frequency(0, 2.6e9);
+                 m.set_cluster_frequency(1, 1.5e9);
+               },
+               [](Machine& m) {
+                 m.set_cluster_frequency(1, 0.6e9);
+                 m.set_cluster_frequency(0, 1.0e9);
+               });
 }
 
 }  // namespace

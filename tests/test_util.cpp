@@ -17,6 +17,7 @@
 #include "util/result.h"
 #include "util/ring_buffer.h"
 #include "util/rng.h"
+#include "util/round.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 #include "util/units.h"
@@ -191,6 +192,45 @@ TEST(WallClock, MonotonicNonNegative) {
 }
 
 // --- Rng ---
+
+// --- llround_fast ---
+
+void expect_same_as_llround(double x) {
+  EXPECT_EQ(llround_fast(x), std::llround(x)) << std::hexfloat << x;
+}
+
+TEST(LlroundFast, MatchesLlroundOnTiesAndEdges) {
+  for (const double x : {0.0, -0.0, 0.5, 0.49999999999999994, 1.5, 2.5, 3.4999999999999996,
+                         1e-300, 0x1p52 - 0.5, 0x1p52 - 1.5, 0x1p52, 0x1p52 + 1, 0x1p53,
+                         0x1p53 + 2, 0x1p62, 0x1p63 - 1024, 0x1p63, 0x1p64, 1e300,
+                         std::numeric_limits<double>::infinity()}) {
+    expect_same_as_llround(x);
+  }
+}
+
+TEST(LlroundFast, NegativeAndNanTakeTheFallback) {
+  // Truncate-then-compare would round -2.5 to -2; llround gives -3.
+  EXPECT_EQ(llround_fast(-2.5), -3);
+  for (const double x : {-0.5, -2.5, -1e6 - 0.5, -0x1p63, -1e300,
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    expect_same_as_llround(x);
+  }
+}
+
+TEST(LlroundFast, MatchesLlroundOnAMillionDrawsAcrossMagnitudes) {
+  Rng rng(2026);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Magnitudes 1e-3 .. 1e15, plus the exact tie and its neighbours.
+    const double x = std::pow(10.0, rng.uniform(-3.0, 15.0));
+    const double tie = std::floor(x) + 0.5;
+    for (const double v : {x, tie, std::nextafter(tie, 0.0), std::nextafter(tie, 1e300)}) {
+      if (llround_fast(v) != std::llround(v)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
 
 TEST(Rng, DeterministicPerSeed) {
   Rng a(7);
