@@ -2,9 +2,9 @@
 // Three questions, one binary:
 //
 //   1. BM_FleetTick_GovernorOff/On — host-ticks/s through the fleet
-//      monitoring hot path with and without a GovernorActor wired in
-//      (sense relays subscribed to every host's aggregated topic, a
-//      governor tick per run_for). The budget is set high enough that the
+//      monitoring hot path with and without a Governor wired in (every
+//      host's aggregated rows observed through a callback reporter, a
+//      decide() per run_for). The budget is set high enough that the
 //      full sense→share→decide path runs without actuating, so the delta
 //      prices the control plane itself, not DVFS transitions.
 //   2. BM_GovernorDecide — the pure decision path (shares + per-host step
@@ -58,12 +58,23 @@ std::unique_ptr<os::System> loaded_host() {
 }
 
 /// One fleet monitoring tick across N hosts in parallel host slices
-/// (the bench_pipeline configuration), optionally with the governor's
-/// sense relays and a per-iteration governor tick in the graph.
+/// (the bench_pipeline configuration), optionally with the governor
+/// observing every host's rows and deciding once per iteration.
 void fleet_tick_bench(benchmark::State& state, bool governed) {
   const std::size_t host_count = static_cast<std::size_t>(state.range(0));
   std::vector<std::unique_ptr<os::System>> hosts;
   for (std::size_t i = 0; i < host_count; ++i) hosts.push_back(loaded_host());
+
+  governor::GovernorOptions gov_options;
+  // Generous budget: the full sense->share->decide path runs every tick
+  // but never steps, so iterations stay uniform.
+  gov_options.budget_watts = 1e6;
+  gov_options.formula = "powerapi-hpc";
+  std::vector<governor::HostControl> controls;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    controls.push_back(governor::control_for("host" + std::to_string(i), *hosts[i]));
+  }
+  governor::Governor gov(gov_options, std::move(controls));
 
   api::FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kThreaded;
@@ -78,30 +89,10 @@ void fleet_tick_bench(benchmark::State& state, bool governed) {
     const std::size_t index = fleet.add_host(*host, spec);
     fleet.monitor_all(index);
     fleet.add_callback_reporter(index, [](const api::AggregatedPower&) {});
-  }
-
-  governor::GovernorActor* gov = nullptr;
-  actors::ActorRef gov_ref;
-  if (governed) {
-    governor::GovernorOptions gov_options;
-    // Generous budget: the full sense->share->decide path runs every tick
-    // but never steps, so iterations stay uniform.
-    gov_options.budget_watts = 1e6;
-    gov_options.formula = "powerapi-hpc";
-    std::vector<governor::HostControl> controls;
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      controls.push_back(
-          governor::control_for("host" + std::to_string(i), *hosts[i]));
-    }
-    auto actor = std::make_unique<governor::GovernorActor>(
-        fleet.bus(), gov_options, std::move(controls));
-    gov = actor.get();
-    gov_ref = fleet.actor_system().spawn("governor", std::move(actor));
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      governor::GovernorActor::spawn_sense_relay(
-          fleet.actor_system(), fleet.bus(),
-          fleet.pipeline(i).aggregated_topic(), gov_ref, i,
-          "sense-h" + std::to_string(i));
+    if (governed) {
+      fleet.add_callback_reporter(index, [&gov, index](const api::AggregatedPower& row) {
+        gov.observe(index, row);
+      });
     }
   }
 
@@ -110,14 +101,12 @@ void fleet_tick_bench(benchmark::State& state, bool governed) {
     fleet.run_for(util::ms_to_ns(1));
     if (governed) {
       now += util::ms_to_ns(1);
-      fleet.actor_system().tell(gov_ref,
-                                actors::Payload(governor::GovernorTick{now}));
-      fleet.settle();
+      gov.decide(now);
     }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(host_count));
-  if (gov != nullptr) state.counters["actuations"] = static_cast<double>(gov->actuation_count());
+  if (governed) state.counters["actuations"] = static_cast<double>(gov.actuation_count());
 }
 
 void BM_FleetTick_GovernorOff(benchmark::State& state) {
@@ -145,8 +134,6 @@ BENCHMARK(BM_FleetTick_GovernorOn)
 /// monitoring pipeline, no simulated machines — just the governor.
 void BM_GovernorDecide(benchmark::State& state) {
   const std::size_t host_count = static_cast<std::size_t>(state.range(0));
-  actors::ActorSystem system;
-  actors::EventBus bus(system);
   governor::GovernorOptions options;
   options.budget_watts = 40.0 * static_cast<double>(host_count);
   std::vector<governor::HostControl> controls;
@@ -158,25 +145,21 @@ void BM_GovernorDecide(benchmark::State& state) {
     // No set_frequency/set_parked hooks: decisions are recorded, not applied.
     controls.push_back(std::move(control));
   }
-  auto actor = std::make_unique<governor::GovernorActor>(bus, options,
-                                                         std::move(controls));
-  const actors::ActorRef gov = system.spawn("governor", std::move(actor));
+  governor::Governor gov(options, std::move(controls));
 
+  api::AggregatedPower row;
+  row.group = "(machine)";
+  row.formula = "powerapi-hpc";
   util::TimestampNs now = 0;
   for (auto _ : state) {
     now += 1000000;
+    row.timestamp = now;
     for (std::size_t i = 0; i < host_count; ++i) {
-      governor::HostPower power;
-      power.host = i;
-      power.timestamp = now;
-      power.formula = "powerapi-hpc";
       // Hover around the per-host share so both step directions stay live.
-      power.watts = 38.0 + static_cast<double>((now / 1000000 + i) % 5);
-      power.machine_scope = true;
-      system.tell(gov, actors::Payload(std::move(power)));
+      row.watts = 38.0 + static_cast<double>((now / 1000000 + i) % 5);
+      gov.observe(i, row);
     }
-    system.tell(gov, actors::Payload(governor::GovernorTick{now}));
-    system.drain();
+    gov.decide(now);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(host_count));
@@ -194,6 +177,17 @@ double joules_per_gigainstr(std::size_t host_count, double budget_per_host) {
   for (std::size_t i = 0; i < host_count; ++i) {
     hosts.push_back(std::make_unique<os::System>(simcpu::i3_2120()));
   }
+  governor::GovernorOptions gov_options;
+  gov_options.budget_watts = budget_per_host * static_cast<double>(host_count);
+  gov_options.cooldown_ns = util::ms_to_ns(500);
+  gov_options.max_step = 3;  // Bench-scale window: descend the ladder fast.
+  gov_options.formula = "powerapi-hpc";
+  std::vector<governor::HostControl> controls;
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    controls.push_back(governor::control_for("host" + std::to_string(i), *hosts[i]));
+  }
+  governor::Governor gov(gov_options, std::move(controls));
+
   api::FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kManual;
   api::FleetMonitor fleet(options);
@@ -205,25 +199,8 @@ double joules_per_gigainstr(std::size_t host_count, double budget_per_host) {
     spec.with_powerspy = false;
     const std::size_t index = fleet.add_host(*host, spec);
     fleet.monitor_all(index);
-  }
-  governor::GovernorOptions gov_options;
-  gov_options.budget_watts = budget_per_host * static_cast<double>(host_count);
-  gov_options.cooldown_ns = util::ms_to_ns(500);
-  gov_options.max_step = 3;  // Bench-scale window: descend the ladder fast.
-  gov_options.formula = "powerapi-hpc";
-  std::vector<governor::HostControl> controls;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    controls.push_back(
-        governor::control_for("host" + std::to_string(i), *hosts[i]));
-  }
-  auto actor = std::make_unique<governor::GovernorActor>(
-      fleet.bus(), gov_options, std::move(controls));
-  const actors::ActorRef gov_ref =
-      fleet.actor_system().spawn("governor", std::move(actor));
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    governor::GovernorActor::spawn_sense_relay(
-        fleet.actor_system(), fleet.bus(), fleet.pipeline(i).aggregated_topic(),
-        gov_ref, i, "sense-h" + std::to_string(i));
+    fleet.add_callback_reporter(
+        index, [&gov, index](const api::AggregatedPower& row) { gov.observe(index, row); });
   }
 
   struct Job {
@@ -263,9 +240,7 @@ double joules_per_gigainstr(std::size_t host_count, double budget_per_host) {
       }
     }
     if (advanced >= next_tick) {
-      fleet.actor_system().tell(
-          gov_ref, actors::Payload(governor::GovernorTick{advanced}));
-      fleet.settle();
+      gov.decide(advanced);
       next_tick += util::ms_to_ns(100);
     }
   };

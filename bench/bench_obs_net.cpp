@@ -83,7 +83,9 @@ void spans_frame_roundtrip(benchmark::State& state) {
   std::int64_t tick = 0;
   for (auto _ : state) {
     for (int i = 0; i < kSpansPerFrame; ++i) {
-      trace.complete(name, ++tick * 1000, 500, static_cast<std::uint64_t>(tick));
+      // Span k starts at k µs with id k - 1.
+      const auto id = static_cast<std::uint64_t>(tick++);
+      trace.complete(name, tick * 1000, 500, id);
     }
     drained.clear();
     trace.drain(drained);

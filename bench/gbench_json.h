@@ -35,11 +35,12 @@ class JsonTeeReporter final : public benchmark::ConsoleReporter {
         metric.value = items->second;
         metric.unit = "items/s";
       } else {
+        // In the benchmark's own time unit (->Unit(...), ns by default).
         metric.value = run.GetAdjustedRealTime();
-        metric.unit = "ns";
+        metric.unit = benchmark::GetTimeUnitString(run.time_unit);
       }
       metric.iterations = static_cast<std::uint64_t>(run.iterations);
-      metrics_.push_back(std::move(metric));
+      metrics_.push_back(metric);
       // User-defined counters become their own metrics so deterministic
       // quantities (e.g. the governor's joules-per-work delta) can be
       // gated by bench_diff.py alongside the timing numbers.

@@ -1,8 +1,8 @@
 // distributed_fleet: the pipeline leaves the process — N agent processes
 // each monitor one (simulated) machine and ship their aggregated rows over
 // loopback TCP to a collector, where a BusBridge republishes them onto a
-// local event bus and a FleetAggregator sums the fleet dimension exactly as
-// an in-process FleetMonitor would.
+// local event bus and a FleetSum sums the fleet dimension exactly as an
+// in-process FleetMonitor does.
 //
 // The punchline is the cross-check: after the distributed run, the same
 // hosts are monitored again by an ordinary in-process FleetMonitor with the
@@ -205,14 +205,16 @@ int main(int argc, char** argv) {
   std::printf("=== distributed_fleet: collector on 127.0.0.1:%u, %zu agents ===\n",
               server.port(), hosts);
 
-  const auto fleet_topic = bus.intern("fleet/power:aggregated");
-  auto host_count = std::make_shared<std::size_t>(hosts);
-  const auto aggregator = system.spawn_as<api::FleetAggregator>(
-      "collector/fleet-aggregator", bus, fleet_topic, host_count);
-  bus.subscribe(bridge.aggregated_topic(), aggregator);
-  auto owned = std::make_unique<api::MemoryReporter>();
-  api::MemoryReporter& collected = *owned;
-  bus.subscribe(fleet_topic, system.spawn("collector/reporter", std::move(owned)));
+  // The fleet dimension of the merged rows, summed in arrival order.
+  api::FleetSum fleet_sum;
+  std::vector<api::AggregatedPower> collected;
+  bus.subscribe(bridge.aggregated_topic(),
+                system.spawn_as<api::CallbackReporter>(
+                    "collector/fleet-sum", [&](const api::AggregatedPower& row) {
+                      if (auto fleet_row = fleet_sum.add(row, hosts)) {
+                        collected.push_back(std::move(*fleet_row));
+                      }
+                    }));
 
   // --- Fork the agents ---
   std::fflush(stdout);
@@ -256,8 +258,8 @@ int main(int argc, char** argv) {
   }
   server.poll_once(0);  // Final reads raced with the last disconnect.
   system.drain();
-  system.stop(aggregator);  // Flush straggler buckets.
-  system.drain();
+  // Buckets still waiting on stragglers.
+  for (api::AggregatedPower& row : fleet_sum.flush()) collected.push_back(std::move(row));
 
   const auto stats = server.stats();
   std::printf("collector: %llu records in %llu frames from %llu connections "
@@ -306,7 +308,7 @@ int main(int argc, char** argv) {
   reference.finish();
 
   // --- Cross-check ---
-  const auto got = fleet_series(collected.all());
+  const auto got = fleet_series(collected);
   const auto want = fleet_series(expected.all());
   double worst = 0.0;
   std::size_t missing = 0;

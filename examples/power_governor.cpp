@@ -7,8 +7,9 @@
 // memory-bound scan jobs, each with a fixed amount of work (retired
 // instructions), and both runs simulate the SAME wall-clock window. The
 // uncapped run blasts the jobs at f_max, finishes early and idles out the
-// window. The capped run wires a GovernorActor into the FleetMonitor's
-// actuation channel (`run_for(duration, on_chunk)`): the governor holds the
+// window. The capped run feeds each host's aggregated rows to a Governor
+// and calls it from the FleetMonitor's actuation channel
+// (`run_for(duration, on_chunk)`): the governor holds the
 // fleet watt budget by stepping DVFS/parking rungs, the jobs take a little
 // longer, and the fleet idles a little less. Work is equal by construction
 // (each job is killed the chunk its instruction target is reached), wall
@@ -91,17 +92,6 @@ RunResult run_fleet(std::size_t host_count, double budget_watts,
     hosts.push_back(std::make_unique<os::System>(simcpu::i3_2120()));
   }
 
-  api::FleetMonitor::Options options;
-  options.mode = actors::ActorSystem::Mode::kManual;
-  api::FleetMonitor fleet(options);
-  api::PipelineSpec spec;
-  spec.period = kMonitorPeriod;
-  spec.model = governor_model();
-  for (auto& host : hosts) {
-    const std::size_t index = fleet.add_host(*host, spec);
-    fleet.monitor_all(index);
-  }
-
   governor::GovernorOptions gov_options;
   gov_options.budget_watts = budget_watts;
   gov_options.policy = policy;
@@ -113,15 +103,20 @@ RunResult run_fleet(std::size_t host_count, double budget_watts,
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     controls.push_back(governor::control_for("host" + std::to_string(i), *hosts[i]));
   }
-  auto actor = std::make_unique<governor::GovernorActor>(
-      fleet.bus(), gov_options, std::move(controls));
-  governor::GovernorActor* gov = actor.get();
-  const actors::ActorRef gov_ref =
-      fleet.actor_system().spawn("governor", std::move(actor));
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    governor::GovernorActor::spawn_sense_relay(
-        fleet.actor_system(), fleet.bus(), fleet.pipeline(i).aggregated_topic(),
-        gov_ref, i, "sense-h" + std::to_string(i));
+  // Constructed before the fleet, whose pipelines report to it.
+  governor::Governor gov(gov_options, std::move(controls));
+
+  api::FleetMonitor::Options options;
+  options.mode = actors::ActorSystem::Mode::kManual;
+  api::FleetMonitor fleet(options);
+  api::PipelineSpec spec;
+  spec.period = kMonitorPeriod;
+  spec.model = governor_model();
+  for (auto& host : hosts) {
+    const std::size_t index = fleet.add_host(*host, spec);
+    fleet.monitor_all(index);
+    fleet.add_callback_reporter(
+        index, [&gov, index](const api::AggregatedPower& row) { gov.observe(index, row); });
   }
 
   RunResult result;
@@ -129,7 +124,7 @@ RunResult run_fleet(std::size_t host_count, double budget_watts,
   util::TimestampNs elapsed = 0;
   util::TimestampNs next_tick = kTickInterval;
   // The actuation channel: run_for settles the fleet before and after this
-  // callback, so mutating hosts and ticking the governor here is race-free
+  // callback, so mutating hosts and calling the governor here is race-free
   // by construction (and deterministic under kManual). `advanced` is
   // cumulative within the run_for call.
   const auto on_chunk = [&](util::DurationNs advanced) {
@@ -171,11 +166,9 @@ RunResult run_fleet(std::size_t host_count, double budget_watts,
     }
     if (all_done && result.batch_done_ns == 0) result.batch_done_ns = elapsed;
     if (elapsed >= next_tick) {
-      fleet.actor_system().tell(gov_ref,
-                                actors::Payload(governor::GovernorTick{elapsed}));
-      fleet.settle();
+      gov.decide(elapsed);
       next_tick += kTickInterval;
-      const double watts = gov->last_fleet_watts();
+      const double watts = gov.last_fleet_watts();
       result.peak_fleet_watts = std::max(result.peak_fleet_watts, watts);
       // "Settled": give the controller time to descend the ladder (two
       // rungs per tick from 3.3 GHz) before holding it to the budget.
@@ -192,7 +185,7 @@ RunResult run_fleet(std::size_t host_count, double budget_watts,
     result.instructions += host->machine_counters().instructions;
     result.joules += host->total_energy_joules();
   }
-  result.actuations = gov->actuation_count();
+  result.actuations = gov.actuation_count();
   return result;
 }
 

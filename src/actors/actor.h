@@ -4,8 +4,8 @@
 // Reporter components as actors. Within one host those hops are plain calls
 // here (powerapi/pipeline.h); actors remain where a message crosses a
 // thread or a process, or fans out to fleet-level consumers: reporters
-// spawned on a bus topic, the governor and its relays, the collector's
-// fleet aggregation. This base class provides the single-threaded receive
+// spawned on a bus topic and the collector's subscribers behind a
+// BusBridge. This base class provides the single-threaded receive
 // guarantee, lifecycle hooks and a per-actor supervision directive applied
 // by the system when receive throws.
 #pragma once

@@ -4,9 +4,9 @@
 //    All simulation experiments and most tests run here. One thread drains
 //    at a time, which is what makes every mailbox single-consumer.
 //  * tell() is safe from any thread, including while another drains: a
-//    FleetMonitor's host slices tell fleet-level actors (governor relays,
-//    metrics reporters) from their threads, and the caller drains them
-//    between steps.
+//    FleetMonitor's host slices tell fleet-level actors (bus-subscribed
+//    sinks, metrics reporters) from their threads, and the caller drains
+//    them between steps.
 //
 // A host's own pipeline stages are not actors (see powerapi/pipeline.h):
 // only hops that cross a thread or a process boundary, or that fan out to

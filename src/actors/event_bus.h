@@ -5,8 +5,7 @@
 // pipeline calls its stages directly and uses the bus only at its edges:
 // ticks ("h0/tick") and aggregated rows ("h0/power:aggregated") for
 // whoever subscribes, plus fleet and collector topics
-// ("fleet/power:aggregated", "remote/power:aggregated", governor
-// actuations).
+// ("fleet/power:aggregated", "remote/power:aggregated").
 //
 // Hot-path design: topic strings are interned to dense integer TopicIds at
 // subscribe time (one string lookup ever, integer indexing per publish).

@@ -8,45 +8,6 @@
 
 namespace powerapi::governor {
 
-namespace {
-
-/// Forwards one topic's machine-scope AggregatedPower rows to the governor,
-/// tagged with the host index the topic belongs to. AggregatedPower itself
-/// carries no host identity — the relay is where the topic namespace
-/// ("h3/...", "remote/agent7/...") is turned back into one.
-class SenseRelay final : public actors::Actor {
- public:
-  SenseRelay(actors::ActorSystem& system, actors::ActorRef governor,
-             std::size_t host_index)
-      : system_(&system), governor_(governor), host_index_(host_index) {}
-
-  void receive(actors::Envelope& envelope) override {
-    const auto* row = envelope.payload.get<api::AggregatedPower>();
-    if (row == nullptr) return;
-    // Machine rows only: per-pid and per-group rows attribute, they don't
-    // meter the host; "(fleet)" rows are a different dimension. The group
-    // dimension tags its machine row "(machine)"; the other dimensions
-    // leave the group empty.
-    if (row->pid != api::kMachinePid) return;
-    const bool machine_scope = row->group == "(machine)";
-    if (!row->group.empty() && !machine_scope) return;
-    HostPower msg;
-    msg.host = host_index_;
-    msg.timestamp = row->timestamp;
-    msg.formula = row->formula;
-    msg.watts = row->watts;
-    msg.machine_scope = machine_scope;
-    system_->tell(governor_, actors::Payload(std::move(msg)), self());
-  }
-
- private:
-  actors::ActorSystem* system_;
-  actors::ActorRef governor_;
-  std::size_t host_index_;
-};
-
-}  // namespace
-
 HostControl control_for(std::string label, os::System& system, double weight) {
   HostControl control;
   control.label = std::move(label);
@@ -61,11 +22,8 @@ HostControl control_for(std::string label, os::System& system, double weight) {
   return control;
 }
 
-GovernorActor::GovernorActor(actors::EventBus& bus, GovernorOptions options,
-                             std::vector<HostControl> hosts)
-    : bus_(&bus),
-      options_(std::move(options)),
-      actuation_topic_(bus.intern("governor/actuation")) {
+Governor::Governor(GovernorOptions options, std::vector<HostControl> hosts)
+    : options_(std::move(options)) {
   hosts_.reserve(hosts.size());
   for (HostControl& control : hosts) {
     HostState state;
@@ -89,41 +47,19 @@ GovernorActor::GovernorActor(actors::EventBus& bus, GovernorOptions options,
   }
 }
 
-void GovernorActor::receive(actors::Envelope& envelope) {
-  if (const auto* power = envelope.payload.get<HostPower>()) {
-    on_host_power(*power);
-    return;
-  }
-  if (const auto* tick = envelope.payload.get<GovernorTick>()) {
-    evaluate(tick->now_ns);
-  }
-}
-
-actors::ActorRef GovernorActor::spawn_sense_relay(actors::ActorSystem& system,
-                                                  actors::EventBus& bus,
-                                                  actors::EventBus::TopicId topic,
-                                                  actors::ActorRef governor,
-                                                  std::size_t host_index,
-                                                  const std::string& name) {
-  const auto relay =
-      system.spawn_as<SenseRelay>(name, system, governor, host_index);
-  bus.subscribe(topic, relay);
-  return relay;
-}
-
-void GovernorActor::on_host_power(const HostPower& msg) {
-  if (msg.host >= hosts_.size()) return;
-  HostState& host = hosts_[msg.host];
-  Sample& sample = host.watts_by_formula[msg.formula];
+void Governor::observe(std::size_t host_index, const api::AggregatedPower& row) {
+  if (host_index >= hosts_.size() || row.pid != api::kMachinePid) return;
+  const bool machine_scope = row.group == "(machine)";
+  if (!row.group.empty() && !machine_scope) return;
+  Sample& sample = hosts_[host_index].watts_by_formula[row.formula];
   // An empty-group row under the group dimension is the ungrouped-process
   // sum, not the machine; never let it shadow a real "(machine)" reading.
-  if (sample.machine_scope && !msg.machine_scope) return;
-  sample.watts = msg.watts;
-  sample.machine_scope = msg.machine_scope;
-  host.last_sample_ns = msg.timestamp;
+  if (sample.machine_scope && !machine_scope) return;
+  sample.watts = row.watts;
+  sample.machine_scope = machine_scope;
 }
 
-bool GovernorActor::sensed_watts(const HostState& host, double& out) const {
+bool Governor::sensed_watts(const HostState& host, double& out) const {
   if (host.watts_by_formula.empty()) return false;
   if (!options_.formula.empty()) {
     const auto it = host.watts_by_formula.find(options_.formula);
@@ -144,7 +80,7 @@ bool GovernorActor::sensed_watts(const HostState& host, double& out) const {
   return true;
 }
 
-void GovernorActor::evaluate(util::TimestampNs now_ns) {
+void Governor::decide(util::TimestampNs now_ns) {
   ++tick_count_;
   const obs::ScopedSpan span(
       options_.obs != nullptr ? &options_.obs->trace : nullptr, decide_span_,
@@ -177,15 +113,14 @@ void GovernorActor::evaluate(util::TimestampNs now_ns) {
         host.rung, host.ladder.size() - 1, watts_scratch_[i], shares_scratch_[i],
         now_ns);
     if (next != host.rung) {
-      apply(host, i, next, host.controller.last_direction(), watts_scratch_[i],
+      apply(host, next, host.controller.last_direction(), watts_scratch_[i],
             shares_scratch_[i], now_ns);
     }
   }
 }
 
-void GovernorActor::apply(HostState& host, std::size_t /*host_index*/,
-                          std::size_t new_rung, int direction, double watts,
-                          double share, util::TimestampNs now_ns) {
+void Governor::apply(HostState& host, std::size_t new_rung, int direction,
+                     double watts, double share, util::TimestampNs now_ns) {
   const Rung& rung = host.ladder[new_rung];
   host.rung = new_rung;
   double applied_hz = rung.frequency_hz;
@@ -207,13 +142,62 @@ void GovernorActor::apply(HostState& host, std::size_t /*host_index*/,
   actuation.parked_cores = applied_parked;
   actuation.host_watts = watts;
   actuation.share_watts = share;
-  history_.push_back(actuation);
-  // Publishing to a topic nobody subscribed would count a dead letter per
-  // actuation; the governor works fine unobserved, so check first (cold
-  // path — one shared lock per actuation, not per message).
-  if (bus_->subscriber_count(actuation_topic_) > 0) {
-    bus_->publish(actuation_topic_, std::move(actuation), self());
+  history_.push_back(std::move(actuation));
+}
+
+// Actor shim, kept for fleet_bench.cpp; remove in the next benchmark PR.
+
+namespace {
+
+/// The shim's sense message: one row of a relay's topic, tagged with the
+/// host index the topic belongs to.
+struct RelayedRow {
+  std::size_t host = 0;
+  api::AggregatedPower row;
+};
+
+/// Forwards one topic's aggregated rows to a GovernorActor as RelayedRow.
+class SenseRelay final : public actors::Actor {
+ public:
+  SenseRelay(actors::ActorSystem& system, actors::ActorRef governor,
+             std::size_t host_index)
+      : system_(&system), governor_(governor), host_index_(host_index) {}
+
+  void receive(actors::Envelope& envelope) override {
+    const auto* row = envelope.payload.get<api::AggregatedPower>();
+    if (row == nullptr) return;
+    system_->tell(governor_, actors::Payload(RelayedRow{host_index_, *row}), self());
   }
+
+ private:
+  actors::ActorSystem* system_;
+  actors::ActorRef governor_;
+  std::size_t host_index_;
+};
+
+}  // namespace
+
+GovernorActor::GovernorActor(actors::EventBus& /*bus*/, GovernorOptions options,
+                             std::vector<HostControl> hosts)
+    : governor_(std::move(options), std::move(hosts)) {}
+
+void GovernorActor::receive(actors::Envelope& envelope) {
+  if (const auto* power = envelope.payload.get<RelayedRow>()) {
+    governor_.observe(power->host, power->row);
+  } else if (const auto* tick = envelope.payload.get<GovernorTick>()) {
+    governor_.decide(tick->now_ns);
+  }
+}
+
+actors::ActorRef GovernorActor::spawn_sense_relay(actors::ActorSystem& system,
+                                                  actors::EventBus& bus,
+                                                  actors::EventBus::TopicId topic,
+                                                  actors::ActorRef governor,
+                                                  std::size_t host_index,
+                                                  const std::string& name) {
+  const auto relay = system.spawn_as<SenseRelay>(name, system, governor, host_index);
+  bus.subscribe(topic, relay);
+  return relay;
 }
 
 }  // namespace powerapi::governor

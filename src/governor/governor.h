@@ -1,24 +1,25 @@
 // The closed-loop power governor: sense → estimate → decide → actuate.
 //
-// A GovernorActor subscribes (via per-host SenseRelay actors) to each
-// host's "h<i>/power:aggregated" stream — or a collector's merged
-// "remote/..." stream, the rows are the same either side of the wire — and
-// holds a fleet-level watt budget by moving each host down/up its
-// RungLadder (DVFS set point + parked cores, see policy.h).
+// A Governor is a plain object the driver calls. It senses each host's
+// aggregated rows through observe() — attached as a callback reporter on
+// that host's pipeline, or fed a collector's merged "remote/..." rows, the
+// rows are the same either side of the wire — and decide() holds a
+// fleet-level watt budget by moving each host down/up its RungLadder (DVFS
+// set point + parked cores, see policy.h).
 //
-// Determinism: the governor only evaluates on an explicit GovernorTick,
-// which the driver (ScenarioRunner, examples, benches) sends between
-// settled FleetMonitor::run_for chunks — the fleet is quiescent, every
-// aggregated row for the elapsed window has been delivered, and the
-// actuations land before the next chunk advances. In kManual mode the whole
-// loop is single-threaded and bit-reproducible; in kThreaded mode the
-// step hand-off between host slices gives the same per-host decision series.
+// Threading: observe() for different hosts may run concurrently on the
+// fleet's slice threads; each call touches only that host's state. decide()
+// and the introspection calls run on the driver between run_for chunks, when
+// the fleet is quiescent: every aggregated row of the elapsed window has
+// been observed, and the actuations land before the next chunk advances. In
+// kManual mode the whole loop is single-threaded and bit-reproducible; in
+// kThreaded mode each host's rows arrive in the same order, so the decision
+// series is the same.
 //
 // Observability: decisions are counted ("governor.actuations", ".steps_up",
 // ".steps_down", ".ticks"), the sensed fleet draw and the budget are gauges
-// ("governor.fleet_watts", ".budget_watts"), each evaluation records a
-// "governor/decide" span, and every actuation is published on the
-// "governor/actuation" bus topic for reporters and tests.
+// ("governor.fleet_watts", ".budget_watts"), and each decide() records a
+// "governor/decide" span.
 #pragma once
 
 #include <cstdint>
@@ -41,25 +42,8 @@ class System;
 
 namespace powerapi::governor {
 
-/// Evaluate-now command, sent by the driver between settled run chunks.
-struct GovernorTick {
-  util::TimestampNs now_ns = 0;
-};
-
-/// Internal sense message: one host's aggregated machine-power row, tagged
-/// with the host index by that host's SenseRelay. Machine scope is either
-/// the empty group (timestamp/pid dimensions) or the "(machine)" group row
-/// (group dimension); the latter is authoritative when both appear.
-struct HostPower {
-  std::size_t host = 0;
-  util::TimestampNs timestamp = 0;
-  std::string formula;
-  double watts = 0.0;
-  bool machine_scope = false;  ///< True for "(machine)" group rows.
-};
-
-/// One applied decision, published on "governor/actuation" and kept in the
-/// governor's history for tests and reports.
+/// One applied decision, kept in the governor's history for tests and
+/// reports.
 struct Actuation {
   util::TimestampNs timestamp = 0;
   std::string host;
@@ -72,8 +56,8 @@ struct Actuation {
 };
 
 /// The governor's handle on one host: identity, topology and actuation
-/// callbacks. The callbacks are invoked from the governor actor's receive —
-/// with the driver protocol above, always while the fleet is quiescent.
+/// callbacks. The callbacks are invoked from decide() — with the driver
+/// protocol above, always while the fleet is quiescent.
 struct HostControl {
   std::string label;
   std::size_t cores = 1;
@@ -101,27 +85,28 @@ struct GovernorOptions {
   obs::Observability* obs = nullptr;  ///< Optional; null = unobserved.
 };
 
-class GovernorActor final : public actors::Actor {
+class Governor {
  public:
-  GovernorActor(actors::EventBus& bus, GovernorOptions options,
-                std::vector<HostControl> hosts);
+  Governor(GovernorOptions options, std::vector<HostControl> hosts);
+  // Drivers hand pipelines callbacks that hold the governor's address.
+  Governor(const Governor&) = delete;
+  Governor& operator=(const Governor&) = delete;
 
-  void receive(actors::Envelope& envelope) override;
+  /// Senses one of host `host`'s aggregated rows. Only machine rows count:
+  /// pid kMachinePid with the group empty (timestamp/pid dimensions) or
+  /// "(machine)" (group dimension), the latter authoritative when both
+  /// appear. Per-pid and named-group rows attribute rather than meter the
+  /// host, and "(fleet)" rows are a different dimension; all are ignored.
+  void observe(std::size_t host, const api::AggregatedPower& row);
 
-  /// Spawns a SenseRelay forwarding `topic`'s machine-power rows to
-  /// `governor` tagged as `host_index`, and subscribes it. Works for local
-  /// per-host topics and for "remote/<agent>/power:aggregated" alike.
-  static actors::ActorRef spawn_sense_relay(actors::ActorSystem& system,
-                                            actors::EventBus& bus,
-                                            actors::EventBus::TopicId topic,
-                                            actors::ActorRef governor,
-                                            std::size_t host_index,
-                                            const std::string& name);
+  /// Shares the budget across hosts from the latest sensed draws and steps
+  /// each host whose draw leaves its share's hysteresis band.
+  void decide(util::TimestampNs now_ns);
 
-  // --- Post-settle introspection (drain() first) ---
   std::uint64_t actuation_count() const noexcept { return actuation_count_; }
   const std::vector<Actuation>& history() const noexcept { return history_; }
   std::size_t current_rung(std::size_t host) const { return hosts_.at(host).rung; }
+  /// The sensed fleet draw at the last decide().
   double last_fleet_watts() const noexcept { return last_fleet_watts_; }
 
  private:
@@ -136,26 +121,21 @@ class GovernorActor final : public actors::Actor {
     std::size_t rung = 0;
     /// Latest machine-scope watts per formula (deterministic iteration).
     std::map<std::string, Sample> watts_by_formula;
-    util::TimestampNs last_sample_ns = -1;
   };
 
-  void on_host_power(const HostPower& msg);
-  void evaluate(util::TimestampNs now_ns);
   /// The sensed draw for one host under the formula preference order;
   /// returns false when no row has arrived yet.
   bool sensed_watts(const HostState& host, double& out) const;
-  void apply(HostState& host, std::size_t host_index, std::size_t new_rung,
-             int direction, double watts, double share, util::TimestampNs now_ns);
+  void apply(HostState& host, std::size_t new_rung, int direction, double watts,
+             double share, util::TimestampNs now_ns);
 
-  actors::EventBus* bus_;
   GovernorOptions options_;
   std::vector<HostState> hosts_;
-  actors::EventBus::TopicId actuation_topic_;
   std::uint64_t actuation_count_ = 0;
   std::uint64_t tick_count_ = 0;
   double last_fleet_watts_ = 0.0;
   std::vector<Actuation> history_;
-  // Evaluation scratch (reused per tick).
+  // Evaluation scratch (reused per decide).
   std::vector<double> weights_scratch_;
   std::vector<double> watts_scratch_;
   std::vector<double> shares_scratch_;
@@ -168,6 +148,34 @@ class GovernorActor final : public actors::Actor {
   obs::Gauge* fleet_watts_metric_ = nullptr;
   obs::Gauge* budget_watts_metric_ = nullptr;
   obs::TraceCollector::NameId decide_span_ = 0;
+};
+
+// Actor shim, kept for fleet_bench.cpp; remove in the next benchmark PR.
+// A GovernorActor owns a Governor: each relay spawned by spawn_sense_relay
+// forwards its topic's rows to observe(), and a GovernorTick calls decide().
+// New drivers call a Governor directly.
+struct GovernorTick {
+  util::TimestampNs now_ns = 0;
+};
+
+class GovernorActor final : public actors::Actor {
+ public:
+  GovernorActor(actors::EventBus& bus, GovernorOptions options,
+                std::vector<HostControl> hosts);
+
+  void receive(actors::Envelope& envelope) override;
+
+  static actors::ActorRef spawn_sense_relay(actors::ActorSystem& system,
+                                            actors::EventBus& bus,
+                                            actors::EventBus::TopicId topic,
+                                            actors::ActorRef governor,
+                                            std::size_t host_index,
+                                            const std::string& name);
+
+  std::uint64_t actuation_count() const noexcept { return governor_.actuation_count(); }
+
+ private:
+  Governor governor_;
 };
 
 }  // namespace powerapi::governor

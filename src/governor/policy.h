@@ -1,7 +1,7 @@
 // Governor policy layer: pure, deterministic decision arithmetic.
 //
 // Everything here is free of actors, clocks and I/O so the control law can
-// be unit-tested exhaustively and the GovernorActor stays a thin shell:
+// be unit-tested exhaustively and the Governor stays a thin shell:
 //  * RungLadder      — a host's actuation states ordered from fastest
 //                      (rung 0) to thriftiest, built from the DVFS ladder
 //                      and the core count under one of two orderings

@@ -8,8 +8,8 @@
 //   remote/<agent>/power:estimation    remote/power:estimation
 //   remote/<agent>/power:aggregated    remote/power:aggregated
 //
-// The merged topics are what a collector-side FleetAggregator subscribes
-// to; the per-agent topics let a reporter follow one machine. Agents are
+// The merged topics are what a collector sums the fleet dimension from
+// (FleetSum); the per-agent topics let a reporter follow one machine. Agents are
 // named by their hello frame; records arriving before a hello (a protocol-
 // tolerated but unusual ordering) fall back to the "conn<id>" label. Two
 // live agents claiming the same hello id stay distinguishable: the later

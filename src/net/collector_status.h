@@ -11,7 +11,7 @@
 //
 // The surface is pull-based: render_text() for humans ("status" command /
 // periodic dumps), render_json() for machines (one line, JSONL-friendly),
-// watchdog_sample() for the WatchdogActor. StatusListener serves the same
+// watchdog_sample() for Watchdog::check(). StatusListener serves the same
 // renders over TCP — `echo status | nc host port` — without letting a
 // slow reader touch the collection path.
 #pragma once

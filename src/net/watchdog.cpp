@@ -21,26 +21,15 @@ std::string_view to_string(Alert::Kind kind) noexcept {
   return "?";
 }
 
-WatchdogActor::WatchdogActor(actors::EventBus& bus, Probe probe,
-                             WatchdogOptions options)
-    : bus_(&bus),
-      probe_(std::move(probe)),
-      options_(options),
-      alert_topic_(bus.intern("obs/alert")) {
+Watchdog::Watchdog(WatchdogOptions options) : options_(options) {
   if (options_.obs != nullptr) {
     obs_alerts_ = &options_.obs->metrics.counter("obs.watchdog.alerts");
     obs_suppressed_ = &options_.obs->metrics.counter("obs.watchdog.suppressed");
   }
 }
 
-void WatchdogActor::receive(actors::Envelope& envelope) {
-  if (const WatchdogTick* tick = envelope.payload.get<WatchdogTick>()) {
-    evaluate(tick->now_ns);
-  }
-}
-
-void WatchdogActor::evaluate(std::int64_t now_ns) {
-  const WatchdogSample sample = probe_ ? probe_() : WatchdogSample{};
+std::vector<Alert> Watchdog::check(std::int64_t now_ns, const WatchdogSample& sample) {
+  std::vector<Alert> alerts;
   for (const WatchdogSample::Agent& agent : sample.agents) {
     AgentBaseline& base = baselines_[agent.label];
     if (base.seen) {
@@ -58,14 +47,16 @@ void WatchdogActor::evaluate(std::int64_t now_ns) {
               static_cast<double>(drop_delta),
               static_cast<double>(options_.drop_spike), now_ns,
               agent.label + " dropped " + std::to_string(drop_delta) +
-                  " records since last tick");
+                  " records since last tick",
+              alerts);
       }
       if (reconnect_delta > options_.reconnect_storm) {
         raise(Alert::Kind::kReconnectStorm, agent.label,
               static_cast<double>(reconnect_delta),
               static_cast<double>(options_.reconnect_storm), now_ns,
               agent.label + " reconnected " + std::to_string(reconnect_delta) +
-                  " times since last tick");
+                  " times since last tick",
+              alerts);
       }
     }
     base.records_dropped = agent.records_dropped;
@@ -79,7 +70,8 @@ void WatchdogActor::evaluate(std::int64_t now_ns) {
       raise(Alert::Kind::kStale, agent.label, silent_ns,
             static_cast<double>(options_.staleness_ns), now_ns,
             agent.label + " silent for " +
-                std::to_string(silent_ns / 1e9) + " s");
+                std::to_string(silent_ns / 1e9) + " s",
+            alerts);
     }
   }
   if (options_.self_watts_budget > 0.0 &&
@@ -88,7 +80,7 @@ void WatchdogActor::evaluate(std::int64_t now_ns) {
     message << "fleet self-monitoring at " << sample.fleet_self_watts
             << " W exceeds budget " << options_.self_watts_budget << " W";
     raise(Alert::Kind::kSelfWattsBudget, "", sample.fleet_self_watts,
-          options_.self_watts_budget, now_ns, message.str());
+          options_.self_watts_budget, now_ns, message.str(), alerts);
   }
   if (sample.power_budget_watts > 0.0) {
     if (sample.fleet_power_watts > sample.power_budget_watts) {
@@ -99,17 +91,18 @@ void WatchdogActor::evaluate(std::int64_t now_ns) {
                 << " W over governor budget " << sample.power_budget_watts
                 << " W for " << over_budget_ticks_ << " ticks";
         raise(Alert::Kind::kBudgetViolation, "", sample.fleet_power_watts,
-              sample.power_budget_watts, now_ns, message.str());
+              sample.power_budget_watts, now_ns, message.str(), alerts);
       }
     } else {
       over_budget_ticks_ = 0;  // Back under the cap: re-baseline.
     }
   }
+  return alerts;
 }
 
-void WatchdogActor::raise(Alert::Kind kind, const std::string& agent,
-                          double value, double threshold, std::int64_t now_ns,
-                          std::string message) {
+void Watchdog::raise(Alert::Kind kind, const std::string& agent, double value,
+                     double threshold, std::int64_t now_ns, std::string message,
+                     std::vector<Alert>& alerts) {
   std::int64_t& last = last_alert_ns_[{static_cast<int>(kind), agent}];
   // `last` is one-past the real stamp so a legitimate tick at now_ns == 0
   // (deterministic tests start there) is not mistaken for "never raised".
@@ -129,7 +122,7 @@ void WatchdogActor::raise(Alert::Kind kind, const std::string& agent,
   alert.wall_ns = now_ns;
   alert.message = std::move(message);
   POWERAPI_LOG_WARN(kLog) << to_string(kind) << ": " << alert.message;
-  bus_->publish(alert_topic_, alert, self());
+  alerts.push_back(std::move(alert));
 }
 
 }  // namespace powerapi::net

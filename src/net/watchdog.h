@@ -1,11 +1,10 @@
-// WatchdogActor: rate-limited, structured anomaly alerts over the fleet's
+// Watchdog: rate-limited, structured anomaly alerts over the fleet's
 // observability plane.
 //
-// The watchdog is the first consumer of the collector's merged view (and
-// the hook the future GovernorActor will reuse): on every WatchdogTick it
-// pulls a WatchdogSample from a probe (CollectorStatus::watchdog_sample in
-// production, a scripted lambda in tests) and publishes an Alert on topic
-// "obs/alert" for each tripped rule:
+// The watchdog is a plain object the driver calls: check(now_ns, sample)
+// evaluates one WatchdogSample — a snapshot of the collector's merged view
+// (CollectorStatus::watchdog_sample) or of an in-process fleet's metrics
+// (ScenarioRunner) — and returns an Alert for each tripped rule:
 //
 //   kDropSpike       — an agent dropped more than `drop_spike` records
 //                      since the previous tick;
@@ -23,20 +22,17 @@
 //
 // Alerts are rate-limited per (kind, agent): repeats inside
 // `min_alert_interval_ns` are suppressed and counted, so a flapping agent
-// cannot flood the bus. Both raised and suppressed alerts surface as
-// "obs.watchdog.*" counters. Time comes exclusively from WatchdogTick's
-// now_ns, so every rule is deterministic under kManual dispatch.
+// cannot flood the log. Raised alerts are logged; both raised and
+// suppressed alerts surface as "obs.watchdog.*" counters. Time comes
+// exclusively from check()'s now_ns, so every rule is deterministic.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "actors/actor.h"
-#include "actors/event_bus.h"
 #include "obs/observability.h"
 
 namespace powerapi::net {
@@ -57,11 +53,6 @@ struct WatchdogSample {
   /// the configured cap, as of this tick.
   double fleet_power_watts = 0.0;
   double power_budget_watts = 0.0;
-};
-
-/// Tick message: drives evaluation; `now_ns` is the evaluation clock.
-struct WatchdogTick {
-  std::int64_t now_ns = 0;
 };
 
 struct WatchdogOptions {
@@ -102,20 +93,16 @@ struct Alert {
 
 std::string_view to_string(Alert::Kind kind) noexcept;
 
-class WatchdogActor final : public actors::Actor {
+class Watchdog {
  public:
-  using Probe = std::function<WatchdogSample()>;
+  explicit Watchdog(WatchdogOptions options = {});
 
-  /// Alerts publish on `bus` topic "obs/alert"; `probe` supplies the fleet
-  /// view per tick.
-  WatchdogActor(actors::EventBus& bus, Probe probe, WatchdogOptions options = {});
-
-  actors::EventBus::TopicId alert_topic() const noexcept { return alert_topic_; }
+  /// Evaluates `sample` at time `now_ns` and returns the alerts raised
+  /// (suppressed repeats are counted, not returned).
+  std::vector<Alert> check(std::int64_t now_ns, const WatchdogSample& sample);
 
   std::uint64_t alerts_raised() const noexcept { return alerts_raised_; }
   std::uint64_t alerts_suppressed() const noexcept { return alerts_suppressed_; }
-
-  void receive(actors::Envelope& envelope) override;
 
  private:
   struct AgentBaseline {
@@ -124,14 +111,11 @@ class WatchdogActor final : public actors::Actor {
     bool seen = false;
   };
 
-  void evaluate(std::int64_t now_ns);
   void raise(Alert::Kind kind, const std::string& agent, double value,
-             double threshold, std::int64_t now_ns, std::string message);
+             double threshold, std::int64_t now_ns, std::string message,
+             std::vector<Alert>& alerts);
 
-  actors::EventBus* bus_;
-  Probe probe_;
   WatchdogOptions options_;
-  actors::EventBus::TopicId alert_topic_;
 
   std::map<std::string, AgentBaseline> baselines_;
   std::map<std::pair<int, std::string>, std::int64_t> last_alert_ns_;

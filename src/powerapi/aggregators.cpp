@@ -159,18 +159,4 @@ AggregatedPower FleetSum::fleet_row(const std::string& formula, util::TimestampN
   return out;
 }
 
-void FleetAggregator::receive(actors::Envelope& envelope) {
-  const auto* row = envelope.payload.get<AggregatedPower>();
-  if (row == nullptr) return;
-  if (auto out = sum_.add(*row, *host_count_)) {
-    bus_->publish(out_topic_, std::move(*out), self());
-  }
-}
-
-void FleetAggregator::post_stop() {
-  for (AggregatedPower& out : sum_.flush()) {
-    bus_->publish(out_topic_, std::move(out), self());
-  }
-}
-
 }  // namespace powerapi::api

@@ -1,21 +1,17 @@
 // Aggregation: the Aggregator stage groups the rows of a host's
 // EstimateBatches along a dimension (the paper names PID and timestamp)
-// before they reach reporters; FleetSum and the FleetAggregator actor sum
-// machine rows across hosts.
+// before they reach reporters; FleetSum sums machine rows across hosts.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "actors/actor.h"
-#include "actors/event_bus.h"
 #include "powerapi/messages.h"
 #include "powerapi/stage_obs.h"
 
@@ -85,8 +81,9 @@ class Aggregator final {
 /// The fleet dimension's bucket logic: sums machine-scope aggregated rows
 /// across hosts per (formula, timestamp) into "(fleet)" rows, completing a
 /// bucket once every host has reported it. Rows sum in the order they are
-/// added. Shared by FleetMonitor, which folds its hosts' rows in host order
-/// after every step, and by the FleetAggregator actor.
+/// added. FleetMonitor folds its hosts' rows in host order after every step;
+/// a telemetry collector adds the BusBridge's merged rows in arrival order,
+/// so the fleet dimension is the same whether the rows crossed a wire or not.
 class FleetSum {
  public:
   /// Whether `row` is machine-scope, the only kind the fleet sums; per-pid
@@ -112,31 +109,6 @@ class FleetSum {
                                    const Bucket& bucket);
 
   std::map<std::pair<std::string, util::TimestampNs>, Bucket> pending_;
-};
-
-/// FleetSum as an actor: re-publishes the fleet dimension of the rows it is
-/// subscribed to. A telemetry collector subscribes one to the BusBridge's
-/// merged "remote/power:aggregated", so the fleet dimension is the same
-/// whether the rows crossed a wire or not. Rows sum in arrival order.
-///
-/// `host_count` is shared with the owner so hosts can join before the first
-/// tick.
-class FleetAggregator final : public actors::Actor {
- public:
-  FleetAggregator(actors::EventBus& bus, actors::EventBus::TopicId out_topic,
-                  std::shared_ptr<const std::size_t> host_count)
-      : bus_(&bus), out_topic_(out_topic), host_count_(std::move(host_count)) {}
-
-  void receive(actors::Envelope& envelope) override;
-
-  /// Flushes buckets still waiting on stragglers (end of monitoring).
-  void post_stop() override;
-
- private:
-  actors::EventBus* bus_;
-  actors::EventBus::TopicId out_topic_;
-  std::shared_ptr<const std::size_t> host_count_;
-  FleetSum sum_;
 };
 
 }  // namespace powerapi::api

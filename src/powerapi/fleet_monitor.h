@@ -17,11 +17,13 @@
 // thread, so its series is bit-for-bit the same at every slice count, and
 // the same as a PowerMeter's over an identically constructed host.
 //
-// Everything spawned through actor_system() — the governor and its relays,
-// sinks, a watchdog, a metrics reporter — is fleet-level: slice threads
-// only tell() into it (mailboxes are MPSC, e.g. a relay subscribed to
-// "h3/power:aggregated"), and the caller drains it in settle(), after the
-// hand-off.
+// Everything spawned through actor_system() — bus-subscribed sinks, a
+// metrics reporter — is fleet-level: slice threads only tell() into it
+// (mailboxes are MPSC, e.g. a sink subscribed to "h3/power:aggregated"),
+// and the caller drains it in settle(), after the hand-off. Plain objects
+// the driver calls between run_for chunks (a governor, a watchdog) need no
+// actor: a governor observes each host's rows through a callback reporter
+// on that host's slice thread.
 //
 // The fleet dimension runs only while something consumes it: an attached
 // fleet reporter or a bus subscriber on "fleet/power:aggregated" (checked
@@ -29,7 +31,7 @@
 // appends its machine-scope aggregated rows to a host-local buffer before
 // its reporters see them (Pipeline::tap_machine_rows), and after every
 // step the caller folds the buffers in host order (FleetSum, the bucket
-// logic the collector-side FleetAggregator also uses). Once all hosts have
+// logic a telemetry collector also uses). Once all hosts have
 // reported a timestamp, the per-formula sum across hosts goes to the fleet
 // reporters by direct call, in attach order, and to the bus topic when
 // subscribed. The fixed fold order makes fleet rows, too, identical at
@@ -137,11 +139,6 @@ class FleetMonitor {
   void run_for(util::DurationNs duration,
                const std::function<void(util::DurationNs advanced_ns)>& on_chunk);
 
-  /// Folds the fleet dimension, then drains the fleet-level actors until
-  /// the system is quiescent. Caller thread only, between run_for calls or
-  /// inside on_chunk.
-  void settle();
-
   /// Flushes every pipeline's pending aggregation groups, then the fleet
   /// dimension's; call once after the last run_for.
   void finish();
@@ -158,6 +155,10 @@ class FleetMonitor {
     std::vector<AggregatedPower> fleet_rows;
   };
 
+  /// Folds the fleet dimension, then drains the fleet-level actors until
+  /// the system is quiescent; run_for does this after every step (and
+  /// after on_chunk), so callers never need to.
+  void settle();
   /// (Re)starts the slice threads when the slice layout no longer matches
   /// the host count; a no-op otherwise.
   void start_slices();

@@ -19,7 +19,7 @@
 // The bus is used only at the pipeline's edges, and only when someone
 // subscribes (a zero-subscriber publish counts as a bus dead letter):
 // "tick" carries each MonitorTick (metrics reporters, probes) and
-// "power:aggregated" each aggregated row (governor sense relays, probes).
+// "power:aggregated" each aggregated row (bus-subscribed sinks, probes).
 // Every pipeline is a FleetMonitor host: host i lives under the namespace
 // "h<i>/" ("h3/power:aggregated"; a PowerMeter's one host is "h0/"), which
 // also prefixes the stages' trace span names ("h3/sensor-hpc").

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -290,7 +291,9 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
   }
 
   // --- Wire the fleet ---
-  // Declared before the fleet, which must not outlive it.
+  // Declared before the fleet, which must not outlive them: the fleet's
+  // pipelines report to the governor until the fleet is destroyed.
+  std::optional<governor::Governor> gov;
   std::unique_ptr<obs::Observability> observability;
   if (spec_.observe.enabled) observability = std::make_unique<obs::Observability>();
   api::FleetMonitor::Options fleet_options;
@@ -333,56 +336,50 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
       spec_.fleet_reporter ? &fleet.add_fleet_reporter() : nullptr;
 
   // --- Observability plane (observe directive) ---
-  // In-process there is no collector, so the watchdog probe synthesizes a
+  // In-process there is no collector, so the watchdog's sample synthesizes a
   // single "fleet" agent from the monitor's own metrics: trace drops feed
   // the drop-spike rule and the self-monitor gauge feeds the watts budget.
   // last_activity_wall_ns stays 0, which disables the staleness rule (it
   // only makes sense for remote agents).
-  net::WatchdogActor* watchdog = nullptr;
-  actors::ActorRef watchdog_ref;
+  std::optional<net::Watchdog> watchdog;
   std::unique_ptr<net::StatusListener> status_listener;
   if (spec_.observe.enabled) {
     obs::Observability* obs = fleet.observability();
     net::WatchdogOptions watchdog_options;
     watchdog_options.self_watts_budget = spec_.observe.self_watts_budget;
     watchdog_options.obs = obs;
-    const bool governing = spec_.govern.enabled;
-    auto probe = [obs, governing] {
-      net::WatchdogSample sample;
-      const obs::MetricsSnapshot snapshot = obs->metrics.snapshot();
-      sample.fleet_self_watts = snapshot.value_of("self.watts");
-      if (governing) {
-        // The governor's gauges feed the budget-violation rule.
-        sample.fleet_power_watts = snapshot.value_of("governor.fleet_watts");
-        sample.power_budget_watts = snapshot.value_of("governor.budget_watts");
-      }
-      net::WatchdogSample::Agent agent;
-      agent.label = "fleet";
-      agent.connected = true;
-      agent.records_dropped = static_cast<std::uint64_t>(
-          snapshot.value_of("obs.trace.spans_dropped"));
-      sample.agents.push_back(std::move(agent));
-      return sample;
-    };
-    auto actor = std::make_unique<net::WatchdogActor>(fleet.bus(), std::move(probe),
-                                                      watchdog_options);
-    watchdog = actor.get();
-    watchdog_ref = fleet.actor_system().spawn("scenario-watchdog", std::move(actor));
+    watchdog.emplace(watchdog_options);
     if (spec_.observe.status_port != 0) {
       status_listener = std::make_unique<net::StatusListener>(
           spec_.observe.status_port,
           [obs](std::ostream& out, bool json) { render_metrics(out, *obs, json); });
     }
   }
+  const bool governing = spec_.govern.enabled;
+  auto watchdog_sample = [obs = observability.get(), governing] {
+    net::WatchdogSample sample;
+    const obs::MetricsSnapshot snapshot = obs->metrics.snapshot();
+    sample.fleet_self_watts = snapshot.value_of("self.watts");
+    if (governing) {
+      // The governor's gauges feed the budget-violation rule.
+      sample.fleet_power_watts = snapshot.value_of("governor.fleet_watts");
+      sample.power_budget_watts = snapshot.value_of("governor.budget_watts");
+    }
+    net::WatchdogSample::Agent agent;
+    agent.label = "fleet";
+    agent.connected = true;
+    agent.records_dropped =
+        static_cast<std::uint64_t>(snapshot.value_of("obs.trace.spans_dropped"));
+    sample.agents.push_back(std::move(agent));
+    return sample;
+  };
 
   // --- Power governor (govern directive) ---
-  // One GovernorActor holds the fleet watt budget; each host gets a
-  // SenseRelay forwarding its machine-scope aggregated rows to the governor
-  // tagged with the host index. Decision ticks are sent between settled run
-  // chunks (see advance below), so both modes yield the same decisions.
-  governor::GovernorActor* gov = nullptr;
-  actors::ActorRef gov_ref;
-  if (spec_.govern.enabled) {
+  // One Governor holds the fleet watt budget; each host's pipeline hands it
+  // that host's aggregated rows through a callback reporter. Decisions are
+  // made between run chunks (see advance below), so both modes yield the
+  // same decisions.
+  if (governing) {
     governor::GovernorOptions gov_options;
     gov_options.budget_watts = spec_.govern.budget_w;
     gov_options.policy = spec_.govern.policy == "race"
@@ -398,14 +395,10 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
     for (Impl::Host& host : impl_->hosts) {
       controls.push_back(governor::control_for(host.id, *host.system));
     }
-    auto actor = std::make_unique<governor::GovernorActor>(
-        fleet.bus(), std::move(gov_options), std::move(controls));
-    gov = actor.get();
-    gov_ref = fleet.actor_system().spawn("scenario-governor", std::move(actor));
+    governor::Governor& g = gov.emplace(std::move(gov_options), std::move(controls));
     for (std::size_t i = 0; i < impl_->hosts.size(); ++i) {
-      governor::GovernorActor::spawn_sense_relay(
-          fleet.actor_system(), fleet.bus(), fleet.pipeline(i).aggregated_topic(),
-          gov_ref, i, "scenario-sense-" + impl_->hosts[i].id);
+      fleet.pipeline(i).add_callback_reporter(
+          [&g, i](const api::AggregatedPower& row) { g.observe(i, row); });
     }
   }
 
@@ -456,8 +449,8 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
   // The run advances on event boundaries: each enabled control plane (the
   // watchdog at the observe cadence, the governor at its decision interval)
   // keeps a persistent next-fire timestamp, and every chunk runs the fleet
-  // exactly to the nearest boundary, settles, and fires the due ticks —
-  // governor first, so the watchdog's probe reads fresh fleet gauges. The
+  // exactly to the nearest boundary and then calls the due planes —
+  // governor first, so the watchdog's sample reads fresh fleet gauges. The
   // timestamps persist across advance() calls, so injection pauses never
   // shift the control-plane phase.
   util::TimestampNs now = 0;
@@ -465,10 +458,9 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
   const util::DurationNs governor_interval =
       static_cast<util::DurationNs>(spec_.govern.interval_ms * 1e6);
   util::TimestampNs next_watchdog =
-      (watchdog != nullptr && spec_.observe.cadence > 0) ? spec_.observe.cadence
-                                                         : kNever;
+      (watchdog && spec_.observe.cadence > 0) ? spec_.observe.cadence : kNever;
   util::TimestampNs next_governor =
-      (gov != nullptr && governor_interval > 0) ? governor_interval : kNever;
+      (gov && governor_interval > 0) ? governor_interval : kNever;
   auto advance = [&](util::DurationNs amount) {
     const util::TimestampNs until = now + amount;
     while (now < until) {
@@ -477,15 +469,11 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
       fleet.run_for(stop - now);
       now = stop;
       if (now >= next_governor) {
-        fleet.actor_system().tell(gov_ref,
-                                  actors::Payload(governor::GovernorTick{now}));
-        fleet.settle();
+        gov->decide(now);
         next_governor += governor_interval;
       }
       if (now >= next_watchdog) {
-        fleet.actor_system().tell(watchdog_ref,
-                                  actors::Payload(net::WatchdogTick{now}));
-        fleet.settle();
+        watchdog->check(now, watchdog_sample());
         next_watchdog += spec_.observe.cadence;
       }
       if (status_listener != nullptr) status_listener->poll_once(0);
@@ -514,8 +502,8 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
   if (fleet.observability() != nullptr) {
     result.metrics = fleet.observability()->metrics.snapshot();
   }
-  if (watchdog != nullptr) result.watchdog_alerts = watchdog->alerts_raised();
-  if (gov != nullptr) result.governor_actuations = gov->actuation_count();
+  if (watchdog) result.watchdog_alerts = watchdog->alerts_raised();
+  if (gov) result.governor_actuations = gov->actuation_count();
   return result;
 }
 

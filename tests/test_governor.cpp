@@ -215,7 +215,7 @@ TEST(CoreParking, SystemParksHighestCoresAndKeepsOneAwake) {
 }
 
 // ---------------------------------------------------------------------------
-// The GovernorActor against a synthetic plant.
+// The Governor against a synthetic plant.
 // ---------------------------------------------------------------------------
 
 /// A fake host whose draw responds to the governor's actuations: watts =
@@ -247,39 +247,38 @@ struct Plant {
   }
 };
 
+api::AggregatedPower machine_row(const std::string& formula, double watts,
+                                 std::string group = "(machine)") {
+  api::AggregatedPower row;
+  row.group = std::move(group);
+  row.formula = formula;
+  row.watts = watts;
+  return row;
+}
+
 struct Loop {
-  actors::ActorSystem system;
-  actors::EventBus bus{system};
-  GovernorActor* governor = nullptr;
-  actors::ActorRef ref;
   std::vector<Plant>* plants = nullptr;
+  Governor governor;
   util::TimestampNs now = 0;
 
-  Loop(GovernorOptions options, std::vector<Plant>& hosts) : plants(&hosts) {
-    std::vector<HostControl> controls;
+  Loop(GovernorOptions options, std::vector<Plant>& hosts)
+      : plants(&hosts), governor(std::move(options), controls(hosts)) {}
+
+  static std::vector<HostControl> controls(std::vector<Plant>& hosts) {
+    std::vector<HostControl> out;
     for (std::size_t i = 0; i < hosts.size(); ++i) {
-      controls.push_back(hosts[i].control("h" + std::to_string(i)));
+      out.push_back(hosts[i].control("h" + std::to_string(i)));
     }
-    auto actor = std::make_unique<GovernorActor>(bus, std::move(options),
-                                                 std::move(controls));
-    governor = actor.get();
-    ref = system.spawn("governor", std::move(actor));
+    return out;
   }
 
-  /// One sense→decide cycle: every plant reports, then the tick evaluates.
+  /// One sense→decide cycle: every plant reports, then the governor decides.
   void tick(util::DurationNs interval = ms_to_ns(500)) {
     now += interval;
     for (std::size_t i = 0; i < plants->size(); ++i) {
-      HostPower power;
-      power.host = i;
-      power.timestamp = now;
-      power.formula = "powerapi-hpc";
-      power.watts = (*plants)[i].watts();
-      power.machine_scope = true;
-      system.tell(ref, actors::Payload(std::move(power)));
+      governor.observe(i, machine_row("powerapi-hpc", (*plants)[i].watts()));
     }
-    system.tell(ref, actors::Payload(GovernorTick{now}));
-    system.drain();
+    governor.decide(now);
   }
 
   double fleet_watts() const {
@@ -297,44 +296,44 @@ GovernorOptions loop_options() {
   return options;
 }
 
-TEST(GovernorActor, HoldsBudgetUnderStepLoadWithoutOscillation) {
+TEST(Governor, HoldsBudgetUnderStepLoadWithoutOscillation) {
   std::vector<Plant> plants(2);
   Loop loop(loop_options(), plants);
 
   // Demand spike: both hosts at full tilt would draw 80 W against 50 W.
   for (int i = 0; i < 20; ++i) loop.tick();
   EXPECT_LE(loop.fleet_watts(), 50.0 + 2.0 * 2);  // Within hysteresis bands.
-  EXPECT_GT(loop.governor->actuation_count(), 0u);
+  EXPECT_GT(loop.governor.actuation_count(), 0u);
 
   // Once converged the governor must be quiet: no limit-cycle around the
   // cap. Ten more steady ticks may not actuate at all.
-  const std::uint64_t settled = loop.governor->actuation_count();
+  const std::uint64_t settled = loop.governor.actuation_count();
   for (int i = 0; i < 10; ++i) loop.tick();
-  EXPECT_EQ(loop.governor->actuation_count(), settled);
+  EXPECT_EQ(loop.governor.actuation_count(), settled);
 
   // Load fades: the governor steps back up, cooldown-limited, and goes
   // quiet again at the top of the ladder.
   for (Plant& p : plants) p.demand = 0.2;
   for (int i = 0; i < 30; ++i) loop.tick();
-  EXPECT_EQ(loop.governor->current_rung(0), 0u);
-  EXPECT_EQ(loop.governor->current_rung(1), 0u);
-  const std::uint64_t recovered = loop.governor->actuation_count();
+  EXPECT_EQ(loop.governor.current_rung(0), 0u);
+  EXPECT_EQ(loop.governor.current_rung(1), 0u);
+  const std::uint64_t recovered = loop.governor.actuation_count();
   for (int i = 0; i < 10; ++i) loop.tick();
-  EXPECT_EQ(loop.governor->actuation_count(), recovered);
+  EXPECT_EQ(loop.governor.actuation_count(), recovered);
 
   // Bounded actuation total: each host can descend and re-climb the ladder
   // once per load transition, nothing more.
   EXPECT_LE(recovered, 2u * 2u * 6u);
 }
 
-TEST(GovernorActor, CooldownSpacesUpSteps) {
+TEST(Governor, CooldownSpacesUpSteps) {
   std::vector<Plant> plants(1);
   GovernorOptions options = loop_options();
   options.budget_watts = 25.0;
   Loop loop(options, plants);
 
   for (int i = 0; i < 12; ++i) loop.tick();
-  const std::size_t throttled = loop.governor->current_rung(0);
+  const std::size_t throttled = loop.governor.current_rung(0);
   EXPECT_GT(throttled, 0u);
 
   // Demand vanishes; with a 2-tick cooldown the rung may recover at most
@@ -345,7 +344,7 @@ TEST(GovernorActor, CooldownSpacesUpSteps) {
   bool recovered_last_tick = false;
   for (int i = 0; i < 20 && previous > 0; ++i) {
     loop.tick();
-    const std::size_t rung = loop.governor->current_rung(0);
+    const std::size_t rung = loop.governor.current_rung(0);
     ASSERT_GE(previous, rung);          // Never overshoots downward here.
     ASSERT_LE(previous - rung, 1u);     // Single-stepped.
     if (rung < previous && recovered_last_tick) ++recoveries_in_consecutive_ticks;
@@ -356,7 +355,7 @@ TEST(GovernorActor, CooldownSpacesUpSteps) {
   EXPECT_EQ(recoveries_in_consecutive_ticks, 0);
 }
 
-TEST(GovernorActor, RaceToIdleParksAndReWakes) {
+TEST(Governor, RaceToIdleParksAndReWakes) {
   std::vector<Plant> plants(1);
   GovernorOptions options = loop_options();
   options.budget_watts = 22.0;  // Forces deep throttling of the lone host.
@@ -371,10 +370,87 @@ TEST(GovernorActor, RaceToIdleParksAndReWakes) {
   plants[0].demand = 0.05;
   for (int i = 0; i < 30; ++i) loop.tick();
   EXPECT_EQ(plants[0].parked, 0u);  // Re-woken all the way.
-  EXPECT_EQ(loop.governor->current_rung(0), 0u);
+  EXPECT_EQ(loop.governor.current_rung(0), 0u);
   // History shows the round trip, and every actuation was recorded.
   EXPECT_FALSE(plants[0].parked_history.empty());
-  EXPECT_EQ(loop.governor->history().size(), loop.governor->actuation_count());
+  EXPECT_EQ(loop.governor.history().size(), loop.governor.actuation_count());
+}
+
+/// The sensed draw of a lone host after feeding `rows`, read back through
+/// decide() at budget 0 (sense only, never steps).
+double sensed_after(const std::vector<api::AggregatedPower>& rows,
+                    std::string formula = "") {
+  HostControl control;
+  control.label = "h0";
+  control.frequencies_ascending = kLadder;
+  GovernorOptions options;
+  options.formula = std::move(formula);
+  Governor governor(options, {control});
+  for (const api::AggregatedPower& row : rows) governor.observe(0, row);
+  governor.decide(ms_to_ns(500));
+  return governor.last_fleet_watts();
+}
+
+TEST(Governor, ObserveKeepsOnlyMachineRows) {
+  // Per-pid rows, "(fleet)" rows and other named groups are not the host's
+  // machine draw; none of them is sensed.
+  api::AggregatedPower per_pid = machine_row("powerapi-hpc", 7.0, "");
+  per_pid.pid = 42;
+  EXPECT_EQ(sensed_after({per_pid, machine_row("powerapi-hpc", 9.0, "(fleet)"),
+                          machine_row("powerapi-hpc", 11.0, "web")}),
+            0.0);
+  // Both machine scopes count: the empty group (timestamp/pid dimensions)
+  // and "(machine)" (group dimension).
+  EXPECT_EQ(sensed_after({machine_row("powerapi-hpc", 20.0, "")}), 20.0);
+  EXPECT_EQ(sensed_after({machine_row("powerapi-hpc", 21.0)}), 21.0);
+  // Rows of other hosts' indices are ignored.
+  {
+    HostControl control;
+    control.frequencies_ascending = kLadder;
+    Governor governor(GovernorOptions{}, {control});
+    governor.observe(1, machine_row("powerapi-hpc", 30.0));
+    governor.decide(0);
+    EXPECT_EQ(governor.last_fleet_watts(), 0.0);
+  }
+
+  // An empty-group row is the ungrouped-process sum under the group
+  // dimension: it never shadows an earlier "(machine)" row of the same
+  // formula, while a later "(machine)" row replaces an empty-group one.
+  EXPECT_EQ(sensed_after({machine_row("rapl", 25.0), machine_row("rapl", 4.0, "")}), 25.0);
+  EXPECT_EQ(sensed_after({machine_row("rapl", 4.0, ""), machine_row("rapl", 25.0)}), 25.0);
+  // The latest row of a formula wins.
+  EXPECT_EQ(sensed_after({machine_row("rapl", 25.0), machine_row("rapl", 26.0)}), 26.0);
+
+  // Formula preference: powerapi-hpc > powerspy > rapl > first in map order.
+  EXPECT_EQ(sensed_after({machine_row("rapl", 3.0), machine_row("powerspy", 2.0),
+                          machine_row("powerapi-hpc", 1.0), machine_row("aaa", 4.0)}),
+            1.0);
+  EXPECT_EQ(sensed_after({machine_row("rapl", 3.0), machine_row("powerspy", 2.0),
+                          machine_row("aaa", 4.0)}),
+            2.0);
+  EXPECT_EQ(sensed_after({machine_row("zzz", 5.0), machine_row("rapl", 3.0),
+                          machine_row("aaa", 4.0)}),
+            3.0);
+  EXPECT_EQ(sensed_after({machine_row("zzz", 5.0), machine_row("bertran", 6.0),
+                          machine_row("happy", 4.0)}),
+            6.0);
+
+  // An explicit formula with no matching row holds the host: nothing sensed.
+  EXPECT_EQ(sensed_after({machine_row("rapl", 3.0)}, "powerspy"), 0.0);
+  EXPECT_EQ(sensed_after({machine_row("rapl", 3.0), machine_row("powerspy", 2.0)},
+                         "rapl"),
+            3.0);
+  std::vector<Plant> plants(1);
+  GovernorOptions options = loop_options();
+  options.budget_watts = 1.0;  // Far under any draw: steps on every reading.
+  options.formula = "powerspy";
+  Loop loop(options, plants);
+  loop.tick();  // Reports only "powerapi-hpc".
+  EXPECT_EQ(loop.governor.actuation_count(), 0u);
+  EXPECT_EQ(loop.governor.current_rung(0), 0u);
+  loop.governor.observe(0, machine_row("powerspy", plants[0].watts()));
+  loop.governor.decide(loop.now + ms_to_ns(500));
+  EXPECT_EQ(loop.governor.actuation_count(), 1u);
 }
 
 // ---------------------------------------------------------------------------

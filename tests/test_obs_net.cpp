@@ -1,7 +1,7 @@
 // Distributed observability plane: obs frame round trips and the PR 5
 // byte-identity guarantee, TraceMerger clock-offset recovery against
 // injected fake offsets, the CollectorStatus ledger + TCP status listener,
-// WatchdogActor alert rules (all four, plus rate limiting and counter-reset
+// Watchdog alert rules (all four, plus rate limiting and counter-reset
 // re-baselining), the BusBridge remote-gauge lifecycle (stale expiry,
 // reconnect reset, label collisions) and the whole plane end-to-end over a
 // real loopback socket.
@@ -336,34 +336,14 @@ TEST(TraceMerger, RecoversInjectedClockOffsetsUnderOneMillisecond) {
   EXPECT_LT(collector_pos, a0_pos);
 }
 
-// --- WatchdogActor ---
-
-/// Collects raw payloads of one type from a topic.
-template <typename T>
-class PayloadCollector final : public actors::Actor {
- public:
-  void receive(actors::Envelope& envelope) override {
-    if (const T* value = envelope.payload.get<T>()) items.push_back(*value);
-  }
-  std::vector<T> items;
-};
+// --- Watchdog ---
 
 struct WatchdogHarness {
-  explicit WatchdogHarness(WatchdogOptions options = {})
-      : bus(actors) {
-    auto collector = std::make_unique<PayloadCollector<Alert>>();
-    alerts = &collector->items;
-    bus.subscribe("obs/alert", actors.spawn("alerts", std::move(collector)));
-    auto actor = std::make_unique<WatchdogActor>(
-        bus, [this] { return sample; }, options);
-    watchdog = actor.get();
-    ref = actors.spawn("watchdog", std::move(actor));
-  }
-  ~WatchdogHarness() { actors.shutdown(); }
+  explicit WatchdogHarness(WatchdogOptions options = {}) : watchdog(options) {}
 
+  /// Checks the scripted sample at `now_ns`; raised alerts accumulate.
   void tick(std::int64_t now_ns) {
-    actors.tell(ref, actors::Payload(WatchdogTick{now_ns}));
-    actors.drain();
+    for (Alert& alert : watchdog.check(now_ns, sample)) alerts.push_back(std::move(alert));
   }
 
   WatchdogSample::Agent& agent(std::size_t index = 0) {
@@ -376,33 +356,30 @@ struct WatchdogHarness {
     return sample.agents[index];
   }
 
-  actors::ActorSystem actors;
-  actors::EventBus bus;
+  Watchdog watchdog;
   WatchdogSample sample;
-  std::vector<Alert>* alerts = nullptr;
-  WatchdogActor* watchdog = nullptr;
-  actors::ActorRef ref;
+  std::vector<Alert> alerts;
 };
 
 TEST(Watchdog, DropSpikeAlertsOnPerTickDelta) {
   WatchdogHarness h;
   h.agent().records_dropped = 0;
   h.tick(0);  // Baseline tick: no delta yet.
-  EXPECT_TRUE(h.alerts->empty());
+  EXPECT_TRUE(h.alerts.empty());
 
   h.agent().records_dropped = 500;  // Delta 500 > default threshold 100.
   h.tick(seconds_to_ns(2));
-  ASSERT_EQ(h.alerts->size(), 1u);
-  EXPECT_EQ((*h.alerts)[0].kind, Alert::Kind::kDropSpike);
-  EXPECT_EQ((*h.alerts)[0].agent, "h0");
-  EXPECT_DOUBLE_EQ((*h.alerts)[0].value, 500.0);
-  EXPECT_DOUBLE_EQ((*h.alerts)[0].threshold, 100.0);
-  EXPECT_EQ((*h.alerts)[0].wall_ns, seconds_to_ns(2));
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].kind, Alert::Kind::kDropSpike);
+  EXPECT_EQ(h.alerts[0].agent, "h0");
+  EXPECT_DOUBLE_EQ(h.alerts[0].value, 500.0);
+  EXPECT_DOUBLE_EQ(h.alerts[0].threshold, 100.0);
+  EXPECT_EQ(h.alerts[0].wall_ns, seconds_to_ns(2));
 
   // A steady counter produces no further alerts.
   h.tick(seconds_to_ns(4));
-  EXPECT_EQ(h.alerts->size(), 1u);
-  EXPECT_EQ(h.watchdog->alerts_raised(), 1u);
+  EXPECT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.watchdog.alerts_raised(), 1u);
 }
 
 TEST(Watchdog, CounterResetRebaselinesWithoutAlerting) {
@@ -412,13 +389,13 @@ TEST(Watchdog, CounterResetRebaselinesWithoutAlerting) {
   // Reconnect reset the agent's counters: smaller value, no alert.
   h.agent().records_dropped = 0;
   h.tick(seconds_to_ns(2));
-  EXPECT_TRUE(h.alerts->empty());
+  EXPECT_TRUE(h.alerts.empty());
   // Deltas accumulate against the new baseline.
   h.agent().records_dropped = 200;
   h.tick(seconds_to_ns(4));
-  ASSERT_EQ(h.alerts->size(), 1u);
-  EXPECT_EQ((*h.alerts)[0].kind, Alert::Kind::kDropSpike);
-  EXPECT_DOUBLE_EQ((*h.alerts)[0].value, 200.0);
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].kind, Alert::Kind::kDropSpike);
+  EXPECT_DOUBLE_EQ(h.alerts[0].value, 200.0);
 }
 
 TEST(Watchdog, ReconnectStormAlerts) {
@@ -427,26 +404,26 @@ TEST(Watchdog, ReconnectStormAlerts) {
   h.tick(0);
   h.agent().reconnects = 6;  // Delta 5 > default threshold 3.
   h.tick(seconds_to_ns(2));
-  ASSERT_EQ(h.alerts->size(), 1u);
-  EXPECT_EQ((*h.alerts)[0].kind, Alert::Kind::kReconnectStorm);
-  EXPECT_DOUBLE_EQ((*h.alerts)[0].value, 5.0);
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].kind, Alert::Kind::kReconnectStorm);
+  EXPECT_DOUBLE_EQ(h.alerts[0].value, 5.0);
 }
 
 TEST(Watchdog, StaleConnectedAgentAlerts) {
   WatchdogHarness h;
   h.agent().last_activity_wall_ns = seconds_to_ns(1);
   h.tick(seconds_to_ns(2));  // 1 s silent: under the 5 s default.
-  EXPECT_TRUE(h.alerts->empty());
+  EXPECT_TRUE(h.alerts.empty());
   h.tick(seconds_to_ns(8));  // 7 s silent: stale.
-  ASSERT_EQ(h.alerts->size(), 1u);
-  EXPECT_EQ((*h.alerts)[0].kind, Alert::Kind::kStale);
-  EXPECT_EQ((*h.alerts)[0].agent, "h0");
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].kind, Alert::Kind::kStale);
+  EXPECT_EQ(h.alerts[0].agent, "h0");
 
   // A disconnected agent is never stale (it is already accounted dead).
-  h.alerts->clear();
+  h.alerts.clear();
   h.agent().connected = false;
   h.tick(seconds_to_ns(20));
-  EXPECT_TRUE(h.alerts->empty());
+  EXPECT_TRUE(h.alerts.empty());
 }
 
 TEST(Watchdog, SelfWattsBudgetAlerts) {
@@ -455,13 +432,13 @@ TEST(Watchdog, SelfWattsBudgetAlerts) {
   WatchdogHarness h(options);
   h.sample.fleet_self_watts = 1.5;
   h.tick(0);
-  EXPECT_TRUE(h.alerts->empty());
+  EXPECT_TRUE(h.alerts.empty());
   h.sample.fleet_self_watts = 3.25;
   h.tick(seconds_to_ns(2));
-  ASSERT_EQ(h.alerts->size(), 1u);
-  EXPECT_EQ((*h.alerts)[0].kind, Alert::Kind::kSelfWattsBudget);
-  EXPECT_TRUE((*h.alerts)[0].agent.empty());  // Fleet-wide alert.
-  EXPECT_DOUBLE_EQ((*h.alerts)[0].value, 3.25);
+  ASSERT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.alerts[0].kind, Alert::Kind::kSelfWattsBudget);
+  EXPECT_TRUE(h.alerts[0].agent.empty());  // Fleet-wide alert.
+  EXPECT_DOUBLE_EQ(h.alerts[0].value, 3.25);
 }
 
 TEST(Watchdog, RepeatsAreRateLimitedAndCounted) {
@@ -476,13 +453,13 @@ TEST(Watchdog, RepeatsAreRateLimitedAndCounted) {
   h.tick(0);  // Raised (even at now_ns == 0).
   h.tick(200'000'000);
   h.tick(400'000'000);  // Both inside the interval: suppressed.
-  EXPECT_EQ(h.alerts->size(), 1u);
-  EXPECT_EQ(h.watchdog->alerts_raised(), 1u);
-  EXPECT_EQ(h.watchdog->alerts_suppressed(), 2u);
+  EXPECT_EQ(h.alerts.size(), 1u);
+  EXPECT_EQ(h.watchdog.alerts_raised(), 1u);
+  EXPECT_EQ(h.watchdog.alerts_suppressed(), 2u);
 
   h.tick(seconds_to_ns(2));  // Past the interval: raised again.
-  EXPECT_EQ(h.alerts->size(), 2u);
-  EXPECT_EQ(h.watchdog->alerts_raised(), 2u);
+  EXPECT_EQ(h.alerts.size(), 2u);
+  EXPECT_EQ(h.watchdog.alerts_raised(), 2u);
 
   const auto snapshot = obs.metrics.snapshot();
   EXPECT_EQ(snapshot.value_of("obs.watchdog.alerts"), 2.0);

@@ -353,6 +353,46 @@ TEST(ScenarioRunner, MatchesCommittedGoldenCsvBitForBit) {
       << "scenario kManual output drifted from the committed golden";
 }
 
+/// Two busy hosts under an unreachable 1 W budget: the governor steps every
+/// host down its ladder, and the watchdog's budget-violation rule trips on
+/// its third over-budget check (600 ms) and again once the rate limit
+/// allows.
+const char* const kObservedGovernScenario = R"(scenario observed_govern
+seed 5
+duration 2s
+tick 1ms
+cpu c i3_2120
+workload hot
+  kind steady
+  profile cpu intensity=1.0
+end
+host a
+  count 2
+  cpu c
+  run hot copies=2 name=hot
+end
+monitor period=50ms dimension=timestamp
+formula fixed idle=30 coefficients=2.0e-9,3.0e-9,1.5e-8
+govern budget_w=1 interval_ms=100
+observe cadence=200ms
+fleet aggregation=on workers=2
+)";
+
+TEST(ScenarioRunner, ObservedGovernedRunAlertsAlikeInBothModes) {
+  RunOptions manual;
+  manual.mode = actors::ActorSystem::Mode::kManual;
+  RunOptions threaded;
+  threaded.mode = actors::ActorSystem::Mode::kThreaded;
+  const RunResult a = ScenarioRunner(parse(kObservedGovernScenario)).run(manual);
+  const RunResult b = ScenarioRunner(parse(kObservedGovernScenario)).run(threaded);
+  EXPECT_GT(a.watchdog_alerts, 0u);
+  EXPECT_EQ(a.metrics.value_of("obs.watchdog.alerts"),
+            static_cast<double>(a.watchdog_alerts));
+  EXPECT_GT(a.governor_actuations, 0u);
+  EXPECT_EQ(a.watchdog_alerts, b.watchdog_alerts);
+  EXPECT_EQ(a.governor_actuations, b.governor_actuations);
+}
+
 TEST(ScenarioRunner, RespectsMaxDurationCap) {
   ScenarioRunner runner(parse(kRunnerScenario));
   RunOptions options;
