@@ -211,9 +211,7 @@ int main(int argc, char** argv) {
   bus.subscribe(bridge.aggregated_topic(),
                 system.spawn_as<api::CallbackReporter>(
                     "collector/fleet-sum", [&](const api::AggregatedPower& row) {
-                      if (auto fleet_row = fleet_sum.add(row, hosts)) {
-                        collected.push_back(std::move(*fleet_row));
-                      }
+                      fleet_sum.add(row, hosts, collected);
                     }));
 
   // --- Fork the agents ---
@@ -259,7 +257,7 @@ int main(int argc, char** argv) {
   server.poll_once(0);  // Final reads raced with the last disconnect.
   system.drain();
   // Buckets still waiting on stragglers.
-  for (api::AggregatedPower& row : fleet_sum.flush()) collected.push_back(std::move(row));
+  fleet_sum.flush(collected);
 
   const auto stats = server.stats();
   std::printf("collector: %llu records in %llu frames from %llu connections "

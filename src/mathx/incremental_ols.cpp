@@ -13,6 +13,7 @@ IncrementalOls::IncrementalOls(std::size_t dimensions) : dims_(dimensions) {
   qtb_.assign(dims_, 0.0);
   xtx_.assign(dims_ * dims_, 0.0);
   xty_.assign(dims_, 0.0);
+  row_.assign(dims_, 0.0);
 }
 
 void IncrementalOls::set_forgetting(double lambda) {
@@ -51,7 +52,8 @@ void IncrementalOls::add(std::span<const double> x, double y) {
 
   // Rotate the new row into R one column at a time (Givens): after column k
   // the row's k-th entry is zero and R's k-th row has absorbed it.
-  std::vector<double> row(x.begin(), x.end());
+  std::vector<double>& row = row_;
+  std::copy(x.begin(), x.end(), row.begin());
   double rhs = y;
   for (std::size_t k = 0; k < dims_; ++k) {
     const double b = row[k];

@@ -84,6 +84,7 @@ class IncrementalOls {
   // (for R² without revisiting rows).
   std::vector<double> xtx_;  ///< dims×dims, row-major, symmetric.
   std::vector<double> xty_;
+  std::vector<double> row_;  ///< add()'s rotation scratch, dims long.
   double sum_y_ = 0.0;
   double sum_yy_ = 0.0;
 

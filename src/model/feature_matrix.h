@@ -14,9 +14,11 @@
 // and fill only their own lanes; HPC rows leave those four at zero.
 //
 // A FeatureMatrix is published as a shared_ptr<const ...> in one
-// api::SensorBatch message and must stay immutable once published — the
-// sensor allocates a fresh matrix per tick rather than reusing a buffer,
-// because coalesced catch-up ticks can queue several batches at once.
+// api::SensorBatch and must stay immutable while anyone else holds it. A
+// sensor samples each tick into the same matrix (api::PooledMatrix), but
+// only once the previous batch's holders have let go of it; a caller that
+// keeps a batch gets its matrix to itself, and the sensor moves on to a
+// fresh one.
 #pragma once
 
 #include <cstddef>

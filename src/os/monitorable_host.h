@@ -67,6 +67,10 @@ class MonitorableHost {
 
   // --- Process table ---
   virtual std::vector<Pid> pids() const = 0;
+  /// pids() into a caller-owned vector, so a caller that keeps one across
+  /// ticks reuses its capacity. Hosts with a process table override it;
+  /// the default copies pids().
+  virtual void pids_into(std::vector<Pid>& out) const { out = pids(); }
   virtual std::optional<ProcStat> proc_stat(Pid pid) const = 0;
 
   // --- Machine scope ---

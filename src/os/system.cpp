@@ -83,10 +83,15 @@ bool System::alive(Pid pid) const {
 std::vector<Pid> System::pids() const {
   std::vector<Pid> out;
   out.reserve(processes_.size());
+  pids_into(out);
+  return out;
+}
+
+void System::pids_into(std::vector<Pid>& out) const {
+  out.clear();
   for (const auto& [pid, process] : processes_) {
     if (process->alive()) out.push_back(pid);
   }
-  return out;
 }
 
 const std::vector<Task*>& System::runnable_tasks() {

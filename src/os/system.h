@@ -68,6 +68,7 @@ class System final : public MonitorableHost {
   void kill(Pid pid);
   bool alive(Pid pid) const;
   std::vector<Pid> pids() const override;
+  void pids_into(std::vector<Pid>& out) const override;
 
   // --- Time ---
   /// Advances one tick: schedule → execute → account.

@@ -6,10 +6,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "powerapi/messages.h"
@@ -26,6 +24,11 @@ enum class AggregationDimension {
 /// The aggregation stage of one host's pipeline. The Pipeline absorbs each
 /// tick's estimate batches in formula order; completed rows are appended to
 /// the caller's `out`, in emit order.
+///
+/// Each batch comes with its formula's index: the Pipeline assigns every
+/// formula one small index when it builds, so the timestamp dimension's
+/// open groups live in a flat vector indexed by it and a steady-state tick
+/// touches no map.
 class Aggregator final {
  public:
   /// Resolves a pid to its group label (kGroup dimension only); processes
@@ -35,14 +38,23 @@ class Aggregator final {
   explicit Aggregator(AggregationDimension dimension, GroupResolver group_of = {},
                       obs::Observability* obs = nullptr, std::string_view name = {});
 
-  /// Absorbs one formula's rows for one tick, front to back.
-  void absorb(const EstimateBatch& batch, std::vector<AggregatedPower>& out);
+  /// Absorbs one formula's rows for one tick, front to back. `formula`
+  /// indexes batch.formula: every batch of one formula name must come with
+  /// the same index, and indexes should be small (they size a vector).
+  void absorb(const EstimateBatch& batch, std::size_t formula,
+              std::vector<AggregatedPower>& out);
 
-  /// Emits every pending group (call at end of monitoring).
+  /// Emits every pending group, in formula-name order (call at end of
+  /// monitoring).
   void flush(std::vector<AggregatedPower>& out);
 
  private:
+  /// kTimestamp dimension: one formula's group under construction, emitted
+  /// when a newer timestamp arrives (estimates for one tick always precede
+  /// the next tick's).
   struct Group {
+    bool open = false;
+    std::string formula;
     util::TimestampNs timestamp = 0;
     double sum_watts = 0.0;
     bool has_machine_row = false;
@@ -51,20 +63,15 @@ class Aggregator final {
     std::int64_t tick_wall_ns = 0;   ///< Wall time the tick was issued.
   };
 
-  void emit(const std::string& formula, const Group& group,
-            std::vector<AggregatedPower>& out);
+  void emit(Group& group, std::vector<AggregatedPower>& out);
   void emit_group_rows(const std::string& formula, std::vector<AggregatedPower>& out);
-  /// One estimate row of an EstimateBatch entering the dimension logic.
-  void absorb_row(const std::string& formula, util::TimestampNs timestamp,
-                  std::int64_t pid, double watts, std::uint64_t seq,
-                  std::int64_t tick_wall_ns, std::vector<AggregatedPower>& out);
+  void absorb_group_row(const EstimateBatch& batch, std::int64_t pid, double watts,
+                        std::vector<AggregatedPower>& out);
   void record_latency(std::int64_t tick_wall_ns);
 
   AggregationDimension dimension_;
   GroupResolver group_of_;
-  /// Per-formula group under construction; emitted when a newer timestamp
-  /// arrives (estimates for one tick always precede the next tick's).
-  std::map<std::string, Group> pending_;
+  std::vector<Group> pending_;  ///< By formula index.
   /// kGroup dimension: per-formula watermark + per-group-label sums.
   struct GroupBucket {
     util::TimestampNs timestamp = 0;
@@ -79,11 +86,21 @@ class Aggregator final {
 };
 
 /// The fleet dimension's bucket logic: sums machine-scope aggregated rows
-/// across hosts per (formula, timestamp) into "(fleet)" rows, completing a
-/// bucket once every host has reported it. Rows sum in the order they are
-/// added. FleetMonitor folds its hosts' rows in host order after every step;
-/// a telemetry collector adds the BusBridge's merged rows in arrival order,
-/// so the fleet dimension is the same whether the rows crossed a wire or not.
+/// across hosts per (formula, timestamp) into "(fleet)" rows. Rows sum in
+/// the order they are added. FleetMonitor folds its hosts' rows in host
+/// order after every step; a telemetry collector adds the BusBridge's
+/// merged rows in arrival order, so the fleet dimension is the same whether
+/// the rows crossed a wire or not.
+///
+/// A bucket completes once every host has reported it. Each host's rows of
+/// one formula arrive in timestamp order (through FleetMonitor's fold and,
+/// per agent, through a BusBridge), so once (f, T) completes no pending
+/// (f, T' < T) bucket can grow any further: the completion closes those
+/// first, as partial rows in timestamp order, then emits (f, T). A bucket a
+/// dropped meter sample left one host short thus comes out at the next
+/// completion instead of waiting for flush(), and the pending buckets stay
+/// few. A row that arrives after its timestamp closed simply opens a bucket
+/// the next completion closes.
 class FleetSum {
  public:
   /// Whether `row` is machine-scope, the only kind the fleet sums; per-pid
@@ -92,23 +109,30 @@ class FleetSum {
     return row.pid == kMachinePid && row.group.empty();
   }
   /// Absorbs one row (only machine-scope rows count; others are ignored)
-  /// and returns the "(fleet)" row it completes, if any.
-  std::optional<AggregatedPower> add(const AggregatedPower& row, std::size_t hosts);
-  /// The buckets still waiting on stragglers, in (formula, timestamp)
-  /// order; empties the sum.
-  std::vector<AggregatedPower> flush();
+  /// and appends to `out` the "(fleet)" rows its bucket's completion
+  /// closes, if any.
+  void add(const AggregatedPower& row, std::size_t hosts,
+           std::vector<AggregatedPower>& out);
+  /// Appends the buckets still pending, in (formula, timestamp) order, to
+  /// `out`; empties the sum.
+  void flush(std::vector<AggregatedPower>& out);
+  /// Buckets still waiting on hosts.
+  std::size_t pending() const noexcept { return pending_.size(); }
 
  private:
   struct Bucket {
+    std::size_t formula = 0;  ///< Index into formulas_.
+    util::TimestampNs timestamp = 0;
     double watts = 0.0;
     std::size_t hosts = 0;
     std::uint64_t seq = 0;
   };
 
-  static AggregatedPower fleet_row(const std::string& formula, util::TimestampNs timestamp,
-                                   const Bucket& bucket);
+  void emit(const Bucket& bucket, std::vector<AggregatedPower>& out) const;
 
-  std::map<std::pair<std::string, util::TimestampNs>, Bucket> pending_;
+  std::vector<std::string> formulas_;  ///< Formula names, in order of first sight.
+  /// Sorted by (formula index, timestamp).
+  std::vector<Bucket> pending_;
 };
 
 }  // namespace powerapi::api

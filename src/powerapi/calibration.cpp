@@ -28,6 +28,9 @@ Calibrator::Calibrator(std::shared_ptr<model::ModelRegistry> registry,
     // Below this the fit is under-determined by construction; raise the gate.
     options_.min_samples_per_fit = options_.events.size() + 2;
   }
+  pending_.reserve(kMaxPending + 1);
+  drift_errors_.assign(options_.drift_window, 0.0);
+  row_.assign(options_.events.size(), 0.0);
 }
 
 void Calibrator::on_update(UpdateCallback callback) {
@@ -42,34 +45,63 @@ void Calibrator::observe(const SensorBatch& batch) {
   const std::size_t machine = rows.find_machine_row();
   if (machine == rows.rows()) return;
 
-  Pending* entry = nullptr;
+  std::size_t index = 0;
   switch (batch.sensor) {
     case SensorKind::kHpc:
-      entry = &pending_[batch.timestamp];
-      entry->features = rows.row(machine);
+      index = pending_at(batch.timestamp);
+      pending_[index].features = rows.row(machine);
       break;
     case SensorKind::kPowerSpy:
     case SensorKind::kRapl:
-      entry = &pending_[batch.timestamp];
-      entry->measured_watts =
+      index = pending_at(batch.timestamp);
+      pending_[index].measured_watts =
           rows.lane(model::FeatureMatrix::kMeasuredWattsLane)[machine];
       break;
     default:
       return;
   }
 
-  complete_if_paired(batch.timestamp, *entry);
-  while (pending_.size() > kMaxPending) pending_.erase(pending_.begin());
+  complete_if_paired(index);
+  if (pending_.size() > kMaxPending) {
+    pending_.erase(pending_.begin(), pending_.end() - kMaxPending);
+  }
 }
 
-void Calibrator::complete_if_paired(util::TimestampNs timestamp, Pending& entry) {
+std::size_t Calibrator::pending_at(util::TimestampNs timestamp) {
+  // Ticks run in order, so the entry is the last one or a new last one.
+  std::size_t at = pending_.size();
+  while (at > 0 && pending_[at - 1].timestamp >= timestamp) --at;
+  if (at == pending_.size() || pending_[at].timestamp != timestamp) {
+    pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(at),
+                    Pending{timestamp, std::nullopt, std::nullopt});
+  }
+  return at;
+}
+
+void Calibrator::complete_if_paired(std::size_t index) {
+  const Pending& entry = pending_[index];
   if (!entry.features || !entry.measured_watts) return;
+  const util::TimestampNs timestamp = entry.timestamp;
   const model::FeatureVector features = *entry.features;
   const double watts = *entry.measured_watts;
   // Everything at or before a completed pair is done: sensors sample once
   // per tick, and a host's ticks run in order.
-  pending_.erase(pending_.begin(), pending_.upper_bound(timestamp));
+  pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(index) + 1);
   on_pair(timestamp, features, watts);
+}
+
+void Calibrator::push_drift_error(double error) {
+  drift_error_sum_ += error;
+  const std::size_t window = drift_errors_.size();
+  if (drift_count_ < window) {
+    drift_errors_[(drift_head_ + drift_count_) % window] = error;
+    ++drift_count_;
+    return;
+  }
+  // Full: the new error replaces the oldest.
+  drift_error_sum_ -= drift_errors_[drift_head_];
+  drift_errors_[drift_head_] = error;
+  drift_head_ = (drift_head_ + 1) % window;
 }
 
 void Calibrator::on_pair(util::TimestampNs timestamp,
@@ -80,32 +112,27 @@ void Calibrator::on_pair(util::TimestampNs timestamp,
   const double estimate = snapshot.model.empty()
                               ? snapshot.model.idle_watts()
                               : snapshot.model.estimate_machine(features);
-  const double error = std::abs(estimate - measured_watts);
-  drift_errors_.push_back(error);
-  drift_error_sum_ += error;
-  while (drift_errors_.size() > options_.drift_window) {
-    drift_error_sum_ -= drift_errors_.front();
-    drift_errors_.pop_front();
-  }
+  push_drift_error(std::abs(estimate - measured_watts));
 
   // Accumulate the paired sample into its frequency bin's streaming fit.
   const std::int64_t key = bin_key(features.frequency_hz);
-  auto [it, inserted] = bins_.try_emplace(
-      key, Bin{features.frequency_hz, mathx::IncrementalOls(options_.events.size())});
-  if (inserted && options_.forgetting != 1.0) {
-    it->second.accumulator.set_forgetting(options_.forgetting);
+  auto it = bins_.find(key);
+  if (it == bins_.end()) {
+    it = bins_.emplace(key, Bin{features.frequency_hz,
+                                mathx::IncrementalOls(options_.events.size())})
+             .first;
+    if (options_.forgetting != 1.0) it->second.accumulator.set_forgetting(options_.forgetting);
   }
-  std::vector<double> row(options_.events.size());
   for (std::size_t c = 0; c < options_.events.size(); ++c) {
-    row[c] = model::rate_of(features.rates, options_.events[c]);
+    row_[c] = model::rate_of(features.rates, options_.events[c]);
   }
-  it->second.accumulator.add(row, measured_watts - snapshot.model.idle_watts());
+  it->second.accumulator.add(row_, measured_watts - snapshot.model.idle_watts());
   ++paired_samples_;
 
   // Drift trigger: rolling window full and beyond threshold, with the
   // refit-interval floor respected.
-  if (drift_errors_.size() < options_.drift_window) return;
-  if (drift_error_sum_ / static_cast<double>(drift_errors_.size()) <=
+  if (drift_count_ < options_.drift_window) return;
+  if (drift_error_sum_ / static_cast<double>(drift_count_) <=
       options_.drift_threshold_watts) {
     return;
   }
@@ -160,14 +187,14 @@ void Calibrator::refit(util::TimestampNs timestamp, const model::FeatureVector& 
   }
   if (bins_refit == 0) return;
 
-  const double pre_swap_error =
-      drift_error_sum_ / static_cast<double>(drift_errors_.size());
+  const double pre_swap_error = drift_error_sum_ / static_cast<double>(drift_count_);
   const auto version = registry_->publish(
       model::CpuPowerModel(snapshot->model.idle_watts(), std::move(formulas)));
   last_refit_ = timestamp;
   // The error window measured the OLD model; start clean so the next
   // trigger reflects the swapped-in fit.
-  drift_errors_.clear();
+  drift_head_ = 0;
+  drift_count_ = 0;
   drift_error_sum_ = 0.0;
 
   POWERAPI_LOG_INFO("calibration")

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -73,7 +72,10 @@ struct ModelUpdated {
 /// one IncrementalOls per observed frequency bin, and swaps the registry on
 /// drift. One per host pipeline, called only by the thread that runs that
 /// host: the streaming state needs no locks, and timestamp-keyed pairing
-/// makes the result independent of hpc-vs-meter call order.
+/// makes the result independent of hpc-vs-meter call order. Pending pairs,
+/// the drift window and the regression row live in buffers sized at
+/// construction, so a tick that pairs without refitting allocates nothing
+/// (a frequency bin's first pair and a refit do).
 class Calibrator final {
  public:
   using UpdateCallback = std::function<void(const ModelUpdated&)>;
@@ -90,6 +92,7 @@ class Calibrator final {
 
  private:
   struct Pending {
+    util::TimestampNs timestamp = 0;
     std::optional<model::FeatureVector> features;
     std::optional<double> measured_watts;
   };
@@ -104,9 +107,14 @@ class Calibrator final {
     return static_cast<std::int64_t>(hz / 1e6 + 0.5);
   }
 
-  /// If the pending entry at `timestamp` now has both halves, erases every
+  /// The index of the pending entry at `timestamp`, inserted in timestamp
+  /// order if new.
+  std::size_t pending_at(util::TimestampNs timestamp);
+  /// If the pending entry at `index` now has both halves, erases every
   /// pending entry at or before it and feeds the pair to on_pair.
-  void complete_if_paired(util::TimestampNs timestamp, Pending& entry);
+  void complete_if_paired(std::size_t index);
+  /// Adds one error to the rolling drift window.
+  void push_drift_error(double error);
   void on_pair(util::TimestampNs timestamp, const model::FeatureVector& features,
                double measured_watts);
   void refit(util::TimestampNs timestamp, const model::FeatureVector& latest);
@@ -116,10 +124,17 @@ class Calibrator final {
   std::shared_ptr<const model::ModelRegistry::Snapshot> pinned_;
   CalibrationOptions options_;
 
-  std::map<util::TimestampNs, Pending> pending_;
+  /// Half-paired ticks in timestamp order, at most kMaxPending of them
+  /// (capacity reserved at construction).
+  std::vector<Pending> pending_;
   std::map<std::int64_t, Bin> bins_;
-  std::deque<double> drift_errors_;
+  /// The rolling drift window: a ring of drift_window errors, the oldest at
+  /// drift_head_.
+  std::vector<double> drift_errors_;
+  std::size_t drift_head_ = 0;
+  std::size_t drift_count_ = 0;
   double drift_error_sum_ = 0.0;
+  std::vector<double> row_;  ///< on_pair's regression row, one per event.
   std::uint64_t paired_samples_ = 0;
   std::optional<util::TimestampNs> last_refit_;
   std::vector<UpdateCallback> callbacks_;

@@ -146,15 +146,20 @@ void FleetMonitor::tap_fleet_rows() {
 void FleetMonitor::fold_fleet_rows() {
   for (const auto& entry : entries_) {
     for (const AggregatedPower& row : entry->fleet_rows) {
-      if (auto out = fleet_sum_.add(row, entries_.size())) report_fleet_row(std::move(*out));
+      fleet_sum_.add(row, entries_.size(), fleet_out_);
     }
     entry->fleet_rows.clear();
   }
+  report_fleet_rows();
 }
 
-void FleetMonitor::report_fleet_row(AggregatedPower row) {
-  for (const auto& reporter : fleet_reporters_) reporter->report(row);
-  if (bus_.subscriber_count(fleet_topic_) != 0) bus_.publish(fleet_topic_, std::move(row));
+void FleetMonitor::report_fleet_rows() {
+  const bool publish = bus_.subscriber_count(fleet_topic_) != 0;
+  for (const AggregatedPower& row : fleet_out_) {
+    for (const auto& reporter : fleet_reporters_) reporter->report(row);
+    if (publish) bus_.publish(fleet_topic_, row);
+  }
+  fleet_out_.clear();
 }
 
 void FleetMonitor::start_slices() {
@@ -295,7 +300,8 @@ void FleetMonitor::finish() {
   tap_fleet_rows();
   for (const auto& entry : entries_) entry->pipeline->finish();
   settle();
-  for (AggregatedPower& row : fleet_sum_.flush()) report_fleet_row(std::move(row));
+  fleet_sum_.flush(fleet_out_);
+  report_fleet_rows();
   settle();
 }
 

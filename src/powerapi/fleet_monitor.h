@@ -34,8 +34,9 @@
 // logic a telemetry collector also uses). Once all hosts have
 // reported a timestamp, the per-formula sum across hosts goes to the fleet
 // reporters by direct call, in attach order, and to the bus topic when
-// subscribed. The fixed fold order makes fleet rows, too, identical at
-// every slice count.
+// subscribed; older buckets of that formula that a host skipped (a dropped
+// meter sample) go first, as partial sums in timestamp order. The fixed
+// fold order makes fleet rows, too, identical at every slice count.
 #pragma once
 
 #include <atomic>
@@ -173,7 +174,8 @@ class FleetMonitor {
   /// a bus subscriber consumes the fleet rows, and unsets it otherwise.
   void tap_fleet_rows();
   void fold_fleet_rows();
-  void report_fleet_row(AggregatedPower row);
+  /// Hands fleet_out_ to the fleet reporters and the bus, then empties it.
+  void report_fleet_rows();
 
   Options options_;
   actors::ActorSystem actors_;
@@ -182,6 +184,7 @@ class FleetMonitor {
   std::vector<std::unique_ptr<HostEntry>> entries_;
   std::vector<std::unique_ptr<Reporter>> fleet_reporters_;
   FleetSum fleet_sum_;
+  std::vector<AggregatedPower> fleet_out_;  ///< Rows the fold closed this step.
   bool finished_ = false;
 
   // Host slices. Slice s owns hosts [slice_begin_[s], slice_begin_[s+1]);

@@ -8,15 +8,23 @@ namespace {
 
 constexpr std::string_view kEstimates = "pipeline.estimates";
 
-/// The EstimateBatch over `batch`'s rows, watts still to fill.
-EstimateBatch estimates_for(const SensorBatch& batch, std::string formula) {
-  EstimateBatch out;
+/// Points `out` at `batch`'s rows as `formula`'s estimates, watts still to
+/// fill.
+void estimates_for(const SensorBatch& batch, std::string_view formula,
+                   EstimateBatch& out) {
   out.timestamp = batch.timestamp;
-  out.formula = std::move(formula);
+  out.formula = formula;
+  out.model_version = 0;
   out.features = batch.features;
   out.seq = batch.seq;
   out.tick_wall_ns = batch.tick_wall_ns;
-  return out;
+}
+
+/// Leaves `out` without a matrix and without rows: the formula does not
+/// consume the batch.
+void no_estimates(EstimateBatch& out) {
+  out.features.reset();
+  out.watts.clear();
 }
 
 }  // namespace
@@ -27,17 +35,17 @@ RegressionFormula::RegressionFormula(std::shared_ptr<const model::ModelRegistry>
                                      obs::Observability* obs, std::string_view name)
     : registry_(std::move(registry)), stage_(obs, name, kEstimates) {}
 
-EstimateBatch RegressionFormula::estimate(const SensorBatch& batch) {
+void RegressionFormula::estimate_into(const SensorBatch& batch, EstimateBatch& out) {
   // One SensorBatch → one EstimateBatch, evaluated as a coefficient sweep
   // down the rate lanes.
-  if (batch.sensor != SensorKind::kHpc || !batch.features) return {};
+  if (batch.sensor != SensorKind::kHpc || !batch.features) return no_estimates(out);
   const auto span = stage_.span(batch.seq);
   // One immutable snapshot serves this whole batch; a concurrent swap
   // affects the next batch, never a half-read model.
   const model::ModelRegistry::Snapshot& snapshot = registry_->refresh(pinned_);
   const model::FeatureMatrix& features = *batch.features;
 
-  EstimateBatch out = estimates_for(batch, "powerapi-hpc");
+  estimates_for(batch, "powerapi-hpc", out);
   out.model_version = snapshot.version;
   out.watts.assign(features.rows(), 0.0);
   // An empty model (cold-start calibration: nothing learned yet) estimates
@@ -51,7 +59,6 @@ EstimateBatch RegressionFormula::estimate(const SensorBatch& batch) {
     if (features.pid(i) < 0) out.watts[i] = snapshot.model.idle_watts() + out.watts[i];
   }
   stage_.count(features.rows());
-  return out;
 }
 
 // --- EstimatorFormula ---
@@ -59,28 +66,28 @@ EstimateBatch RegressionFormula::estimate(const SensorBatch& batch) {
 EstimatorFormula::EstimatorFormula(
     std::shared_ptr<const baselines::MachinePowerEstimator> estimator,
     obs::Observability* obs, std::string_view name)
-    : estimator_(std::move(estimator)), stage_(obs, name, kEstimates) {}
+    : estimator_(std::move(estimator)),
+      formula_name_(estimator_->name()),
+      stage_(obs, name, kEstimates) {}
 
-EstimateBatch EstimatorFormula::estimate(const SensorBatch& batch) {
+void EstimatorFormula::estimate_into(const SensorBatch& batch, EstimateBatch& out) {
   // Baselines are machine models: only the batch's machine row produces an
   // estimate, gathered into the feature struct the estimator interface
   // takes and returned over a 1-row matrix of its own.
-  if (batch.sensor != SensorKind::kHpc || !batch.features) return {};
+  if (batch.sensor != SensorKind::kHpc || !batch.features) return no_estimates(out);
   const auto span = stage_.span(batch.seq);
   const model::FeatureMatrix& features = *batch.features;
   const std::size_t machine = features.find_machine_row();
-  if (machine == features.rows()) return {};
+  if (machine == features.rows()) return no_estimates(out);
 
-  auto row = std::make_shared<model::FeatureMatrix>();
-  row->frequency_hz = features.frequency_hz;
-  row->resize(1);
-  row->copy_row_from(features, machine, 0);
+  model::FeatureMatrix& row = row_.next(1);
+  row.frequency_hz = features.frequency_hz;
+  row.copy_row_from(features, machine, 0);
 
-  EstimateBatch out = estimates_for(batch, estimator_->name());
-  out.features = std::move(row);
+  estimates_for(batch, formula_name_, out);
+  out.features = row_.share();
   out.watts.assign(1, estimator_->estimate(features.row(machine)));
   stage_.count();
-  return out;
 }
 
 // --- IoFormula ---
@@ -89,15 +96,15 @@ IoFormula::IoFormula(periph::DiskParams disk, periph::NicParams nic,
                      obs::Observability* obs, std::string_view name)
     : disk_(disk), nic_(nic), stage_(obs, name, kEstimates) {}
 
-EstimateBatch IoFormula::estimate(const SensorBatch& batch) {
-  if (batch.sensor != SensorKind::kIo || !batch.features) return {};
+void IoFormula::estimate_into(const SensorBatch& batch, EstimateBatch& out) {
+  if (batch.sensor != SensorKind::kIo || !batch.features) return no_estimates(out);
   const auto span = stage_.span(batch.seq);
   const model::FeatureMatrix& features = *batch.features;
   const double* disk_iops = features.lane(model::FeatureMatrix::kDiskIopsLane);
   const double* disk_bytes = features.lane(model::FeatureMatrix::kDiskBytesLane);
   const double* net_bytes = features.lane(model::FeatureMatrix::kNetBytesLane);
 
-  EstimateBatch out = estimates_for(batch, "io-datasheet");
+  estimates_for(batch, "io-datasheet", out);
   out.watts.resize(features.rows());
   for (std::size_t i = 0; i < features.rows(); ++i) {
     // Base power assumes the common steady states (platters spinning, link
@@ -112,7 +119,6 @@ EstimateBatch IoFormula::estimate(const SensorBatch& batch) {
     out.watts[i] = watts;
   }
   stage_.count(features.rows());
-  return out;
 }
 
 // --- MeterFormula ---
@@ -121,16 +127,15 @@ MeterFormula::MeterFormula(std::string formula_name, obs::Observability* obs,
                            std::string_view name)
     : formula_name_(std::move(formula_name)), stage_(obs, name, kEstimates) {}
 
-EstimateBatch MeterFormula::estimate(const SensorBatch& batch) {
-  if (!batch.features) return {};
+void MeterFormula::estimate_into(const SensorBatch& batch, EstimateBatch& out) {
+  if (!batch.features) return no_estimates(out);
   const auto span = stage_.span(batch.seq);
   const model::FeatureMatrix& features = *batch.features;
   const double* measured = features.lane(model::FeatureMatrix::kMeasuredWattsLane);
 
-  EstimateBatch out = estimates_for(batch, formula_name_);
+  estimates_for(batch, formula_name_, out);
   out.watts.assign(measured, measured + features.rows());
   stage_.count(features.rows());
-  return out;
 }
 
 }  // namespace powerapi::api

@@ -1,8 +1,10 @@
 // Formula stages: turn a SensorBatch into an EstimateBatch — one shape in,
-// one out. The Pipeline calls estimate() directly, in a fixed order, with
-// the batches of the sensor each formula consumes; a batch from another
-// sensor (or one without the rows a formula needs) estimates nothing: the
-// result has no rows.
+// one out. The Pipeline calls estimate_into() directly, in a fixed order,
+// with the batches of the sensor each formula consumes, into an
+// EstimateBatch slot it owns per formula, so a steady-state tick reuses the
+// slot's watts capacity; estimate(formula, batch) is the by-value form. A
+// batch from another sensor (or one without the rows a formula needs)
+// estimates nothing: the result has no matrix and no rows.
 #pragma once
 
 #include <memory>
@@ -38,11 +40,11 @@ class RegressionFormula final {
                              std::string_view name = {});
 
   /// Estimates every row of a SensorKind::kHpc batch.
-  EstimateBatch estimate(const SensorBatch& batch);
+  void estimate_into(const SensorBatch& batch, EstimateBatch& out);
 
  private:
   std::shared_ptr<const model::ModelRegistry> registry_;
-  /// estimate()'s pin on the deployed snapshot (ModelRegistry::refresh).
+  /// estimate_into()'s pin on the deployed snapshot (ModelRegistry::refresh).
   std::shared_ptr<const model::ModelRegistry::Snapshot> pinned_;
   StageObs stage_;
 };
@@ -56,10 +58,12 @@ class EstimatorFormula final {
       std::shared_ptr<const baselines::MachinePowerEstimator> estimator,
       obs::Observability* obs = nullptr, std::string_view name = {});
 
-  EstimateBatch estimate(const SensorBatch& batch);
+  void estimate_into(const SensorBatch& batch, EstimateBatch& out);
 
  private:
   std::shared_ptr<const baselines::MachinePowerEstimator> estimator_;
+  std::string formula_name_;  ///< estimator_->name(), read once.
+  PooledMatrix row_;          ///< The 1-row matrix of the machine row.
   StageObs stage_;
 };
 
@@ -74,7 +78,7 @@ class IoFormula final {
   IoFormula(periph::DiskParams disk, periph::NicParams nic,
             obs::Observability* obs = nullptr, std::string_view name = {});
 
-  EstimateBatch estimate(const SensorBatch& batch);
+  void estimate_into(const SensorBatch& batch, EstimateBatch& out);
 
  private:
   periph::DiskParams disk_;
@@ -90,11 +94,20 @@ class MeterFormula final {
   explicit MeterFormula(std::string formula_name, obs::Observability* obs = nullptr,
                         std::string_view name = {});
 
-  EstimateBatch estimate(const SensorBatch& batch);
+  void estimate_into(const SensorBatch& batch, EstimateBatch& out);
 
  private:
   std::string formula_name_;
   StageObs stage_;
 };
+
+/// The by-value form of `formula.estimate_into(batch, out)`, for callers
+/// outside a pipeline.
+template <typename Formula>
+EstimateBatch estimate(Formula&& formula, const SensorBatch& batch) {
+  EstimateBatch out;
+  formula.estimate_into(batch, out);
+  return out;
+}
 
 }  // namespace powerapi::api

@@ -65,14 +65,40 @@ constexpr std::string_view to_string(SensorKind kind) noexcept {
   return "?";
 }
 
+/// The one FeatureMatrix a stage samples into, tick after tick. A batch
+/// shares the matrix with the tick's estimates and with anyone who keeps
+/// the batch, so it is only written while nobody else holds it: next()
+/// hands back the pooled matrix when the pool is its sole owner and a
+/// fresh one otherwise (a kept batch is never written under). The
+/// Pipeline drops its references at the end of each tick, so in steady
+/// state the pool always hits.
+class PooledMatrix {
+ public:
+  /// A matrix of `rows` rows for this tick's batch, every lane zeroed.
+  model::FeatureMatrix& next(std::size_t rows) {
+    if (matrix_ == nullptr || matrix_.use_count() != 1) {
+      matrix_ = std::make_shared<model::FeatureMatrix>();
+    }
+    matrix_->frequency_hz = 0.0;
+    matrix_->resize(rows);
+    return *matrix_;
+  }
+  /// The matrix next() returned, as a batch's immutable payload.
+  std::shared_ptr<const model::FeatureMatrix> share() const { return matrix_; }
+
+ private:
+  std::shared_ptr<model::FeatureMatrix> matrix_;
+};
+
 /// One sensor's observations for EVERY completed target of a tick, as a
 /// single lane-major matrix — the only thing a sensor produces. The HPC
 /// sensor's rows are the machine scope first, then the targets in
 /// monitoring order; the meter (PowerSpy, RAPL) and IO sensors sample one
 /// machine-scope row carrying their own lanes (measured watts; disk and
-/// network rates). The matrix is immutable once sampled; the sensor
-/// allocates a fresh one per tick because the tick's estimates share it and
-/// a caller may keep a batch beyond the tick.
+/// network rates). The matrix is immutable while anyone but its sensor
+/// holds it: the sensor samples into a PooledMatrix, which reuses the
+/// matrix only once the tick's estimates (and any caller that kept the
+/// batch) have let go of it.
 struct SensorBatch {
   util::TimestampNs timestamp = 0;
   SensorKind sensor = SensorKind::kHpc;

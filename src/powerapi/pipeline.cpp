@@ -26,7 +26,13 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
       aggregated_topic_(bus.intern(ns_ + "power:aggregated")),
       obs_(spec.observability),
       hpc_sensor_(*backend_,
-                  [this] { return monitor_all_ ? host_->pids() : fixed_targets_; },
+                  [this](std::vector<std::int64_t>& out) {
+                    if (monitor_all_) {
+                      host_->pids_into(out);
+                    } else {
+                      out = fixed_targets_;
+                    }
+                  },
                   host_, obs_, ns_ + "sensor-hpc"),
       aggregator_(spec.dimension,
                   [h = host_](std::int64_t pid) {
@@ -88,6 +94,12 @@ Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
     calibrator_.emplace(registry_, std::move(spec.calibration));
   }
 
+  // One estimate slot per formula, in call order; add_estimator adds one
+  // per baseline.
+  estimates_.resize(static_cast<std::size_t>(powerspy_formula_.has_value()) +
+                    rapl_formula_.has_value() + io_formula_.has_value() +
+                    regression_formula_.has_value());
+
   // --- Declaratively attached baseline formulas ---
   for (auto& estimator : spec.estimators) add_estimator(std::move(estimator));
 }
@@ -126,17 +138,18 @@ void Pipeline::run_tick(const MonitorTick& tick) {
       rapl_sensor_ ? rapl_sensor_->sample(tick) : std::nullopt;
   const std::optional<SensorBatch> io = io_sensor_ ? io_sensor_->sample(tick) : std::nullopt;
 
-  // 2. Formulas, each on its sensor's batch.
-  estimates_.clear();
-  if (powerspy) estimates_.push_back(powerspy_formula_->estimate(*powerspy));
-  if (rapl) estimates_.push_back(rapl_formula_->estimate(*rapl));
-  if (io) estimates_.push_back(io_formula_->estimate(*io));
-  if (hpc) {
-    if (regression_formula_) estimates_.push_back(regression_formula_->estimate(*hpc));
-    for (EstimatorFormula& formula : estimator_formulas_) {
-      estimates_.push_back(formula.estimate(*hpc));
-    }
-  }
+  // 2. Formulas, each on its sensor's batch, into its own estimate slot (a
+  // slot whose sensor sampled nothing keeps no matrix: see below).
+  std::size_t slot = 0;
+  const auto estimate = [&](auto& formula, const std::optional<SensorBatch>& batch) {
+    EstimateBatch& out = estimates_[slot++];
+    if (batch) formula.estimate_into(*batch, out);
+  };
+  if (powerspy_formula_) estimate(*powerspy_formula_, powerspy);
+  if (rapl_formula_) estimate(*rapl_formula_, rapl);
+  if (io_formula_) estimate(*io_formula_, io);
+  if (regression_formula_) estimate(*regression_formula_, hpc);
+  for (EstimatorFormula& formula : estimator_formulas_) estimate(formula, hpc);
 
   // 3. Calibration, after this tick's regression estimate.
   if (calibrator_) {
@@ -145,9 +158,14 @@ void Pipeline::run_tick(const MonitorTick& tick) {
     if (truth) calibrator_->observe(*truth);
   }
 
-  // 4-5. Aggregation, then the completed rows to the reporters.
+  // 4-5. Aggregation, then the completed rows to the reporters. Each slot
+  // lets go of its matrix once absorbed, so the sensors' pools reuse their
+  // matrices next tick.
   rows_.clear();
-  for (const EstimateBatch& batch : estimates_) aggregator_.absorb(batch, rows_);
+  for (std::size_t i = 0; i < estimates_.size(); ++i) {
+    aggregator_.absorb(estimates_[i], i, rows_);
+    estimates_[i].features.reset();
+  }
   report(rows_);
 }
 
@@ -174,6 +192,7 @@ void Pipeline::add_estimator(
   if (!estimator) throw std::invalid_argument("Pipeline::add_estimator: null estimator");
   const std::string name = ns_ + "formula-" + estimator->name();
   estimator_formulas_.emplace_back(std::move(estimator), obs_, name);
+  estimates_.emplace_back();
 }
 
 void Pipeline::add_console_reporter(std::ostream& out) { attach<ConsoleReporter>(out); }

@@ -5,13 +5,15 @@
 // one thread that advanced that host, so here the hops are plain calls:
 // for each due tick, Pipeline calls
 //   1. every sensor's sample(), in order hpc, powerspy, rapl, io;
-//   2. every formula's estimate() on its sensor's batch, in order
+//   2. every formula's estimate_into() on its sensor's batch, in order
 //      powerspy, rapl, io, hpc regression, then the baseline estimators in
-//      the order they were added;
+//      the order they were added, each into its own estimate slot;
 //   3. the calibrator's observe() on the hpc batch, then on the
 //      ground-truth batch — after the regression formula, so a swap at
 //      tick t first affects tick t+1;
-//   4. the aggregator's absorb() on each estimate batch, in formula order;
+//   4. the aggregator's absorb() on each estimate batch, in formula order
+//      (a formula's index is its slot), after which the slot drops its
+//      matrix so the sensors' pools reuse theirs next tick;
 //   5. every attached reporter's report() on each completed row, in attach
 //      order (after the fleet tap, when FleetMonitor has set one).
 // PipelineSpec is the declarative description of which stages exist.
@@ -205,7 +207,8 @@ class Pipeline {
   std::vector<std::unique_ptr<Reporter>> reporters_;
   std::vector<AggregatedPower>* machine_tap_ = nullptr;
 
-  // Per-tick scratch, reused across ticks.
+  // Per-tick scratch, reused across ticks: estimates_ holds one slot per
+  // formula, in call order.
   std::vector<EstimateBatch> estimates_;
   std::vector<AggregatedPower> rows_;
 };

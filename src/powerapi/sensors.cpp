@@ -11,22 +11,20 @@ namespace {
 
 constexpr std::string_view kSensorRows = "pipeline.sensor_reports";
 
-/// A fresh 1-row machine-scope matrix for the meter and IO sensors, with
-/// the window lane set; the caller fills its own lanes.
-std::shared_ptr<model::FeatureMatrix> machine_matrix(double window_seconds) {
-  auto matrix = std::make_shared<model::FeatureMatrix>();
-  matrix->resize(1);
-  matrix->pids()[0] = kMachinePid;
-  matrix->lane(model::FeatureMatrix::kWindowLane)[0] = window_seconds;
+/// The pool's 1-row machine-scope matrix for the meter and IO sensors,
+/// with the window lane set; the caller fills its own lanes.
+model::FeatureMatrix& machine_matrix(PooledMatrix& pool, double window_seconds) {
+  model::FeatureMatrix& matrix = pool.next(1);
+  matrix.pids()[0] = kMachinePid;
+  matrix.lane(model::FeatureMatrix::kWindowLane)[0] = window_seconds;
   return matrix;
 }
 
-SensorBatch batch_of(const MonitorTick& tick, SensorKind sensor,
-                     std::shared_ptr<model::FeatureMatrix> matrix) {
+SensorBatch batch_of(const MonitorTick& tick, SensorKind sensor, const PooledMatrix& pool) {
   SensorBatch batch;
   batch.timestamp = tick.timestamp;
   batch.sensor = sensor;
-  batch.features = std::move(matrix);
+  batch.features = pool.share();
   batch.seq = tick.seq;
   batch.tick_wall_ns = tick.wall_ns;
   return batch;
@@ -40,7 +38,7 @@ HpcSensor::HpcSensor(hpc::CounterBackend& backend, TargetsFn targets,
                      const os::MonitorableHost* host, obs::Observability* obs,
                      std::string_view name)
     : backend_(&backend),
-      targets_(std::move(targets)),
+      fill_targets_(std::move(targets)),
       host_(host),
       stage_(obs, name, kSensorRows) {}
 
@@ -72,7 +70,8 @@ std::optional<SensorBatch> HpcSensor::sample(const MonitorTick& tick) {
   const util::TimestampNs now = tick.timestamp;
 
   // Row layout: machine scope first, then this tick's targets.
-  const std::vector<std::int64_t> targets = targets_();
+  fill_targets_(targets_);
+  const std::vector<std::int64_t>& targets = targets_;
   bool layout_changed = pids_.size() != targets.size() + 1;
   if (!layout_changed) {
     for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -153,18 +152,14 @@ std::optional<SensorBatch> HpcSensor::sample(const MonitorTick& tick) {
         host_ != nullptr ? host_->system_stat().frequency_hz : 0.0;
     const std::size_t hw_threads = host_ != nullptr ? host_->hw_threads() : 0;
 
-    // Fresh matrix per batch: the tick's estimates share it, and a caller
-    // may keep a batch (or an estimate over it) beyond the tick, so a
-    // reused buffer would be overwritten under it.
-    auto matrix = std::make_shared<model::FeatureMatrix>();
-    matrix->frequency_hz = frequency_hz;
+    model::FeatureMatrix& matrix = matrix_.next(completed_count);
+    matrix.frequency_hz = frequency_hz;
     if (completed_count == rows) {
       // Steady state: every row completed — extract straight into the
       // batch's matrix, whole lanes at a time.
-      matrix->resize(rows);
-      std::copy(pids_.begin(), pids_.end(), matrix->pids());
+      std::copy(pids_.begin(), pids_.end(), matrix.pids());
       model::extract_features_rows(cur_, prev_, window_seconds_.data(), hw_threads,
-                                   *matrix);
+                                   matrix);
     } else {
       // Mixed tick (a priming or dead row among completed ones): extract
       // full-width into scratch, then compact the completed rows.
@@ -173,19 +168,18 @@ std::optional<SensorBatch> HpcSensor::sample(const MonitorTick& tick) {
       std::copy(pids_.begin(), pids_.end(), extract_scratch_.pids());
       model::extract_features_rows(cur_, prev_, window_seconds_.data(), hw_threads,
                                    extract_scratch_);
-      matrix->resize(completed_count);
       std::size_t out_row = 0;
       for (std::size_t i = 0; i < rows; ++i) {
-        if (completed_[i]) matrix->copy_row_from(extract_scratch_, i, out_row++);
+        if (completed_[i]) matrix.copy_row_from(extract_scratch_, i, out_row++);
       }
     }
     if (host_ == nullptr) {
       // Without a host there is no utilization signal.
-      double* util_lane = matrix->lane(model::FeatureMatrix::kUtilizationLane);
-      for (std::size_t i = 0; i < matrix->rows(); ++i) util_lane[i] = 0.0;
+      double* util_lane = matrix.lane(model::FeatureMatrix::kUtilizationLane);
+      for (std::size_t i = 0; i < matrix.rows(); ++i) util_lane[i] = 0.0;
     }
 
-    batch = batch_of(tick, SensorKind::kHpc, std::move(matrix));
+    batch = batch_of(tick, SensorKind::kHpc, matrix_);
     stage_.count(completed_count);
   }
 
@@ -208,10 +202,10 @@ std::optional<SensorBatch> PowerSpySensor::sample(const MonitorTick& tick) {
   const auto span = stage_.span(tick.seq);
   const auto reading = meter_->sample();
   if (!reading) return std::nullopt;  // Dropped sample or first (priming) call.
-  auto matrix = machine_matrix(0.0);
-  matrix->lane(model::FeatureMatrix::kMeasuredWattsLane)[0] = reading->watts;
+  machine_matrix(matrix_, 0.0).lane(model::FeatureMatrix::kMeasuredWattsLane)[0] =
+      reading->watts;
   stage_.count();
-  return batch_of(tick, SensorKind::kPowerSpy, std::move(matrix));
+  return batch_of(tick, SensorKind::kPowerSpy, matrix_);
 }
 
 // --- RaplSensor ---
@@ -228,10 +222,10 @@ std::optional<SensorBatch> RaplSensor::sample(const MonitorTick& tick) {
   if (!completed) return std::nullopt;
   const double joules = powermeter::RaplMsr::energy_between(completed->previous, raw);
 
-  auto matrix = machine_matrix(completed->seconds);
-  matrix->lane(model::FeatureMatrix::kMeasuredWattsLane)[0] = joules / completed->seconds;
+  machine_matrix(matrix_, completed->seconds)
+      .lane(model::FeatureMatrix::kMeasuredWattsLane)[0] = joules / completed->seconds;
   stage_.count();
-  return batch_of(tick, SensorKind::kRapl, std::move(matrix));
+  return batch_of(tick, SensorKind::kRapl, matrix_);
 }
 
 // --- IoSensor ---
@@ -262,15 +256,15 @@ std::optional<SensorBatch> IoSensor::sample(const MonitorTick& tick) {
   const double window_s = completed->seconds;
   const os::IoTotals& last = completed->previous;
 
-  auto matrix = machine_matrix(window_s);
-  matrix->lane(model::FeatureMatrix::kDiskIopsLane)[0] =
+  model::FeatureMatrix& matrix = machine_matrix(matrix_, window_s);
+  matrix.lane(model::FeatureMatrix::kDiskIopsLane)[0] =
       (totals.disk_ops - last.disk_ops) / window_s;
-  matrix->lane(model::FeatureMatrix::kDiskBytesLane)[0] =
+  matrix.lane(model::FeatureMatrix::kDiskBytesLane)[0] =
       (totals.disk_bytes - last.disk_bytes) / window_s;
-  matrix->lane(model::FeatureMatrix::kNetBytesLane)[0] =
+  matrix.lane(model::FeatureMatrix::kNetBytesLane)[0] =
       (totals.net_bytes - last.net_bytes) / window_s;
   stage_.count();
-  return batch_of(tick, SensorKind::kIo, std::move(matrix));
+  return batch_of(tick, SensorKind::kIo, matrix_);
 }
 
 }  // namespace powerapi::api

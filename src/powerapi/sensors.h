@@ -29,9 +29,11 @@
 
 namespace powerapi::api {
 
-/// Supplies the set of pids to monitor at each tick (dynamic: processes come
-/// and go). Returning an empty vector monitors only the machine scope.
-using TargetsFn = std::function<std::vector<std::int64_t>()>;
+/// Fills `out` with the pids to monitor at each tick (dynamic: processes
+/// come and go). Leaving it empty monitors only the machine scope. The
+/// sensor keeps `out` across ticks, so a filler that assigns into it
+/// (os::MonitorableHost::pids_into) reuses its capacity.
+using TargetsFn = std::function<void(std::vector<std::int64_t>& out)>;
 
 /// Reads HPC counters for each target plus the machine scope in one batched
 /// lane gather, converts the per-window deltas into rates lane-by-lane and
@@ -44,6 +46,10 @@ using TargetsFn = std::function<std::vector<std::int64_t>()>;
 /// to SamplingWindow's (documented per branch in the implementation), and a
 /// target-set change re-aligns the previous-snapshot lanes by pid so
 /// surviving targets keep their windows.
+///
+/// Like every sensor, it samples into a pooled matrix (PooledMatrix):
+/// a steady-state tick allocates nothing once the tick's estimates have
+/// let go of the previous batch.
 ///
 /// `host` is optional: when present (simulation) it supplies frequency,
 /// utilization and — when the backend's batch read does not — the SMT
@@ -64,7 +70,7 @@ class HpcSensor final {
   void realign_rows(const std::vector<std::int64_t>& new_pids);
 
   hpc::CounterBackend* backend_;
-  TargetsFn targets_;
+  TargetsFn fill_targets_;
   const os::MonitorableHost* host_;
 
   // Row-parallel window state. pids_[0] is always kMachinePid.
@@ -79,7 +85,9 @@ class HpcSensor final {
   simcpu::CounterLanes realign_lanes_;
   std::vector<util::TimestampNs> realign_last_time_;
   std::vector<std::uint8_t> realign_primed_;
+  std::vector<std::int64_t> targets_;  ///< This tick's targets, filled by fill_targets_.
   model::FeatureMatrix extract_scratch_;
+  PooledMatrix matrix_;
 
   StageObs stage_;
 };
@@ -96,6 +104,7 @@ class PowerSpySensor final {
 
  private:
   std::shared_ptr<powermeter::PowerSpy> meter_;
+  PooledMatrix matrix_;
   StageObs stage_;
 };
 
@@ -114,6 +123,7 @@ class RaplSensor final {
  private:
   std::shared_ptr<powermeter::RaplMsr> msr_;
   SamplingWindow<std::uint32_t> window_;
+  PooledMatrix matrix_;
   StageObs stage_;
 };
 
@@ -131,6 +141,7 @@ class IoSensor final {
  private:
   const os::MonitorableHost* host_;
   SamplingWindow<os::IoTotals> window_;
+  PooledMatrix matrix_;
   StageObs stage_;
 };
 

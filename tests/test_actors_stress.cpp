@@ -37,12 +37,15 @@ class Counter final : public Actor {
 
 /// A thread that drain()s `system` in a loop until stopped; join() stops it.
 /// The storms' producers tell() while it runs, then the test drains once
-/// more at quiescence.
+/// more at quiescence. It counts the drain() calls it has completed.
 class Consumer {
  public:
   explicit Consumer(ActorSystem& system)
       : thread_([this, &system] {
-          while (!done_.load(std::memory_order_acquire)) system.drain();
+          while (!done_.load(std::memory_order_acquire)) {
+            system.drain();
+            passes_.fetch_add(1, std::memory_order_acq_rel);
+          }
         }) {}
   Consumer(const Consumer&) = delete;
   Consumer& operator=(const Consumer&) = delete;
@@ -53,9 +56,18 @@ class Consumer {
     done_.store(true, std::memory_order_release);
     thread_.join();
   }
+  /// drain() calls completed so far; whatever they delivered is visible to
+  /// the caller.
+  std::uint64_t passes() const { return passes_.load(std::memory_order_acquire); }
+  /// passes(), read so that every drain() beginning after the next count
+  /// sees what the caller wrote before this call (a tell). It is a
+  /// read-modify-write, which the consumer's next count reads from; a plain
+  /// load may be ordered before the caller's earlier stores.
+  std::uint64_t mark() { return passes_.fetch_add(0, std::memory_order_acq_rel); }
 
  private:
   std::atomic<bool> done_{false};
+  std::atomic<std::uint64_t> passes_{0};
   std::thread thread_;
 };
 
@@ -239,11 +251,13 @@ TEST(ActorStress, TellRacingDrainNeverStrandsAMessage) {
   // cell. A visit that misses the message must leave it visible to the
   // next one; a skip flag the visit clears after the tell has set it would
   // strand the message: no drain() processes it until the next tell into
-  // that cell, which its producer never sends. A 100 ms wait is far longer
-  // than a drain loop takes to reach the message, so it counts as stranded.
+  // that cell, which its producer never sends. The check counts the
+  // consumer's progress, not time, so a descheduled thread cannot fail it:
+  // a message is stranded once two whole drain() passes that began after
+  // its tell() returned have finished without delivering it (one such pass
+  // must already deliver it).
   constexpr int kProducers = 3;
   constexpr auto kBudget = std::chrono::milliseconds(1900);
-  constexpr auto kStranded = std::chrono::milliseconds(100);
   ActorSystem system;
   std::array<std::atomic<std::uint64_t>, kProducers> received{};
   std::vector<ActorRef> actors;
@@ -262,9 +276,12 @@ TEST(ActorStress, TellRacingDrainNeverStrandsAMessage) {
              std::chrono::steady_clock::now() < deadline) {
         actors[index].tell(0);
         ++mine;
-        const auto told = std::chrono::steady_clock::now();
+        // The pass running now (it completes as told + 1) may have begun
+        // before the tell; passes told + 2 and told + 3 begin after it.
+        const std::uint64_t told = consumer.mark();
         while (received[index].load(std::memory_order_acquire) != mine) {
-          if (std::chrono::steady_clock::now() - told > kStranded) {
+          if (consumer.passes() >= told + 3 &&
+              received[index].load(std::memory_order_acquire) != mine) {
             stranded.fetch_add(1, std::memory_order_relaxed);
             break;
           }

@@ -185,12 +185,12 @@ TEST(Calibration, EstimatesCarryTheModelVersionThatProducedThem) {
   RegressionFormula formula(registry);
   const SensorBatch batch = machine_hpc_batch();
 
-  const EstimateBatch before = formula.estimate(batch);
+  const EstimateBatch before = estimate(formula, batch);
   EXPECT_EQ(before.model_version, 1u);
   EXPECT_EQ(before.watts, expected_watts(scaled_model(1.0), *batch.features));
 
   ASSERT_EQ(registry->publish(scaled_model(2.0)), 2u);
-  const EstimateBatch after = formula.estimate(batch);
+  const EstimateBatch after = estimate(formula, batch);
   EXPECT_EQ(after.model_version, 2u);
   EXPECT_EQ(after.watts, expected_watts(scaled_model(2.0), *batch.features));
   EXPECT_NE(after.watts, before.watts);
@@ -198,7 +198,7 @@ TEST(Calibration, EstimatesCarryTheModelVersionThatProducedThem) {
   // Meter pass-through estimates never claim a model version.
   SensorBatch meter = batch;
   meter.sensor = SensorKind::kPowerSpy;
-  EXPECT_EQ(MeterFormula("powerspy").estimate(meter).model_version, 0u);
+  EXPECT_EQ(estimate(MeterFormula("powerspy"), meter).model_version, 0u);
 }
 
 TEST(Calibration, WarmupGateHoldsBackUnderdeterminedFits) {
@@ -365,7 +365,7 @@ TEST(Calibration, ConcurrentPublisherNeverShowsAFormulaAnOlderModel) {
       readers.emplace_back([&, r] {
         RegressionFormula formula(registry);
         const auto read = [&] {
-          const EstimateBatch e = formula.estimate(batch);
+          const EstimateBatch e = estimate(formula, batch);
           seen[r].push_back({e.model_version, e.watts.at(0)});
         };
         while (!published_all.load()) {

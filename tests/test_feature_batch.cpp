@@ -176,7 +176,7 @@ TEST(FeatureBatch, RePrimeMidChunkDropsOnlyTheRegressedRow) {
   constexpr std::int64_t kPidB = 8;
 
   BatchPidCollector seen;
-  HpcSensor sensor(backend, [] { return std::vector<std::int64_t>{kPidA, kPidB}; },
+  HpcSensor sensor(backend, [](std::vector<std::int64_t>& out) { out = {kPidA, kPidB}; },
                    nullptr);
 
   auto tick = [&](int second, std::uint64_t a, std::uint64_t b) {

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -220,6 +221,33 @@ TEST_P(GoldenDeterminism, MatchesCommittedCsvBitForBit) {
 TEST_P(GoldenDeterminism, RunTwiceIsIdentical) {
   const std::uint64_t seed = GetParam();
   EXPECT_EQ(run_case(seed), run_case(seed));
+}
+
+// The fleet dimension closes a bucket a host skipped (a dropped meter
+// sample) when a later timestamp of that formula completes, so each
+// formula's "(fleet)" rows come out in strictly increasing timestamp order.
+TEST_P(GoldenDeterminism, FleetRowsAreInTimestampOrderPerFormula) {
+  std::ostringstream out;
+  run_fleet_case(GetParam(), out);
+  std::istringstream lines(out.str());
+  std::map<std::string, std::int64_t> last;
+  std::size_t rows = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("A:fleet,", 0) != 0) continue;
+    std::istringstream fields(line);
+    std::string label, formula, timestamp;
+    std::getline(fields, label, ',');
+    std::getline(fields, formula, ',');
+    std::getline(fields, timestamp, ',');
+    const std::int64_t t = std::stoll(timestamp);
+    const auto it = last.find(formula);
+    if (it != last.end()) {
+      EXPECT_LT(it->second, t) << line;
+    }
+    last[formula] = t;
+    ++rows;
+  }
+  EXPECT_GT(rows, 20u);
 }
 
 // Threaded-fleet equivalence (the TSan target in CI): host slices run in

@@ -134,7 +134,9 @@ TEST(ModelRegistry, ConcurrentPublishersNeverMoveTheVersionBack) {
       ASSERT_LT(mine[i], taken.size());
       EXPECT_FALSE(taken[mine[i]]) << "version " << mine[i] << " published twice";
       taken[mine[i]] = true;
-      if (i != 0) EXPECT_GT(mine[i], mine[i - 1]);
+      if (i != 0) {
+        EXPECT_GT(mine[i], mine[i - 1]);
+      }
     }
   }
   const ModelRegistry::Version last = kThreads * kPerThread + 1;

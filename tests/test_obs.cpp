@@ -45,7 +45,9 @@ TEST(Histogram, BucketBoundsAreMonotoneAndConsistent) {
     // The lower bound of a bucket maps back to that bucket...
     EXPECT_EQ(Histogram::bucket_index(bound), i);
     // ...and the value just below it maps to the previous one.
-    if (bound > 0) EXPECT_EQ(Histogram::bucket_index(bound - 1), i - 1);
+    if (bound > 0) {
+      EXPECT_EQ(Histogram::bucket_index(bound - 1), i - 1);
+    }
     previous = bound;
   }
 }
@@ -201,7 +203,9 @@ TEST(MetricsRegistry, SnapshotUnderConcurrentUpdatesNeverGoesBackwards) {
     std::uint64_t bucket_sum = 0;
     for (const auto& [bound, n] : h->hist.buckets) bucket_sum += n;
     EXPECT_LE(h->hist.overflow, h->hist.count);
-    if (h->hist.count > 0) EXPECT_GT(bucket_sum, 0u);
+    if (h->hist.count > 0) {
+      EXPECT_GT(bucket_sum, 0u);
+    }
   }
   stop.store(true);
   for (auto& writer : writers) writer.join();

@@ -475,12 +475,6 @@ struct BridgeHarness {
   actors::EventBus bus;
 };
 
-obs::MetricsSnapshot snapshot_with_counter(std::string_view name, double value) {
-  obs::MetricsRegistry registry;
-  registry.counter(std::string(name)).add(static_cast<std::uint64_t>(value));
-  return registry.snapshot();
-}
-
 TEST(BusBridge, StaleAgentGaugesAreWithheldFromSnapshots) {
   BridgeHarness h;
   obs::Observability obs;

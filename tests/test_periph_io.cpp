@@ -191,7 +191,7 @@ TEST(IoFormula, ChargesDatasheetEnergiesForReportedRates) {
   IoFormula formula(disk, nic);
 
   const SensorBatch batch = io_batch(SensorKind::kIo, 50.0, 10e6, 4e6);
-  const EstimateBatch e = formula.estimate(batch);
+  const EstimateBatch e = estimate(formula, batch);
   EXPECT_EQ(e.formula, "io-datasheet");
   EXPECT_EQ(e.timestamp, seconds_to_ns(2));
   EXPECT_EQ(e.model_version, 0u);
@@ -210,7 +210,7 @@ TEST(IoFormula, ChargesDatasheetEnergiesForReportedRates) {
 TEST(IoFormula, IgnoresReportsFromOtherSensors) {
   IoFormula formula(periph::DiskParams{}, periph::NicParams{});
   // Not an IO batch: no rows.
-  const EstimateBatch e = formula.estimate(io_batch(SensorKind::kHpc, 50.0, 10e6, 4e6));
+  const EstimateBatch e = estimate(formula, io_batch(SensorKind::kHpc, 50.0, 10e6, 4e6));
   EXPECT_EQ(e.features, nullptr);
   EXPECT_TRUE(e.watts.empty());
 }

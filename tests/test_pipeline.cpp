@@ -100,7 +100,7 @@ class ScriptedBackend final : public hpc::CounterBackend {
 TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
   ScriptedBackend backend;
   constexpr std::int64_t kPid = 42;
-  HpcSensor sensor(backend, [] { return std::vector<std::int64_t>{kPid}; }, nullptr);
+  HpcSensor sensor(backend, [](std::vector<std::int64_t>& out) { out = {kPid}; }, nullptr);
 
   std::vector<SensorBatch> batches;
   auto tick = [&](int second, std::uint64_t instructions) {

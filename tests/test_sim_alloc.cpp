@@ -1,18 +1,24 @@
-// Zero-allocation gate for the simulator's steady state: after a warm-up,
-// one kernel quantum (os::System::tick → simcpu::Machine::tick →
-// CacheHierarchy::tick_into) must not touch the heap. This binary replaces
-// the global operator new/delete with counting wrappers over malloc/free,
-// which is why it is its own executable: no other suite shares the hook.
+// Zero-allocation gate for the steady state: after a warm-up, one kernel
+// quantum (os::System::tick → simcpu::Machine::tick →
+// CacheHierarchy::tick_into), one monitored host-tick (advance, sensors,
+// formulas, calibration, aggregation, a callback reporter) and one fleet
+// fold (FleetSum) must not touch the heap. This binary replaces the global
+// operator new/delete with counting wrappers over malloc/free, which is
+// why it is its own executable: no other suite shares the hook.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "os/scheduler.h"
 #include "os/system.h"
+#include "powerapi/fleet_monitor.h"
 #include "util/rng.h"
 #include "workloads/behaviors.h"
 #include "workloads/stress.h"
@@ -154,3 +160,95 @@ TEST(SimulatorAllocations, ParkedCoreQuantumAllocatesNothing) {
 
 }  // namespace
 }  // namespace powerapi::os
+
+namespace powerapi::api {
+namespace {
+
+/// A powerapi-hpc model over the i3-2120 frequency ladder.
+model::CpuPowerModel ladder_model() {
+  std::vector<model::FrequencyFormula> formulas;
+  for (const double hz : simcpu::i3_2120().frequencies_hz) {
+    model::FrequencyFormula f;
+    f.frequency_hz = hz;
+    f.events = {hpc::EventId::kInstructions, hpc::EventId::kCacheReferences,
+                hpc::EventId::kCacheMisses};
+    f.coefficients = {2.2e-9 * hz / 3.3e9, 2.5e-8, 1.9e-7};
+    formulas.push_back(std::move(f));
+  }
+  return model::CpuPowerModel(31.0, std::move(formulas));
+}
+
+/// Heap allocations of a one-host FleetMonitor over 1000 steady-state 1 ms
+/// ticks after a 1 s warm-up: the powerapi-hpc formula, PowerSpy,
+/// calibration and a callback reporter, every process monitored. The
+/// calibrator may refit during the warm-up, never in the window (the refit
+/// floor is a minute): a refit builds a new model.
+std::size_t monitored_allocations_per_1000_ticks(AggregationDimension dimension) {
+  auto host = os::mixed_host(simcpu::i3_2120());
+  FleetMonitor::Options options;
+  options.mode = actors::ActorSystem::Mode::kManual;
+  FleetMonitor fleet(options);
+  PipelineSpec spec;
+  spec.period = util::ms_to_ns(1);
+  spec.dimension = dimension;
+  spec.model = ladder_model();
+  spec.with_calibration = true;
+  spec.calibration.min_refit_interval = util::seconds_to_ns(60);
+  const std::size_t index = fleet.add_host(*host, std::move(spec));
+  fleet.monitor_all(index);
+  std::size_t rows = 0;
+  fleet.add_callback_reporter(index, [&rows](const AggregatedPower&) { ++rows; });
+  const auto& registry = fleet.pipeline(index).registry();
+
+  fleet.run_for(util::seconds_to_ns(1.0));
+  const std::uint64_t version = registry->version();
+  const std::size_t rows_before = rows;
+  const std::size_t before = g_allocations.load();
+  fleet.run_for(util::ms_to_ns(1000));
+  const std::size_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(registry->version(), version) << "a refit landed inside the window";
+  EXPECT_GE(rows - rows_before, 990u) << "the window must monitor every tick";
+  return allocations;
+}
+
+TEST(MonitoringAllocations, MachineRowTickAllocatesNothing) {
+  EXPECT_EQ(monitored_allocations_per_1000_ticks(AggregationDimension::kTimestamp), 0u);
+}
+
+TEST(MonitoringAllocations, PerPidTickAllocatesNothing) {
+  EXPECT_EQ(monitored_allocations_per_1000_ticks(AggregationDimension::kPid), 0u);
+}
+
+TEST(MonitoringAllocations, FleetSumFoldAllocatesNothing) {
+  // 32 hosts report two formulas per step, each row dropped with
+  // probability 1%; a step's completions close the buckets the drops left
+  // partial. The closed rows go to a reserved vector the caller empties.
+  constexpr std::size_t kHosts = 32;
+  const std::array<std::string, 2> formulas = {"powerapi-hpc", "powerspy"};
+  util::Rng rng(11);
+  FleetSum sum;
+  std::vector<AggregatedPower> out;
+  out.reserve(64);
+  AggregatedPower row;
+  row.pid = kMachinePid;
+  const auto step = [&](std::int64_t t) {
+    for (std::size_t h = 0; h < kHosts; ++h) {
+      for (const std::string& formula : formulas) {
+        if (rng.bernoulli(0.01)) continue;
+        row.formula = formula;
+        row.timestamp = t;
+        row.watts = 10.0 + static_cast<double>(h);
+        sum.add(row, kHosts, out);
+      }
+    }
+    out.clear();
+  };
+  std::int64_t t = 0;
+  for (; t < 1000; ++t) step(t);
+  const std::size_t before = g_allocations.load();
+  for (; t < 11000; ++t) step(t);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+}  // namespace
+}  // namespace powerapi::api
