@@ -3,8 +3,9 @@
 // property for supporting real-time power estimations". This google-benchmark
 // binary measures the runtime's message throughput: single-actor drain, an
 // actor chain shaped like Figure 2, event-bus fan-out (the hop that remains
-// an actor hop: aggregated rows to governor relays and fleet reporters), and
-// per-thread dispatch (threads each draining a system of their own).
+// an actor hop: aggregated rows to bus-subscribed sinks and governor
+// relays), and per-thread dispatch (threads each draining a system of their
+// own).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -143,8 +144,8 @@ void BM_HostSliceDispatch(benchmark::State& state) {
 }
 // Wall time: the rate is the threads' combined throughput, which
 // per-thread CPU time would not show. 64 messages is a few host-ticks'
-// worth; 8192 overflows each thread's mailbox node cache, so every node
-// passes through the shared spill pool and the threads no longer scale.
+// worth; 8192 is a backlog far deeper than any workload's (a collector's
+// mailbox peaks at 512).
 BENCHMARK(BM_HostSliceDispatch)
     ->Arg(64)
     ->Arg(8192)

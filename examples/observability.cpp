@@ -2,8 +2,8 @@
 //
 // Runs a single-host PowerMeter with the self-observability bundle
 // attached: every pipeline stage records spans and throughput counters,
-// mailbox latency is histogrammed, and the SelfMonitor converts the
-// monitor's own CPU share into watts — the energy spent measuring energy. The run emits:
+// and the SelfMonitor converts the monitor's own CPU share into watts — the
+// energy spent measuring energy. The run emits:
 //
 //   - periodic metrics snapshots on stdout (MetricsReporter, text format),
 //   - a final registry dump with percentiles,
@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
   config.period = util::ms_to_ns(period_ms);
   config.observability = &obs;
   api::PowerMeter meter(system, power_model, config);
-  meter.pipeline().add_metrics_reporter(std::cout, api::MetricsReporter::Format::kText,
-                                        /*every_n_ticks=*/50);
+  meter.add_metrics_reporter(std::cout, api::MetricsReporter::Format::kText,
+                             /*every_n_ticks=*/50);
   auto& memory = meter.add_memory_reporter();
   meter.monitor_all();
   meter.run_for(util::seconds_to_ns(duration_s));
@@ -79,14 +79,6 @@ int main(int argc, char** argv) {
   std::printf("cpu share        : %.4f cores\n", usage.total_cpu_seconds / wall_s);
   std::printf("estimated energy : %.3f J (at %.1f W/core)\n", usage.total_joules,
               obs.self.watts_per_core());
-
-  const obs::MetricsSnapshot snap = obs.metrics.snapshot();
-  const auto* latency = snap.find("actors.mailbox.latency_ns");
-  if (latency != nullptr && latency->hist.count > 0) {
-    std::printf("\nmailbox latency  : p50 %.0f ns, p99 %.0f ns over %llu messages\n",
-                latency->hist.percentile(0.5), latency->hist.percentile(0.99),
-                static_cast<unsigned long long>(latency->hist.count));
-  }
 
   std::ofstream trace("powerapi.trace.json");
   obs.trace.write_chrome_trace(trace);

@@ -1,27 +1,21 @@
-// Actor base class and supervision policy.
+// Actor base class.
 //
 // The paper's architecture (Figure 2) wires Sensor, Formula, Aggregator and
-// Reporter components as actors. Within one host those hops are plain calls
-// here (powerapi/pipeline.h); actors remain where a message crosses a
-// thread or a process, or fans out to fleet-level consumers: reporters
-// spawned on a bus topic and the collector's subscribers behind a
-// BusBridge. This base class provides the single-threaded receive
-// guarantee, lifecycle hooks and a per-actor supervision directive applied
-// by the system when receive throws.
+// Reporter components as actors. Here those hops, and the control plane,
+// are plain calls (powerapi/pipeline.h, governor/governor.h); what is left
+// are bus subscribers: a sink spawned on "fleet/power:aggregated", a
+// collector-side reporter behind a BusBridge, and the end-to-end
+// benchmark's governor shim. This base class provides the single-threaded
+// receive guarantee and a stop hook. An exception thrown by receive()
+// propagates out of ActorSystem::drain(), as one thrown by a directly
+// called stage propagates out of the call.
 #pragma once
 
-#include <any>
 #include <string>
 
 #include "actors/message.h"
 
 namespace powerapi::actors {
-
-enum class SupervisionDirective {
-  kResume,   ///< Drop the failing message, keep state, keep going.
-  kRestart,  ///< post_stop() + pre_start(): fresh state, mailbox retained.
-  kStop,     ///< Remove the actor; remaining messages become dead letters.
-};
 
 class Actor {
  public:
@@ -32,16 +26,10 @@ class Actor {
   /// concurrently).
   virtual void receive(Envelope& envelope) = 0;
 
-  /// Lifecycle hooks.
-  virtual void pre_start() {}
+  /// Runs once, when the actor is stopped (by stop() or at shutdown).
   virtual void post_stop() {}
 
-  /// Policy the system applies when receive() throws.
-  virtual SupervisionDirective on_failure(const std::exception& /*error*/) {
-    return SupervisionDirective::kRestart;
-  }
-
-  /// Set by the system at spawn time, before pre_start().
+  /// Set by the system at spawn time.
   ActorRef self() const noexcept { return self_; }
   const std::string& name() const noexcept { return name_; }
 

@@ -1,30 +1,24 @@
 // The actor runtime. An actor processes its messages one at a time, in
 // arrival order, on whichever thread drains it; there is no thread pool.
 //  * drain() processes messages deterministically on the calling thread.
-//    All simulation experiments and most tests run here. One thread drains
-//    at a time, which is what makes every mailbox single-consumer.
-//  * tell() is safe from any thread, including while another drains: a
-//    FleetMonitor's host slices tell fleet-level actors (bus-subscribed
-//    sinks, metrics reporters) from their threads, and the caller drains
-//    them between steps.
+//    One thread drains at a time, which is what makes every mailbox
+//    single-consumer.
+//  * tell() is safe from any thread, including while another drains.
 //
-// A host's own pipeline stages are not actors (see powerapi/pipeline.h):
-// only hops that cross a thread or a process boundary, or that fan out to
-// fleet-level consumers, go through here.
-//
-// Hot-path design (see DESIGN.md §4 "Dispatcher architecture"):
-//  * Actor lookup is a wait-free chunked slot table indexed by ActorId —
-//    tell() never scans the actor list or blocks on a concurrent spawn.
-//  * Mailboxes are lock-free Vyukov MPSC queues (see mailbox.h).
-//  * A drain round skips an idle actor on its mailbox's size counter, one
-//    load.
+// What is left to carry (DESIGN.md §4 "Dispatcher architecture"): the
+// fleet's bus-subscribed sinks and a collector's subscribers, told from the
+// draining thread itself, and the end-to-end benchmark's governor shim,
+// the only actors a FleetMonitor's slice threads still tell. So the
+// runtime is plain: an actor table indexed by id under a reader-writer
+// mutex, locked mailboxes (mailbox.h), and a drain round that skips an
+// idle actor on its mailbox's size counter, one load.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,7 +54,7 @@ class ActorSystem {
   ActorSystem(const ActorSystem&) = delete;
   ActorSystem& operator=(const ActorSystem&) = delete;
 
-  /// Spawns an actor; pre_start() runs before the first message.
+  /// Spawns an actor. Ids are dense, from 1, in spawn order.
   ActorRef spawn(std::string name, std::unique_ptr<Actor> actor);
 
   template <typename A, typename... Args>
@@ -72,13 +66,15 @@ class ActorSystem {
   /// count as dead letters.
   void tell(const ActorRef& target, Payload payload, ActorRef sender = {});
 
-  /// Stops an actor after its current message: post_stop() runs, its
-  /// remaining mailbox drains to dead letters.
+  /// Stops an actor: post_stop() runs, its remaining mailbox drains to
+  /// dead letters.
   void stop(const ActorRef& ref);
 
   /// Processes messages until quiescent or `max_messages` processed.
   /// Returns the number processed. Deterministic: actors are visited in
-  /// spawn order, one message per visit (fair round-robin).
+  /// spawn order, one message per visit (fair round-robin). A receive()
+  /// that throws propagates out; its message counts as processed, and the
+  /// next drain() carries on behind it.
   std::size_t drain(std::size_t max_messages = SIZE_MAX);
 
   /// Kept for fleet_bench.cpp; remove in the next benchmark PR. Calls
@@ -97,60 +93,37 @@ class ActorSystem {
   std::uint64_t dead_letters() const noexcept {
     return dead_letters_.load(std::memory_order_relaxed);
   }
-  std::uint64_t failures() const noexcept {
-    return failures_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t restarts() const noexcept {
-    return restarts_.load(std::memory_order_relaxed);
-  }
   std::size_t actor_count() const;
   obs::Observability* observability() const noexcept { return obs_; }
 
  private:
   struct Cell {
-    ActorId id = kNoActor;
-    std::string name;
     std::unique_ptr<Actor> actor;
     Mailbox mailbox;
     std::atomic<bool> stopped{false};
   };
 
-  // --- O(1) registry: a lazily grown chunked slot table indexed by id. ---
-  // Lookup is two acquire loads; chunks are allocated under cells_mutex_ at
-  // spawn time and never freed before the system is destroyed, so readers
-  // need no locks and no hazard tracking.
-  static constexpr std::size_t kChunkBits = 10;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;  // 1024
-  static constexpr std::size_t kChunkMask = kChunkSize - 1;
-  static constexpr std::size_t kMaxChunks = 4096;  // ~4M actors per system.
-
-  struct SlotChunk {
-    std::array<std::atomic<Cell*>, kChunkSize> slots{};
-  };
-
-  Cell* lookup(ActorId id) const noexcept;
-  Cell* find_cell(ActorId id) const noexcept;  ///< lookup + not-stopped.
-  void process_one(Cell& cell, Envelope& envelope);
+  /// The live cell of `ref`, or null when unknown or stopped.
+  Cell* find_cell(const ActorRef& ref) const;
   /// One drain visit: processes at most one message (or flushes a
   /// stopped cell's backlog); returns whether a message was processed.
   bool drain_visit(Cell& cell);
-  void drain_dead_letters(Cell& cell);
-  void handle_failure(Cell& cell, const std::exception& error);
 
   // Observability handles, interned once at construction; null when the
   // system is not observed, so hot paths pay one pointer test.
   obs::Observability* obs_ = nullptr;
   obs::Histogram* mailbox_latency_ = nullptr;
   std::uint64_t obs_collector_ = 0;
-  mutable std::mutex cells_mutex_;  ///< Guards spawns/chunk growth, not lookups.
-  std::vector<std::unique_ptr<Cell>> cells_;
-  std::atomic<std::uint64_t> cells_version_{1};  ///< Bumped per spawn; lets drain() cache its snapshot.
-  std::array<std::atomic<SlotChunk*>, kMaxChunks> chunks_{};
-  std::atomic<ActorId> next_id_{1};
+  /// Shared by tell()s (they only read cells_), exclusive for spawn(), so
+  /// slice threads telling at once never make each other sleep.
+  mutable std::shared_mutex cells_mutex_;
+  std::vector<std::unique_ptr<Cell>> cells_;  ///< Actor id - 1; guarded by cells_mutex_.
+  std::atomic<std::uint64_t> cells_version_{1};  ///< Bumped per spawn.
+  // The draining thread's copy of cells_, rebuilt when cells_version_ moves.
+  std::vector<Cell*> snapshot_;
+  std::uint64_t snapshot_version_ = 0;
   alignas(64) std::atomic<std::uint64_t> messages_processed_{0};
   alignas(64) std::atomic<std::uint64_t> dead_letters_{0};
-  std::atomic<std::uint64_t> failures_{0};
-  std::atomic<std::uint64_t> restarts_{0};
 };
 
 }  // namespace powerapi::actors

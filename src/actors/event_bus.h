@@ -9,10 +9,10 @@
 //
 // Hot-path design: topic strings are interned to dense integer TopicIds at
 // subscribe time (one string lookup ever, integer indexing per publish).
-// Topics live in a chunked table that is never reallocated (like the actor
-// slot table) and each holds an immutable subscriber list behind an atomic
-// pointer, so a publish takes no lock and writes no shared cache line: two
-// acquire loads find the list, then one tell per subscriber. Subscribe and
+// Topics live in a chunked table that is never reallocated, and each holds
+// an immutable subscriber list behind an atomic pointer, so a publish takes
+// no bus lock and writes no shared cache line: two acquire loads find the
+// list, then one tell per subscriber. Subscribe and
 // unsubscribe (rare, assembly-time) swap in a fresh list under the writer
 // mutex and keep the old one alive until the bus dies, so a publisher still
 // walking it never sees it freed. Publishing to a topic with no subscribers

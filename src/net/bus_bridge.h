@@ -1,6 +1,6 @@
 // BusBridge: a CollectorSink that republishes decoded telemetry onto a
-// local event bus, so everything downstream of a bus — aggregators,
-// reporters, the obs metrics reporter — works unchanged on remote data.
+// local event bus, so everything downstream of a bus — a bus-subscribed
+// CallbackReporter, a probe — works unchanged on remote data.
 //
 // Topic scheme mirrors the fleet namespaces ("h<i>/..."): each record is
 // published twice, once under its agent's namespace and once merged:

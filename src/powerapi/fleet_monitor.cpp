@@ -63,6 +63,7 @@ FleetMonitor::~FleetMonitor() {
   finish();
   actors_.shutdown();
   actors_.drain();
+  for (MetricsReporter& reporter : metrics_reporters_) reporter.finish();
 }
 
 std::size_t FleetMonitor::add_host(os::MonitorableHost& host, PipelineSpec spec) {
@@ -72,7 +73,7 @@ std::size_t FleetMonitor::add_host(os::MonitorableHost& host, PipelineSpec spec)
   // The fleet's bundle observes every host pipeline unless the spec brought
   // its own.
   if (spec.observability == nullptr) spec.observability = options_.observability;
-  entry->pipeline = std::make_unique<Pipeline>(actors_, bus_, host, std::move(spec),
+  entry->pipeline = std::make_unique<Pipeline>(bus_, host, std::move(spec),
                                                "h" + std::to_string(index) + "/");
   entries_.push_back(std::move(entry));
   return index;
@@ -119,7 +120,9 @@ void FleetMonitor::add_metrics_reporter(std::ostream& out,
         "FleetMonitor::add_metrics_reporter: add a host first (the reporter "
         "snapshots on host 0's ticks)");
   }
-  entries_.front()->pipeline->add_metrics_reporter(out, format, every_n_ticks);
+  metrics_reporters_.emplace_back(*options_.observability,
+                                  MetricsReporter::Options{&out, format, every_n_ticks});
+  entries_.front()->pipeline->tap_ticks(&host0_ticks_);
 }
 
 void FleetMonitor::write_chrome_trace(std::ostream& out) const {
@@ -133,6 +136,10 @@ void FleetMonitor::write_chrome_trace(std::ostream& out) const {
 void FleetMonitor::settle() {
   fold_fleet_rows();
   actors_.drain();
+  for (const std::uint64_t seq : host0_ticks_) {
+    for (MetricsReporter& reporter : metrics_reporters_) reporter.tick(seq);
+  }
+  host0_ticks_.clear();
 }
 
 void FleetMonitor::tap_fleet_rows() {

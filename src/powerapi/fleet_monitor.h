@@ -17,13 +17,15 @@
 // thread, so its series is bit-for-bit the same at every slice count, and
 // the same as a PowerMeter's over an identically constructed host.
 //
-// Everything spawned through actor_system() — bus-subscribed sinks, a
-// metrics reporter — is fleet-level: slice threads only tell() into it
-// (mailboxes are MPSC, e.g. a sink subscribed to "h3/power:aggregated"),
-// and the caller drains it in settle(), after the hand-off. Plain objects
-// the driver calls between run_for chunks (a governor, a watchdog) need no
-// actor: a governor observes each host's rows through a callback reporter
-// on that host's slice thread.
+// Everything spawned through actor_system() — bus-subscribed sinks — is
+// fleet-level: slice threads may tell() into it (e.g. a sink subscribed to
+// "h3/power:aggregated"), and the caller drains it in settle(), after the
+// hand-off; a receive() that throws propagates out of run_for. Metrics
+// reporters are plain objects the fleet owns: settle() calls each once per
+// tick host 0 ran in the step. Plain objects the driver calls between
+// run_for chunks (a governor, a watchdog) need no actor either: a governor
+// observes each host's rows through a callback reporter on that host's
+// slice thread.
 //
 // The fleet dimension runs only while something consumes it: an attached
 // fleet reporter or a bus subscriber on "fleet/power:aggregated" (checked
@@ -52,6 +54,7 @@
 #include "actors/actor_system.h"
 #include "actors/event_bus.h"
 #include "obs/observability.h"
+#include "powerapi/obs_reporter.h"
 #include "powerapi/pipeline.h"
 #include "powerapi/reporters.h"
 
@@ -111,8 +114,10 @@ class FleetMonitor {
 
   /// The fleet's observability bundle; null unless Options.observability.
   obs::Observability* observability() const noexcept { return options_.observability; }
-  /// Snapshots the whole fleet's metrics to `out` every N ticks of host 0.
-  /// Requires Options.observability and at least one host.
+  /// Snapshots the whole fleet's metrics to `out` every N ticks of host 0,
+  /// when the step settles, plus a final snapshot when the fleet is
+  /// destroyed; `out` must outlive the fleet. Requires
+  /// Options.observability and at least one host.
   void add_metrics_reporter(std::ostream& out,
                             MetricsReporter::Format format = MetricsReporter::Format::kText,
                             std::uint64_t every_n_ticks = 1);
@@ -156,9 +161,10 @@ class FleetMonitor {
     std::vector<AggregatedPower> fleet_rows;
   };
 
-  /// Folds the fleet dimension, then drains the fleet-level actors until
-  /// the system is quiescent; run_for does this after every step (and
-  /// after on_chunk), so callers never need to.
+  /// Folds the fleet dimension, drains the fleet-level actors until the
+  /// system is quiescent, then hands host 0's ticks to the metrics
+  /// reporters; run_for does this after every step (and after on_chunk),
+  /// so callers never need to.
   void settle();
   /// (Re)starts the slice threads when the slice layout no longer matches
   /// the host count; a no-op otherwise.
@@ -183,6 +189,8 @@ class FleetMonitor {
   actors::EventBus::TopicId fleet_topic_;
   std::vector<std::unique_ptr<HostEntry>> entries_;
   std::vector<std::unique_ptr<Reporter>> fleet_reporters_;
+  std::vector<MetricsReporter> metrics_reporters_;
+  std::vector<std::uint64_t> host0_ticks_;  ///< Seqs of host 0's ticks this step.
   FleetSum fleet_sum_;
   std::vector<AggregatedPower> fleet_out_;  ///< Rows the fold closed this step.
   bool finished_ = false;

@@ -9,7 +9,7 @@
 //
 // Two of them also travel the event bus, published only when something
 // subscribes. Topics, within one pipeline's namespace:
-//   "tick"              MonitorTick     → metrics reporters, probes
+//   "tick"              MonitorTick     → probes
 //   "power:aggregated"  AggregatedPower → bus-subscribed sinks, probes
 // Every pipeline is a FleetMonitor host, so its topics live under the
 // host's namespace prefix ("h0/tick", "h3/power:aggregated"). The fleet

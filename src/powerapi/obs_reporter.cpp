@@ -3,7 +3,6 @@
 #include <ostream>
 #include <string>
 
-#include "powerapi/messages.h"
 #include "util/csv.h"
 
 namespace powerapi::api {
@@ -28,15 +27,13 @@ MetricsReporter::MetricsReporter(obs::Observability& obs, Options options)
   if (options_.every_n_ticks == 0) options_.every_n_ticks = 1;
 }
 
-void MetricsReporter::receive(actors::Envelope& envelope) {
-  const auto* tick = envelope.payload.get<MonitorTick>();
-  if (tick == nullptr) return;
-  last_seq_ = tick->seq;
+void MetricsReporter::tick(std::uint64_t seq) {
+  last_seq_ = seq;
   if (++ticks_seen_ % options_.every_n_ticks != 0) return;
-  write_snapshot(tick->seq);
+  write_snapshot(seq);
 }
 
-void MetricsReporter::post_stop() {
+void MetricsReporter::finish() {
   // Final flush: short runs (fewer ticks than the cadence) still report.
   write_snapshot(last_seq_);
 }
@@ -71,7 +68,7 @@ void MetricsReporter::write_text(std::uint64_t seq) {
 void MetricsReporter::write_csv(std::uint64_t seq) {
   std::ostream& out = *options_.out;
   // One header for the whole stream; CsvWriter would enforce one header per
-  // writer instance, but snapshots span receive() calls, so track it here.
+  // writer instance, but snapshots span tick() calls, so track it here.
   if (!csv_header_written_) {
     util::CsvWriter writer(out);
     writer.header({"seq", "metric", "stat", "value"});

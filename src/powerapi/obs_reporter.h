@@ -1,29 +1,29 @@
-// MetricsReporter: a Reporter-stage actor for the monitor's own metrics.
+// MetricsReporter: writes the monitor's own metrics.
 //
-// Subscribed to a pipeline's tick topic, it takes a registry snapshot every
-// N ticks and writes it in one of three formats: human-readable text, CSV
-// rows (via util::CsvWriter, one row per metric/statistic) or JSON lines
-// (one snapshot object per line). Snapshots run the registry's collectors,
-// so every emission includes the SelfMonitor's "self.*" gauges — the
-// monitor reports its own cost in the same stream as everything else. A
-// final snapshot is written at post_stop so short runs always emit one.
+// A FleetMonitor owns its metrics reporters and calls tick() once per tick
+// of host 0, with that tick's seq, when it settles the step. Every N ticks
+// the reporter takes a registry snapshot and writes it in one of three
+// formats: human-readable text, CSV rows (via util::CsvWriter, one row per
+// metric/statistic) or JSON lines (one snapshot object per line). Snapshots
+// run the registry's collectors, so every emission includes the
+// SelfMonitor's "self.*" gauges — the monitor reports its own cost in the
+// same stream as everything else. finish() writes a final snapshot, which
+// the fleet does when it is destroyed, so short runs always emit one.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 
-#include "actors/actor.h"
 #include "obs/observability.h"
 
 namespace powerapi::api {
 
-class MetricsReporter final : public actors::Actor {
+class MetricsReporter final {
  public:
   enum class Format { kText, kCsv, kJson };
 
   struct Options {
-    /// Must outlive the actor (the final snapshot is written at post_stop,
-    /// i.e. during actor-system shutdown).
+    /// Must outlive the reporter's last call (finish()).
     std::ostream* out = nullptr;
     Format format = Format::kText;
     std::uint64_t every_n_ticks = 1;  ///< Snapshot cadence (0 behaves as 1).
@@ -31,8 +31,10 @@ class MetricsReporter final : public actors::Actor {
 
   MetricsReporter(obs::Observability& obs, Options options);
 
-  void receive(actors::Envelope& envelope) override;
-  void post_stop() override;
+  /// One tick of the followed host; writes a snapshot every N-th call.
+  void tick(std::uint64_t seq);
+  /// Writes the final snapshot, stamped with the last tick's seq.
+  void finish();
 
  private:
   void write_snapshot(std::uint64_t seq);

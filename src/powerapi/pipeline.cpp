@@ -13,10 +13,9 @@
 
 namespace powerapi::api {
 
-Pipeline::Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
-                   os::MonitorableHost& host, PipelineSpec spec, std::string ns)
-    : actors_(&actors),
-      bus_(&bus),
+Pipeline::Pipeline(actors::EventBus& bus, os::MonitorableHost& host, PipelineSpec spec,
+                   std::string ns)
+    : bus_(&bus),
       host_(&host),
       ns_(std::move(ns)),
       backend_(std::make_unique<hpc::SimBackend>(host)),
@@ -123,6 +122,7 @@ std::uint64_t Pipeline::run_due_ticks() {
       tick_counter_->add();
       obs_->trace.instant(tick_name_, tick.wall_ns, tick.seq);
     }
+    if (tick_tap_ != nullptr) tick_tap_->push_back(tick.seq);
     if (bus_->subscriber_count(tick_topic_) != 0) bus_->publish(tick_topic_, tick);
     run_tick(tick);
   }
@@ -215,21 +215,6 @@ void Pipeline::add_model_update_callback(Calibrator::UpdateCallback callback) {
         "Pipeline::add_model_update_callback: built without with_calibration");
   }
   calibrator_->on_update(std::move(callback));
-}
-
-void Pipeline::add_metrics_reporter(std::ostream& out, MetricsReporter::Format format,
-                                    std::uint64_t every_n_ticks) {
-  if (obs_ == nullptr) {
-    throw std::logic_error(
-        "Pipeline::add_metrics_reporter: built without spec.observability");
-  }
-  MetricsReporter::Options options;
-  options.out = &out;
-  options.format = format;
-  options.every_n_ticks = every_n_ticks;
-  const auto reporter =
-      actors_->spawn_as<MetricsReporter>(ns_ + "reporter-metrics", *obs_, options);
-  bus_->subscribe(tick_topic_, reporter);
 }
 
 void Pipeline::finish() {

@@ -20,8 +20,8 @@
 //
 // The bus is used only at the pipeline's edges, and only when someone
 // subscribes (a zero-subscriber publish counts as a bus dead letter):
-// "tick" carries each MonitorTick (metrics reporters, probes) and
-// "power:aggregated" each aggregated row (bus-subscribed sinks, probes).
+// "tick" carries each MonitorTick (probes) and "power:aggregated" each
+// aggregated row (bus-subscribed sinks, probes).
 // Every pipeline is a FleetMonitor host: host i lives under the namespace
 // "h<i>/" ("h3/power:aggregated"; a PowerMeter's one host is "h0/"), which
 // also prefixes the stages' trace span names ("h3/sensor-hpc").
@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "actors/actor_system.h"
 #include "actors/event_bus.h"
 #include "actors/timers.h"
 #include "baselines/estimator.h"
@@ -47,7 +46,6 @@
 #include "powerapi/calibration.h"
 #include "powerapi/formulas.h"
 #include "powerapi/messages.h"
-#include "powerapi/obs_reporter.h"
 #include "powerapi/reporters.h"
 #include "powerapi/sensors.h"
 #include "util/units.h"
@@ -85,21 +83,21 @@ struct PipelineSpec {
   /// Baseline formulas fed by the hpc sensor (cpu-load, Bertran, HAPPY).
   std::vector<std::shared_ptr<const baselines::MachinePowerEstimator>> estimators;
   /// Self-observability bundle (non-owning; must outlive the pipeline).
-  /// When set, ticks carry sequence ids, every stage records spans and
-  /// throughput counters, and add_metrics_reporter() becomes available.
+  /// When set, ticks carry sequence ids and every stage records spans and
+  /// throughput counters.
   obs::Observability* observability = nullptr;
 };
 
-/// One assembled pipeline over one host: the handle FleetMonitor drives. Owns the counter backend, the tick schedule, every
-/// stage and the reporters attached to it. Only the metrics reporter is an
-/// actor (spawned into `actors`, fed by the "tick" topic).
+/// One assembled pipeline over one host: the handle FleetMonitor drives.
+/// Owns the counter backend, the tick schedule, every stage and the
+/// reporters attached to it; none of them is an actor.
 ///
 /// A stage or reporter that throws propagates out of run_due_ticks(); the
 /// tick's remaining stages are skipped.
 class Pipeline {
  public:
-  Pipeline(actors::ActorSystem& actors, actors::EventBus& bus,
-           os::MonitorableHost& host, PipelineSpec spec, std::string ns);
+  Pipeline(actors::EventBus& bus, os::MonitorableHost& host, PipelineSpec spec,
+           std::string ns);
 
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
@@ -126,14 +124,6 @@ class Pipeline {
   /// thread that runs this pipeline. Throws if the pipeline was built
   /// without with_calibration.
   void add_model_update_callback(Calibrator::UpdateCallback callback);
-  /// Writes a metrics-registry snapshot to `out` every `every_n_ticks`
-  /// ticks (plus a final one at shutdown). The reporter is an actor on the
-  /// "tick" topic: it writes when the actor system drains, and `out` must
-  /// outlive the actor system (the final flush runs when the actor stops).
-  /// Throws if the pipeline was built without spec.observability.
-  void add_metrics_reporter(std::ostream& out,
-                            MetricsReporter::Format format = MetricsReporter::Format::kText,
-                            std::uint64_t every_n_ticks = 1);
   /// Forwards every aggregated row to a caller-owned telemetry client —
   /// this pipeline's output becomes visible to a remote CollectorServer.
   /// The client must outlive the pipeline.
@@ -145,6 +135,10 @@ class Pipeline {
   void tap_machine_rows(std::vector<AggregatedPower>* sink) noexcept {
     machine_tap_ = sink;
   }
+  /// While `sink` is non-null, every tick's seq is appended to it:
+  /// FleetMonitor's feed for its metrics reporters. Set it only while no
+  /// thread runs this pipeline.
+  void tap_ticks(std::vector<std::uint64_t>* sink) noexcept { tick_tap_ = sink; }
 
   // --- Lifecycle ---
   /// Flushes the aggregator's pending groups to the reporters; idempotent.
@@ -172,7 +166,6 @@ class Pipeline {
   template <typename R, typename... Args>
   R& attach(Args&&... args);
 
-  actors::ActorSystem* actors_;
   actors::EventBus* bus_;
   os::MonitorableHost* host_;
   std::string ns_;
@@ -206,6 +199,7 @@ class Pipeline {
   Aggregator aggregator_;
   std::vector<std::unique_ptr<Reporter>> reporters_;
   std::vector<AggregatedPower>* machine_tap_ = nullptr;
+  std::vector<std::uint64_t>* tick_tap_ = nullptr;
 
   // Per-tick scratch, reused across ticks: estimates_ holds one slot per
   // formula, in call order.

@@ -3,10 +3,10 @@
 // benches.
 //
 // A reporter attached to a host's Pipeline, or to a FleetMonitor's fleet
-// dimension, is called directly, once per row, in attach order. Every
-// reporter is also an actor, so the same classes can be spawned on a bus
-// topic: a sink subscribed to "fleet/power:aggregated", or a
-// collector-side one behind a BusBridge.
+// dimension, is called directly, once per row, in attach order. Only
+// CallbackReporter is also an actor, so it can be spawned on a bus topic:
+// a sink subscribed to "fleet/power:aggregated", or a collector-side one
+// behind a BusBridge.
 #pragma once
 
 #include <functional>
@@ -22,15 +22,11 @@
 
 namespace powerapi::api {
 
-/// Base of every row reporter: report() takes one row; as an actor,
-/// receive() unwraps each AggregatedPower and reports it.
-class Reporter : public actors::Actor {
+/// Base of every row reporter: report() takes one row.
+class Reporter {
  public:
+  virtual ~Reporter() = default;
   virtual void report(const AggregatedPower& row) = 0;
-
-  void receive(actors::Envelope& envelope) final {
-    if (const auto* row = envelope.payload.get<AggregatedPower>()) report(*row);
-  }
 };
 
 /// Human-readable rows on an ostream the caller owns (commonly std::cout).
@@ -55,13 +51,17 @@ class CsvReporter final : public Reporter {
   util::CsvWriter writer_;
 };
 
-/// Invokes a user callback per aggregated row — the embedding API.
-class CallbackReporter final : public Reporter {
+/// Invokes a user callback per aggregated row — the embedding API. As an
+/// actor, receive() unwraps each AggregatedPower and reports it.
+class CallbackReporter final : public Reporter, public actors::Actor {
  public:
   using Callback = std::function<void(const AggregatedPower&)>;
   explicit CallbackReporter(Callback callback) : callback_(std::move(callback)) {}
 
   void report(const AggregatedPower& row) override { callback_(row); }
+  void receive(actors::Envelope& envelope) override {
+    if (const auto* row = envelope.payload.get<AggregatedPower>()) report(*row);
+  }
 
  private:
   Callback callback_;

@@ -1,7 +1,7 @@
 // Thread-safe leveled logging.
 //
 // The library logs sparingly (model training milestones, backend fallbacks,
-// actor supervision events); experiments and examples raise the level for
+// bus dead letters); experiments and examples raise the level for
 // narration. Output goes to a configurable sink, stderr by default.
 #pragma once
 

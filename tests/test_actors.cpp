@@ -1,5 +1,5 @@
-// Tests for the actor runtime: drain determinism, supervision, dead letters,
-// the event bus and tickers.
+// Tests for the actor runtime: drain determinism, a throwing receive, dead
+// letters, the event bus and tickers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -104,13 +104,10 @@ TEST(ActorSystem, MaxMessagesBoundsDrain) {
   EXPECT_EQ(system.drain(), 7u);
 }
 
-// --- Supervision ---
+// --- A throwing receive ---
 
-class Flaky final : public Actor {
+class Throwing final : public Actor {
  public:
-  explicit Flaky(SupervisionDirective directive) : directive_(directive) {}
-
-  void pre_start() override { ++starts; }
   void post_stop() override { ++stops; }
   void receive(Envelope& envelope) override {
     if (envelope.payload.get<std::string>()) {
@@ -118,54 +115,29 @@ class Flaky final : public Actor {
     }
     ++handled;
   }
-  SupervisionDirective on_failure(const std::exception&) override { return directive_; }
 
-  int starts = 0;
   int stops = 0;
   int handled = 0;
-
- private:
-  SupervisionDirective directive_;
 };
 
-TEST(Supervision, ResumeKeepsProcessing) {
+TEST(ActorSystem, ThrowingReceivePropagatesOutOfDrain) {
+  // No supervision: the exception leaves drain() as it leaves a directly
+  // called stage, and the actor keeps its state and its mailbox.
   ActorSystem system;
-  auto owned = std::make_unique<Flaky>(SupervisionDirective::kResume);
-  Flaky* actor = owned.get();
-  const auto ref = system.spawn("flaky", std::move(owned));
+  auto owned = std::make_unique<Throwing>();
+  Throwing* actor = owned.get();
+  const auto ref = system.spawn("throwing", std::move(owned));
   ref.tell(1);
   ref.tell(std::string("boom"));
   ref.tell(2);
-  system.drain();
+  EXPECT_THROW(system.drain(), std::runtime_error);
+  EXPECT_EQ(actor->handled, 1);
+  // The next drain() delivers the message queued behind the throwing one.
+  EXPECT_EQ(system.drain(), 1u);
   EXPECT_EQ(actor->handled, 2);
-  EXPECT_EQ(system.failures(), 1u);
-  EXPECT_EQ(system.restarts(), 0u);
-}
-
-TEST(Supervision, RestartCyclesLifecycle) {
-  ActorSystem system;
-  auto owned = std::make_unique<Flaky>(SupervisionDirective::kRestart);
-  Flaky* actor = owned.get();
-  const auto ref = system.spawn("flaky", std::move(owned));
-  EXPECT_EQ(actor->starts, 1);
-  ref.tell(std::string("boom"));
-  ref.tell(7);
-  system.drain();
-  EXPECT_EQ(actor->starts, 2);  // pre_start ran again.
-  EXPECT_EQ(actor->stops, 1);
-  EXPECT_EQ(actor->handled, 1);  // Message after the failure still handled.
-  EXPECT_EQ(system.restarts(), 1u);
-}
-
-TEST(Supervision, StopRemovesActor) {
-  ActorSystem system;
-  const auto ref = system.spawn("flaky",
-                                std::make_unique<Flaky>(SupervisionDirective::kStop));
-  ref.tell(std::string("boom"));
-  ref.tell(1);
-  system.drain();
-  EXPECT_EQ(system.actor_count(), 0u);
-  EXPECT_GE(system.dead_letters(), 1u);  // The trailing message.
+  EXPECT_EQ(system.messages_processed(), 3u);
+  EXPECT_EQ(system.dead_letters(), 0u);
+  EXPECT_EQ(system.actor_count(), 1u);
 }
 
 // --- EventBus ---
@@ -262,9 +234,9 @@ TEST(ActorSystem, ModeShimsAreDrainOnly) {
 
 TEST(ActorSystem, ShutdownIsIdempotentAndStopsActors) {
   ActorSystem system;
-  auto owned = std::make_unique<Flaky>(SupervisionDirective::kResume);
-  Flaky* actor = owned.get();
-  system.spawn("f", std::move(owned));
+  auto owned = std::make_unique<Throwing>();
+  Throwing* actor = owned.get();
+  system.spawn("t", std::move(owned));
   system.shutdown();
   system.shutdown();
   EXPECT_EQ(actor->stops, 1);

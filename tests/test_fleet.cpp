@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "os/system.h"
 #include "powerapi/fleet_monitor.h"
@@ -122,12 +123,12 @@ void expect_same_rows(const std::vector<AggregatedPower>& actual,
 
 /// The reference that shares no driver code with FleetMonitor: one host's
 /// Pipeline stepped by hand (advance by one period, then run the due ticks)
-/// and finished, on an actor system and bus of its own.
+/// and finished, on a bus of its own.
 std::vector<AggregatedPower> hand_driven_rows(std::size_t index, util::DurationNs duration) {
   auto host = make_host(index);
   actors::ActorSystem actors(actors::ActorSystem::Mode::kManual);
   actors::EventBus bus(actors);
-  Pipeline pipeline(actors, bus, *host, fleet_spec(), "h0/");
+  Pipeline pipeline(bus, *host, fleet_spec(), "h0/");
   auto& memory = pipeline.add_memory_reporter();
   const util::DurationNs period = pipeline.ticker().period();
   for (util::DurationNs advanced = 0; advanced < duration; advanced += period) {
@@ -339,6 +340,43 @@ TEST(FleetMonitor, BusSubscriberAloneConsumesTheFleetDimension) {
   const auto reporter_rows = run(false);
   ASSERT_GT(reporter_rows.size(), 3u);
   expect_same_rows(run(true), reporter_rows, "bus subscriber");
+}
+
+TEST(FleetMonitor, ThrowingBusSubscriberSurfacesFromRunForAndLaterRunsContinue) {
+  // A bus-subscribed reporter is an actor the caller drains in settle():
+  // when its receive() throws, run_for rethrows, and the rows queued behind
+  // the failing one reach it in the next run_for. Only that row is lost.
+  auto host_a = make_host(2);
+  auto host_b = make_host(4);
+  std::vector<AggregatedPower> bus_rows;  // Outlives the fleet's actors.
+  bool fail_next_row = false;
+  FleetMonitor::Options options;
+  options.mode = actors::ActorSystem::Mode::kManual;
+  FleetMonitor fleet(options);
+  fleet.add_host(*host_a, fleet_spec());
+  fleet.add_host(*host_b, fleet_spec());
+  const MemoryReporter& reference = fleet.add_fleet_reporter();
+  fleet.bus().subscribe("fleet/power:aggregated",
+                        fleet.actor_system().spawn_as<CallbackReporter>(
+                            "fleet-sink", [&](const AggregatedPower& row) {
+                              if (std::exchange(fail_next_row, false)) {
+                                throw std::runtime_error("sink failed");
+                              }
+                              bus_rows.push_back(row);
+                            }));
+  fleet.run_for(seconds_to_ns(1));
+  const std::size_t failed_row = bus_rows.size();
+  ASSERT_GT(failed_row, 0u);
+  fail_next_row = true;
+  EXPECT_THROW(fleet.run_for(seconds_to_ns(1)), std::runtime_error);
+  fleet.run_for(seconds_to_ns(1));
+  fleet.finish();
+
+  std::vector<AggregatedPower> expected = reference.all();
+  ASSERT_GT(expected.size(), failed_row + 1);
+  expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(failed_row));
+  expect_same_rows(bus_rows, expected, "bus subscriber after a throw");
+  EXPECT_EQ(fleet.actor_system().dead_letters(), 0u);
 }
 
 TEST(FleetMonitor, SliceThreadFailureRethrowsAndLaterRunsContinue) {

@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -383,6 +384,23 @@ std::unique_ptr<os::System> obs_test_host() {
   return host;
 }
 
+/// The seq of every snapshot in a metrics stream, in order: CSV snapshots
+/// hold one "pipeline.ticks" row each, text ones open with a header line.
+std::vector<std::uint64_t> snapshot_seqs(const std::string& stream) {
+  std::vector<std::uint64_t> seqs;
+  std::istringstream lines(stream);
+  std::string line;
+  const std::string text_header = "# metrics snapshot (seq ";
+  while (std::getline(lines, line)) {
+    if (line.rfind(text_header, 0) == 0) {
+      seqs.push_back(std::stoull(line.substr(text_header.size())));
+    } else if (line.find(",pipeline.ticks,value,") != std::string::npos) {
+      seqs.push_back(std::stoull(line.substr(0, line.find(','))));
+    }
+  }
+  return seqs;
+}
+
 // --- Event bus dead letters ---
 
 TEST(EventBusObs, DeadLettersAreCountedAndExposed) {
@@ -435,20 +453,21 @@ TEST(ActorSystemObs, CountsMessagesAndRecordsMailboxLatency) {
 TEST(PowerMeterObs, StampsSequencesAndRecordsPipelineMetrics) {
   auto host = obs_test_host();
   obs::Observability obs;
-  // Declared before the meter: the reporter's final flush at actor stop
-  // (inside ~PowerMeter) still writes here.
+  // Declared before the meter: the reporter's final snapshot (inside
+  // ~PowerMeter) still writes here.
   std::ostringstream csv;
   std::vector<std::uint64_t> seqs;
   PowerMeter::Config config;
   config.period = util::ms_to_ns(100);
   config.with_powerspy = false;
   config.observability = &obs;
-  PowerMeter meter(*host, obs_test_model(), config);
+  auto owned_meter = std::make_unique<PowerMeter>(*host, obs_test_model(), config);
+  PowerMeter& meter = *owned_meter;
 
   meter.add_callback_reporter(
       [&seqs](const AggregatedPower& row) { seqs.push_back(row.seq); });
-  meter.pipeline().add_metrics_reporter(csv, MetricsReporter::Format::kCsv,
-                                        /*every_n_ticks=*/5);
+  meter.add_metrics_reporter(csv, MetricsReporter::Format::kCsv,
+                             /*every_n_ticks=*/5);
   meter.monitor_all();
   meter.run_for(util::seconds_to_ns(2));
   meter.finish();
@@ -467,9 +486,11 @@ TEST(PowerMeterObs, StampsSequencesAndRecordsPipelineMetrics) {
   const auto* latency = snap.find("pipeline.tick_to_aggregate_ns");
   ASSERT_NE(latency, nullptr);
   EXPECT_GT(latency->hist.count, 0u);
-  // The meter's actor system and bus report into the same bundle: one
-  // actor (the metrics reporter), and no publish reached zero subscribers.
-  EXPECT_EQ(snap.value_of("actors.count"), 1.0);
+  // The meter's actor system and bus report into the same bundle: no
+  // actor (the metrics reporter is a plain object the meter calls), and no
+  // publish reached zero subscribers.
+  ASSERT_NE(snap.find("actors.count"), nullptr);
+  EXPECT_EQ(snap.value_of("actors.count"), 0.0);
   ASSERT_NE(snap.find("bus.dead_letters"), nullptr);
   EXPECT_EQ(snap.value_of("bus.dead_letters"), 0.0);
 
@@ -488,18 +509,23 @@ TEST(PowerMeterObs, StampsSequencesAndRecordsPipelineMetrics) {
   for (const char* stage : {"sensor-hpc", "formula-hpc", "aggregator"}) {
     EXPECT_NE(trace_json.str().find(stage), std::string::npos) << stage;
   }
+
+  // 20 ticks, a snapshot every 5, then a final one when the meter dies.
+  EXPECT_EQ(snapshot_seqs(csv.str()), (std::vector<std::uint64_t>{5, 10, 15, 20}));
+  owned_meter.reset();
+  EXPECT_EQ(snapshot_seqs(csv.str()), (std::vector<std::uint64_t>{5, 10, 15, 20, 20}));
 }
 
 TEST(PowerMeterObs, JsonReporterEmitsOneValidObjectPerLine) {
   auto host = obs_test_host();
   obs::Observability obs;
-  std::ostringstream out;  // Outlives the meter (final flush at stop).
+  std::ostringstream out;  // Outlives the meter (final snapshot in ~PowerMeter).
   PowerMeter::Config config;
   config.period = util::ms_to_ns(100);
   config.observability = &obs;
   PowerMeter meter(*host, obs_test_model(), config);
-  meter.pipeline().add_metrics_reporter(out, MetricsReporter::Format::kJson,
-                                        /*every_n_ticks=*/5);
+  meter.add_metrics_reporter(out, MetricsReporter::Format::kJson,
+                             /*every_n_ticks=*/5);
   meter.monitor_all();
   meter.run_for(util::seconds_to_ns(1));
   meter.finish();
@@ -523,7 +549,7 @@ TEST(PowerMeterObs, WithoutObservabilityNothingIsStamped) {
   std::vector<std::uint64_t> seqs;
   meter.add_callback_reporter(
       [&seqs](const AggregatedPower& row) { seqs.push_back(row.seq); });
-  EXPECT_THROW(meter.pipeline().add_metrics_reporter(std::cout), std::logic_error);
+  EXPECT_THROW(meter.add_metrics_reporter(std::cout), std::logic_error);
   meter.monitor_all();
   meter.run_for(util::seconds_to_ns(1));
   meter.finish();
@@ -537,13 +563,14 @@ TEST(FleetMonitorObs, ThreadedFleetRecordsAndExports) {
   std::vector<std::unique_ptr<os::System>> hosts;
   for (int i = 0; i < 4; ++i) hosts.push_back(obs_test_host());
 
-  std::ostringstream metrics_out;  // Outlives the fleet (final flush at stop).
+  std::ostringstream metrics_out;  // Outlives the fleet (final snapshot in ~FleetMonitor).
   obs::Observability obs;         // Outlives the fleet.
   FleetMonitor::Options options;
   options.mode = actors::ActorSystem::Mode::kThreaded;
   options.workers = 4;
   options.observability = &obs;
-  FleetMonitor fleet(options);
+  auto owned_fleet = std::make_unique<FleetMonitor>(options);
+  FleetMonitor& fleet = *owned_fleet;
   ASSERT_NE(fleet.observability(), nullptr);
 
   for (auto& host : hosts) {
@@ -574,7 +601,8 @@ TEST(FleetMonitorObs, ThreadedFleetRecordsAndExports) {
   // 4 hosts x 20 ticks each.
   EXPECT_EQ(snap.value_of("pipeline.ticks"), 80.0);
   EXPECT_GT(snap.value_of("pipeline.aggregated_rows"), 0.0);
-  EXPECT_GT(snap.value_of("actors.messages_processed"), 0.0);
+  // The metrics reporter is called by the fleet, not told: no message.
+  EXPECT_EQ(snap.value_of("actors.messages_processed", -1.0), 0.0);
   EXPECT_GE(snap.value_of("self.cpu_seconds"), 0.0);
 
   EXPECT_NE(metrics_out.str().find("# metrics snapshot"), std::string::npos);
@@ -585,6 +613,12 @@ TEST(FleetMonitorObs, ThreadedFleetRecordsAndExports) {
   // Namespaced stage spans from different hosts are present.
   EXPECT_NE(trace_json.str().find("h0/"), std::string::npos);
   EXPECT_NE(trace_json.str().find("h3/"), std::string::npos);
+
+  // Host 0 ran 20 ticks, a snapshot every 10, then a final one when the
+  // fleet dies.
+  EXPECT_EQ(snapshot_seqs(metrics_out.str()), (std::vector<std::uint64_t>{10, 20}));
+  owned_fleet.reset();
+  EXPECT_EQ(snapshot_seqs(metrics_out.str()), (std::vector<std::uint64_t>{10, 20, 20}));
 }
 
 }  // namespace

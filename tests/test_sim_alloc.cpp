@@ -1,8 +1,9 @@
 // Zero-allocation gate for the steady state: after a warm-up, one kernel
 // quantum (os::System::tick → simcpu::Machine::tick →
 // CacheHierarchy::tick_into), one monitored host-tick (advance, sensors,
-// formulas, calibration, aggregation, a callback reporter) and one fleet
-// fold (FleetSum) must not touch the heap. This binary replaces the global
+// formulas, calibration, aggregation, a callback reporter), one fleet
+// fold (FleetSum) and one actor-system drain, idle or after a tell, must
+// not touch the heap. This binary replaces the global
 // operator new/delete with counting wrappers over malloc/free, which is
 // why it is its own executable: no other suite shares the hook.
 #include <gtest/gtest.h>
@@ -252,3 +253,44 @@ TEST(MonitoringAllocations, FleetSumFoldAllocatesNothing) {
 
 }  // namespace
 }  // namespace powerapi::api
+
+namespace powerapi::actors {
+namespace {
+
+class Sink final : public Actor {
+ public:
+  void receive(Envelope&) override { ++received; }
+  std::size_t received = 0;
+};
+
+TEST(ActorAllocations, IdleDrainAllocatesNothing) {
+  // FleetMonitor::settle() drains the fleet's actors after every step, on
+  // every workload, whether or not any message is waiting.
+  ActorSystem system;
+  system.spawn_as<Sink>("sink");
+  system.drain();
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 1000; ++i) system.drain();
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+}
+
+TEST(ActorAllocations, SteadyTellAndDrainAllocateNothing) {
+  ActorSystem system;
+  auto owned = std::make_unique<Sink>();
+  const Sink& sink = *owned;
+  const ActorRef ref = system.spawn("sink", std::move(owned));
+  for (int i = 0; i < 100; ++i) {
+    ref.tell(i);
+    system.drain();
+  }
+  const std::size_t before = g_allocations.load();
+  for (int i = 0; i < 1000; ++i) {
+    ref.tell(i);
+    system.drain();
+  }
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(sink.received, 1100u);
+}
+
+}  // namespace
+}  // namespace powerapi::actors
