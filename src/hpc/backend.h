@@ -1,14 +1,14 @@
-// Counter-backend interface: the seam between PowerAPI's sensors and
-// whatever provides hardware counters — the simulator (deterministic
-// experiments) or perf_event_open (live monitoring on a real Linux box).
+// Counter-backend interface: a standalone per-target counter source — the
+// simulator (deterministic experiments) or perf_event_open (live counters
+// on a real Linux box), optionally behind the multiplexing emulation. The
+// monitoring pipeline does not read through it: its HPC sensor gathers
+// from an os::MonitorableHost (os::MonitorableHost::gather_counter_lanes).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "hpc/events.h"
-#include "simcpu/counter_lanes.h"
 #include "util/result.h"
 
 namespace powerapi::hpc {
@@ -34,15 +34,6 @@ class CounterBackend {
   /// Fails (Result error) when the target is unknown or the read races a
   /// process exit — sensors log and skip the tick.
   virtual util::Result<EventValues> read(Target target) = 0;
-
-  /// Batch read for the SoA hot path: fills one lane row per entry of
-  /// `pids` (negative pid = machine scope); a failed read leaves its row
-  /// zeroed with live()==0. Returns true when the extended side lanes (SMT
-  /// co-residency, cpu_time) were also populated; false when only the ten
-  /// event lanes are valid and the caller must source extended state
-  /// through the host interface. The base implementation loops read()
-  /// (event lanes only).
-  virtual bool read_rows(std::span<const std::int64_t> pids, simcpu::CounterLanes& out);
 };
 
 }  // namespace powerapi::hpc

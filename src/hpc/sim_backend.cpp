@@ -16,9 +16,4 @@ util::Result<EventValues> SimBackend::read(Target target) {
   return EventValues::from_block(stat->counters);
 }
 
-bool SimBackend::read_rows(std::span<const std::int64_t> pids, simcpu::CounterLanes& out) {
-  host_->gather_counter_lanes(pids, out);
-  return true;
-}
-
 }  // namespace powerapi::hpc

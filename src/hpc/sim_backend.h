@@ -1,7 +1,10 @@
 // Counter backend over a monitorable host: per-process reads come from the
 // host's task accounting, machine-wide reads from the machine counters.
 // Depends only on the MonitorableHost interface, so the same backend serves
-// the simulated System and any other host implementation.
+// the simulated System and any other host implementation. It reads one
+// target per call (the multiplexing emulation wraps it); the pipeline's HPC
+// sensor does not use it but gathers every target in one call to the host
+// (os::MonitorableHost::gather_counter_lanes).
 #pragma once
 
 #include "hpc/backend.h"
@@ -18,9 +21,6 @@ class SimBackend final : public CounterBackend {
   std::string name() const override { return "sim"; }
   bool supports(EventId) const override { return true; }
   util::Result<EventValues> read(Target target) override;
-  /// Delegates to the host's batch gather, which fills the SMT and cpu_time
-  /// side lanes too — so this returns true (extended lanes valid).
-  bool read_rows(std::span<const std::int64_t> pids, simcpu::CounterLanes& out) override;
 
  private:
   const os::MonitorableHost* host_;

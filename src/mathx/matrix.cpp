@@ -21,12 +21,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-Matrix Matrix::column(std::span<const double> values) {
-  Matrix m(values.size(), 1);
-  for (std::size_t i = 0; i < values.size(); ++i) m(i, 0) = values[i];
-  return m;
-}
-
 std::span<double> Matrix::row(std::size_t r) {
   check(r, 0);
   return {data_.data() + r * cols_, cols_};

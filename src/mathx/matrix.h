@@ -24,8 +24,6 @@ class Matrix {
 
   static Matrix identity(std::size_t n);
 
-  /// Builds a single-column matrix from a vector.
-  static Matrix column(std::span<const double> values);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }

@@ -1,11 +1,12 @@
 // MonitorableHost: the narrow host interface the monitoring pipeline needs.
 //
-// Sensors, counter backends and the pipeline assembly depend on this
-// interface rather than on the concrete simulated System, so the same
-// pipeline graph can be built over the simulator, a live /proc+perf host,
-// or a remote host proxy — and a FleetMonitor can drive many hosts of mixed
-// provenance through one actor system. Everything here is an observation
-// except advance(), which the FleetMonitor calls to move a host's time.
+// It is the only thing a host's Pipeline reads: the sensors (the HPC
+// sensor's counters come from gather_counter_lanes) and the pipeline
+// assembly depend on this interface rather than on the concrete simulated
+// System, so the same pipeline can be built over the simulator, a live
+// /proc+perf host, or a remote host proxy — and a FleetMonitor can drive
+// many hosts of mixed provenance. Everything here is an observation except
+// advance(), which the FleetMonitor calls to move a host's time.
 #pragma once
 
 #include <cstdint>
@@ -102,13 +103,12 @@ class MonitorableHost {
   // --- Batch counter gather (SoA hot path) ---
   /// Fills one CounterLanes row per requested target: row i carries the
   /// cumulative counters for `targets[i]`, where a negative pid means
-  /// machine scope. Side lanes: cpu_time (process rows; 0 for machine) and
-  /// live (0 when the target no longer exists — its lanes are left zeroed
-  /// and the caller must drop its sampling window). The base implementation
-  /// routes through proc_stat()/machine_counters(); hosts with a cheaper
-  /// internal path (the simulator's process table) override it.
+  /// machine scope. Side lanes: SMT co-residency, cpu_time (process rows; 0
+  /// for machine) and live (0 when the target no longer exists — its lanes
+  /// are left zeroed and the caller must drop its sampling window). This is
+  /// the HPC sensor's only counter read, so every host implements it.
   virtual void gather_counter_lanes(std::span<const Pid> targets,
-                                    simcpu::CounterLanes& out) const;
+                                    simcpu::CounterLanes& out) const = 0;
 };
 
 }  // namespace powerapi::os

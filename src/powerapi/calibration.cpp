@@ -12,6 +12,17 @@ namespace {
 /// Unmatched pending pairs older than this many entries are abandoned (a
 /// dropped meter sample leaves a feature report forever half-paired).
 constexpr std::size_t kMaxPending = 64;
+
+/// The index of `batch`'s machine row, if it has a matrix with one. Only
+/// machine rows pair: the HPC batch's feature row with the meter batch's
+/// measured watts at the same tick timestamp.
+std::optional<std::size_t> machine_row(const SensorBatch& batch) {
+  if (!batch.features) return std::nullopt;
+  const std::size_t machine = batch.features->find_machine_row();
+  if (machine == batch.features->rows()) return std::nullopt;
+  return machine;
+}
+
 }  // namespace
 
 Calibrator::Calibrator(std::shared_ptr<model::ModelRegistry> registry,
@@ -37,30 +48,24 @@ void Calibrator::on_update(UpdateCallback callback) {
   callbacks_.push_back(std::move(callback));
 }
 
-void Calibrator::observe(const SensorBatch& batch) {
-  // Only machine rows pair: the HPC batch's feature row with the meter
-  // batch's measured watts at the same tick timestamp.
-  if (!batch.features) return;
-  const model::FeatureMatrix& rows = *batch.features;
-  const std::size_t machine = rows.find_machine_row();
-  if (machine == rows.rows()) return;
+void Calibrator::observe_features(const SensorBatch& hpc) {
+  const std::optional<std::size_t> machine = machine_row(hpc);
+  if (!machine) return;
+  const std::size_t index = pending_at(hpc.timestamp);
+  pending_[index].features = hpc.features->row(*machine);
+  settle(index);
+}
 
-  std::size_t index = 0;
-  switch (batch.sensor) {
-    case SensorKind::kHpc:
-      index = pending_at(batch.timestamp);
-      pending_[index].features = rows.row(machine);
-      break;
-    case SensorKind::kPowerSpy:
-    case SensorKind::kRapl:
-      index = pending_at(batch.timestamp);
-      pending_[index].measured_watts =
-          rows.lane(model::FeatureMatrix::kMeasuredWattsLane)[machine];
-      break;
-    default:
-      return;
-  }
+void Calibrator::observe_measured(const SensorBatch& meter) {
+  const std::optional<std::size_t> machine = machine_row(meter);
+  if (!machine) return;
+  const std::size_t index = pending_at(meter.timestamp);
+  pending_[index].measured_watts =
+      meter.features->lane(model::FeatureMatrix::kMeasuredWattsLane)[*machine];
+  settle(index);
+}
 
+void Calibrator::settle(std::size_t index) {
   complete_if_paired(index);
   if (pending_.size() > kMaxPending) {
     pending_.erase(pending_.begin(), pending_.end() - kMaxPending);

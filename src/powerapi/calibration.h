@@ -16,8 +16,10 @@
 //   PowerSpy/RAPL batch ───┘       │                               (from the next tick)
 //                                  └─→ update callbacks (ModelUpdated)
 //
-// The Pipeline calls observe() after the tick's regression estimate, so a
-// swap at tick t first shows in tick t+1's estimates.
+// The Pipeline calls observe_features() with the HPC batch, then
+// observe_measured() with the ground-truth batch, after the tick's
+// regression estimate, so a swap at tick t first shows in tick t+1's
+// estimates.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +69,8 @@ struct ModelUpdated {
   std::size_t bins_refit = 0;           ///< Frequency bins with new formulas.
 };
 
-/// Pairs the HPC batch's machine row with the meter batch's measured watts
-/// (told apart by SensorBatch::sensor) by tick timestamp, maintains
+/// Pairs the HPC batch's machine row (observe_features) with the meter
+/// batch's measured watts (observe_measured) by tick timestamp, maintains
 /// one IncrementalOls per observed frequency bin, and swaps the registry on
 /// drift. One per host pipeline, called only by the thread that runs that
 /// host: the streaming state needs no locks, and timestamp-keyed pairing
@@ -82,9 +84,12 @@ class Calibrator final {
 
   Calibrator(std::shared_ptr<model::ModelRegistry> registry, CalibrationOptions options);
 
-  /// Absorbs one sensor batch: HPC batches supply features, PowerSpy and
-  /// RAPL batches ground truth; others are ignored.
-  void observe(const SensorBatch& batch);
+  /// Absorbs the machine row of an HPC sensor batch as the features of its
+  /// tick's pair.
+  void observe_features(const SensorBatch& hpc);
+  /// Absorbs the machine row's measured watts of a meter (PowerSpy or
+  /// RAPL) batch as the ground truth of its tick's pair.
+  void observe_measured(const SensorBatch& meter);
 
   /// Calls `callback` after every swap, on the thread that observed the
   /// batch completing the triggering pair, in registration order.
@@ -113,6 +118,9 @@ class Calibrator final {
   /// If the pending entry at `index` now has both halves, erases every
   /// pending entry at or before it and feeds the pair to on_pair.
   void complete_if_paired(std::size_t index);
+  /// complete_if_paired(index), then abandons all but the newest
+  /// kMaxPending half-paired entries.
+  void settle(std::size_t index);
   /// Adds one error to the rolling drift window.
   void push_drift_error(double error);
   void on_pair(util::TimestampNs timestamp, const model::FeatureVector& features,

@@ -20,8 +20,8 @@ void estimates_for(const SensorBatch& batch, std::string_view formula,
   out.tick_wall_ns = batch.tick_wall_ns;
 }
 
-/// Leaves `out` without a matrix and without rows: the formula does not
-/// consume the batch.
+/// Leaves `out` without a matrix and without rows: the batch has no rows
+/// the formula can estimate.
 void no_estimates(EstimateBatch& out) {
   out.features.reset();
   out.watts.clear();
@@ -38,7 +38,7 @@ RegressionFormula::RegressionFormula(std::shared_ptr<const model::ModelRegistry>
 void RegressionFormula::estimate_into(const SensorBatch& batch, EstimateBatch& out) {
   // One SensorBatch → one EstimateBatch, evaluated as a coefficient sweep
   // down the rate lanes.
-  if (batch.sensor != SensorKind::kHpc || !batch.features) return no_estimates(out);
+  if (!batch.features) return no_estimates(out);
   const auto span = stage_.span(batch.seq);
   // One immutable snapshot serves this whole batch; a concurrent swap
   // affects the next batch, never a half-read model.
@@ -74,7 +74,7 @@ void EstimatorFormula::estimate_into(const SensorBatch& batch, EstimateBatch& ou
   // Baselines are machine models: only the batch's machine row produces an
   // estimate, gathered into the feature struct the estimator interface
   // takes and returned over a 1-row matrix of its own.
-  if (batch.sensor != SensorKind::kHpc || !batch.features) return no_estimates(out);
+  if (!batch.features) return no_estimates(out);
   const auto span = stage_.span(batch.seq);
   const model::FeatureMatrix& features = *batch.features;
   const std::size_t machine = features.find_machine_row();
@@ -97,7 +97,7 @@ IoFormula::IoFormula(periph::DiskParams disk, periph::NicParams nic,
     : disk_(disk), nic_(nic), stage_(obs, name, kEstimates) {}
 
 void IoFormula::estimate_into(const SensorBatch& batch, EstimateBatch& out) {
-  if (batch.sensor != SensorKind::kIo || !batch.features) return no_estimates(out);
+  if (!batch.features) return no_estimates(out);
   const auto span = stage_.span(batch.seq);
   const model::FeatureMatrix& features = *batch.features;
   const double* disk_iops = features.lane(model::FeatureMatrix::kDiskIopsLane);

@@ -1,10 +1,11 @@
 // Formula stages: turn a SensorBatch into an EstimateBatch — one shape in,
 // one out. The Pipeline calls estimate_into() directly, in a fixed order,
-// with the batches of the sensor each formula consumes, into an
-// EstimateBatch slot it owns per formula, so a steady-state tick reuses the
-// slot's watts capacity; estimate(formula, batch) is the by-value form. A
-// batch from another sensor (or one without the rows a formula needs)
-// estimates nothing: the result has no matrix and no rows.
+// with the batch of the sensor each formula consumes (a batch names no
+// sensor: the call site decides), into an EstimateBatch slot it owns per
+// formula, so a steady-state tick reuses the slot's watts capacity;
+// estimate(formula, batch) is the by-value form. A batch without a matrix
+// (or without the rows a formula needs) estimates nothing: the result has
+// no matrix and no rows.
 #pragma once
 
 #include <memory>
@@ -39,7 +40,7 @@ class RegressionFormula final {
                              obs::Observability* obs = nullptr,
                              std::string_view name = {});
 
-  /// Estimates every row of a SensorKind::kHpc batch.
+  /// Estimates every row of an HPC sensor batch.
   void estimate_into(const SensorBatch& batch, EstimateBatch& out);
 
  private:
@@ -70,7 +71,7 @@ class EstimatorFormula final {
 /// Datasheet-based IO power formula: unlike CPU cores, disk and NIC power
 /// characteristics are published by their vendors, so the component model
 /// needs no regression — base power plus per-op and per-byte energies from
-/// the device parameters. Consumes SensorKind::kIo batches, emits
+/// the device parameters. Consumes IO sensor batches, emits
 /// "io-datasheet" estimates of the peripheral power share over the same
 /// rows.
 class IoFormula final {

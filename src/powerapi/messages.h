@@ -6,6 +6,8 @@
 //   SensorBatch     → the formulas' estimate() and the calibrator
 //   EstimateBatch   → the aggregator's absorb()
 //   AggregatedPower → every attached reporter's report()
+// A SensorBatch names no sensor: the Pipeline's call site hands each batch
+// only to the stages that consume that sensor's rows.
 //
 // Two of them also travel the event bus, published only when something
 // subscribes. Topics, within one pipeline's namespace:
@@ -21,7 +23,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "model/feature_matrix.h"
@@ -44,26 +45,6 @@ struct MonitorTick {
   std::uint64_t seq = 0;
   std::int64_t wall_ns = 0;  ///< obs::wall_now_ns() when the tick was issued.
 };
-
-/// Which sensor produced a batch. An enum rather than a string: batches are
-/// hot-path values (one per sensor per tick), and an interned tag removes
-/// a heap allocation + string compare per hop.
-enum class SensorKind : std::uint8_t {
-  kHpc,
-  kPowerSpy,
-  kRapl,
-  kIo,
-};
-
-constexpr std::string_view to_string(SensorKind kind) noexcept {
-  switch (kind) {
-    case SensorKind::kHpc: return "hpc";
-    case SensorKind::kPowerSpy: return "powerspy";
-    case SensorKind::kRapl: return "rapl";
-    case SensorKind::kIo: return "io";
-  }
-  return "?";
-}
 
 /// The one FeatureMatrix a stage samples into, tick after tick. A batch
 /// shares the matrix with the tick's estimates and with anyone who keeps
@@ -101,7 +82,6 @@ class PooledMatrix {
 /// batch) have let go of it.
 struct SensorBatch {
   util::TimestampNs timestamp = 0;
-  SensorKind sensor = SensorKind::kHpc;
   std::shared_ptr<const model::FeatureMatrix> features;
 
   // Observability correlation (copied from the triggering MonitorTick).

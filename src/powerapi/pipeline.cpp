@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "hpc/sim_backend.h"
 #include "periph/disk.h"
 #include "periph/nic.h"
 #include "powerapi/remote_reporter.h"
@@ -18,21 +17,12 @@ Pipeline::Pipeline(actors::EventBus& bus, os::MonitorableHost& host, PipelineSpe
     : bus_(&bus),
       host_(&host),
       ns_(std::move(ns)),
-      backend_(std::make_unique<hpc::SimBackend>(host)),
       registry_(std::move(spec.registry)),
       ticker_(host.now_ns(), spec.period),
       tick_topic_(bus.intern(ns_ + "tick")),
       aggregated_topic_(bus.intern(ns_ + "power:aggregated")),
       obs_(spec.observability),
-      hpc_sensor_(*backend_,
-                  [this](std::vector<std::int64_t>& out) {
-                    if (monitor_all_) {
-                      host_->pids_into(out);
-                    } else {
-                      out = fixed_targets_;
-                    }
-                  },
-                  host_, obs_, ns_ + "sensor-hpc"),
+      hpc_sensor_(host, obs_, ns_ + "sensor-hpc"),
       aggregator_(spec.dimension,
                   [h = host_](std::int64_t pid) {
                     const auto stat = h->proc_stat(pid);
@@ -103,13 +93,6 @@ Pipeline::Pipeline(actors::EventBus& bus, os::MonitorableHost& host, PipelineSpe
   for (auto& estimator : spec.estimators) add_estimator(std::move(estimator));
 }
 
-void Pipeline::monitor(std::vector<std::int64_t> pids) {
-  monitor_all_ = false;
-  fixed_targets_ = std::move(pids);
-}
-
-void Pipeline::monitor_all() { monitor_all_ = true; }
-
 std::uint64_t Pipeline::run_due_ticks() {
   const util::TimestampNs now = host_->now_ns();
   const std::uint64_t due = ticker_.due(now);
@@ -153,9 +136,9 @@ void Pipeline::run_tick(const MonitorTick& tick) {
 
   // 3. Calibration, after this tick's regression estimate.
   if (calibrator_) {
-    if (hpc) calibrator_->observe(*hpc);
+    if (hpc) calibrator_->observe_features(*hpc);
     const std::optional<SensorBatch>& truth = powerspy_sensor_ ? powerspy : rapl;
-    if (truth) calibrator_->observe(*truth);
+    if (truth) calibrator_->observe_measured(*truth);
   }
 
   // 4-5. Aggregation, then the completed rows to the reporters. Each slot

@@ -8,9 +8,9 @@
 //   2. every formula's estimate_into() on its sensor's batch, in order
 //      powerspy, rapl, io, hpc regression, then the baseline estimators in
 //      the order they were added, each into its own estimate slot;
-//   3. the calibrator's observe() on the hpc batch, then on the
-//      ground-truth batch — after the regression formula, so a swap at
-//      tick t first affects tick t+1;
+//   3. the calibrator's observe_features() on the hpc batch, then its
+//      observe_measured() on the ground-truth batch — after the regression
+//      formula, so a swap at tick t first affects tick t+1;
 //   4. the aggregator's absorb() on each estimate batch, in formula order
 //      (a formula's index is its slot), after which the slot drops its
 //      matrix so the sensors' pools reuse theirs next tick;
@@ -32,12 +32,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "actors/event_bus.h"
 #include "actors/timers.h"
 #include "baselines/estimator.h"
-#include "hpc/backend.h"
 #include "model/model_registry.h"
 #include "model/power_model.h"
 #include "obs/observability.h"
@@ -89,8 +89,8 @@ struct PipelineSpec {
 };
 
 /// One assembled pipeline over one host: the handle FleetMonitor drives.
-/// Owns the counter backend, the tick schedule, every stage and the
-/// reporters attached to it; none of them is an actor.
+/// Owns the tick schedule, every stage and the reporters attached to it;
+/// none of them is an actor. The host is the only thing it reads.
 ///
 /// A stage or reporter that throws propagates out of run_due_ticks(); the
 /// tick's remaining stages are skipped.
@@ -104,9 +104,9 @@ class Pipeline {
 
   // --- Targets ---
   /// Monitors the given pids (plus, always, the machine scope).
-  void monitor(std::vector<std::int64_t> pids);
+  void monitor(std::vector<std::int64_t> pids) { hpc_sensor_.monitor(std::move(pids)); }
   /// Monitors every live process, tracked dynamically.
-  void monitor_all();
+  void monitor_all() { hpc_sensor_.monitor_all(); }
 
   // --- Driving ---
   /// Runs the stage chain once per period elapsed on the host clock since
@@ -169,10 +169,6 @@ class Pipeline {
   actors::EventBus* bus_;
   os::MonitorableHost* host_;
   std::string ns_;
-  std::unique_ptr<hpc::CounterBackend> backend_;
-  /// The HPC sensor's targets: every live process, or `fixed_targets_`.
-  bool monitor_all_ = false;
-  std::vector<std::int64_t> fixed_targets_;
   std::shared_ptr<model::ModelRegistry> registry_;
   actors::Ticker ticker_;
   actors::EventBus::TopicId tick_topic_;

@@ -20,10 +20,9 @@ model::FeatureMatrix& machine_matrix(PooledMatrix& pool, double window_seconds) 
   return matrix;
 }
 
-SensorBatch batch_of(const MonitorTick& tick, SensorKind sensor, const PooledMatrix& pool) {
+SensorBatch batch_of(const MonitorTick& tick, const PooledMatrix& pool) {
   SensorBatch batch;
   batch.timestamp = tick.timestamp;
-  batch.sensor = sensor;
   batch.features = pool.share();
   batch.seq = tick.seq;
   batch.tick_wall_ns = tick.wall_ns;
@@ -34,13 +33,16 @@ SensorBatch batch_of(const MonitorTick& tick, SensorKind sensor, const PooledMat
 
 // --- HpcSensor ---
 
-HpcSensor::HpcSensor(hpc::CounterBackend& backend, TargetsFn targets,
-                     const os::MonitorableHost* host, obs::Observability* obs,
+HpcSensor::HpcSensor(const os::MonitorableHost& host, obs::Observability* obs,
                      std::string_view name)
-    : backend_(&backend),
-      fill_targets_(std::move(targets)),
-      host_(host),
-      stage_(obs, name, kSensorRows) {}
+    : host_(&host), stage_(obs, name, kSensorRows) {}
+
+void HpcSensor::monitor(std::vector<std::int64_t> pids) {
+  monitor_all_ = false;
+  targets_ = std::move(pids);
+}
+
+void HpcSensor::monitor_all() { monitor_all_ = true; }
 
 void HpcSensor::realign_rows(const std::vector<std::int64_t>& new_pids) {
   // The target set changed: rebuild the row layout, carrying surviving
@@ -70,7 +72,7 @@ std::optional<SensorBatch> HpcSensor::sample(const MonitorTick& tick) {
   const util::TimestampNs now = tick.timestamp;
 
   // Row layout: machine scope first, then this tick's targets.
-  fill_targets_(targets_);
+  if (monitor_all_) host_->pids_into(targets_);
   const std::vector<std::int64_t>& targets = targets_;
   bool layout_changed = pids_.size() != targets.size() + 1;
   if (!layout_changed) {
@@ -90,23 +92,7 @@ std::optional<SensorBatch> HpcSensor::sample(const MonitorTick& tick) {
   }
   const std::size_t rows = pids_.size();
 
-  const bool extended = backend_->read_rows(pids_, cur_);
-  if (!extended && host_ != nullptr) {
-    // The backend only fills generic event lanes (e.g. a real perf
-    // backend): source the SMT co-residency and cpu-time side lanes from
-    // the host interface.
-    for (std::size_t i = 0; i < rows; ++i) {
-      if (!cur_.live()[i]) continue;
-      if (pids_[i] < 0) {
-        cur_.lane(simcpu::CounterLanes::kSmtLane)[i] =
-            host_->machine_counters().smt_shared_cycles;
-        cur_.cpu_time()[i] = 0;
-      } else if (const auto stat = host_->proc_stat(pids_[i])) {
-        cur_.lane(simcpu::CounterLanes::kSmtLane)[i] = stat->counters.smt_shared_cycles;
-        cur_.cpu_time()[i] = stat->cpu_time_ns;
-      }
-    }
-  }
+  host_->gather_counter_lanes(pids_, cur_);
 
   // Per-row window state machine — SamplingWindow semantics, row-parallel:
   // a dead target drops its window (re-primes when it returns), a
@@ -148,9 +134,8 @@ std::optional<SensorBatch> HpcSensor::sample(const MonitorTick& tick) {
 
   std::optional<SensorBatch> batch;
   if (completed_count > 0) {
-    const double frequency_hz =
-        host_ != nullptr ? host_->system_stat().frequency_hz : 0.0;
-    const std::size_t hw_threads = host_ != nullptr ? host_->hw_threads() : 0;
+    const double frequency_hz = host_->system_stat().frequency_hz;
+    const std::size_t hw_threads = host_->hw_threads();
 
     model::FeatureMatrix& matrix = matrix_.next(completed_count);
     matrix.frequency_hz = frequency_hz;
@@ -173,13 +158,8 @@ std::optional<SensorBatch> HpcSensor::sample(const MonitorTick& tick) {
         if (completed_[i]) matrix.copy_row_from(extract_scratch_, i, out_row++);
       }
     }
-    if (host_ == nullptr) {
-      // Without a host there is no utilization signal.
-      double* util_lane = matrix.lane(model::FeatureMatrix::kUtilizationLane);
-      for (std::size_t i = 0; i < matrix.rows(); ++i) util_lane[i] = 0.0;
-    }
 
-    batch = batch_of(tick, SensorKind::kHpc, matrix_);
+    batch = batch_of(tick, matrix_);
     stage_.count(completed_count);
   }
 
@@ -205,7 +185,7 @@ std::optional<SensorBatch> PowerSpySensor::sample(const MonitorTick& tick) {
   machine_matrix(matrix_, 0.0).lane(model::FeatureMatrix::kMeasuredWattsLane)[0] =
       reading->watts;
   stage_.count();
-  return batch_of(tick, SensorKind::kPowerSpy, matrix_);
+  return batch_of(tick, matrix_);
 }
 
 // --- RaplSensor ---
@@ -225,7 +205,7 @@ std::optional<SensorBatch> RaplSensor::sample(const MonitorTick& tick) {
   machine_matrix(matrix_, completed->seconds)
       .lane(model::FeatureMatrix::kMeasuredWattsLane)[0] = joules / completed->seconds;
   stage_.count();
-  return batch_of(tick, SensorKind::kRapl, matrix_);
+  return batch_of(tick, matrix_);
 }
 
 // --- IoSensor ---
@@ -264,7 +244,7 @@ std::optional<SensorBatch> IoSensor::sample(const MonitorTick& tick) {
   matrix.lane(model::FeatureMatrix::kNetBytesLane)[0] =
       (totals.net_bytes - last.net_bytes) / window_s;
   stage_.count();
-  return batch_of(tick, SensorKind::kIo, matrix_);
+  return batch_of(tick, matrix_);
 }
 
 }  // namespace powerapi::api

@@ -12,13 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
 
-#include "hpc/backend.h"
 #include "model/feature_matrix.h"
 #include "os/monitorable_host.h"
 #include "powerapi/messages.h"
@@ -29,17 +27,16 @@
 
 namespace powerapi::api {
 
-/// Fills `out` with the pids to monitor at each tick (dynamic: processes
-/// come and go). Leaving it empty monitors only the machine scope. The
-/// sensor keeps `out` across ticks, so a filler that assigns into it
-/// (os::MonitorableHost::pids_into) reuses its capacity.
-using TargetsFn = std::function<void(std::vector<std::int64_t>& out)>;
-
-/// Reads HPC counters for each target plus the machine scope in one batched
-/// lane gather, converts the per-window deltas into rates lane-by-lane and
-/// samples ONE SensorKind::kHpc SensorBatch per tick (row 0 = machine
-/// scope, then the targets in monitoring order; rows whose window did not
-/// complete are left out).
+/// Gathers the host's HPC counters for the machine scope plus each target
+/// in one call (os::MonitorableHost::gather_counter_lanes), converts the
+/// per-window deltas into rates lane-by-lane and samples ONE SensorBatch
+/// per tick (row 0 = machine scope, then the targets in monitoring order;
+/// rows whose window did not complete are left out). The host also
+/// supplies the frequency and hardware-thread count the utilization lane
+/// is computed from.
+///
+/// The targets are the sensor's own: none (machine scope only) until
+/// monitor() or monitor_all() says otherwise.
 ///
 /// Window bookkeeping is kept per row as parallel arrays instead of a
 /// pid→SamplingWindow map: prime/stale/regression semantics are identical
@@ -50,18 +47,18 @@ using TargetsFn = std::function<void(std::vector<std::int64_t>& out)>;
 /// Like every sensor, it samples into a pooled matrix (PooledMatrix):
 /// a steady-state tick allocates nothing once the tick's estimates have
 /// let go of the previous batch.
-///
-/// `host` is optional: when present (simulation) it supplies frequency,
-/// utilization and — when the backend's batch read does not — the SMT
-/// co-residency and cpu-time side lanes; a live deployment passes nullptr
-/// and those fields default.
 class HpcSensor final {
  public:
-  /// `obs` and `name` (the trace span's name, e.g. "h3/sensor-hpc") are
-  /// optional; every stage takes them last.
-  HpcSensor(hpc::CounterBackend& backend, TargetsFn targets,
-            const os::MonitorableHost* host, obs::Observability* obs = nullptr,
-            std::string_view name = {});
+  /// The sensor observes but never mutates the host; the reference must
+  /// outlive the sensor. `obs` and `name` (the trace span's name, e.g.
+  /// "h3/sensor-hpc") are optional; every stage takes them last.
+  explicit HpcSensor(const os::MonitorableHost& host, obs::Observability* obs = nullptr,
+                     std::string_view name = {});
+
+  /// Monitors the given pids (plus, always, the machine scope).
+  void monitor(std::vector<std::int64_t> pids);
+  /// Monitors every live process, re-read from the host at each tick.
+  void monitor_all();
 
   /// The batch of every row whose window this tick completed, if any.
   std::optional<SensorBatch> sample(const MonitorTick& tick);
@@ -69,9 +66,11 @@ class HpcSensor final {
  private:
   void realign_rows(const std::vector<std::int64_t>& new_pids);
 
-  hpc::CounterBackend* backend_;
-  TargetsFn fill_targets_;
   const os::MonitorableHost* host_;
+  bool monitor_all_ = false;
+  /// The targets: monitor()'s pids, or (monitor_all) the host's live pids
+  /// of this tick, refilled in place so the vector keeps its capacity.
+  std::vector<std::int64_t> targets_;
 
   // Row-parallel window state. pids_[0] is always kMachinePid.
   std::vector<std::int64_t> pids_;
@@ -85,15 +84,14 @@ class HpcSensor final {
   simcpu::CounterLanes realign_lanes_;
   std::vector<util::TimestampNs> realign_last_time_;
   std::vector<std::uint8_t> realign_primed_;
-  std::vector<std::int64_t> targets_;  ///< This tick's targets, filled by fill_targets_.
   model::FeatureMatrix extract_scratch_;
   PooledMatrix matrix_;
 
   StageObs stage_;
 };
 
-/// Samples the (simulated) wall meter's reading as a 1-row
-/// SensorKind::kPowerSpy batch (measured-watts lane).
+/// Samples the (simulated) wall meter's reading as a 1-row batch
+/// (measured-watts lane).
 class PowerSpySensor final {
  public:
   explicit PowerSpySensor(std::shared_ptr<powermeter::PowerSpy> meter,
@@ -109,8 +107,7 @@ class PowerSpySensor final {
 };
 
 /// Reads the emulated RAPL MSR, differentiates energy into watts and
-/// samples a 1-row SensorKind::kRapl batch (measured-watts and window
-/// lanes). The raw MSR value is a wrapping 32-bit
+/// samples a 1-row batch (measured-watts and window lanes). The raw MSR value is a wrapping 32-bit
 /// counter, so a decrease is a wraparound, not a reset — energy_between
 /// unwraps it and the window never re-primes.
 class RaplSensor final {
@@ -129,7 +126,7 @@ class RaplSensor final {
 
 /// Differences the host's iostat-style IO counters into machine-scope rates
 /// (the disk/network dimension of the paper's component splitting),
-/// sampled as a 1-row SensorKind::kIo batch (IO and window lanes).
+/// sampled as a 1-row batch (IO and window lanes).
 /// Samples nothing when the host has no peripherals.
 class IoSensor final {
  public:

@@ -46,13 +46,6 @@ void CsvWriter::row(std::initializer_list<std::string_view> fields) {
   row(std::span<const std::string>(copy));
 }
 
-void CsvWriter::numeric_row(std::span<const double> values) {
-  std::vector<std::string> fields;
-  fields.reserve(values.size());
-  for (double v : values) fields.push_back(format_double(v));
-  row(std::span<const std::string>(fields));
-}
-
 void CsvWriter::write_fields(std::span<const std::string> fields) {
   bool first = true;
   for (const auto& f : fields) {

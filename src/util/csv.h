@@ -27,10 +27,6 @@ class CsvWriter {
   void row(std::span<const std::string> fields);
   void row(std::initializer_list<std::string_view> fields);
 
-  /// Convenience for numeric series: formats doubles with enough precision
-  /// to round-trip.
-  void numeric_row(std::span<const double> values);
-
   std::size_t rows_written() const noexcept { return rows_; }
 
  private:

@@ -161,7 +161,6 @@ SensorBatch machine_hpc_batch() {
   }
   SensorBatch batch;
   batch.timestamp = seconds_to_ns(1);
-  batch.sensor = SensorKind::kHpc;
   batch.features = std::move(matrix);
   return batch;
 }
@@ -196,9 +195,7 @@ TEST(Calibration, EstimatesCarryTheModelVersionThatProducedThem) {
   EXPECT_NE(after.watts, before.watts);
 
   // Meter pass-through estimates never claim a model version.
-  SensorBatch meter = batch;
-  meter.sensor = SensorKind::kPowerSpy;
-  EXPECT_EQ(estimate(MeterFormula("powerspy"), meter).model_version, 0u);
+  EXPECT_EQ(estimate(MeterFormula("powerspy"), batch).model_version, 0u);
 }
 
 TEST(Calibration, WarmupGateHoldsBackUnderdeterminedFits) {

@@ -12,13 +12,13 @@
 #include <string>
 #include <vector>
 
-#include "hpc/backend.h"
+#include "hpc/events.h"
 #include "model/feature_matrix.h"
 #include "model/power_model.h"
 #include "os/system.h"
 #include "powerapi/fleet_monitor.h"
 #include "powerapi/sensors.h"
-#include "util/result.h"
+#include "scripted_host.h"
 #include "workloads/behaviors.h"
 #include "workloads/stress.h"
 
@@ -160,31 +160,20 @@ struct BatchPidCollector {
   std::map<std::int64_t, double> rates;  ///< Last instruction rate per pid.
 };
 
-class ScriptedBackend final : public hpc::CounterBackend {
- public:
-  std::string name() const override { return "scripted"; }
-  bool supports(hpc::EventId) const override { return true; }
-  util::Result<hpc::EventValues> read(hpc::Target target) override {
-    return util::Result<hpc::EventValues>(values[target.pid]);
-  }
-  std::map<std::int64_t, hpc::EventValues> values;
-};
-
 TEST(FeatureBatch, RePrimeMidChunkDropsOnlyTheRegressedRow) {
-  ScriptedBackend backend;
+  testing::ScriptedHost host;
   constexpr std::int64_t kPidA = 7;
   constexpr std::int64_t kPidB = 8;
 
   BatchPidCollector seen;
-  HpcSensor sensor(backend, [](std::vector<std::int64_t>& out) { out = {kPidA, kPidB}; },
-                   nullptr);
+  HpcSensor sensor(host);
+  sensor.monitor({kPidA, kPidB});
 
   auto tick = [&](int second, std::uint64_t a, std::uint64_t b) {
     // Machine counters stay monotone throughout — only pid A regresses.
-    backend.values[hpc::Target::kMachine][hpc::EventId::kInstructions] =
-        static_cast<std::uint64_t>(second) * 10'000'000;
-    backend.values[kPidA][hpc::EventId::kInstructions] = a;
-    backend.values[kPidB][hpc::EventId::kInstructions] = b;
+    host.machine.instructions = static_cast<std::uint64_t>(second) * 10'000'000;
+    host.processes[kPidA].instructions = a;
+    host.processes[kPidB].instructions = b;
     if (const auto batch = sensor.sample(MonitorTick{seconds_to_ns(second)})) {
       seen.add(*batch);
     }

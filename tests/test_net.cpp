@@ -1,7 +1,8 @@
 // Tests for the telemetry wire: frame encode/decode (including torn and
 // malformed input), the TelemetryClient/CollectorServer loopback pair in
 // deterministic manual-poll mode, fault injection (garbage connections,
-// server restarts, mid-stream disconnects, slow readers), and the BusBridge
+// server restarts, mid-stream disconnects, slow readers), a FleetMonitor
+// host's rows shipped through its remote reporter, and the BusBridge
 // republishing decoded telemetry onto a local event bus.
 #include <gtest/gtest.h>
 
@@ -23,6 +24,10 @@
 #include "net/telemetry_client.h"
 #include "net/wire.h"
 #include "obs/observability.h"
+#include "os/system.h"
+#include "powerapi/fleet_monitor.h"
+#include "workloads/behaviors.h"
+#include "workloads/stress.h"
 
 namespace powerapi::net {
 namespace {
@@ -602,6 +607,58 @@ TEST(Loopback, RefusesConnectionsBeyondTheLimit) {
   ASSERT_EQ(sink.estimates.size(), 1u);
   first.stop();
   second.stop();
+}
+
+// --- FleetMonitor::add_remote_reporter (a host's rows over the wire) ---
+
+TEST(Loopback, RemoteReporterShipsTheHostsRowsRowForRow) {
+  RecordingCollector sink;
+  CollectorServer server({}, sink);
+  ASSERT_TRUE(server.listening()) << server.error();
+  TelemetryClient client(fast_client(server.port()));
+  ASSERT_TRUE(pump_until_connected(client, server));
+
+  os::System host(simcpu::i3_2120());
+  const os::Pid pid = host.spawn(
+      "app", std::make_unique<workloads::SteadyBehavior>(workloads::cpu_stress(0.5), 0));
+  model::FrequencyFormula formula;
+  formula.frequency_hz = 3.3e9;
+  formula.events = {hpc::EventId::kInstructions};
+  formula.coefficients = {2e-9};
+  api::PipelineSpec spec;
+  spec.dimension = api::AggregationDimension::kPid;
+  spec.model = model::CpuPowerModel(30.0, {formula});
+
+  // The memory reporter and the remote reporter see the same rows of the
+  // same host; the collector is polled on this thread after the run.
+  api::FleetMonitor fleet;
+  const std::size_t index = fleet.add_host(host, std::move(spec));
+  fleet.monitor(index, {pid});
+  const api::MemoryReporter& memory = fleet.add_memory_reporter(index);
+  fleet.add_remote_reporter(index, client);
+  fleet.run_for(seconds_to_ns(2));
+  fleet.finish();
+
+  const std::vector<api::AggregatedPower>& expected = memory.all();
+  ASSERT_FALSE(expected.empty());
+  ASSERT_TRUE(client.flush(2000));
+  for (int i = 0; i < 2000 && sink.aggregated.size() < expected.size(); ++i) {
+    server.poll_once(1);
+  }
+
+  ASSERT_EQ(sink.aggregated.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(sink.aggregated[i].timestamp, expected[i].timestamp) << "row " << i;
+    EXPECT_EQ(sink.aggregated[i].pid, expected[i].pid) << "row " << i;
+    EXPECT_EQ(sink.aggregated[i].group, expected[i].group) << "row " << i;
+    EXPECT_EQ(sink.aggregated[i].formula, expected[i].formula) << "row " << i;
+    EXPECT_EQ(sink.aggregated[i].watts, expected[i].watts) << "row " << i;
+  }
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.records_enqueued, expected.size());
+  EXPECT_EQ(stats.records_enqueued, stats.records_sent + stats.records_dropped);
+  EXPECT_EQ(stats.records_dropped, 0u);
+  client.stop();
 }
 
 // --- Threaded event loops (the start() paths) ---

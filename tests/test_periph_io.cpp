@@ -10,10 +10,10 @@
 #include <optional>
 #include <vector>
 
-#include "os/monitorable_host.h"
 #include "os/system.h"
 #include "powerapi/formulas.h"
 #include "powerapi/sensors.h"
+#include "scripted_host.h"
 #include "workloads/behaviors.h"
 #include "workloads/stress.h"
 
@@ -23,37 +23,7 @@ namespace {
 using util::ms_to_ns;
 using util::seconds_to_ns;
 
-/// A host whose IO totals are scripted by the test: the sensor's input is
-/// then exact, so rate assertions can be EXPECT_DOUBLE_EQ, not NEAR.
-class ScriptedIoHost final : public os::MonitorableHost {
- public:
-  ScriptedIoHost() : disk_(periph::DiskParams{}), nic_(periph::NicParams{}) {}
-
-  std::vector<os::Pid> pids() const override { return {}; }
-  std::optional<os::ProcStat> proc_stat(os::Pid) const override {
-    return std::nullopt;
-  }
-  os::SystemStat system_stat() const override { return {}; }
-  util::TimestampNs now_ns() const override { return now_; }
-  const simcpu::CounterBlock& machine_counters() const override {
-    return counters_;
-  }
-  std::size_t hw_threads() const override { return 4; }
-  double total_energy_joules() const override { return 0.0; }
-  double package_energy_joules() const override { return 0.0; }
-  const os::IoTotals& io_totals() const override { return totals_; }
-  const periph::DiskModel* disk() const override { return &disk_; }
-  const periph::NicModel* nic() const override { return &nic_; }
-  void advance(util::DurationNs duration) override { now_ += duration; }
-
-  os::IoTotals totals_;
-  util::TimestampNs now_ = 0;
-
- private:
-  simcpu::CounterBlock counters_;
-  periph::DiskModel disk_;
-  periph::NicModel nic_;
-};
+using testing::ScriptedHost;  // Scripted IO totals: exact rates.
 
 // --- IoTotals accounting (os::System with peripherals) ---
 
@@ -110,18 +80,17 @@ double io_lane(const SensorBatch& batch, std::size_t lane) {
 }
 
 TEST(IoSensor, DifferencesTotalsIntoExactRates) {
-  ScriptedIoHost host;
+  ScriptedHost host;
   IoSensor sensor(host);
 
-  host.totals_ = {100.0, 1e6, 2e6};
+  host.io = {100.0, 1e6, 2e6};
   EXPECT_FALSE(sensor.sample(MonitorTick{seconds_to_ns(1)}));  // Priming tick.
 
-  host.totals_ = {150.0, 3e6, 6e6};  // +50 ops, +2 MB disk, +4 MB net.
+  host.io = {150.0, 3e6, 6e6};  // +50 ops, +2 MB disk, +4 MB net.
   const std::optional<SensorBatch> batch =
       sensor.sample(MonitorTick{seconds_to_ns(3)});  // 2 s window.
   ASSERT_TRUE(batch);
   const SensorBatch& b = *batch;
-  EXPECT_EQ(b.sensor, SensorKind::kIo);
   EXPECT_EQ(b.timestamp, seconds_to_ns(3));
   ASSERT_EQ(b.features->rows(), 1u);
   EXPECT_EQ(b.features->pid(0), kMachinePid);
@@ -135,22 +104,22 @@ TEST(IoSensor, DifferencesTotalsIntoExactRates) {
 }
 
 TEST(IoSensor, CounterRegressionReprimesInsteadOfNegativeRates) {
-  ScriptedIoHost host;
+  ScriptedHost host;
   IoSensor sensor(host);
 
-  host.totals_ = {100.0, 1e6, 1e6};
+  host.io = {100.0, 1e6, 1e6};
   EXPECT_FALSE(sensor.sample(MonitorTick{seconds_to_ns(1)}));
-  host.totals_ = {200.0, 2e6, 2e6};
+  host.io = {200.0, 2e6, 2e6};
   EXPECT_TRUE(sensor.sample(MonitorTick{seconds_to_ns(2)}));
 
   // The counter source resets (device re-probe / wraparound at the OS
   // boundary): totals regress. Differencing across the reset would yield a
   // negative rate — the sensor must skip the tick and re-prime instead.
-  host.totals_ = {10.0, 1e5, 1e5};
+  host.io = {10.0, 1e5, 1e5};
   EXPECT_FALSE(sensor.sample(MonitorTick{seconds_to_ns(3)}));  // No batch on the reset tick.
 
   // The next window differences against the POST-reset baseline.
-  host.totals_ = {20.0, 2e5, 3e5};
+  host.io = {20.0, 2e5, 3e5};
   const std::optional<SensorBatch> b = sensor.sample(MonitorTick{seconds_to_ns(4)});
   ASSERT_TRUE(b);
   EXPECT_DOUBLE_EQ(io_lane(*b, model::FeatureMatrix::kDiskIopsLane), 10.0);
@@ -168,9 +137,8 @@ TEST(IoSensor, SilentWhenHostHasNoDisk) {
 
 // --- The rates' contribution to the datasheet power estimate ---
 
-/// A 1-row machine-scope batch from `sensor` with the given IO rates.
-SensorBatch io_batch(SensorKind sensor, double iops, double disk_bytes_per_sec,
-                     double net_bytes_per_sec) {
+/// A 1-row machine-scope IO batch with the given rates.
+SensorBatch io_batch(double iops, double disk_bytes_per_sec, double net_bytes_per_sec) {
   auto matrix = std::make_shared<model::FeatureMatrix>();
   matrix->resize(1);
   matrix->pids()[0] = kMachinePid;
@@ -180,7 +148,6 @@ SensorBatch io_batch(SensorKind sensor, double iops, double disk_bytes_per_sec,
   matrix->lane(model::FeatureMatrix::kNetBytesLane)[0] = net_bytes_per_sec;
   SensorBatch batch;
   batch.timestamp = seconds_to_ns(2);
-  batch.sensor = sensor;
   batch.features = std::move(matrix);
   return batch;
 }
@@ -190,7 +157,7 @@ TEST(IoFormula, ChargesDatasheetEnergiesForReportedRates) {
   const periph::NicParams nic;
   IoFormula formula(disk, nic);
 
-  const SensorBatch batch = io_batch(SensorKind::kIo, 50.0, 10e6, 4e6);
+  const SensorBatch batch = io_batch(50.0, 10e6, 4e6);
   const EstimateBatch e = estimate(formula, batch);
   EXPECT_EQ(e.formula, "io-datasheet");
   EXPECT_EQ(e.timestamp, seconds_to_ns(2));
@@ -207,10 +174,12 @@ TEST(IoFormula, ChargesDatasheetEnergiesForReportedRates) {
   EXPECT_DOUBLE_EQ(e.watts[0], expected);
 }
 
-TEST(IoFormula, IgnoresReportsFromOtherSensors) {
+TEST(IoFormula, BatchWithoutMatrixEstimatesNothing) {
   IoFormula formula(periph::DiskParams{}, periph::NicParams{});
-  // Not an IO batch: no rows.
-  const EstimateBatch e = estimate(formula, io_batch(SensorKind::kHpc, 50.0, 10e6, 4e6));
+  // A batch with no matrix (no window completed): no rows.
+  SensorBatch batch = io_batch(50.0, 10e6, 4e6);
+  batch.features.reset();
+  const EstimateBatch e = estimate(formula, batch);
   EXPECT_EQ(e.features, nullptr);
   EXPECT_TRUE(e.watts.empty());
 }

@@ -1,20 +1,22 @@
 // Pipeline-layer units: the SamplingWindow bookkeeping core, the
 // counter-underflow guard in HpcSensor (pid reuse), PowerMeter's tick
-// coalescing under a coarse kernel quantum, and finish() flush semantics.
+// coalescing under a coarse kernel quantum, finish() flush semantics and
+// the console reporter's lines.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 
 #include "actors/actor_system.h"
 #include "actors/event_bus.h"
-#include "hpc/backend.h"
 #include "os/system.h"
 #include "powerapi/power_meter.h"
 #include "powerapi/sampling_window.h"
 #include "powerapi/sensors.h"
+#include "scripted_host.h"
 #include "workloads/behaviors.h"
 #include "workloads/stress.h"
 
@@ -86,27 +88,17 @@ TEST(SamplingWindow, ConsecutiveWindowsChain) {
 
 // --- HpcSensor counter-underflow guard (pid reuse / counter reset) ---
 
-/// A backend whose cumulative counters the test scripts directly.
-class ScriptedBackend final : public hpc::CounterBackend {
- public:
-  std::string name() const override { return "scripted"; }
-  bool supports(hpc::EventId) const override { return true; }
-  util::Result<hpc::EventValues> read(hpc::Target target) override {
-    return util::Result<hpc::EventValues>(values[target.pid]);
-  }
-  std::map<std::int64_t, hpc::EventValues> values;
-};
-
 TEST(HpcSensor, CounterRegressionRePrimesInsteadOfWrapping) {
-  ScriptedBackend backend;
+  testing::ScriptedHost host;
   constexpr std::int64_t kPid = 42;
-  HpcSensor sensor(backend, [](std::vector<std::int64_t>& out) { out = {kPid}; }, nullptr);
+  HpcSensor sensor(host);
+  sensor.monitor({kPid});
 
   std::vector<SensorBatch> batches;
   auto tick = [&](int second, std::uint64_t instructions) {
-    backend.values[hpc::Target::kMachine][hpc::EventId::kInstructions] =
+    host.machine.instructions =
         instructions * 10;  // Machine counters stay monotone throughout.
-    backend.values[kPid][hpc::EventId::kInstructions] = instructions;
+    host.processes[kPid].instructions = instructions;
     if (auto batch = sensor.sample(MonitorTick{seconds_to_ns(second)})) {
       batches.push_back(std::move(*batch));
     }
@@ -248,6 +240,40 @@ TEST(PowerMeter, FinishFlushesPendingGroupsExactlyOnce) {
         seen.insert({row.timestamp, row.pid, row.group, row.formula}).second)
         << "duplicate row for formula " << row.formula << " at t=" << row.timestamp;
   }
+}
+
+// --- add_console_reporter: one human-readable line per row ---
+
+TEST(PowerMeter, ConsoleReporterWritesOneLinePerRowInArrivalOrder) {
+  os::System system(simcpu::i3_2120());
+  const os::Pid pid = system.spawn(
+      "app", std::make_unique<workloads::SteadyBehavior>(workloads::cpu_stress(), 0));
+  PowerMeter::Config config;
+  config.dimension = AggregationDimension::kPid;
+  PowerMeter meter(system, tiny_model(), config);
+  meter.monitor({pid});
+  std::ostringstream console;
+  meter.pipeline().add_console_reporter(console);
+  const MemoryReporter& memory = meter.add_memory_reporter();
+  meter.run_for(seconds_to_ns(1));
+  meter.finish();
+
+  // "t=<seconds>s machine|pid=<pid> <formula> <watts> W", one per row.
+  ASSERT_FALSE(memory.all().empty());
+  std::ostringstream expected;
+  for (const AggregatedPower& row : memory.all()) {
+    expected << "t=" << util::ns_to_seconds(row.timestamp) << "s ";
+    if (row.pid == kMachinePid) {
+      expected << "machine";
+    } else {
+      expected << "pid=" << row.pid;
+    }
+    expected << " " << row.formula << " " << row.watts << " W\n";
+  }
+  EXPECT_EQ(console.str(), expected.str());
+  EXPECT_NE(console.str().find(" machine powerspy "), std::string::npos);
+  EXPECT_NE(console.str().find(" pid=" + std::to_string(pid) + " powerapi-hpc "),
+            std::string::npos);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "baselines/estimator.h"
-#include "hpc/sim_backend.h"
 #include "os/system.h"
 #include "powerapi/aggregators.h"
 #include "powerapi/formulas.h"
@@ -45,8 +44,7 @@ TEST(HpcSensor, FirstTickPrimesSecondTickReports) {
   os::System system(simcpu::i3_2120());
   system.spawn("app", std::make_unique<workloads::SteadyBehavior>(
                           workloads::cpu_stress(), 0));
-  hpc::SimBackend backend(system);
-  HpcSensor sensor(backend, [](std::vector<std::int64_t>& out) { out.clear(); }, &system);
+  HpcSensor sensor(system);
 
   system.run_for(ms_to_ns(10));
   EXPECT_FALSE(sensor.sample(MonitorTick{system.now_ns()}));  // Priming tick.
@@ -54,7 +52,6 @@ TEST(HpcSensor, FirstTickPrimesSecondTickReports) {
   system.run_for(ms_to_ns(10));
   const std::optional<SensorBatch> batch = sensor.sample(MonitorTick{system.now_ns()});
   ASSERT_TRUE(batch);
-  EXPECT_EQ(batch->sensor, SensorKind::kHpc);
   const model::FeatureMatrix& m = *batch->features;
   ASSERT_EQ(m.rows(), 1u);  // Machine scope only.
   EXPECT_EQ(m.pid(0), kMachinePid);
@@ -71,10 +68,8 @@ TEST(HpcSensor, ReportsEachMonitoredPidAndForgetsDeadOnes) {
   os::System system(simcpu::i3_2120());
   const os::Pid pid = system.spawn(
       "app", std::make_unique<workloads::SteadyBehavior>(workloads::cpu_stress(), 0));
-  hpc::SimBackend backend(system);
-  std::vector<std::int64_t> targets = {pid};
-  HpcSensor sensor(backend, [&targets](std::vector<std::int64_t>& out) { out = targets; },
-                   &system);
+  HpcSensor sensor(system);
+  sensor.monitor({pid});
 
   std::vector<SensorBatch> batches;
   for (int i = 0; i < 3; ++i) {
@@ -90,9 +85,9 @@ TEST(HpcSensor, ReportsEachMonitoredPidAndForgetsDeadOnes) {
   }
 
   // Kill the process and drop it from the target list (as monitor_all's
-  // dynamic provider does): the sensor keeps sampling the machine scope.
+  // per-tick refill does): the sensor keeps sampling the machine scope.
   system.kill(pid);
-  targets.clear();
+  sensor.monitor({});
   system.run_for(ms_to_ns(10));
   const std::optional<SensorBatch> after = sensor.sample(MonitorTick{system.now_ns()});
   ASSERT_TRUE(after);
@@ -101,8 +96,7 @@ TEST(HpcSensor, ReportsEachMonitoredPidAndForgetsDeadOnes) {
 
 TEST(HpcSensor, IgnoresStaleTimestamps) {
   os::System system(simcpu::i3_2120());
-  hpc::SimBackend backend(system);
-  HpcSensor sensor(backend, [](std::vector<std::int64_t>& out) { out.clear(); }, &system);
+  HpcSensor sensor(system);
 
   system.run_for(ms_to_ns(5));
   EXPECT_FALSE(sensor.sample(MonitorTick{system.now_ns()}));  // Prime.
@@ -130,7 +124,6 @@ TEST(RegressionFormula, MachineRowsGetIdleProcessRowsDoNot) {
   }
   SensorBatch hpc;
   hpc.timestamp = 100;
-  hpc.sensor = SensorKind::kHpc;
   hpc.features = matrix;
 
   const EstimateBatch e = estimate(formula, hpc);
@@ -141,13 +134,6 @@ TEST(RegressionFormula, MachineRowsGetIdleProcessRowsDoNot) {
   ASSERT_EQ(e.watts.size(), 2u);
   EXPECT_NEAR(e.watts[0], 30.0 + 2.0, 1e-9);  // Idle + activity.
   EXPECT_NEAR(e.watts[1], 2.0, 1e-9);         // Activity only.
-
-  // An IO batch estimates nothing.
-  SensorBatch io = hpc;
-  io.sensor = SensorKind::kIo;
-  const EstimateBatch ignored = estimate(formula, io);
-  EXPECT_EQ(ignored.features, nullptr);
-  EXPECT_TRUE(ignored.watts.empty());
 }
 
 // --- EstimatorFormula ---
@@ -177,7 +163,6 @@ TEST(EstimatorFormula, EstimatesOnlyTheMachineRowOverItsOwnMatrix) {
   matrix->rate_lane(hpc::EventId::kInstructions)[1] = 5e9;
   SensorBatch hpc;
   hpc.timestamp = 100;
-  hpc.sensor = SensorKind::kHpc;
   hpc.features = matrix;
 
   const EstimateBatch e = estimate(formula, hpc);

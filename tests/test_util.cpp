@@ -15,7 +15,6 @@
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/result.h"
-#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/round.h"
 #include "util/stats.h"
@@ -351,26 +350,6 @@ TEST(StringUtil, JoinAndLower) {
   EXPECT_EQ(to_lower("PowerAPI"), "powerapi");
   EXPECT_TRUE(starts_with("powerapi-model", "powerapi"));
   EXPECT_FALSE(starts_with("po", "powerapi"));
-}
-
-// --- RingBuffer ---
-
-TEST(RingBuffer, KeepsMostRecent) {
-  RingBuffer<int> rb(3);
-  EXPECT_TRUE(rb.empty());
-  for (int i = 1; i <= 5; ++i) rb.push(i);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.size(), 3u);
-  EXPECT_EQ(rb.at(0), 3);
-  EXPECT_EQ(rb.at(2), 5);
-  EXPECT_EQ(rb.back(), 5);
-  const auto snap = rb.snapshot();
-  EXPECT_EQ(snap, (std::vector<int>{3, 4, 5}));
-  EXPECT_THROW(rb.at(3), std::out_of_range);
-  rb.clear();
-  EXPECT_TRUE(rb.empty());
-  EXPECT_THROW(rb.back(), std::out_of_range);
-  EXPECT_THROW(RingBuffer<int>(0), std::invalid_argument);
 }
 
 // --- Result ---
