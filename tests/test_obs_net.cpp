@@ -164,6 +164,76 @@ TEST(WireCompat, DecoderAcceptsPr5Stream) {
   EXPECT_EQ(decoder.records_decoded(), 4u);
 }
 
+// --- Row golden frame ---
+
+// The exact bytes of a hello, one batch of rows and a bye. Rows are the
+// only record a stream carries besides dict entries, and the batch covers
+// every field of one: machine and per-pid rows, grouped and ungrouped, a
+// formula name past the small-string length, a backwards timestamp step.
+// Any change to a row's encoding, the dictionary or the frame header moves
+// these bytes.
+constexpr const char* kGoldenRowHex =
+    "505741500101040000000f6ea52e010268305057415001027000000056cb178001000c"
+    "706f7765726170692d6870630101000380cab5ee010100013d0ad7a370dd4f4001021a"
+    "706f7765726170692d6870632d7065722d6672657175656e63790300a44202017b14ae"
+    "47e17a244001030377656203000100037b14ae47e17a044003ff887a0e0001d7a3703d"
+    "0ad717405057415001030000000089671d22";
+
+std::vector<std::uint8_t> golden_row_stream() {
+  auto row = [](std::int64_t ts_ns, std::int64_t pid, const char* group,
+                const char* formula, double watts) {
+    api::AggregatedPower r;
+    r.timestamp = ts_ns;
+    r.pid = pid;
+    r.group = group;
+    r.formula = formula;
+    r.watts = watts;
+    return r;
+  };
+  WireEncoder encoder;
+  std::vector<std::uint8_t> stream;
+  auto append = [&stream](const std::vector<std::uint8_t>& frame) {
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  };
+  append(WireEncoder::hello_frame("h0"));
+  encoder.add(row(250'000'000, api::kMachinePid, "", "powerapi-hpc", 63.73));
+  encoder.add(row(250'000'000, 4242, "", "powerapi-hpc-per-frequency", 10.24));
+  encoder.add(row(250'000'000, api::kMachinePid, "web", "powerapi-hpc", 2.56));
+  encoder.add(row(249'000'000, 7, "", "powerapi-hpc", 5.96));
+  append(encoder.take_batch_frame());
+  append(WireEncoder::bye_frame());
+  return stream;
+}
+
+TEST(WireCompat, RowStreamBytesArePinned) {
+  EXPECT_EQ(to_hex(golden_row_stream()), kGoldenRowHex);
+}
+
+TEST(WireCompat, DecoderAcceptsPinnedRowStream) {
+  const std::vector<std::uint8_t> stream = golden_row_stream();
+  FrameDecoder decoder;
+  ObsRecordingSink sink;
+  ASSERT_TRUE(decoder.consume(stream.data(), stream.size(), sink))
+      << decoder.error();
+  ASSERT_EQ(sink.hellos.size(), 1u);
+  EXPECT_EQ(sink.hellos[0], "h0");
+  ASSERT_EQ(sink.aggregated.size(), 4u);
+  EXPECT_EQ(sink.aggregated[0].pid, api::kMachinePid);
+  EXPECT_EQ(sink.aggregated[0].group, "");
+  EXPECT_DOUBLE_EQ(sink.aggregated[0].watts, 63.73);
+  EXPECT_EQ(sink.aggregated[1].pid, 4242);
+  EXPECT_EQ(sink.aggregated[1].formula, "powerapi-hpc-per-frequency");
+  EXPECT_EQ(sink.aggregated[2].group, "web");
+  EXPECT_EQ(sink.aggregated[2].formula, "powerapi-hpc");
+  EXPECT_EQ(sink.aggregated[3].timestamp, 249'000'000);
+  EXPECT_EQ(sink.aggregated[3].pid, 7);
+  EXPECT_DOUBLE_EQ(sink.aggregated[3].watts, 5.96);
+  EXPECT_EQ(sink.byes, 1);
+  EXPECT_EQ(decoder.snapshots_decoded(), 0u);
+  EXPECT_EQ(decoder.spans_decoded(), 0u);
+  EXPECT_EQ(decoder.records_decoded(), 4u);
+}
+
 // --- Obs frame round trips ---
 
 TEST(WireObs, MetricsSnapshotRoundTripsValuesAndHistograms) {
