@@ -21,24 +21,33 @@ namespace {
 
 constexpr int kBatchRecords = 128;
 
-api::PowerEstimate sample_estimate(std::int64_t tick) {
-  api::PowerEstimate e;
-  e.timestamp = tick * 250'000'000;
-  e.pid = api::kMachinePid;
-  e.formula = "powerapi-hpc";
-  e.watts = 31.48 + 0.001 * static_cast<double>(tick % 97);
-  e.model_version = 1;
-  return e;
+/// A steady-state machine row, the record shape the wire carries.
+api::AggregatedPower sample_row(std::int64_t tick) {
+  api::AggregatedPower row;
+  row.timestamp = tick * 250'000'000;
+  row.pid = api::kMachinePid;
+  row.formula = "powerapi-hpc";
+  row.watts = 31.48 + 0.001 * static_cast<double>(tick % 97);
+  return row;
 }
+
+/// Discards decoded frames; the codec is what's measured.
+struct DiscardSink final : net::WireSink {
+  void on_hello(std::string_view, std::uint8_t) override {}
+  void on_aggregated(const api::AggregatedPower&) override {}
+  void on_metrics_snapshot(std::int64_t, const obs::MetricsSnapshot&) override {}
+  void on_spans(std::int64_t, const std::vector<net::RemoteSpan>&) override {}
+  void on_bye() override {}
+};
 
 /// Pure wire cost: one batch of records encoded, framed, CRC'd, decoded.
 void wire_roundtrip(benchmark::State& state) {
   net::WireEncoder encoder;
   net::FrameDecoder decoder;
-  net::WireSink sink;  // Discards records; the codec is what's measured.
+  DiscardSink sink;
   std::int64_t tick = 0;
   for (auto _ : state) {
-    for (int i = 0; i < kBatchRecords; ++i) encoder.add(sample_estimate(tick++));
+    for (int i = 0; i < kBatchRecords; ++i) encoder.add(sample_row(tick++));
     const auto frame = encoder.take_batch_frame();
     if (!decoder.consume(frame.data(), frame.size(), sink)) {
       state.SkipWithError("decode failed");
@@ -86,7 +95,7 @@ void loopback_throughput(benchmark::State& state) {
     ++tick;
     for (auto& client : clients) {
       for (int i = 0; i < kBatchRecords; ++i) {
-        client->report(sample_estimate(tick));
+        client->report(sample_row(tick));
       }
     }
     expected += agents * kBatchRecords;

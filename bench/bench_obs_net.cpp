@@ -25,15 +25,24 @@ namespace {
 constexpr int kBatchRecords = 128;
 constexpr int kSpansPerFrame = 128;
 
-api::PowerEstimate sample_estimate(std::int64_t tick) {
-  api::PowerEstimate e;
-  e.timestamp = tick * 250'000'000;
-  e.pid = api::kMachinePid;
-  e.formula = "powerapi-hpc";
-  e.watts = 31.48 + 0.001 * static_cast<double>(tick % 97);
-  e.model_version = 1;
-  return e;
+/// A steady-state machine row, the record shape the wire carries.
+api::AggregatedPower sample_row(std::int64_t tick) {
+  api::AggregatedPower row;
+  row.timestamp = tick * 250'000'000;
+  row.pid = api::kMachinePid;
+  row.formula = "powerapi-hpc";
+  row.watts = 31.48 + 0.001 * static_cast<double>(tick % 97);
+  return row;
 }
+
+/// Discards decoded frames; the codec is what's measured.
+struct DiscardSink final : net::WireSink {
+  void on_hello(std::string_view, std::uint8_t) override {}
+  void on_aggregated(const api::AggregatedPower&) override {}
+  void on_metrics_snapshot(std::int64_t, const obs::MetricsSnapshot&) override {}
+  void on_spans(std::int64_t, const std::vector<net::RemoteSpan>&) override {}
+  void on_bye() override {}
+};
 
 /// A registry shaped like a real agent's: counters, gauges, histograms.
 obs::MetricsRegistry& agent_registry() {
@@ -58,7 +67,7 @@ void metrics_frame_roundtrip(benchmark::State& state) {
   const obs::MetricsSnapshot snapshot = agent_registry().snapshot();
   net::WireEncoder encoder;
   net::FrameDecoder decoder;
-  net::WireSink sink;
+  DiscardSink sink;
   std::int64_t stamp = 0;
   for (auto _ : state) {
     const auto frame = encoder.take_metrics_frame(snapshot, ++stamp);
@@ -78,7 +87,7 @@ void spans_frame_roundtrip(benchmark::State& state) {
   const auto name = trace.intern("bench/span");
   net::WireEncoder encoder;
   net::FrameDecoder decoder;
-  net::WireSink sink;
+  DiscardSink sink;
   std::vector<obs::TraceCollector::Span> drained;
   std::int64_t tick = 0;
   for (auto _ : state) {
@@ -136,7 +145,7 @@ void loopback_obs_cadence(benchmark::State& state) {
     agent_obs.metrics.counter("bench.rounds").add(1);
     agent_obs.trace.complete(span_name, tick * 1'000'000, 250'000,
                              static_cast<std::uint64_t>(tick));
-    for (int i = 0; i < kBatchRecords; ++i) client.report(sample_estimate(tick));
+    for (int i = 0; i < kBatchRecords; ++i) client.report(sample_row(tick));
     expected += kBatchRecords;
     int spins = 0;
     while (server.stats().records_decoded < expected) {
@@ -161,7 +170,7 @@ void loopback_obs_cadence(benchmark::State& state) {
 BENCHMARK(metrics_frame_roundtrip)->Unit(benchmark::kMicrosecond);
 BENCHMARK(spans_frame_roundtrip)->Unit(benchmark::kMicrosecond);
 BENCHMARK(loopback_obs_cadence)
-    ->Arg(0)      // Obs plane off: the PR 5 baseline.
+    ->Arg(0)      // Obs plane off: the rows-only baseline.
     ->Arg(1000)   // Issue-spec cadence: 1 s.
     ->Arg(100)    // Aggressive cadence: 100 ms.
     ->Unit(benchmark::kMillisecond);

@@ -86,7 +86,7 @@ int agent_main(std::size_t index, std::uint16_t port,
   obs::Observability obs;
   net::TelemetryClientOptions options;
   options.port = port;
-  options.agent_id = "h" + std::to_string(index);
+  options.agent_id = std::string("h").append(std::to_string(index));
   options.obs = &obs;
   options.obs_interval_ms = obs_cadence_ms;  // 0 = PR-5-identical wire.
   net::TelemetryClient client(options);

@@ -6,11 +6,15 @@
 
 namespace powerapi::net {
 
+namespace {
+/// Prefix of every topic the bridge publishes on.
+constexpr std::string_view kTopicPrefix = "remote/";
+}  // namespace
+
 BusBridge::BusBridge(actors::EventBus& bus, BusBridgeOptions options)
     : bus_(&bus),
       options_(std::move(options)),
-      merged_estimate_(bus.intern(options_.topic_prefix + "power:estimation")),
-      merged_aggregated_(bus.intern(options_.topic_prefix + "power:aggregated")) {
+      merged_aggregated_(bus.intern(std::string(kTopicPrefix) + "power:aggregated")) {
   if (options_.obs != nullptr) {
     collector_id_ = options_.obs->metrics.add_collector(
         [this](obs::SnapshotBuilder& builder) { collect(builder); });
@@ -43,15 +47,15 @@ void BusBridge::assign_label_locked(ConnId conn, AgentState& agent,
   // suffix the newcomer with its connection id.
   for (const auto& [other_conn, other] : agents_) {
     if (other_conn != conn && other.label == label) {
-      label += "#" + std::to_string(conn);
+      label.append("#").append(std::to_string(conn));
       break;
     }
   }
   agent.label = std::move(label);
   if (options_.per_agent_topics) {
-    const std::string ns = options_.topic_prefix + agent.label + "/";
-    agent.estimate_topic = bus_->intern(ns + "power:estimation");
-    agent.aggregated_topic = bus_->intern(ns + "power:aggregated");
+    agent.aggregated_topic = bus_->intern(std::string(kTopicPrefix)
+                                              .append(agent.label)
+                                              .append("/power:aggregated"));
   }
 }
 
@@ -77,19 +81,6 @@ void BusBridge::on_hello(ConnId conn, std::string_view agent_id,
   agent.last_update_ns = now_ns();
 }
 
-void BusBridge::on_estimate(ConnId conn, const api::PowerEstimate& estimate) {
-  actors::EventBus::TopicId topic = actors::EventBus::kNoTopic;
-  {
-    std::lock_guard lock(mutex_);
-    AgentState& agent = state_locked(conn);
-    agent.last_update_ns = now_ns();
-    topic = agent.estimate_topic;
-  }
-  // Publish outside the lock: subscribers run arbitrary code.
-  if (topic != actors::EventBus::kNoTopic) bus_->publish(topic, estimate);
-  bus_->publish(merged_estimate_, estimate);
-}
-
 void BusBridge::on_aggregated(ConnId conn, const api::AggregatedPower& row) {
   actors::EventBus::TopicId topic = actors::EventBus::kNoTopic;
   {
@@ -98,19 +89,9 @@ void BusBridge::on_aggregated(ConnId conn, const api::AggregatedPower& row) {
     agent.last_update_ns = now_ns();
     topic = agent.aggregated_topic;
   }
+  // Publish outside the lock: subscribers run arbitrary code.
   if (topic != actors::EventBus::kNoTopic) bus_->publish(topic, row);
   bus_->publish(merged_aggregated_, row);
-}
-
-void BusBridge::on_metric(ConnId conn, std::string_view name,
-                          obs::MetricKind /*kind*/, double value) {
-  if (options_.obs == nullptr) return;
-  std::lock_guard lock(mutex_);
-  AgentState& agent = state_locked(conn);
-  // Every remote metric kind lands as a gauge: the wire carries point-in-
-  // time values (a remote counter's running total IS a gauge here).
-  agent.metrics[std::string(name)] = value;
-  agent.last_update_ns = now_ns();
 }
 
 void BusBridge::on_metrics_snapshot(ConnId conn, std::int64_t /*send_wall_ns*/,
@@ -126,6 +107,8 @@ void BusBridge::on_metrics_snapshot(ConnId conn, std::int64_t /*send_wall_ns*/,
       agent.metrics[base + ".mean"] = metric.hist.mean();
       agent.metrics[base + ".p99"] = metric.hist.percentile(0.99);
     } else {
+      // Counters land as gauges too: a remote counter's running total is a
+      // point-in-time value here.
       agent.metrics[base] = metric.value;
     }
   }

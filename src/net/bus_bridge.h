@@ -2,26 +2,28 @@
 // local event bus, so everything downstream of a bus — a bus-subscribed
 // CallbackReporter, a probe — works unchanged on remote data.
 //
-// Topic scheme mirrors the fleet namespaces ("h<i>/..."): each record is
-// published twice, once under its agent's namespace and once merged:
+// The bridge publishes rows only (api::AggregatedPower, the one record the
+// wire carries). The topic scheme mirrors the fleet namespaces ("h<i>/..."):
+// each row is published twice, once under its agent's namespace and once
+// merged:
 //
-//   remote/<agent>/power:estimation    remote/power:estimation
 //   remote/<agent>/power:aggregated    remote/power:aggregated
 //
-// The merged topics are what a collector sums the fleet dimension from
+// The merged topic is what a collector sums the fleet dimension from
 // (FleetSum); the per-agent topics let a reporter follow one machine. Agents are
-// named by their hello frame; records arriving before a hello (a protocol-
+// named by their hello frame; rows arriving before a hello (a protocol-
 // tolerated but unusual ordering) fall back to the "conn<id>" label. Two
 // live agents claiming the same hello id stay distinguishable: the later
 // one is suffixed "#<conn>" so their metrics never collide.
 //
-// Remote metrics re-export as gauges at the fleet collection point: metric
-// records surface as "remote.<agent>.<name>", full metrics-snapshot frames
-// as "remote.<agent>.obs.<name>" (histograms flattened to .count / .mean /
-// .p99). The bridge holds them per agent and contributes them through a
-// registry snapshot collector, so a disconnected agent's metrics vanish
-// with it, a reconnect starts from a clean slate, and agents silent past
-// `metrics_stale_after_ns` are withheld rather than served stale.
+// Remote metrics arrive only in metrics-snapshot frames and re-export as
+// gauges at the fleet collection point, named "remote.<agent>.obs.<name>"
+// (histograms flattened to .count / .mean / .p99). The bridge holds them
+// per agent and contributes them through a registry snapshot collector, so
+// a disconnected agent's metrics vanish with it, a reconnect starts from a
+// clean slate, and agents silent past `metrics_stale_after_ns` are
+// withheld rather than served stale. Remote spans are not the bridge's
+// business: it ignores them (CollectorStatus feeds them to a TraceMerger).
 #pragma once
 
 #include <cstdint>
@@ -38,8 +40,6 @@
 namespace powerapi::net {
 
 struct BusBridgeOptions {
-  /// Prepended to every topic the bridge publishes on.
-  std::string topic_prefix = "remote/";
   /// Also publish under "remote/<agent>/..." per-agent namespaces.
   bool per_agent_topics = true;
   /// Republish remote metrics as gauges here (non-owning; may be null to
@@ -55,8 +55,7 @@ class BusBridge final : public CollectorSink {
   BusBridge(actors::EventBus& bus, BusBridgeOptions options = {});
   ~BusBridge() override;
 
-  /// Merged topics (every agent's records): subscribe aggregators here.
-  actors::EventBus::TopicId estimate_topic() const noexcept { return merged_estimate_; }
+  /// Merged topic (every agent's rows): subscribe aggregators here.
   actors::EventBus::TopicId aggregated_topic() const noexcept { return merged_aggregated_; }
 
   /// Agents that have connected and not yet disconnected.
@@ -69,19 +68,18 @@ class BusBridge final : public CollectorSink {
   // CollectorSink (server event-loop thread).
   void on_connect(ConnId conn) override;
   void on_hello(ConnId conn, std::string_view agent_id, std::uint8_t version) override;
-  void on_estimate(ConnId conn, const api::PowerEstimate& estimate) override;
   void on_aggregated(ConnId conn, const api::AggregatedPower& row) override;
-  void on_metric(ConnId conn, std::string_view name, obs::MetricKind kind,
-                 double value) override;
   void on_metrics_snapshot(ConnId conn, std::int64_t send_wall_ns,
                            std::int64_t recv_wall_ns,
                            const obs::MetricsSnapshot& snapshot) override;
+  void on_spans(ConnId /*conn*/, std::int64_t /*send_wall_ns*/,
+                std::int64_t /*recv_wall_ns*/,
+                const std::vector<RemoteSpan>& /*spans*/) override {}
   void on_disconnect(ConnId conn, std::string_view reason) override;
 
  private:
   struct AgentState {
     std::string label;  ///< agent_id after hello; "conn<id>" before.
-    actors::EventBus::TopicId estimate_topic = actors::EventBus::kNoTopic;
     actors::EventBus::TopicId aggregated_topic = actors::EventBus::kNoTopic;
     /// Re-exported remote metrics, keyed by unprefixed name.
     std::map<std::string, double> metrics;
@@ -95,7 +93,6 @@ class BusBridge final : public CollectorSink {
 
   actors::EventBus* bus_;
   BusBridgeOptions options_;
-  actors::EventBus::TopicId merged_estimate_;
   actors::EventBus::TopicId merged_aggregated_;
 
   /// Guards agents_ and clock_: sink callbacks run on the server loop

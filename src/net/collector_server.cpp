@@ -31,15 +31,8 @@ struct CollectorServer::Connection : WireSink {
     agent_id.assign(agent_id_in);
     sink.on_hello(id, agent_id_in, version);
   }
-  void on_estimate(const api::PowerEstimate& estimate) override {
-    sink.on_estimate(id, estimate);
-  }
   void on_aggregated(const api::AggregatedPower& row) override {
     sink.on_aggregated(id, row);
-  }
-  void on_metric(std::string_view name, obs::MetricKind kind,
-                 double value) override {
-    sink.on_metric(id, name, kind, value);
   }
   void on_metrics_snapshot(std::int64_t send_wall_ns,
                            const obs::MetricsSnapshot& snapshot) override {

@@ -41,10 +41,7 @@ class CollectorSink {
   /// First frame of a well-behaved client; `agent_id` identifies the peer.
   virtual void on_hello(ConnId /*conn*/, std::string_view /*agent_id*/,
                         std::uint8_t /*version*/) {}
-  virtual void on_estimate(ConnId /*conn*/, const api::PowerEstimate& /*estimate*/) {}
   virtual void on_aggregated(ConnId /*conn*/, const api::AggregatedPower& /*row*/) {}
-  virtual void on_metric(ConnId /*conn*/, std::string_view /*name*/,
-                         obs::MetricKind /*kind*/, double /*value*/) {}
   /// A remote metrics snapshot. `send_wall_ns` is the agent's local clock at
   /// emission; `recv_wall_ns` is this process's clock at decode — the pair
   /// feeds per-connection clock-offset estimation.

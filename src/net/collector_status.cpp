@@ -71,16 +71,6 @@ void CollectorStatus::on_hello(ConnId conn, std::string_view agent_id,
   next_.on_hello(conn, agent_id, version);
 }
 
-void CollectorStatus::on_estimate(ConnId conn, const api::PowerEstimate& estimate) {
-  {
-    std::lock_guard lock(mutex_);
-    Entry& entry = entry_locked(conn);
-    ++entry.status.estimates;
-    entry.status.last_record_wall_ns = now_ns();
-  }
-  next_.on_estimate(conn, estimate);
-}
-
 void CollectorStatus::on_aggregated(ConnId conn, const api::AggregatedPower& row) {
   {
     std::lock_guard lock(mutex_);
@@ -89,17 +79,6 @@ void CollectorStatus::on_aggregated(ConnId conn, const api::AggregatedPower& row
     entry.status.last_record_wall_ns = now_ns();
   }
   next_.on_aggregated(conn, row);
-}
-
-void CollectorStatus::on_metric(ConnId conn, std::string_view name,
-                                obs::MetricKind kind, double value) {
-  {
-    std::lock_guard lock(mutex_);
-    Entry& entry = entry_locked(conn);
-    ++entry.status.metric_records;
-    entry.status.last_record_wall_ns = now_ns();
-  }
-  next_.on_metric(conn, name, kind, value);
 }
 
 void CollectorStatus::on_metrics_snapshot(ConnId conn, std::int64_t send_wall_ns,
@@ -203,8 +182,7 @@ void CollectorStatus::render_text(std::ostream& out) const {
     if (!agent.connected && !agent.disconnect_reason.empty()) {
       out << " [" << agent.disconnect_reason << "]";
     }
-    out << ": est=" << agent.estimates << " agg=" << agent.aggregated
-        << " metrics=" << agent.metric_records << " snaps=" << agent.snapshots
+    out << ": agg=" << agent.aggregated << " snaps=" << agent.snapshots
         << " spans=" << agent.spans << " drops=" << agent.records_dropped
         << " reconnects=" << agent.reconnects << " gov_act="
         << agent.governor_actuations << " self_watts=" << agent.self_watts;
@@ -236,9 +214,7 @@ void CollectorStatus::render_json(std::ostream& out) const {
     obs::detail::write_json_string(out, agent.label);
     out << ",\"conn\":" << agent.conn
         << ",\"connected\":" << (agent.connected ? "true" : "false")
-        << ",\"estimates\":" << agent.estimates
         << ",\"aggregated\":" << agent.aggregated
-        << ",\"metric_records\":" << agent.metric_records
         << ",\"snapshots\":" << agent.snapshots << ",\"spans\":" << agent.spans
         << ",\"records_dropped\":" << agent.records_dropped
         << ",\"reconnects\":" << agent.reconnects

@@ -3,9 +3,12 @@
 //
 // CollectorStatus is a CollectorSink decorator — chain it in front of the
 // BusBridge (or any sink) and it passively accounts every connection:
-// record counts, last-activity stamps, the agent's self-reported drop /
-// reconnect counters and self-watts (extracted from remote metrics
-// snapshots), and the per-connection clock-offset estimate. When a
+// row, snapshot and span counts, last-activity stamps, the agent's
+// self-reported drop / reconnect / governor-actuation counters and
+// self-watts (extracted from remote metrics snapshots), and the
+// per-connection clock-offset estimate. Text and JSON renders carry one
+// column each: agg (rows), snaps, spans, drops, reconnects, gov_act,
+// self_watts and, once estimated, clock_offset_ns. When a
 // TraceMerger is attached, remote spans and (send, recv) clock pairs flow
 // into it, building the single merged Chrome trace across the fleet.
 //
@@ -45,9 +48,7 @@ class CollectorStatus final : public CollectorSink {
     ConnId conn = 0;
     std::string label;
     bool connected = false;
-    std::uint64_t estimates = 0;
-    std::uint64_t aggregated = 0;
-    std::uint64_t metric_records = 0;
+    std::uint64_t aggregated = 0;  ///< Rows decoded.
     std::uint64_t snapshots = 0;
     std::uint64_t spans = 0;
     std::int64_t last_record_wall_ns = 0;    ///< Collector clock.
@@ -89,10 +90,7 @@ class CollectorStatus final : public CollectorSink {
   // CollectorSink (server event-loop thread): account, then forward.
   void on_connect(ConnId conn) override;
   void on_hello(ConnId conn, std::string_view agent_id, std::uint8_t version) override;
-  void on_estimate(ConnId conn, const api::PowerEstimate& estimate) override;
   void on_aggregated(ConnId conn, const api::AggregatedPower& row) override;
-  void on_metric(ConnId conn, std::string_view name, obs::MetricKind kind,
-                 double value) override;
   void on_metrics_snapshot(ConnId conn, std::int64_t send_wall_ns,
                            std::int64_t recv_wall_ns,
                            const obs::MetricsSnapshot& snapshot) override;

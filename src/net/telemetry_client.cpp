@@ -50,7 +50,8 @@ TelemetryClient::~TelemetryClient() { stop(0); }
 
 // --- Producers ---
 
-void TelemetryClient::enqueue(Record record) {
+void TelemetryClient::report(const api::AggregatedPower& row) {
+  api::AggregatedPower copy = row;  // Outside the lock: producers share it.
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (pending_.size() >= options_.queue_max_records) {
@@ -58,21 +59,10 @@ void TelemetryClient::enqueue(Record record) {
       records_dropped_.fetch_add(1, std::memory_order_relaxed);
       if (obs_dropped_ != nullptr) obs_dropped_->add(1);
     }
-    pending_.push_back(std::move(record));
+    pending_.push_back(std::move(copy));
   }
   records_enqueued_.fetch_add(1, std::memory_order_relaxed);
   if (obs_enqueued_ != nullptr) obs_enqueued_->add(1);
-}
-
-void TelemetryClient::report(const api::PowerEstimate& estimate) {
-  enqueue(estimate);
-}
-
-void TelemetryClient::report(const api::AggregatedPower& row) { enqueue(row); }
-
-void TelemetryClient::report_metric(std::string name, obs::MetricKind kind,
-                                    double value) {
-  enqueue(Metric{std::move(name), kind, value});
 }
 
 // --- Event loop ---
@@ -292,16 +282,7 @@ bool TelemetryClient::encode_batches(std::int64_t now) {
   std::lock_guard<std::mutex> lock(mutex_);
   while (!pending_.empty() && unsent_bytes_ < options_.max_unsent_bytes) {
     if (encoder_.pending_records() == 0) batch_opened_ms_ = now;
-    std::visit(
-        [this](const auto& record) {
-          using T = std::decay_t<decltype(record)>;
-          if constexpr (std::is_same_v<T, Metric>) {
-            encoder_.add_metric(record.name, record.kind, record.value);
-          } else {
-            encoder_.add(record);
-          }
-        },
-        pending_.front());
+    encoder_.add(pending_.front());
     pending_.pop_front();
     progress = true;
     if (encoder_.pending_records() >= options_.batch_max_records ||

@@ -1,11 +1,14 @@
 // TelemetryClient: the agent side of the telemetry wire — batches pipeline
-// records and ships them to a CollectorServer over non-blocking TCP.
+// rows and ships them to a CollectorServer over non-blocking TCP.
 //
-// Producers (reporter actors, any thread) call report(); records land in a
-// bounded queue. The event loop — either the start() background thread or
-// manual poll_once() calls for deterministic tests — drains the queue into
-// the wire encoder and flushes a frame when the batch hits a size bound or
-// its deadline (flush-on-size / flush-on-deadline).
+// Producers (a host's remote reporter, any thread) call report() with the
+// pipeline's api::AggregatedPower rows, the one record shape the wire
+// carries; rows land in a bounded queue. The agent's own metrics travel
+// separately, as metrics-snapshot frames on the obs cadence below. The
+// event loop — either the start() background thread or manual poll_once()
+// calls for deterministic tests — drains the queue into the wire encoder
+// and flushes a frame when the batch hits a size bound or its deadline
+// (flush-on-size / flush-on-deadline).
 //
 // Failure policy is "monitoring must not become the workload": the send
 // queue is bounded with drop-oldest backpressure (a slow or dead collector
@@ -21,7 +24,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "net/socket.h"
@@ -88,9 +90,7 @@ class TelemetryClient {
   TelemetryClient& operator=(const TelemetryClient&) = delete;
 
   // --- Producers (any thread, never blocks on the network) ---
-  void report(const api::PowerEstimate& estimate);
   void report(const api::AggregatedPower& row);
-  void report_metric(std::string name, obs::MetricKind kind, double value);
 
   // --- Event loop ---
   /// Runs the loop on a background thread until stop().
@@ -112,13 +112,6 @@ class TelemetryClient {
   Stats stats() const;
 
  private:
-  struct Metric {
-    std::string name;
-    obs::MetricKind kind = obs::MetricKind::kGauge;
-    double value = 0.0;
-  };
-  using Record = std::variant<api::PowerEstimate, api::AggregatedPower, Metric>;
-
   struct OutFrame {
     std::vector<std::uint8_t> bytes;
     std::size_t offset = 0;     ///< Written so far (partial writes).
@@ -128,7 +121,6 @@ class TelemetryClient {
 
   enum class ConnState { kDisconnected, kConnecting, kConnected };
 
-  void enqueue(Record record);
   bool step_disconnected(int timeout_ms);
   bool step_connecting(int timeout_ms);
   bool step_connected(int timeout_ms);
@@ -147,7 +139,7 @@ class TelemetryClient {
 
   // Producer side.
   mutable std::mutex mutex_;
-  std::deque<Record> pending_;
+  std::deque<api::AggregatedPower> pending_;
 
   // Loop-owned connection state.
   Socket socket_;

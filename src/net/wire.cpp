@@ -9,15 +9,12 @@ namespace powerapi::net {
 
 namespace {
 
+// Batch record kinds. Kinds 2 and 4 are retired (a per-estimate and a
+// per-metric record) and decode as unknown, like any kind not listed.
 enum RecordKind : std::uint8_t {
   kDict = 1,
-  kEstimate = 2,
   kAggregated = 3,
-  kMetric = 4,
 };
-
-/// Largest record kind the decoder knows; anything above is a violation.
-constexpr std::uint8_t kMaxRecordKind = kMetric;
 
 // Record kinds inside the obs-frame payloads (metrics snapshot / spans).
 // Kind 1 is the dict record in every payload flavor, so the shared
@@ -129,17 +126,6 @@ void WireEncoder::put_timestamp(util::TimestampNs timestamp) {
   last_ts_ = timestamp;
 }
 
-void WireEncoder::add(const api::PowerEstimate& estimate) {
-  const std::uint64_t formula = intern(estimate.formula);
-  batch_.push_back(kEstimate);
-  put_timestamp(estimate.timestamp);
-  util::put_varint_signed(batch_, estimate.pid);
-  util::put_varint(batch_, formula);
-  put_f64(batch_, estimate.watts);
-  util::put_varint(batch_, estimate.model_version);
-  ++records_;
-}
-
 void WireEncoder::add(const api::AggregatedPower& row) {
   const std::uint64_t formula = intern(row.formula);
   const std::uint64_t group = intern(row.group);
@@ -149,16 +135,6 @@ void WireEncoder::add(const api::AggregatedPower& row) {
   util::put_varint(batch_, formula);
   util::put_varint(batch_, group);
   put_f64(batch_, row.watts);
-  ++records_;
-}
-
-void WireEncoder::add_metric(std::string_view name, obs::MetricKind kind,
-                             double value) {
-  const std::uint64_t id = intern(name);
-  batch_.push_back(kMetric);
-  batch_.push_back(static_cast<std::uint8_t>(kind));
-  util::put_varint(batch_, id);
-  put_f64(batch_, value);
   ++records_;
 }
 
@@ -353,9 +329,6 @@ bool FrameDecoder::decode_batch(const std::uint8_t* payload, std::size_t size,
   while (!r.done()) {
     std::uint8_t kind = 0;
     if (!r.u8(kind)) return fail("truncated record kind");
-    if (kind == 0 || kind > kMaxRecordKind) {
-      return fail("unknown record kind " + std::to_string(kind));
-    }
     switch (kind) {
       case kDict: {
         std::uint64_t id = 0;
@@ -370,26 +343,6 @@ bool FrameDecoder::decode_batch(const std::uint8_t* payload, std::size_t size,
           return fail("dict id " + std::to_string(id) + " out of sequence");
         }
         dict_.emplace_back(text);
-        break;
-      }
-      case kEstimate: {
-        api::PowerEstimate estimate;
-        std::int64_t ts_delta = 0;
-        std::int64_t pid = 0;
-        std::uint64_t formula = 0;
-        std::uint64_t model_version = 0;
-        if (!r.svarint(ts_delta) || !r.svarint(pid) || !r.varint(formula) ||
-            !r.f64(estimate.watts) || !r.varint(model_version)) {
-          return fail("truncated estimate record");
-        }
-        if (formula >= dict_.size()) return fail("estimate formula id undefined");
-        last_ts_ += ts_delta;
-        estimate.timestamp = last_ts_;
-        estimate.pid = pid;
-        estimate.formula = dict_[formula];
-        estimate.model_version = model_version;
-        sink.on_estimate(estimate);
-        ++records_;
         break;
       }
       case kAggregated: {
@@ -411,20 +364,6 @@ bool FrameDecoder::decode_batch(const std::uint8_t* payload, std::size_t size,
         row.formula = dict_[formula];
         row.group = dict_[group];
         sink.on_aggregated(row);
-        ++records_;
-        break;
-      }
-      case kMetric: {
-        std::uint8_t metric_kind = 0;
-        std::uint64_t name = 0;
-        double value = 0.0;
-        if (!r.u8(metric_kind) ||
-            metric_kind > static_cast<std::uint8_t>(obs::MetricKind::kHistogram) ||
-            !r.varint(name) || !r.f64(value)) {
-          return fail("truncated metric record");
-        }
-        if (name >= dict_.size()) return fail("metric name id undefined");
-        sink.on_metric(dict_[name], static_cast<obs::MetricKind>(metric_kind), value);
         ++records_;
         break;
       }

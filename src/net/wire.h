@@ -12,17 +12,21 @@
 //         14   payload
 //
 // A batch payload is a concatenation of records, each introduced by a kind
-// byte and packed with LEB128 varints (util/varint.h):
+// byte and packed with LEB128 varints (util/varint.h). A batch carries one
+// record shape, the pipeline's api::AggregatedPower row:
 //
-//   dict        id, strlen, bytes      — defines a string id (see below)
-//   estimate    Δts, pid, formula-id, watts(f64), model-version
-//   aggregated  Δts, pid, formula-id, group-id, watts(f64)
-//   metric      metric-kind(u8), name-id, value(f64)
+//   kind 1  dict        id, strlen, bytes      — defines a string id (see below)
+//   kind 3  aggregated  Δts, pid, formula-id, group-id, watts(f64)
+//
+// Kinds 2 and 4 (a per-estimate record and a per-metric record) are
+// retired: the decoder rejects them as unknown, like any other kind.
 //
 // Two further frame kinds carry the observability plane (emitted only when
-// an obs cadence is configured, so a PR 5 stream is byte-identical): a
-// metrics-snapshot frame (full obs::MetricsRegistry snapshot — values plus
-// histogram buckets) and a spans frame (drained obs::TraceCollector spans).
+// an obs cadence is configured, so a stream without one holds only hello,
+// batch and bye frames): a metrics-snapshot frame (full
+// obs::MetricsRegistry snapshot — values plus histogram buckets; the only
+// way metrics cross the wire) and a spans frame (drained
+// obs::TraceCollector spans).
 // Both start with a payload version byte and the agent's send wall clock,
 // and intern names into the same per-connection dictionary as batches.
 //
@@ -30,15 +34,15 @@
 //  * Timestamps are delta-encoded (zigzag) against the previous record's
 //    timestamp in stream order — at a fixed monitoring period the delta is
 //    a repeating small constant, 1–3 bytes instead of 9.
-//  * Strings (formula names, group labels, metric names) are interned into
-//    a per-connection dictionary, mirroring the event bus's topic
-//    interning: the first use emits a dict record (id + bytes), every later
-//    use is a 1–2 byte id. A reconnect resets both sides' state (the
+//  * Strings (formula names, group labels, metric and span names) are
+//    interned into a per-connection dictionary, mirroring the event bus's
+//    topic interning: the first use emits a dict record (id + bytes), every
+//    later use is a 1–2 byte id. A reconnect resets both sides' state (the
 //    encoder re-emits its dictionary), so frames are self-contained per
 //    connection, never per process lifetime.
 //
-// Observability-correlation fields (seq, tick_wall_ns) are process-local
-// and do not cross the wire; decoded records carry zeros there.
+// The row's observability-correlation field (seq) is process-local and
+// does not cross the wire; decoded rows carry zero there.
 //
 // The decoder is an incremental state machine fed arbitrary byte chunks
 // (torn frames, short reads). Any violation — bad magic/version, oversize
@@ -89,23 +93,21 @@ struct RemoteSpan {
   std::uint64_t seq = 0;
 };
 
-/// Receiver interface for decoded frames/records.
+/// Receiver interface for decoded frames/records. Every callback is pure:
+/// a sink says what it does with each frame kind, if only to ignore it.
 class WireSink {
  public:
   virtual ~WireSink() = default;
-  virtual void on_hello(std::string_view /*agent_id*/, std::uint8_t /*version*/) {}
-  virtual void on_estimate(const api::PowerEstimate& /*estimate*/) {}
-  virtual void on_aggregated(const api::AggregatedPower& /*row*/) {}
-  virtual void on_metric(std::string_view /*name*/, obs::MetricKind /*kind*/,
-                         double /*value*/) {}
+  virtual void on_hello(std::string_view agent_id, std::uint8_t version) = 0;
+  virtual void on_aggregated(const api::AggregatedPower& row) = 0;
   /// A full remote metrics snapshot; `send_wall_ns` is the agent's local
   /// wall clock at emission (clock-offset estimation pairs it with the
   /// receiver's clock at decode).
-  virtual void on_metrics_snapshot(std::int64_t /*send_wall_ns*/,
-                                   const obs::MetricsSnapshot& /*snapshot*/) {}
-  virtual void on_spans(std::int64_t /*send_wall_ns*/,
-                        const std::vector<RemoteSpan>& /*spans*/) {}
-  virtual void on_bye() {}
+  virtual void on_metrics_snapshot(std::int64_t send_wall_ns,
+                                   const obs::MetricsSnapshot& snapshot) = 0;
+  virtual void on_spans(std::int64_t send_wall_ns,
+                        const std::vector<RemoteSpan>& spans) = 0;
+  virtual void on_bye() = 0;
 };
 
 /// Per-connection encoder: accumulates records into a batch payload and
@@ -113,9 +115,7 @@ class WireSink {
 /// timestamp delta base; reset() on reconnect.
 class WireEncoder {
  public:
-  void add(const api::PowerEstimate& estimate);
   void add(const api::AggregatedPower& row);
-  void add_metric(std::string_view name, obs::MetricKind kind, double value);
 
   /// Semantic records buffered (dict entries not counted).
   std::size_t pending_records() const noexcept { return records_; }

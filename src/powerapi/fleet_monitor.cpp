@@ -73,8 +73,10 @@ std::size_t FleetMonitor::add_host(os::MonitorableHost& host, PipelineSpec spec)
   // The fleet's bundle observes every host pipeline unless the spec brought
   // its own.
   if (spec.observability == nullptr) spec.observability = options_.observability;
-  entry->pipeline = std::make_unique<Pipeline>(bus_, host, std::move(spec),
-                                               "h" + std::to_string(index) + "/");
+  std::string ns = "h";
+  ns.append(std::to_string(index)).append("/");
+  entry->pipeline =
+      std::make_unique<Pipeline>(bus_, host, std::move(spec), std::move(ns));
   entries_.push_back(std::move(entry));
   return index;
 }

@@ -89,24 +89,6 @@ struct SensorBatch {
   std::int64_t tick_wall_ns = 0;
 };
 
-/// One power attribution for one target at one timestamp: the telemetry
-/// wire's per-estimate record (net::TelemetryClient::report, WireEncoder,
-/// BusBridge). No pipeline stage produces it — formulas produce
-/// EstimateBatch.
-struct PowerEstimate {
-  util::TimestampNs timestamp = 0;
-  std::int64_t pid = kMachinePid;
-  std::string formula;            ///< e.g. "powerapi-hpc", "cpu-load", "rapl".
-  double watts = 0.0;
-  /// Registry version of the model that produced this estimate; 0 for
-  /// formulas that do not read a versioned model (meters, datasheets).
-  std::uint64_t model_version = 0;
-
-  // Observability correlation (carried forward from the sensor batch).
-  std::uint64_t seq = 0;
-  std::int64_t tick_wall_ns = 0;
-};
-
 /// One formula's attributions for the rows of a SensorBatch — the only
 /// thing a formula produces: watts[i] belongs to features->pid(i). The
 /// matrix rides along (shared, immutable) so downstream stages can reach
@@ -126,7 +108,9 @@ struct EstimateBatch {
 };
 
 /// Aggregated power along a dimension (per PID, per group, or summed per
-/// timestamp).
+/// timestamp). It is also the one record the telemetry wire carries
+/// (net::TelemetryClient::report, WireEncoder, BusBridge); the wire drops
+/// the observability fields, so a decoded row's seq is 0.
 struct AggregatedPower {
   util::TimestampNs timestamp = 0;
   std::int64_t pid = kMachinePid;  ///< kMachinePid for summed rows.

@@ -267,7 +267,7 @@ struct Loop {
   static std::vector<HostControl> controls(std::vector<Plant>& hosts) {
     std::vector<HostControl> out;
     for (std::size_t i = 0; i < hosts.size(); ++i) {
-      out.push_back(hosts[i].control("h" + std::to_string(i)));
+      out.push_back(hosts[i].control(std::string("h").append(std::to_string(i))));
     }
     return out;
   }

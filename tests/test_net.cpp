@@ -1,9 +1,10 @@
-// Tests for the telemetry wire: frame encode/decode (including torn and
-// malformed input), the TelemetryClient/CollectorServer loopback pair in
-// deterministic manual-poll mode, fault injection (garbage connections,
-// server restarts, mid-stream disconnects, slow readers), a FleetMonitor
-// host's rows shipped through its remote reporter, and the BusBridge
-// republishing decoded telemetry onto a local event bus.
+// Tests for the telemetry wire: frame encode/decode of rows (including torn
+// and malformed input, and the retired record kinds 2 and 4), the
+// TelemetryClient/CollectorServer loopback pair in deterministic
+// manual-poll mode, fault injection (garbage connections, server restarts,
+// mid-stream disconnects, slow readers), a FleetMonitor host's rows shipped
+// through its remote reporter, and the BusBridge republishing decoded rows
+// onto a local event bus.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -34,16 +35,16 @@ namespace {
 
 using util::seconds_to_ns;
 
-api::PowerEstimate make_estimate(std::int64_t second, double watts,
-                                 std::string formula = "powerapi-hpc",
-                                 std::int64_t pid = api::kMachinePid) {
-  api::PowerEstimate e;
-  e.timestamp = seconds_to_ns(second);
-  e.pid = pid;
-  e.formula = std::move(formula);
-  e.watts = watts;
-  e.model_version = 3;
-  return e;
+/// An ungrouped row, as a per-pid or machine aggregation emits it.
+api::AggregatedPower make_row(std::int64_t second, double watts,
+                              std::string formula = "powerapi-hpc",
+                              std::int64_t pid = api::kMachinePid) {
+  api::AggregatedPower row;
+  row.timestamp = seconds_to_ns(second);
+  row.pid = pid;
+  row.formula = std::move(formula);
+  row.watts = watts;
+  return row;
 }
 
 api::AggregatedPower make_aggregated(std::int64_t second, double watts,
@@ -62,42 +63,47 @@ struct RecordingSink : WireSink {
   void on_hello(std::string_view agent_id, std::uint8_t version) override {
     hellos.emplace_back(agent_id, version);
   }
-  void on_estimate(const api::PowerEstimate& estimate) override {
-    estimates.push_back(estimate);
-  }
   void on_aggregated(const api::AggregatedPower& row) override {
     aggregated.push_back(row);
   }
-  void on_metric(std::string_view name, obs::MetricKind kind, double value) override {
-    metrics.push_back({std::string(name), kind, value});
-  }
+  void on_metrics_snapshot(std::int64_t, const obs::MetricsSnapshot&) override {}
+  void on_spans(std::int64_t, const std::vector<RemoteSpan>&) override {}
   void on_bye() override { ++byes; }
 
-  struct Metric {
-    std::string name;
-    obs::MetricKind kind;
-    double value;
-  };
   std::vector<std::pair<std::string, std::uint8_t>> hellos;
-  std::vector<api::PowerEstimate> estimates;
   std::vector<api::AggregatedPower> aggregated;
-  std::vector<Metric> metrics;
   int byes = 0;
 };
+
+/// A batch payload defining dict id 0, then one record of retired kind 2
+/// (a per-estimate record: Δts, pid, formula-id, watts, model-version).
+std::vector<std::uint8_t> retired_estimate_payload() {
+  return {1, 0, 1, 'f',              // kDict: id 0 = "f".
+          2, 0, 0, 0,                // kind 2: ts delta, pid, formula id 0.
+          0, 0, 0, 0, 0, 0, 0, 0,    // watts
+          0};                        // model version
+}
+
+/// A batch payload defining dict id 0, then one record of retired kind 4
+/// (a per-metric record: metric-kind, name-id, value).
+std::vector<std::uint8_t> retired_metric_payload() {
+  return {1, 0, 1, 'm',              // kDict: id 0 = "m".
+          4, 1, 0,                   // kind 4: metric kind, name id 0.
+          0, 0, 0, 0, 0, 0, 0, 0};   // value
+}
 
 // --- Wire format ---
 
 TEST(Wire, BatchRoundTripsAllRecordTypes) {
   WireEncoder encoder;
-  const auto e1 = make_estimate(1, 31.48);
-  const auto e2 = make_estimate(2, 0.1 + 0.2, "cpu-load", 42);  // Inexact sum:
+  const auto r1 = make_row(1, 31.48);
+  const auto r2 = make_row(2, 0.1 + 0.2, "cpu-load", 42);  // Inexact sum:
   // only a bit-exact f64 encoding round-trips it to EXPECT_DOUBLE_EQ.
   const auto agg = make_aggregated(2, 123.456);
-  encoder.add(e1);
-  encoder.add(e2);
+  encoder.add(r1);
+  encoder.add(r2);
   encoder.add(agg);
-  encoder.add_metric("actors.messages", obs::MetricKind::kCounter, 9001.0);
-  EXPECT_EQ(encoder.pending_records(), 4u);
+  EXPECT_EQ(encoder.pending_records(), 3u);
 
   FrameDecoder decoder;
   RecordingSink sink;
@@ -105,36 +111,30 @@ TEST(Wire, BatchRoundTripsAllRecordTypes) {
   EXPECT_EQ(encoder.pending_records(), 0u);
   ASSERT_TRUE(decoder.consume(frame.data(), frame.size(), sink));
   EXPECT_EQ(decoder.frames_decoded(), 1u);
-  EXPECT_EQ(decoder.records_decoded(), 4u);
+  EXPECT_EQ(decoder.records_decoded(), 3u);
 
-  ASSERT_EQ(sink.estimates.size(), 2u);
-  EXPECT_EQ(sink.estimates[0].timestamp, e1.timestamp);
-  EXPECT_EQ(sink.estimates[0].pid, api::kMachinePid);
-  EXPECT_EQ(sink.estimates[0].formula, "powerapi-hpc");
-  EXPECT_DOUBLE_EQ(sink.estimates[0].watts, 31.48);
-  EXPECT_EQ(sink.estimates[0].model_version, 3u);
-  EXPECT_EQ(sink.estimates[1].timestamp, e2.timestamp);
-  EXPECT_EQ(sink.estimates[1].pid, 42);
-  EXPECT_EQ(sink.estimates[1].formula, "cpu-load");
-  EXPECT_DOUBLE_EQ(sink.estimates[1].watts, 0.1 + 0.2);
-
-  ASSERT_EQ(sink.aggregated.size(), 1u);
-  EXPECT_EQ(sink.aggregated[0].timestamp, agg.timestamp);
-  EXPECT_EQ(sink.aggregated[0].group, "(fleet)");
+  ASSERT_EQ(sink.aggregated.size(), 3u);
+  EXPECT_EQ(sink.aggregated[0].timestamp, r1.timestamp);
+  EXPECT_EQ(sink.aggregated[0].pid, api::kMachinePid);
+  EXPECT_EQ(sink.aggregated[0].group, "");
   EXPECT_EQ(sink.aggregated[0].formula, "powerapi-hpc");
-  EXPECT_DOUBLE_EQ(sink.aggregated[0].watts, 123.456);
+  EXPECT_DOUBLE_EQ(sink.aggregated[0].watts, 31.48);
+  EXPECT_EQ(sink.aggregated[1].timestamp, r2.timestamp);
+  EXPECT_EQ(sink.aggregated[1].pid, 42);
+  EXPECT_EQ(sink.aggregated[1].formula, "cpu-load");
+  EXPECT_DOUBLE_EQ(sink.aggregated[1].watts, 0.1 + 0.2);
 
-  ASSERT_EQ(sink.metrics.size(), 1u);
-  EXPECT_EQ(sink.metrics[0].name, "actors.messages");
-  EXPECT_EQ(sink.metrics[0].kind, obs::MetricKind::kCounter);
-  EXPECT_DOUBLE_EQ(sink.metrics[0].value, 9001.0);
+  EXPECT_EQ(sink.aggregated[2].timestamp, agg.timestamp);
+  EXPECT_EQ(sink.aggregated[2].group, "(fleet)");
+  EXPECT_EQ(sink.aggregated[2].formula, "powerapi-hpc");
+  EXPECT_DOUBLE_EQ(sink.aggregated[2].watts, 123.456);
 }
 
 TEST(Wire, DictionaryInterningShrinksRepeatBatches) {
   WireEncoder encoder;
-  encoder.add(make_estimate(1, 30.0));
+  encoder.add(make_row(1, 30.0));
   const auto first = encoder.take_batch_frame();
-  encoder.add(make_estimate(2, 31.0));  // Same formula: id only, no dict entry.
+  encoder.add(make_row(2, 31.0));  // Same formula: id only, no dict entry.
   const auto second = encoder.take_batch_frame();
   EXPECT_LT(second.size(), first.size());
 
@@ -143,26 +143,26 @@ TEST(Wire, DictionaryInterningShrinksRepeatBatches) {
   RecordingSink sink;
   ASSERT_TRUE(decoder.consume(first.data(), first.size(), sink));
   ASSERT_TRUE(decoder.consume(second.data(), second.size(), sink));
-  ASSERT_EQ(sink.estimates.size(), 2u);
-  EXPECT_EQ(sink.estimates[1].formula, "powerapi-hpc");
-  EXPECT_EQ(sink.estimates[1].timestamp, seconds_to_ns(2));
+  ASSERT_EQ(sink.aggregated.size(), 2u);
+  EXPECT_EQ(sink.aggregated[1].formula, "powerapi-hpc");
+  EXPECT_EQ(sink.aggregated[1].timestamp, seconds_to_ns(2));
 }
 
 TEST(Wire, TimestampDeltasSurviveNonMonotonicStreams) {
   // Aggregators can emit slightly out-of-order timestamps across formulas;
   // zigzag deltas must round-trip a regression, not corrupt the base.
   WireEncoder encoder;
-  encoder.add(make_estimate(5, 1.0));
-  encoder.add(make_estimate(3, 2.0));  // Negative delta.
-  encoder.add(make_estimate(8, 3.0));
+  encoder.add(make_row(5, 1.0));
+  encoder.add(make_row(3, 2.0));  // Negative delta.
+  encoder.add(make_row(8, 3.0));
   const auto frame = encoder.take_batch_frame();
   FrameDecoder decoder;
   RecordingSink sink;
   ASSERT_TRUE(decoder.consume(frame.data(), frame.size(), sink));
-  ASSERT_EQ(sink.estimates.size(), 3u);
-  EXPECT_EQ(sink.estimates[0].timestamp, seconds_to_ns(5));
-  EXPECT_EQ(sink.estimates[1].timestamp, seconds_to_ns(3));
-  EXPECT_EQ(sink.estimates[2].timestamp, seconds_to_ns(8));
+  ASSERT_EQ(sink.aggregated.size(), 3u);
+  EXPECT_EQ(sink.aggregated[0].timestamp, seconds_to_ns(5));
+  EXPECT_EQ(sink.aggregated[1].timestamp, seconds_to_ns(3));
+  EXPECT_EQ(sink.aggregated[2].timestamp, seconds_to_ns(8));
 }
 
 TEST(Wire, HelloAndByeFrames) {
@@ -181,7 +181,7 @@ TEST(Wire, HelloAndByeFrames) {
 TEST(Wire, TornFramesDecodeByteByByte) {
   WireEncoder encoder;
   std::vector<std::uint8_t> stream = WireEncoder::hello_frame("torn");
-  encoder.add(make_estimate(1, 31.48));
+  encoder.add(make_row(1, 31.48));
   encoder.add(make_aggregated(1, 99.0));
   const auto batch = encoder.take_batch_frame();
   stream.insert(stream.end(), batch.begin(), batch.end());
@@ -193,15 +193,15 @@ TEST(Wire, TornFramesDecodeByteByByte) {
   }
   EXPECT_EQ(decoder.frames_decoded(), 2u);
   ASSERT_EQ(sink.hellos.size(), 1u);
-  ASSERT_EQ(sink.estimates.size(), 1u);
-  ASSERT_EQ(sink.aggregated.size(), 1u);
-  EXPECT_DOUBLE_EQ(sink.estimates[0].watts, 31.48);
+  ASSERT_EQ(sink.aggregated.size(), 2u);
+  EXPECT_DOUBLE_EQ(sink.aggregated[0].watts, 31.48);
+  EXPECT_EQ(sink.aggregated[1].group, "(fleet)");
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
 }
 
 TEST(Wire, MalformedFramesPoisonTheDecoder) {
   WireEncoder encoder;
-  encoder.add(make_estimate(1, 10.0));
+  encoder.add(make_row(1, 10.0));
   const auto good = encoder.take_batch_frame();
 
   struct Case {
@@ -233,12 +233,12 @@ TEST(Wire, MalformedFramesPoisonTheDecoder) {
     EXPECT_TRUE(decoder.failed()) << c.name;
     EXPECT_NE(decoder.error().find(c.expect_error), std::string::npos)
         << c.name << ": " << decoder.error();
-    EXPECT_TRUE(sink.estimates.empty()) << c.name;
+    EXPECT_TRUE(sink.aggregated.empty()) << c.name;
     // Poisoned: even good input is rejected until reset().
     EXPECT_FALSE(decoder.consume(good.data(), good.size(), sink)) << c.name;
     decoder.reset();
     EXPECT_TRUE(decoder.consume(good.data(), good.size(), sink)) << c.name;
-    EXPECT_EQ(sink.estimates.size(), 1u) << c.name;
+    EXPECT_EQ(sink.aggregated.size(), 1u) << c.name;
   }
 }
 
@@ -246,7 +246,7 @@ TEST(Wire, TruncatedAndOutOfSequenceRecordsRejected) {
   // A batch whose payload ends mid-record: CRC valid (recomputed), record
   // truncated.
   WireEncoder encoder;
-  encoder.add(make_estimate(1, 10.0));
+  encoder.add(make_row(1, 10.0));
   const auto frame = encoder.take_batch_frame();
   const std::size_t payload_len = frame.size() - kFrameHeaderBytes;
   std::vector<std::uint8_t> payload(frame.begin() + kFrameHeaderBytes, frame.end());
@@ -274,20 +274,34 @@ TEST(Wire, TruncatedAndOutOfSequenceRecordsRejected) {
         << decoder.error();
   }
   {
-    // An estimate referencing an undefined dictionary id.
-    std::vector<std::uint8_t> rogue;
-    rogue.push_back(2);  // kEstimate
-    rogue.push_back(0);  // ts delta 0
-    rogue.push_back(0);  // pid 0
-    rogue.push_back(9);  // formula id 9: never defined.
-    for (int i = 0; i < 8; ++i) rogue.push_back(0);  // watts
-    rogue.push_back(0);  // model version
+    // A row whose formula is defined but whose group id never was.
+    const std::vector<std::uint8_t> rogue = {
+        1, 0, 1, 'f',             // kDict: id 0 = "f".
+        3, 0, 0,                  // kAggregated: ts delta 0, pid 0,
+        0,                        // formula id 0 (defined above),
+        9,                        // group id 9 (never defined),
+        0, 0, 0, 0, 0, 0, 0, 0};  // watts
     const auto bad = WireEncoder::make_frame(FrameType::kBatch, rogue);
     FrameDecoder decoder;
     RecordingSink sink;
     EXPECT_FALSE(decoder.consume(bad.data(), bad.size(), sink));
     EXPECT_NE(decoder.error().find("undefined"), std::string::npos)
         << decoder.error();
+    EXPECT_TRUE(sink.aggregated.empty());
+  }
+  // The retired record kinds, each well formed in its old layout, and two
+  // kinds never assigned.
+  for (const std::vector<std::uint8_t>& payload :
+       {retired_estimate_payload(), retired_metric_payload(),
+        std::vector<std::uint8_t>{0}, std::vector<std::uint8_t>{5}}) {
+    const auto bad = WireEncoder::make_frame(FrameType::kBatch, payload);
+    FrameDecoder decoder;
+    RecordingSink sink;
+    EXPECT_FALSE(decoder.consume(bad.data(), bad.size(), sink));
+    EXPECT_TRUE(decoder.failed());
+    EXPECT_NE(decoder.error().find("unknown record kind"), std::string::npos)
+        << decoder.error();
+    EXPECT_EQ(decoder.records_decoded(), 0u);
   }
 }
 
@@ -299,15 +313,8 @@ struct RecordingCollector : CollectorSink {
   void on_hello(ConnId conn, std::string_view agent_id, std::uint8_t) override {
     hellos.emplace_back(conn, std::string(agent_id));
   }
-  void on_estimate(ConnId, const api::PowerEstimate& estimate) override {
-    estimates.push_back(estimate);
-  }
   void on_aggregated(ConnId, const api::AggregatedPower& row) override {
     aggregated.push_back(row);
-  }
-  void on_metric(ConnId, std::string_view name, obs::MetricKind,
-                 double value) override {
-    metrics.emplace_back(std::string(name), value);
   }
   void on_disconnect(ConnId conn, std::string_view reason) override {
     disconnects.emplace_back(conn, std::string(reason));
@@ -315,9 +322,7 @@ struct RecordingCollector : CollectorSink {
 
   std::vector<ConnId> connects;
   std::vector<std::pair<ConnId, std::string>> hellos;
-  std::vector<api::PowerEstimate> estimates;
   std::vector<api::AggregatedPower> aggregated;
-  std::vector<std::pair<std::string, double>> metrics;
   std::vector<std::pair<ConnId, std::string>> disconnects;
 };
 
@@ -356,31 +361,28 @@ TEST(Loopback, RecordsFlowEndToEndBitExact) {
   ASSERT_TRUE(pump_until_connected(client, server));
 
   for (int i = 1; i <= 5; ++i) {
-    client.report(make_estimate(i, 31.48 + 0.001 * i));
+    client.report(make_row(i, 31.48 + 0.001 * i));
   }
   client.report(make_aggregated(3, 260.125));
-  client.report_metric("actors.messages", obs::MetricKind::kCounter, 12345.0);
   ASSERT_TRUE(client.flush(2000));
   pump(client, server, 20);
 
   ASSERT_EQ(sink.hellos.size(), 1u);
   EXPECT_EQ(sink.hellos[0].second, "test-agent");
-  ASSERT_EQ(sink.estimates.size(), 5u);
+  ASSERT_EQ(sink.aggregated.size(), 6u);
   for (int i = 1; i <= 5; ++i) {
-    EXPECT_EQ(sink.estimates[i - 1].timestamp, seconds_to_ns(i));
-    EXPECT_DOUBLE_EQ(sink.estimates[i - 1].watts, 31.48 + 0.001 * i);
+    EXPECT_EQ(sink.aggregated[i - 1].timestamp, seconds_to_ns(i));
+    EXPECT_DOUBLE_EQ(sink.aggregated[i - 1].watts, 31.48 + 0.001 * i);
   }
-  ASSERT_EQ(sink.aggregated.size(), 1u);
-  EXPECT_DOUBLE_EQ(sink.aggregated[0].watts, 260.125);
-  ASSERT_EQ(sink.metrics.size(), 1u);
-  EXPECT_EQ(sink.metrics[0].first, "actors.messages");
+  EXPECT_EQ(sink.aggregated[5].group, "(fleet)");
+  EXPECT_DOUBLE_EQ(sink.aggregated[5].watts, 260.125);
 
   const auto client_stats = client.stats();
   const auto server_stats = server.stats();
-  EXPECT_EQ(client_stats.records_enqueued, 7u);
-  EXPECT_EQ(client_stats.records_sent, 7u);
+  EXPECT_EQ(client_stats.records_enqueued, 6u);
+  EXPECT_EQ(client_stats.records_sent, 6u);
   EXPECT_EQ(client_stats.records_dropped, 0u);
-  EXPECT_EQ(server_stats.records_decoded, 7u);
+  EXPECT_EQ(server_stats.records_decoded, 6u);
   EXPECT_EQ(server_stats.decode_errors, 0u);
   EXPECT_EQ(client_stats.bytes_sent, server_stats.bytes_received);
 
@@ -393,6 +395,14 @@ TEST(Loopback, RecordsFlowEndToEndBitExact) {
   EXPECT_EQ(server.connection_count(), 0u);
 }
 
+/// A hello, then one batch frame holding `payload`.
+std::vector<std::uint8_t> hello_then_batch(const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> stream = WireEncoder::hello_frame("old-agent");
+  const auto batch = WireEncoder::make_frame(FrameType::kBatch, payload);
+  stream.insert(stream.end(), batch.begin(), batch.end());
+  return stream;
+}
+
 TEST(Loopback, GarbageConnectionIsIsolated) {
   RecordingCollector sink;
   CollectorServer server({}, sink);
@@ -401,31 +411,48 @@ TEST(Loopback, GarbageConnectionIsIsolated) {
   TelemetryClient client(fast_client(server.port()));
   ASSERT_TRUE(pump_until_connected(client, server));
 
-  // A rogue peer sends garbage on a raw socket.
-  std::string error;
-  Socket rogue = connect_tcp("127.0.0.1", server.port(), &error);
-  ASSERT_TRUE(rogue.valid()) << error;
-  const char garbage[] = "GET / HTTP/1.1\r\n\r\n";
-  for (int i = 0; i < 100 && server.connection_count() < 2; ++i) {
-    server.poll_once(1);
-  }
-  ASSERT_EQ(::send(rogue.fd(), garbage, sizeof(garbage) - 1, MSG_NOSIGNAL),
-            static_cast<ssize_t>(sizeof(garbage) - 1));
-  for (int i = 0; i < 100 && server.stats().decode_errors == 0; ++i) {
-    server.poll_once(1);
-  }
+  // Rogue peers, one after another, each on a raw socket: plain garbage,
+  // then well-framed streams carrying a retired record kind.
+  const std::string garbage = "GET / HTTP/1.1\r\n\r\n";
+  const struct {
+    std::vector<std::uint8_t> bytes;
+    const char* expect_error;
+  } rogues[] = {
+      {{garbage.begin(), garbage.end()}, "bad frame magic"},
+      {hello_then_batch(retired_estimate_payload()), "unknown record kind 2"},
+      {hello_then_batch(retired_metric_payload()), "unknown record kind 4"},
+  };
+  std::uint64_t errors = 0;
+  for (const auto& rogue_input : rogues) {
+    std::string error;
+    Socket rogue = connect_tcp("127.0.0.1", server.port(), &error);
+    ASSERT_TRUE(rogue.valid()) << error;
+    for (int i = 0; i < 100 && server.connection_count() < 2; ++i) {
+      server.poll_once(1);
+    }
+    const auto& bytes = rogue_input.bytes;
+    ASSERT_EQ(::send(rogue.fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+    ++errors;
+    for (int i = 0; i < 100 && server.stats().decode_errors < errors; ++i) {
+      server.poll_once(1);
+    }
 
-  // The rogue connection died; the well-behaved client still works.
-  EXPECT_EQ(server.stats().decode_errors, 1u);
-  ASSERT_EQ(sink.disconnects.size(), 1u);
-  EXPECT_NE(sink.disconnects[0].second.find("bad frame magic"), std::string::npos);
-  EXPECT_EQ(server.connection_count(), 1u);
+    // The rogue connection died; the well-behaved client's did not.
+    EXPECT_EQ(server.stats().decode_errors, errors);
+    ASSERT_EQ(sink.disconnects.size(), errors);
+    EXPECT_NE(sink.disconnects.back().second.find(rogue_input.expect_error),
+              std::string::npos)
+        << sink.disconnects.back().second;
+    EXPECT_EQ(server.connection_count(), 1u);
+  }
+  EXPECT_TRUE(sink.aggregated.empty());
 
-  client.report(make_estimate(1, 30.0));
+  client.report(make_row(1, 30.0));
   ASSERT_TRUE(client.flush(2000));
   pump(client, server, 20);
-  ASSERT_EQ(sink.estimates.size(), 1u);
-  EXPECT_DOUBLE_EQ(sink.estimates[0].watts, 30.0);
+  ASSERT_EQ(sink.aggregated.size(), 1u);
+  EXPECT_DOUBLE_EQ(sink.aggregated[0].watts, 30.0);
   client.stop();
 }
 
@@ -440,10 +467,10 @@ TEST(Loopback, ReconnectAfterServerRestartReemitsDictionary) {
   options.obs = &obs;
   TelemetryClient client(options);
   ASSERT_TRUE(pump_until_connected(client, *server));
-  client.report(make_estimate(1, 10.0));
+  client.report(make_row(1, 10.0));
   ASSERT_TRUE(client.flush(2000));
   server->poll_once(1);
-  ASSERT_EQ(sink.estimates.size(), 1u);
+  ASSERT_EQ(sink.aggregated.size(), 1u);
   EXPECT_EQ(client.stats().connects, 1u);
 
   // The collector goes away: the client must notice and enter backoff.
@@ -459,13 +486,13 @@ TEST(Loopback, ReconnectAfterServerRestartReemitsDictionary) {
   CollectorServer revived(restart, sink);
   ASSERT_TRUE(revived.listening()) << revived.error();
   ASSERT_TRUE(pump_until_connected(client, revived, 5000));
-  client.report(make_estimate(2, 20.0));
+  client.report(make_row(2, 20.0));
   ASSERT_TRUE(client.flush(2000));
   pump(client, revived, 20);
 
-  ASSERT_EQ(sink.estimates.size(), 2u);
-  EXPECT_EQ(sink.estimates[1].formula, "powerapi-hpc");
-  EXPECT_DOUBLE_EQ(sink.estimates[1].watts, 20.0);
+  ASSERT_EQ(sink.aggregated.size(), 2u);
+  EXPECT_EQ(sink.aggregated[1].formula, "powerapi-hpc");
+  EXPECT_DOUBLE_EQ(sink.aggregated[1].watts, 20.0);
   EXPECT_EQ(sink.hellos.size(), 2u);  // One hello per connection.
   const auto stats = client.stats();
   EXPECT_EQ(stats.connects, 2u);
@@ -490,7 +517,7 @@ TEST(Loopback, QueueOverflowDropsOldestAndAccountsIt) {
   TelemetryClient client(options);
 
   // No pumping yet: the queue must absorb — and bound — the backlog.
-  for (int i = 1; i <= 10; ++i) client.report(make_estimate(i, 1.0 * i));
+  for (int i = 1; i <= 10; ++i) client.report(make_row(i, 1.0 * i));
   EXPECT_EQ(client.stats().records_enqueued, 10u);
   EXPECT_EQ(client.stats().records_dropped, 6u);
 
@@ -499,9 +526,9 @@ TEST(Loopback, QueueOverflowDropsOldestAndAccountsIt) {
   pump(client, server, 20);
 
   // Drop-oldest: the four NEWEST records survived.
-  ASSERT_EQ(sink.estimates.size(), 4u);
+  ASSERT_EQ(sink.aggregated.size(), 4u);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(sink.estimates[i].timestamp, seconds_to_ns(7 + i));
+    EXPECT_EQ(sink.aggregated[i].timestamp, seconds_to_ns(7 + i));
   }
   const auto stats = client.stats();
   EXPECT_EQ(stats.records_sent, 4u);
@@ -528,7 +555,7 @@ TEST(Loopback, SlowReaderEngagesBackpressureWithoutLosingAccounting) {
   ASSERT_TRUE(pump_until_connected(client, server));
 
   for (int i = 1; i <= 500; ++i) {
-    client.report(make_estimate(i, 0.5 * i));
+    client.report(make_row(i, 0.5 * i));
     client.poll_once(0);
     server.poll_once(0);
   }
@@ -548,7 +575,7 @@ TEST(Loopback, SlowReaderEngagesBackpressureWithoutLosingAccounting) {
   EXPECT_EQ(server_stats.decode_errors, 0u);
   // The slow reader actually bit: some records were dropped.
   EXPECT_GT(stats.records_sent, 0u);
-  EXPECT_EQ(sink.estimates.size(), stats.records_sent);
+  EXPECT_EQ(sink.aggregated.size(), stats.records_sent);
   client.stop();
 }
 
@@ -559,13 +586,13 @@ TEST(Loopback, MidStreamDisconnectCountsInflightAsDropped) {
 
   TelemetryClient client(fast_client(server->port()));
   ASSERT_TRUE(pump_until_connected(client, *server));
-  client.report(make_estimate(1, 1.0));
+  client.report(make_row(1, 1.0));
   ASSERT_TRUE(client.flush(2000));
 
   // The collector dies with records still being produced.
   server.reset();
   for (int i = 2; i <= 20; ++i) {
-    client.report(make_estimate(i, 1.0 * i));
+    client.report(make_row(i, 1.0 * i));
     client.poll_once(1);
   }
   for (int i = 0; i < 500 && client.connected(); ++i) client.poll_once(1);
@@ -601,10 +628,10 @@ TEST(Loopback, RefusesConnectionsBeyondTheLimit) {
   EXPECT_EQ(server.stats().connections_accepted, 1u);
 
   // The first client still delivers.
-  first.report(make_estimate(1, 5.0));
+  first.report(make_row(1, 5.0));
   ASSERT_TRUE(first.flush(2000));
   pump(first, server, 20);
-  ASSERT_EQ(sink.estimates.size(), 1u);
+  ASSERT_EQ(sink.aggregated.size(), 1u);
   first.stop();
   second.stop();
 }
@@ -681,7 +708,7 @@ TEST(Loopback, ThreadedLoopsSurviveConcurrentProducers) {
   for (int t = 0; t < kThreads; ++t) {
     producers.emplace_back([&client, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        client.report(make_estimate(t * kPerThread + i, 1.0 + t));
+        client.report(make_row(t * kPerThread + i, 1.0 + t));
       }
     });
   }
@@ -702,7 +729,7 @@ TEST(Loopback, ThreadedLoopsSurviveConcurrentProducers) {
   }
   server.stop();
   EXPECT_EQ(server.stats().records_decoded, stats.records_sent);
-  EXPECT_EQ(sink.estimates.size(), stats.records_sent);
+  EXPECT_EQ(sink.aggregated.size(), stats.records_sent);
   EXPECT_EQ(server.stats().decode_errors, 0u);
 }
 
@@ -740,28 +767,30 @@ TEST(BusBridge, RepublishesUnderPerAgentAndMergedTopics) {
   BusBridgeOptions options;
   options.obs = &obs;
   BusBridge bridge(h.bus, options);
-  auto& merged = h.collect<api::PowerEstimate>("remote/power:estimation");
-  auto& per_agent = h.collect<api::PowerEstimate>("remote/h0/power:estimation");
-  auto& merged_agg = h.collect<api::AggregatedPower>("remote/power:aggregated");
+  auto& merged = h.collect<api::AggregatedPower>("remote/power:aggregated");
+  auto& per_agent = h.collect<api::AggregatedPower>("remote/h0/power:aggregated");
+  EXPECT_EQ(bridge.aggregated_topic(), h.bus.intern("remote/power:aggregated"));
 
   bridge.on_connect(1);
   bridge.on_hello(1, "h0", kWireVersion);
   EXPECT_EQ(bridge.live_agents(), 1u);
-  bridge.on_estimate(1, make_estimate(1, 33.0));
+  bridge.on_aggregated(1, make_row(1, 33.0));
   bridge.on_aggregated(1, make_aggregated(1, 66.0));
-  bridge.on_metric(1, "actors.messages", obs::MetricKind::kCounter, 17.0);
+  obs::MetricsSnapshot remote;
+  remote.metrics.push_back({"actors.messages", obs::MetricKind::kCounter, 17.0, {}});
+  bridge.on_metrics_snapshot(1, 0, 0, remote);
   h.actors.drain();
 
-  ASSERT_EQ(merged.items.size(), 1u);
+  ASSERT_EQ(merged.items.size(), 2u);
   EXPECT_DOUBLE_EQ(merged.items[0].watts, 33.0);
-  ASSERT_EQ(per_agent.items.size(), 1u);
+  EXPECT_EQ(merged.items[1].group, "(fleet)");
+  EXPECT_DOUBLE_EQ(merged.items[1].watts, 66.0);
+  ASSERT_EQ(per_agent.items.size(), 2u);
   EXPECT_DOUBLE_EQ(per_agent.items[0].watts, 33.0);
-  ASSERT_EQ(merged_agg.items.size(), 1u);
-  EXPECT_DOUBLE_EQ(merged_agg.items[0].watts, 66.0);
 
   // Remote metrics land as re-exported gauges under the agent's name.
   const auto snapshot = obs.metrics.snapshot();
-  const auto* gauge = snapshot.find("remote.h0.actors.messages");
+  const auto* gauge = snapshot.find("remote.h0.obs.actors.messages");
   ASSERT_NE(gauge, nullptr);
   EXPECT_DOUBLE_EQ(gauge->value, 17.0);
 
@@ -772,9 +801,9 @@ TEST(BusBridge, RepublishesUnderPerAgentAndMergedTopics) {
 TEST(BusBridge, PreHelloRecordsFallBackToConnLabel) {
   BridgeHarness h;
   BusBridge bridge(h.bus);
-  auto& labeled = h.collect<api::PowerEstimate>("remote/conn9/power:estimation");
+  auto& labeled = h.collect<api::AggregatedPower>("remote/conn9/power:aggregated");
   bridge.on_connect(9);
-  bridge.on_estimate(9, make_estimate(1, 3.0));  // No hello yet.
+  bridge.on_aggregated(9, make_row(1, 3.0));  // No hello yet.
   h.actors.drain();
   ASSERT_EQ(labeled.items.size(), 1u);
   EXPECT_DOUBLE_EQ(labeled.items[0].watts, 3.0);
@@ -785,11 +814,11 @@ TEST(BusBridge, MergedOnlyModeSkipsPerAgentTopics) {
   BusBridgeOptions options;
   options.per_agent_topics = false;
   BusBridge bridge(h.bus, options);
-  auto& merged = h.collect<api::PowerEstimate>("remote/power:estimation");
+  auto& merged = h.collect<api::AggregatedPower>("remote/power:aggregated");
   bridge.on_connect(1);
   bridge.on_hello(1, "h0", kWireVersion);
   const auto dead_letters_before = h.bus.dead_letter_count();
-  bridge.on_estimate(1, make_estimate(1, 3.0));
+  bridge.on_aggregated(1, make_row(1, 3.0));
   h.actors.drain();
   ASSERT_EQ(merged.items.size(), 1u);
   // No publish ever went to an unsubscribed per-agent topic.

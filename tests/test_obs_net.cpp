@@ -1,6 +1,6 @@
-// Distributed observability plane: obs frame round trips and the PR 5
-// byte-identity guarantee, TraceMerger clock-offset recovery against
-// injected fake offsets, the CollectorStatus ledger + TCP status listener,
+// Distributed observability plane: the row golden frame, obs frame round
+// trips, TraceMerger clock-offset recovery against injected fake offsets,
+// the CollectorStatus ledger + TCP status listener,
 // Watchdog alert rules (all four, plus rate limiting and counter-reset
 // re-baselining), the BusBridge remote-gauge lifecycle (stale expiry,
 // reconnect reset, label collisions) and the whole plane end-to-end over a
@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -36,14 +37,25 @@ namespace {
 using powerapi::testing::JsonReader;
 using util::seconds_to_ns;
 
-api::PowerEstimate make_estimate(std::int64_t ts_ns, double watts) {
-  api::PowerEstimate e;
-  e.timestamp = ts_ns;
-  e.pid = api::kMachinePid;
-  e.formula = "powerapi-hpc";
-  e.watts = watts;
-  e.model_version = 1;
-  return e;
+api::AggregatedPower make_row(std::int64_t ts_ns, double watts,
+                              std::string formula = "powerapi-hpc") {
+  api::AggregatedPower row;
+  row.timestamp = ts_ns;
+  row.pid = api::kMachinePid;
+  row.formula = std::move(formula);
+  row.watts = watts;
+  return row;
+}
+
+/// A remote metrics snapshot of plain gauges, as a metrics-snapshot frame
+/// decodes into.
+obs::MetricsSnapshot gauges(
+    std::initializer_list<std::pair<const char*, double>> values) {
+  obs::MetricsSnapshot snapshot;
+  for (const auto& [name, value] : values) {
+    snapshot.metrics.push_back({name, obs::MetricKind::kGauge, value, {}});
+  }
+  return snapshot;
 }
 
 std::string to_hex(const std::vector<std::uint8_t>& bytes) {
@@ -62,14 +74,8 @@ struct ObsRecordingSink : WireSink {
   void on_hello(std::string_view agent_id, std::uint8_t) override {
     hellos.emplace_back(agent_id);
   }
-  void on_estimate(const api::PowerEstimate& estimate) override {
-    estimates.push_back(estimate);
-  }
   void on_aggregated(const api::AggregatedPower& row) override {
     aggregated.push_back(row);
-  }
-  void on_metric(std::string_view name, obs::MetricKind, double value) override {
-    metrics.emplace_back(std::string(name), value);
   }
   void on_metrics_snapshot(std::int64_t send_wall_ns,
                            const obs::MetricsSnapshot& snapshot) override {
@@ -95,74 +101,13 @@ struct ObsRecordingSink : WireSink {
     std::uint64_t seq;
   };
   std::vector<std::string> hellos;
-  std::vector<api::PowerEstimate> estimates;
   std::vector<api::AggregatedPower> aggregated;
-  std::vector<std::pair<std::string, double>> metrics;
   std::vector<std::int64_t> snapshot_stamps;
   std::vector<obs::MetricsSnapshot> snapshots;
   std::vector<std::int64_t> span_stamps;
   std::vector<std::vector<OwnedSpan>> spans;
   int byes = 0;
 };
-
-// --- PR 5 byte identity ---
-
-// The exact bytes PR 5's encoder produced for this hello/batch/bye
-// sequence. The obs frame kinds extend the wire; with no obs cadence the
-// stream must stay bit-identical so old collectors keep working.
-constexpr const char* kGoldenPr5Hex =
-    "505741500101040000000f6ea52e010268305057415001027000000009aac1770100"
-    "0c706f7765726170692d6870630280cab5ee0101007b14ae47e17a3f40010280cab5"
-    "ee010100000000000020404001010107"
-    "28666c6565742903000100013d0ad7a370dd4f4001021a6e65742e636c69656e742e"
-    "7265636f7264735f64726f70706564040002000000000000000050574150010300000"
-    "00089671d22";
-
-std::vector<std::uint8_t> golden_pr5_stream() {
-  WireEncoder encoder;
-  std::vector<std::uint8_t> stream;
-  auto append = [&stream](const std::vector<std::uint8_t>& frame) {
-    stream.insert(stream.end(), frame.begin(), frame.end());
-  };
-  append(WireEncoder::hello_frame("h0"));
-  encoder.add(make_estimate(250'000'000, 31.48));
-  encoder.add(make_estimate(500'000'000, 32.25));
-  api::AggregatedPower row;
-  row.timestamp = 500'000'000;
-  row.pid = api::kMachinePid;
-  row.group = "(fleet)";
-  row.formula = "powerapi-hpc";
-  row.watts = 63.73;
-  encoder.add(row);
-  encoder.add_metric("net.client.records_dropped", obs::MetricKind::kCounter, 0.0);
-  append(encoder.take_batch_frame());
-  append(WireEncoder::bye_frame());
-  return stream;
-}
-
-TEST(WireCompat, NoObsCadenceIsByteIdenticalToPr5) {
-  EXPECT_EQ(to_hex(golden_pr5_stream()), kGoldenPr5Hex);
-}
-
-TEST(WireCompat, DecoderAcceptsPr5Stream) {
-  const std::vector<std::uint8_t> stream = golden_pr5_stream();
-  FrameDecoder decoder;
-  ObsRecordingSink sink;
-  ASSERT_TRUE(decoder.consume(stream.data(), stream.size(), sink))
-      << decoder.error();
-  ASSERT_EQ(sink.hellos.size(), 1u);
-  EXPECT_EQ(sink.hellos[0], "h0");
-  ASSERT_EQ(sink.estimates.size(), 2u);
-  EXPECT_DOUBLE_EQ(sink.estimates[0].watts, 31.48);
-  EXPECT_DOUBLE_EQ(sink.estimates[1].watts, 32.25);
-  ASSERT_EQ(sink.aggregated.size(), 1u);
-  ASSERT_EQ(sink.metrics.size(), 1u);
-  EXPECT_EQ(sink.byes, 1);
-  // A PR 5 stream carries no obs frames, and decoding it must not count any.
-  EXPECT_EQ(decoder.snapshots_decoded(), 0u);
-  EXPECT_EQ(decoder.spans_decoded(), 0u);
-  EXPECT_EQ(decoder.records_decoded(), 4u);
-}
 
 // --- Row golden frame ---
 
@@ -319,11 +264,12 @@ TEST(WireObs, SpansRoundTripThroughTheSharedDictionary) {
 TEST(WireObs, BatchAndObsFramesShareOneDictionaryStream) {
   obs::MetricsRegistry registry;
   registry.counter("net.client.records_dropped").add(3);
+  registry.gauge("rapl").set(1.0);
   WireEncoder encoder;
-  encoder.add(make_estimate(250'000'000, 30.0));
+  encoder.add(make_row(250'000'000, 30.0));
   const auto batch1 = encoder.take_batch_frame();
   const auto obs_frame = encoder.take_metrics_frame(registry.snapshot(), 1);
-  encoder.add_metric("net.client.records_dropped", obs::MetricKind::kCounter, 3.0);
+  encoder.add(make_row(500'000'000, 31.0, "rapl"));
   const auto batch2 = encoder.take_batch_frame();
 
   FrameDecoder decoder;
@@ -335,9 +281,11 @@ TEST(WireObs, BatchAndObsFramesShareOneDictionaryStream) {
       << decoder.error();
   ASSERT_EQ(sink.snapshots.size(), 1u);
   EXPECT_EQ(sink.snapshots[0].value_of("net.client.records_dropped"), 3.0);
-  // The batch metric record resolves against the id the obs frame interned.
-  ASSERT_EQ(sink.metrics.size(), 1u);
-  EXPECT_EQ(sink.metrics[0].first, "net.client.records_dropped");
+  // The second batch's row names its formula by the id the obs frame
+  // interned; the batch defines no string of its own.
+  ASSERT_EQ(sink.aggregated.size(), 2u);
+  EXPECT_EQ(sink.aggregated[1].formula, "rapl");
+  EXPECT_EQ(sink.aggregated[1].group, "");
 }
 
 TEST(WireObs, UnknownObsPayloadVersionPoisonsTheDecoder) {
@@ -419,7 +367,7 @@ struct WatchdogHarness {
   WatchdogSample::Agent& agent(std::size_t index = 0) {
     while (sample.agents.size() <= index) {
       WatchdogSample::Agent fresh;
-      fresh.label = "h" + std::to_string(sample.agents.size());
+      fresh.label = std::string("h").append(std::to_string(sample.agents.size()));
       fresh.connected = true;
       sample.agents.push_back(std::move(fresh));
     }
@@ -557,20 +505,20 @@ TEST(BusBridge, StaleAgentGaugesAreWithheldFromSnapshots) {
 
   bridge.on_connect(1);
   bridge.on_hello(1, "h0", kWireVersion);
-  bridge.on_metric(1, "queue.depth", obs::MetricKind::kGauge, 9.0);
-  EXPECT_EQ(obs.metrics.snapshot().value_of("remote.h0.queue.depth", -1.0), 9.0);
+  bridge.on_metrics_snapshot(1, 0, 0, gauges({{"queue.depth", 9.0}}));
+  EXPECT_EQ(obs.metrics.snapshot().value_of("remote.h0.obs.queue.depth", -1.0), 9.0);
 
   // 4 s of silence: still fresh.
   *now = seconds_to_ns(5);
-  EXPECT_EQ(obs.metrics.snapshot().value_of("remote.h0.queue.depth", -1.0), 9.0);
+  EXPECT_EQ(obs.metrics.snapshot().value_of("remote.h0.obs.queue.depth", -1.0), 9.0);
 
   // 7 s of silence: withheld, not served stale.
   *now = seconds_to_ns(8);
-  EXPECT_EQ(obs.metrics.snapshot().find("remote.h0.queue.depth"), nullptr);
+  EXPECT_EQ(obs.metrics.snapshot().find("remote.h0.obs.queue.depth"), nullptr);
 
   // The agent speaking again revives its gauges.
-  bridge.on_metric(1, "queue.depth", obs::MetricKind::kGauge, 11.0);
-  EXPECT_EQ(obs.metrics.snapshot().value_of("remote.h0.queue.depth", -1.0), 11.0);
+  bridge.on_metrics_snapshot(1, 0, 0, gauges({{"queue.depth", 11.0}}));
+  EXPECT_EQ(obs.metrics.snapshot().value_of("remote.h0.obs.queue.depth", -1.0), 11.0);
 }
 
 TEST(BusBridge, ReconnectStartsFromACleanMetricSlate) {
@@ -582,22 +530,22 @@ TEST(BusBridge, ReconnectStartsFromACleanMetricSlate) {
 
   bridge.on_connect(1);
   bridge.on_hello(1, "h0", kWireVersion);
-  bridge.on_metric(1, "only.first.life", obs::MetricKind::kCounter, 5.0);
-  bridge.on_metric(1, "queue.depth", obs::MetricKind::kGauge, 5.0);
-  EXPECT_EQ(obs.metrics.snapshot().value_of("remote.h0.queue.depth", -1.0), 5.0);
+  bridge.on_metrics_snapshot(1, 0, 0,
+                             gauges({{"only.first.life", 5.0}, {"queue.depth", 5.0}}));
+  EXPECT_EQ(obs.metrics.snapshot().value_of("remote.h0.obs.queue.depth", -1.0), 5.0);
 
   // Disconnect: every gauge of that agent vanishes with it.
   bridge.on_disconnect(1, "io");
-  EXPECT_EQ(obs.metrics.snapshot().find("remote.h0.queue.depth"), nullptr);
-  EXPECT_EQ(obs.metrics.snapshot().find("remote.h0.only.first.life"), nullptr);
+  EXPECT_EQ(obs.metrics.snapshot().find("remote.h0.obs.queue.depth"), nullptr);
+  EXPECT_EQ(obs.metrics.snapshot().find("remote.h0.obs.only.first.life"), nullptr);
 
   // Reconnect under a new conn id, same hello id: clean slate.
   bridge.on_connect(2);
   bridge.on_hello(2, "h0", kWireVersion);
-  bridge.on_metric(2, "queue.depth", obs::MetricKind::kGauge, 1.0);
+  bridge.on_metrics_snapshot(2, 0, 0, gauges({{"queue.depth", 1.0}}));
   const auto snapshot = obs.metrics.snapshot();
-  EXPECT_EQ(snapshot.value_of("remote.h0.queue.depth", -1.0), 1.0);
-  EXPECT_EQ(snapshot.find("remote.h0.only.first.life"), nullptr);
+  EXPECT_EQ(snapshot.value_of("remote.h0.obs.queue.depth", -1.0), 1.0);
+  EXPECT_EQ(snapshot.find("remote.h0.obs.only.first.life"), nullptr);
 }
 
 TEST(BusBridge, DuplicateHelloIdsKeepDistinctMetricNamespaces) {
@@ -611,12 +559,12 @@ TEST(BusBridge, DuplicateHelloIdsKeepDistinctMetricNamespaces) {
   bridge.on_hello(1, "h0", kWireVersion);
   bridge.on_connect(2);
   bridge.on_hello(2, "h0", kWireVersion);  // Same id while conn 1 is live.
-  bridge.on_metric(1, "queue.depth", obs::MetricKind::kGauge, 1.0);
-  bridge.on_metric(2, "queue.depth", obs::MetricKind::kGauge, 2.0);
+  bridge.on_metrics_snapshot(1, 0, 0, gauges({{"queue.depth", 1.0}}));
+  bridge.on_metrics_snapshot(2, 0, 0, gauges({{"queue.depth", 2.0}}));
 
   const auto snapshot = obs.metrics.snapshot();
-  EXPECT_EQ(snapshot.value_of("remote.h0.queue.depth", -1.0), 1.0);
-  EXPECT_EQ(snapshot.value_of("remote.h0#2.queue.depth", -1.0), 2.0);
+  EXPECT_EQ(snapshot.value_of("remote.h0.obs.queue.depth", -1.0), 1.0);
+  EXPECT_EQ(snapshot.value_of("remote.h0#2.obs.queue.depth", -1.0), 2.0);
   EXPECT_EQ(bridge.live_agents(), 2u);
 }
 
@@ -658,7 +606,7 @@ TEST(CollectorStatus, TracksAgentsOffsetsAndSelfWatts) {
 
   status.on_connect(1);
   status.on_hello(1, "h0", kWireVersion);
-  status.on_estimate(1, make_estimate(1, 30.0));
+  status.on_aggregated(1, make_row(seconds_to_ns(1), 30.0));
 
   obs::MetricsRegistry remote;
   remote.gauge("self.watts").set(0.25);
@@ -676,7 +624,7 @@ TEST(CollectorStatus, TracksAgentsOffsetsAndSelfWatts) {
   ASSERT_EQ(agents.size(), 1u);
   EXPECT_EQ(agents[0].label, "h0");
   EXPECT_TRUE(agents[0].connected);
-  EXPECT_EQ(agents[0].estimates, 1u);
+  EXPECT_EQ(agents[0].aggregated, 1u);
   EXPECT_EQ(agents[0].snapshots, 1u);
   EXPECT_EQ(agents[0].spans, 1u);
   EXPECT_DOUBLE_EQ(agents[0].self_watts, 0.25);
@@ -696,10 +644,15 @@ TEST(CollectorStatus, TracksAgentsOffsetsAndSelfWatts) {
   std::ostringstream text;
   status.render_text(text);
   EXPECT_NE(text.str().find("h0"), std::string::npos);
+  EXPECT_NE(text.str().find(": agg=1 snaps=1 spans=1 drops=12"), std::string::npos)
+      << text.str();
   std::ostringstream json;
   status.render_json(json);
   EXPECT_TRUE(JsonReader(json.str()).valid()) << json.str();
   EXPECT_NE(json.str().find("\"h0\""), std::string::npos);
+  EXPECT_NE(json.str().find("\"aggregated\":1,\"snapshots\":1,\"spans\":1"),
+            std::string::npos)
+      << json.str();
 
   // Disconnect moves the agent to post-mortem retention.
   status.on_disconnect(1, "bye");
@@ -794,7 +747,7 @@ TEST(Loopback, ObsPlaneFlowsEndToEnd) {
   agent_obs.metrics.counter("agent.work").add(42);
   const auto step = agent_obs.trace.intern("agent/step");
   agent_obs.trace.complete(step, obs::wall_now_ns(), 1'000'000, 1);
-  client.report(make_estimate(seconds_to_ns(1), 31.0));
+  client.report(make_row(seconds_to_ns(1), 31.0));
 
   for (int i = 0; i < 2000; ++i) {
     client.poll_once(1);
@@ -825,7 +778,7 @@ TEST(Loopback, ObsPlaneFlowsEndToEnd) {
             42.0);
   EXPECT_GE(merger.size(), 1u);
 
-  // The estimate still flows through the bridge exactly as in PR 5.
+  // The row still flows through the bridge beside the obs frames.
   EXPECT_GE(server_stats.records_decoded, 1u);
 
   client.stop();
@@ -858,7 +811,7 @@ TEST(Loopback, ObsCadenceOffSendsNoObsFrames) {
 
   agent_obs.trace.complete(agent_obs.trace.intern("agent/step"),
                            obs::wall_now_ns(), 1000, 1);
-  client.report(make_estimate(seconds_to_ns(1), 31.0));
+  client.report(make_row(seconds_to_ns(1), 31.0));
   ASSERT_TRUE(client.flush(2000));
   for (int i = 0; i < 20; ++i) {
     client.poll_once(1);
@@ -875,7 +828,7 @@ TEST(Loopback, ObsCadenceOffSendsNoObsFrames) {
   EXPECT_EQ(stats.spans_decoded, 0u);
   EXPECT_GE(stats.records_decoded, 1u);
   EXPECT_EQ(stats.decode_errors, 0u);
-  // Every byte the client sent was a plain PR 5 frame.
+  // Every byte the client sent was a hello, batch or bye frame.
   EXPECT_EQ(client.stats().bytes_sent, stats.bytes_received);
 }
 
