@@ -2,17 +2,18 @@
 // scalable and non-invasive tool"; this google-benchmark binary measures the
 // cost of one monitoring tick through the full actor pipeline (sensor read →
 // formula → aggregator → reporter) as the number of monitored processes
-// grows, plus the cost of the building blocks (backend read, model
+// grows, plus the cost of the building blocks (counter gather, model
 // evaluation).
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "gbench_json.h"
-#include "hpc/sim_backend.h"
 #include "model/power_model.h"
 #include "os/system.h"
 #include "powerapi/power_meter.h"
+#include "simcpu/counter_lanes.h"
 #include "workloads/behaviors.h"
 #include "workloads/stress.h"
 
@@ -44,15 +45,19 @@ std::unique_ptr<os::System> loaded_system(std::size_t processes) {
   return system;
 }
 
-void BM_BackendRead(benchmark::State& state) {
+/// The HPC sensor's counter read for one host tick: machine scope plus
+/// every monitored pid, gathered into lanes in one call.
+void BM_GatherCounterLanes(benchmark::State& state) {
   auto system = loaded_system(4);
-  hpc::SimBackend backend(*system);
+  std::vector<os::Pid> targets = {-1};
+  for (const os::Pid pid : system->pids()) targets.push_back(pid);
+  simcpu::CounterLanes lanes;
   for (auto _ : state) {
-    auto values = backend.read(hpc::Target::machine());
-    benchmark::DoNotOptimize(values);
+    system->gather_counter_lanes(targets, lanes);
+    benchmark::DoNotOptimize(lanes.lane(0));
   }
 }
-BENCHMARK(BM_BackendRead);
+BENCHMARK(BM_GatherCounterLanes);
 
 void BM_ModelEvaluate(benchmark::State& state) {
   const model::CpuPowerModel model = tiny_model();

@@ -2,8 +2,8 @@
 //
 // These are the portable "generic" events of the perf_event_open man page
 // (the paper's reference [8]): available across Intel/AMD, which is exactly
-// why the paper restricts itself to them. Both the simulator backend and the
-// real perf backend speak this enum.
+// why the paper restricts itself to them. The simulator's counter lanes
+// follow this enum's order, and the perf_event_open reader speaks it.
 #pragma once
 
 #include <array>

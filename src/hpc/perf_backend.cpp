@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #ifdef __linux__
@@ -79,8 +80,6 @@ struct PerfBackend::TargetCounters {
 PerfBackend::PerfBackend() = default;
 PerfBackend::~PerfBackend() = default;
 
-bool PerfBackend::supports(EventId id) const { return perf_config(id) >= 0; }
-
 bool PerfBackend::available() noexcept {
   const int fd = perf_event_open_fd(0, PERF_COUNT_HW_CPU_CYCLES);
   if (fd < 0) return false;
@@ -88,13 +87,13 @@ bool PerfBackend::available() noexcept {
   return true;
 }
 
-util::Result<PerfBackend::TargetCounters*> PerfBackend::counters_for(Target target) {
-  if (target.is_machine()) {
+util::Result<PerfBackend::TargetCounters*> PerfBackend::counters_for(std::int64_t pid) {
+  if (pid < 0) {
     return util::Result<TargetCounters*>::failure(
         "perf backend: machine-wide counting requires per-CPU attach; "
         "monitor a pid instead");
   }
-  auto it = targets_.find(target.pid);
+  auto it = targets_.find(pid);
   if (it != targets_.end()) return it->second.get();
 
   auto tc = std::make_unique<TargetCounters>();
@@ -103,7 +102,7 @@ util::Result<PerfBackend::TargetCounters*> PerfBackend::counters_for(Target targ
     if (config < 0) continue;
     auto counter = std::make_unique<OpenCounter>();
     counter->id = id;
-    counter->fd = perf_event_open_fd(static_cast<pid_t>(target.pid), config);
+    counter->fd = perf_event_open_fd(static_cast<pid_t>(pid), config);
     if (counter->fd < 0) {
       const int err = errno;
       // Missing PMU events (e.g. stalled-cycles on some parts) are fine;
@@ -121,15 +120,15 @@ util::Result<PerfBackend::TargetCounters*> PerfBackend::counters_for(Target targ
   }
   if (tc->counters.empty()) {
     return util::Result<TargetCounters*>::failure(
-        "perf backend: no events could be opened for pid " + std::to_string(target.pid));
+        "perf backend: no events could be opened for pid " + std::to_string(pid));
   }
   TargetCounters* raw = tc.get();
-  targets_.emplace(target.pid, std::move(tc));
+  targets_.emplace(pid, std::move(tc));
   return raw;
 }
 
-util::Result<EventValues> PerfBackend::read(Target target) {
-  auto counters = counters_for(target);
+util::Result<EventValues> PerfBackend::read(std::int64_t pid) {
+  auto counters = counters_for(pid);
   if (!counters.ok()) return util::Result<EventValues>::failure(counters.error_message());
 
   EventValues values;
@@ -163,14 +162,13 @@ struct PerfBackend::TargetCounters {};
 
 PerfBackend::PerfBackend() = default;
 PerfBackend::~PerfBackend() = default;
-bool PerfBackend::supports(EventId) const { return false; }
 bool PerfBackend::available() noexcept { return false; }
 
-util::Result<PerfBackend::TargetCounters*> PerfBackend::counters_for(Target) {
+util::Result<PerfBackend::TargetCounters*> PerfBackend::counters_for(std::int64_t) {
   return util::Result<TargetCounters*>::failure("perf backend: not a Linux build");
 }
 
-util::Result<EventValues> PerfBackend::read(Target) {
+util::Result<EventValues> PerfBackend::read(std::int64_t) {
   return util::Result<EventValues>::failure("perf backend: not a Linux build");
 }
 

@@ -1,33 +1,38 @@
-// Real Linux perf_event_open backend.
+// Real Linux perf_event_open counter source.
 //
-// Used for live monitoring on actual hardware (repro band: "native counter
+// Meant for live monitoring on actual hardware (repro band: "native counter
 // access, commodity Linux box"). Counters are opened lazily per (pid,
 // event) with TIME_ENABLED/TIME_RUNNING read format so kernel multiplexing
 // is scaled out, exactly as libpfm4-based tools do. When the kernel denies
 // access (perf_event_paranoid, seccomp, missing PMU in containers) every
-// read fails with a descriptive error and callers fall back to the sim
-// backend — nothing in the library hard-depends on real counters.
+// read fails with a descriptive error — nothing in the library
+// hard-depends on real counters. The monitoring pipeline does not read
+// through it: its HPC sensor gathers every target from an
+// os::MonitorableHost (os::MonitorableHost::gather_counter_lanes).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 
-#include "hpc/backend.h"
+#include "hpc/events.h"
+#include "util/result.h"
 
 namespace powerapi::hpc {
 
-class PerfBackend final : public CounterBackend {
+class PerfBackend {
  public:
   PerfBackend();
-  ~PerfBackend() override;
+  ~PerfBackend();
 
   PerfBackend(const PerfBackend&) = delete;
   PerfBackend& operator=(const PerfBackend&) = delete;
 
-  std::string name() const override { return "perf"; }
-  bool supports(EventId id) const override;
-  util::Result<EventValues> read(Target target) override;
+  /// Cumulative event values for process `pid` (0 = the calling process)
+  /// since its counters were opened. Fails (Result error) for a negative
+  /// pid, when the kernel denies access, or when the read races the
+  /// process's exit.
+  util::Result<EventValues> read(std::int64_t pid);
 
   /// Quick availability probe: can this process count its own cycles?
   static bool available() noexcept;
@@ -36,7 +41,7 @@ class PerfBackend final : public CounterBackend {
   struct OpenCounter;
   struct TargetCounters;
 
-  util::Result<TargetCounters*> counters_for(Target target);
+  util::Result<TargetCounters*> counters_for(std::int64_t pid);
 
   std::map<std::int64_t, std::unique_ptr<TargetCounters>> targets_;
 };

@@ -562,11 +562,6 @@ class Parser {
       spec_.observe.cadence = parse_duration(v, line);
       if (spec_.observe.cadence <= 0) fail(line, "observe cadence must be positive");
     }
-    if (auto v = take_arg(kv, "status_port", line); !v.empty()) {
-      const std::uint64_t port = parse_unsigned(v, line);
-      if (port > 65535) fail(line, "status_port out of range");
-      spec_.observe.status_port = static_cast<std::uint16_t>(port);
-    }
     if (auto v = take_arg(kv, "self_watts_budget", line); !v.empty()) {
       spec_.observe.self_watts_budget = parse_number(v, line);
       if (spec_.observe.self_watts_budget < 0) {

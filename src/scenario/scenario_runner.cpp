@@ -14,7 +14,6 @@
 #include "governor/governor.h"
 #include "hpc/events.h"
 #include "model/trainer.h"
-#include "net/collector_status.h"
 #include "net/watchdog.h"
 #include "os/system.h"
 #include "powerapi/fleet_monitor.h"
@@ -168,37 +167,6 @@ std::string hex_double(double value) {
   return buffer;
 }
 
-const char* kind_name(obs::MetricKind kind) {
-  switch (kind) {
-    case obs::MetricKind::kCounter: return "counter";
-    case obs::MetricKind::kGauge: return "gauge";
-    case obs::MetricKind::kHistogram: return "histogram";
-  }
-  return "?";
-}
-
-/// Status-listener payload: the live fleet metrics snapshot as text lines
-/// ("name kind value") or one flat JSON object.
-void render_metrics(std::ostream& out, obs::Observability& obs, bool json) {
-  const obs::MetricsSnapshot snapshot = obs.metrics.snapshot();
-  if (!json) {
-    for (const obs::MetricValue& metric : snapshot.metrics) {
-      out << metric.name << ' ' << kind_name(metric.kind) << ' ' << metric.value
-          << '\n';
-    }
-    return;
-  }
-  out << '{';
-  bool first = true;
-  for (const obs::MetricValue& metric : snapshot.metrics) {
-    if (!first) out << ',';
-    first = false;
-    obs::detail::write_json_string(out, metric.name);
-    out << ':' << metric.value;
-  }
-  out << "}\n";
-}
-
 }  // namespace
 
 void write_csv(std::ostream& out, const RunResult& result) {
@@ -342,18 +310,11 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
   // last_activity_wall_ns stays 0, which disables the staleness rule (it
   // only makes sense for remote agents).
   std::optional<net::Watchdog> watchdog;
-  std::unique_ptr<net::StatusListener> status_listener;
   if (spec_.observe.enabled) {
-    obs::Observability* obs = fleet.observability();
     net::WatchdogOptions watchdog_options;
     watchdog_options.self_watts_budget = spec_.observe.self_watts_budget;
-    watchdog_options.obs = obs;
+    watchdog_options.obs = fleet.observability();
     watchdog.emplace(watchdog_options);
-    if (spec_.observe.status_port != 0) {
-      status_listener = std::make_unique<net::StatusListener>(
-          spec_.observe.status_port,
-          [obs](std::ostream& out, bool json) { render_metrics(out, *obs, json); });
-    }
   }
   const bool governing = spec_.govern.enabled;
   auto watchdog_sample = [obs = observability.get(), governing] {
@@ -476,7 +437,6 @@ RunResult ScenarioRunner::run(const RunOptions& options) {
         watchdog->check(now, watchdog_sample());
         next_watchdog += spec_.observe.cadence;
       }
-      if (status_listener != nullptr) status_listener->poll_once(0);
     }
   };
 

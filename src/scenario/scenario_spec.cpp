@@ -152,7 +152,6 @@ std::string serialize(const ScenarioSpec& spec) {
 
   if (spec.observe.enabled) {
     out << "observe cadence=" << spec.observe.cadence
-        << " status_port=" << spec.observe.status_port
         << " self_watts_budget=" << num(spec.observe.self_watts_budget) << "\n";
   }
 

@@ -168,8 +168,6 @@ struct ObserveSpec {
   bool enabled = false;
   /// Watchdog evaluation cadence (also the run-loop chunking grain).
   util::DurationNs cadence = util::seconds_to_ns(1);
-  /// Line-oriented TCP status port (0 = no listener).
-  std::uint16_t status_port = 0;
   /// Fleet self-monitoring watts budget for the watchdog (0 = rule off).
   double self_watts_budget = 0.0;
 

@@ -8,6 +8,7 @@
 
 #include "os/scheduler.h"
 #include "os/system.h"
+#include "simcpu/counter_lanes.h"
 #include "workloads/behaviors.h"
 #include "workloads/stress.h"
 
@@ -287,6 +288,68 @@ TEST(RunnableList, KilledTaskReadsAsNotRunAndStopsCounting) {
   EXPECT_EQ(task->last_hw_thread, -1);
   EXPECT_EQ(task->last_utilization, 0.0);
   EXPECT_EQ(system->proc_stat(victim)->last_utilization, 0.0);
+}
+
+// --- gather_counter_lanes: the HPC sensor's one counter source ---
+
+simcpu::CounterBlock lanes_row(const simcpu::CounterLanes& lanes, std::size_t row) {
+  simcpu::CounterBlock block;
+  block.cycles = lanes.lane(0)[row];
+  block.instructions = lanes.lane(1)[row];
+  block.cache_references = lanes.lane(2)[row];
+  block.cache_misses = lanes.lane(3)[row];
+  block.branch_instructions = lanes.lane(4)[row];
+  block.branch_misses = lanes.lane(5)[row];
+  block.bus_cycles = lanes.lane(6)[row];
+  block.stalled_cycles_frontend = lanes.lane(7)[row];
+  block.stalled_cycles_backend = lanes.lane(8)[row];
+  block.ref_cycles = lanes.lane(9)[row];
+  block.smt_shared_cycles = lanes.lane(simcpu::CounterLanes::kSmtLane)[row];
+  return block;
+}
+
+TEST(GatherCounterLanes, MachineProcessAndUnknownRowsFollowTheContract) {
+  System system(simcpu::i3_2120());
+  const Pid single = system.spawn("single", steady());
+  std::vector<std::unique_ptr<TaskBehavior>> threads;
+  threads.push_back(steady(0.5));
+  threads.push_back(steady(0.8));
+  threads.push_back(steady(1.0));
+  const Pid multi = system.spawn("multi", std::move(threads));
+  system.run_for(ms_to_ns(20));
+
+  simcpu::CounterLanes lanes;
+  // First fill every row, so the unknown pid's row below must be cleared,
+  // not inherited: a same-size gather keeps the lanes' storage.
+  const std::vector<Pid> known = {-1, single, multi, single};
+  system.gather_counter_lanes(known, lanes);
+  ASSERT_EQ(lanes.rows(), known.size());
+  ASSERT_GT(lanes.lane(1)[3], 0u);
+
+  const Pid unknown = 999;
+  ASSERT_FALSE(system.proc_stat(unknown).has_value());
+  const std::vector<Pid> targets = {-1, single, multi, unknown};
+  system.gather_counter_lanes(targets, lanes);
+  ASSERT_EQ(lanes.rows(), targets.size());
+
+  EXPECT_GT(system.machine_counters().instructions, 0u);
+  EXPECT_EQ(lanes_row(lanes, 0), system.machine_counters());
+  EXPECT_EQ(lanes.cpu_time()[0], 0);
+  EXPECT_EQ(lanes.live()[0], 1);
+
+  for (std::size_t row : {std::size_t{1}, std::size_t{2}}) {
+    const auto stat = system.proc_stat(targets[row]);
+    ASSERT_TRUE(stat.has_value());
+    EXPECT_GT(stat->counters.instructions, 0u) << "row " << row;
+    EXPECT_EQ(lanes_row(lanes, row), stat->counters) << "row " << row;
+    EXPECT_EQ(lanes.cpu_time()[row], stat->cpu_time_ns) << "row " << row;
+    EXPECT_EQ(lanes.live()[row], 1) << "row " << row;
+  }
+  EXPECT_EQ(system.proc_stat(multi)->threads, 3u);
+
+  EXPECT_EQ(lanes_row(lanes, 3), simcpu::CounterBlock{});
+  EXPECT_EQ(lanes.cpu_time()[3], 0);
+  EXPECT_EQ(lanes.live()[3], 0);
 }
 
 }  // namespace

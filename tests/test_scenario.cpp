@@ -272,8 +272,9 @@ inject at=300ms host=m spawn=w name=extra
 inject at=450ms host=m kill=extra
 )";
 
-std::string run_to_csv(actors::ActorSystem::Mode mode) {
-  ScenarioRunner runner(parse(kRunnerScenario));
+std::string run_to_csv(actors::ActorSystem::Mode mode,
+                       const char* scenario = kRunnerScenario) {
+  ScenarioRunner runner(parse(scenario));
   RunOptions options;
   options.mode = mode;
   const RunResult result = runner.run(options);
@@ -289,9 +290,11 @@ TEST(ScenarioRunner, ManualModeIsBitIdenticalAcrossRuns) {
   EXPECT_EQ(first, second);
 }
 
-TEST(ScenarioRunner, ThreadedMatchesManualPerHostSeries) {
-  ScenarioRunner manual(parse(kRunnerScenario));
-  ScenarioRunner threaded(parse(kRunnerScenario));
+/// Runs `scenario` under kManual and threaded and requires every host's
+/// per-formula series to agree bit for bit.
+void expect_threaded_matches_manual(const char* scenario) {
+  ScenarioRunner manual(parse(scenario));
+  ScenarioRunner threaded(parse(scenario));
   RunOptions mo;
   mo.mode = actors::ActorSystem::Mode::kManual;
   RunOptions to;
@@ -330,6 +333,40 @@ TEST(ScenarioRunner, ThreadedMatchesManualPerHostSeries) {
       }
     }
   }
+}
+
+TEST(ScenarioRunner, ThreadedMatchesManualPerHostSeries) {
+  expect_threaded_matches_manual(kRunnerScenario);
+}
+
+/// "formula trained" fits each CPU's model with the Figure 1 trainer before
+/// the run (the committed rack8 and green_day scenarios use it); a one-point
+/// intensity grid keeps the fit short.
+const char* const kTrainedScenario = R"(scenario trained_unit
+seed 3
+duration 400ms
+tick 1ms
+cpu desk i3_2120
+workload w
+  kind steady
+  profile mixed intensity=0.7 working_set=4MB share=0.3
+end
+host a
+  count 2
+  cpu desk
+  run w copies=2 name=app
+end
+monitor period=50ms dimension=timestamp
+formula trained intensities=1.0 point_duration=200ms
+fleet aggregation=on workers=2
+)";
+
+TEST(ScenarioRunner, TrainedFormulaIsDeterministicAndThreadSafe) {
+  const std::string first = run_to_csv(actors::ActorSystem::Mode::kManual, kTrainedScenario);
+  const std::string second = run_to_csv(actors::ActorSystem::Mode::kManual, kTrainedScenario);
+  ASSERT_NE(first.find(",powerapi-hpc,"), std::string::npos);
+  EXPECT_EQ(first, second);
+  expect_threaded_matches_manual(kTrainedScenario);
 }
 
 TEST(ScenarioRunner, MatchesCommittedGoldenCsvBitForBit) {
