@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "baselines/cpuload_model.h"
 #include "model/model_io.h"
@@ -65,6 +67,72 @@ TEST(Integration, TrainerLearnsTurboBinFormulas) {
   // Turbo instruction energy exceeds the nominal-max one (V²f above 1).
   const auto* nominal = result.model.formula_for(3.4e9);
   EXPECT_GT(turbo_formula->coefficients[0], nominal->coefficients[0]);
+}
+
+/// model_to_string() of the quick_options() model trained on the full
+/// i3-2120 ladder.
+constexpr std::string_view kPinnedI3Model = R"(powerapi-model v2
+idle 28.709843040000003
+frequency 1600000000
+r2 0.96524638868382961
+instructions 7.1391937543779388e-10
+cache-references 2.0544509353708818e-07
+cache-misses 0
+frequency 1800000000
+r2 0.9679308214802026
+instructions 7.4587414449878158e-10
+cache-references 2.1249339275146504e-07
+cache-misses 0
+frequency 2000000000
+r2 0.95952894236723618
+instructions 8.6285679172835246e-10
+cache-references 2.1567316762471041e-07
+cache-misses 0
+frequency 2200000000
+r2 0.95475148387844111
+instructions 9.4535827911551099e-10
+cache-references 2.2034737532489044e-07
+cache-misses 0
+frequency 2400000000.0000005
+r2 0.94858758899662066
+instructions 1.0535462290961851e-09
+cache-references 2.2410971223469142e-07
+cache-misses 0
+frequency 2600000000.0000005
+r2 0.9403098874771203
+instructions 1.1841541387281063e-09
+cache-references 2.2862204375325895e-07
+cache-misses 0
+frequency 2800000000.0000005
+r2 0.93151803733381711
+instructions 1.3041789106966096e-09
+cache-references 2.3342226881861076e-07
+cache-misses 0
+frequency 3000000000.000001
+r2 0.9192594393556841
+instructions 1.4605682598139625e-09
+cache-references 2.38301100956895e-07
+cache-misses 0
+frequency 3200000000.000001
+r2 0.90842558792835126
+instructions 1.6037510249043588e-09
+cache-references 2.4447078465337454e-07
+cache-misses 0
+frequency 3300000000
+r2 0.89872752192596916
+instructions 1.7137213727264912e-09
+cache-references 2.4721334581633437e-07
+cache-misses 0
+# crc32c 7e96c015
+)";
+
+TEST(Integration, TrainedModelBytesArePinned) {
+  // The whole i3-2120 ladder: the idle floor plus ten sampled frequencies.
+  // The saved bytes (coefficients, r2 and the crc32c footer) must not
+  // depend on how collect() schedules those jobs.
+  model::Trainer trainer(simcpu::i3_2120(), simcpu::GroundTruthParams{}, quick_options());
+  const std::string text = model::model_to_string(trainer.train().model);
+  EXPECT_EQ(text, kPinnedI3Model);
 }
 
 TEST(Integration, SavedModelMonitorsIdenticallyToFreshOne) {
