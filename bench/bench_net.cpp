@@ -34,7 +34,7 @@ api::AggregatedPower sample_row(std::int64_t tick) {
 /// Discards decoded frames; the codec is what's measured.
 struct DiscardSink final : net::WireSink {
   void on_hello(std::string_view, std::uint8_t) override {}
-  void on_aggregated(const api::AggregatedPower&) override {}
+  void on_rows(std::span<const api::AggregatedPower>) override {}
   void on_metrics_snapshot(std::int64_t, const obs::MetricsSnapshot&) override {}
   void on_spans(std::int64_t, const std::vector<net::RemoteSpan>&) override {}
   void on_bye() override {}

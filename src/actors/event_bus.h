@@ -152,9 +152,9 @@ class EventBus {
   }
 
   /// A single subscriber gets the payload inline (no refcount allocation).
-  /// Fan-out of a value small enough for std::any's inline storage is
-  /// copied per delivery — cheaper than a refcount bump, and allocation-
-  /// free either way. Larger values are materialized once and shared by
+  /// Fan-out of a value that fits std::any's inline storage — a scalar, or
+  /// a one-pointer handle such as api::RowBatch — is copied per delivery,
+  /// allocation-free. Larger values are materialized once and shared by
   /// refcount across deliveries.
   template <typename T>
   std::size_t deliver(const SubscriberList* subs, T&& payload, ActorRef sender) {
@@ -164,7 +164,8 @@ class EventBus {
       system_->tell(subs->front(), Payload(std::forward<T>(payload)), sender);
       return 1;
     }
-    if constexpr (std::is_trivially_copyable_v<Value> && sizeof(Value) <= sizeof(void*)) {
+    if constexpr (std::is_nothrow_move_constructible_v<Value> &&
+                  sizeof(Value) <= sizeof(void*) && alignof(Value) <= alignof(void*)) {
       const Value& value = payload;
       for (const auto& ref : *subs) {
         system_->tell(ref, Payload(value), sender);

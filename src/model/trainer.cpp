@@ -1,7 +1,13 @@
 #include "model/trainer.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <functional>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "mathx/ols.h"
 #include "os/system.h"
@@ -29,6 +35,33 @@ powermeter::PowerSpy make_meter(const os::System& system, util::Rng rng) {
   return powermeter::PowerSpy(
       [&system] { return system.total_energy_joules(); },
       [&system] { return system.now_ns(); }, std::move(rng));
+}
+
+/// Runs job(0) .. job(count - 1) on min(hardware threads, count) threads,
+/// the caller being one of them, and returns once all have finished. If
+/// any job throws, the exception of the lowest-numbered one is rethrown.
+void run_jobs(std::size_t count, const std::function<void(std::size_t)>& job) {
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> errors(count);
+  const auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
+      try {
+        job(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  const std::size_t threads =
+      std::min<std::size_t>(std::max(1u, std::thread::hardware_concurrency()), count);
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads);
+  for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(worker);
+  worker();
+  for (std::thread& helper : helpers) helper.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace
@@ -139,9 +172,21 @@ SampleSet Trainer::collect() const {
   // only way to learn turbo-bin formulas when it is present.
   const std::vector<double> all = spec_.all_frequencies_hz();
   SampleSet set;
-  set.idle_watts = measure_idle();
   set.frequencies_hz = all;
   set.by_frequency.resize(all.size());
+
+  // The idle floor and each ladder point are independent jobs (each builds
+  // its own System and Rng), so they run on up to one thread per core, the
+  // caller included. Job 0 is the idle floor, job i the i-th ladder point.
+  const std::vector<double>& ladder = spec_.frequencies_hz;
+  std::vector<std::vector<TrainingSample>> sampled(ladder.size());
+  run_jobs(ladder.size() + 1, [&](std::size_t job) {
+    if (job == 0) {
+      set.idle_watts = measure_idle();
+    } else {
+      sampled[job - 1] = sample_frequency(ladder[job - 1]);
+    }
+  });
 
   auto bucket_of = [&all](double hz) {
     std::size_t best = 0;
@@ -151,8 +196,9 @@ SampleSet Trainer::collect() const {
     return best;
   };
 
-  for (double hz : spec_.frequencies_hz) {
-    for (auto& sample : sample_frequency(hz)) {
+  // Merged in ladder order, as a serial sweep would have produced them.
+  for (auto& samples : sampled) {
+    for (auto& sample : samples) {
       set.by_frequency[bucket_of(sample.frequency_hz)].push_back(std::move(sample));
     }
   }

@@ -6,7 +6,9 @@
 //   (4) multivariate regression per frequency → the power model
 //
 // The trainer builds a private simulated System per frequency so sampling is
-// hermetic, measures the idle floor first, then sweeps the stress grid.
+// hermetic: the idle floor and every ladder point are independent jobs, run
+// on up to one thread per core. Their samples merge in ladder order, so the
+// model does not depend on how many threads ran them.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +73,9 @@ class Trainer {
   Trainer(simcpu::CpuSpec spec, simcpu::GroundTruthParams ground_truth,
           TrainerOptions options);
 
-  /// Sampling phase only (steps 1–3 of Figure 1).
+  /// Sampling phase only (steps 1–3 of Figure 1), on min(hardware threads,
+  /// ladder points + 1) threads, the caller included. Rethrows the first
+  /// failing job's exception, in ladder order (the idle floor first).
   SampleSet collect() const;
 
   /// Regression phase only (step 4): fits per-frequency formulas.

@@ -81,17 +81,19 @@ void BusBridge::on_hello(ConnId conn, std::string_view agent_id,
   agent.last_update_ns = now_ns();
 }
 
-void BusBridge::on_aggregated(ConnId conn, const api::AggregatedPower& row) {
+void BusBridge::on_rows(ConnId conn, std::span<const api::AggregatedPower> rows) {
   actors::EventBus::TopicId topic = actors::EventBus::kNoTopic;
+  api::RowBatch batch;
   {
     std::lock_guard lock(mutex_);
     AgentState& agent = state_locked(conn);
     agent.last_update_ns = now_ns();
     topic = agent.aggregated_topic;
+    batch = batches_.make(rows);
   }
   // Publish outside the lock: subscribers run arbitrary code.
-  if (topic != actors::EventBus::kNoTopic) bus_->publish(topic, row);
-  bus_->publish(merged_aggregated_, row);
+  if (topic != actors::EventBus::kNoTopic) bus_->publish(topic, batch);
+  bus_->publish(merged_aggregated_, std::move(batch));
 }
 
 void BusBridge::on_metrics_snapshot(ConnId conn, std::int64_t /*send_wall_ns*/,

@@ -3,11 +3,16 @@
 // CallbackReporter, a probe — works unchanged on remote data.
 //
 // The bridge publishes rows only (api::AggregatedPower, the one record the
-// wire carries). The topic scheme mirrors the fleet namespaces ("h<i>/..."):
-// each row is published twice, once under its agent's namespace and once
-// merged:
+// wire carries), a frame at a time: each decoded frame's rows become one
+// api::RowBatch, taken from the bridge's pool under one lock and one clock
+// read. The topic scheme mirrors the fleet namespaces ("h<i>/..."): each
+// batch is published twice, once under its agent's namespace and once
+// merged, sharing one vector:
 //
 //   remote/<agent>/power:aggregated    remote/power:aggregated
+//
+// These topics carry only RowBatch; a bus-subscribed CallbackReporter
+// reports each row of a batch in order.
 //
 // The merged topic is what a collector sums the fleet dimension from
 // (FleetSum); the per-agent topics let a reporter follow one machine. Agents are
@@ -30,12 +35,14 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "actors/event_bus.h"
 #include "net/collector_server.h"
 #include "obs/observability.h"
+#include "powerapi/messages.h"
 
 namespace powerapi::net {
 
@@ -68,7 +75,7 @@ class BusBridge final : public CollectorSink {
   // CollectorSink (server event-loop thread).
   void on_connect(ConnId conn) override;
   void on_hello(ConnId conn, std::string_view agent_id, std::uint8_t version) override;
-  void on_aggregated(ConnId conn, const api::AggregatedPower& row) override;
+  void on_rows(ConnId conn, std::span<const api::AggregatedPower> rows) override;
   void on_metrics_snapshot(ConnId conn, std::int64_t send_wall_ns,
                            std::int64_t recv_wall_ns,
                            const obs::MetricsSnapshot& snapshot) override;
@@ -95,11 +102,12 @@ class BusBridge final : public CollectorSink {
   BusBridgeOptions options_;
   actors::EventBus::TopicId merged_aggregated_;
 
-  /// Guards agents_ and clock_: sink callbacks run on the server loop
-  /// thread while snapshot collectors may pull from any thread.
+  /// Guards agents_, clock_ and batches_: sink callbacks run on the server
+  /// loop thread while snapshot collectors may pull from any thread.
   mutable std::mutex mutex_;
   std::map<ConnId, AgentState> agents_;
   std::function<std::int64_t()> clock_;
+  api::RowBatchPool batches_;
   obs::MetricsRegistry::CollectorId collector_id_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -31,8 +30,8 @@ struct CollectorServer::Connection : WireSink {
     agent_id.assign(agent_id_in);
     sink.on_hello(id, agent_id_in, version);
   }
-  void on_aggregated(const api::AggregatedPower& row) override {
-    sink.on_aggregated(id, row);
+  void on_rows(std::span<const api::AggregatedPower> rows) override {
+    sink.on_rows(id, rows);
   }
   void on_metrics_snapshot(std::int64_t send_wall_ns,
                            const obs::MetricsSnapshot& snapshot) override {
@@ -100,29 +99,28 @@ void CollectorServer::stop() {
 
 bool CollectorServer::poll_once(int timeout_ms) {
   if (!listening() && connections_.empty()) return false;
-  std::vector<struct pollfd> fds;
-  fds.reserve(connections_.size() + 1);
+  fds_.clear();
   if (listening()) {
-    fds.push_back({listener_.fd(), POLLIN, 0});
+    fds_.push_back({listener_.fd(), POLLIN, 0});
   }
   for (const auto& conn : connections_) {
-    fds.push_back({conn->socket.fd(), POLLIN, 0});
+    fds_.push_back({conn->socket.fd(), POLLIN, 0});
   }
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+  const int ready = ::poll(fds_.data(), fds_.size(), timeout_ms);
   if (ready <= 0) return false;
 
   bool progress = false;
   std::size_t fd_index = 0;
   if (listening()) {
-    if ((fds[fd_index].revents & POLLIN) != 0) progress |= accept_ready();
+    if ((fds_[fd_index].revents & POLLIN) != 0) progress |= accept_ready();
     ++fd_index;
   }
   // Walk backwards so close_connection's swap-and-pop never disturbs the
-  // indices still to visit. fds was captured before any accept, so it lines
+  // indices still to visit. fds_ was filled before any accept, so it lines
   // up with the first connections_ entries even after new accepts.
-  const std::size_t polled = fds.size() - fd_index;
+  const std::size_t polled = fds_.size() - fd_index;
   for (std::size_t i = polled; i-- > 0;) {
-    if ((fds[fd_index + i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) {
+    if ((fds_[fd_index + i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) {
       continue;
     }
     progress |= read_connection(*connections_[i]);

@@ -17,10 +17,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
+
+#include <poll.h>
 
 #include "net/socket.h"
 #include "net/wire.h"
@@ -41,7 +44,10 @@ class CollectorSink {
   /// First frame of a well-behaved client; `agent_id` identifies the peer.
   virtual void on_hello(ConnId /*conn*/, std::string_view /*agent_id*/,
                         std::uint8_t /*version*/) {}
-  virtual void on_aggregated(ConnId /*conn*/, const api::AggregatedPower& /*row*/) {}
+  /// The rows of one batch frame, in wire order (see WireSink::on_rows);
+  /// the span is valid only for the call.
+  virtual void on_rows(ConnId /*conn*/,
+                       std::span<const api::AggregatedPower> /*rows*/) {}
   /// A remote metrics snapshot. `send_wall_ns` is the agent's local clock at
   /// emission; `recv_wall_ns` is this process's clock at decode — the pair
   /// feeds per-connection clock-offset estimation.
@@ -126,6 +132,8 @@ class CollectorServer {
   std::uint16_t port_ = 0;
   ConnId next_conn_id_ = 1;
   std::vector<std::unique_ptr<Connection>> connections_;
+  /// poll_once()'s descriptor set, rebuilt in place on every call.
+  std::vector<struct pollfd> fds_;
 
   std::atomic<std::size_t> connection_count_{0};
   std::atomic<std::uint64_t> connections_accepted_{0};

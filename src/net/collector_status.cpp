@@ -71,14 +71,14 @@ void CollectorStatus::on_hello(ConnId conn, std::string_view agent_id,
   next_.on_hello(conn, agent_id, version);
 }
 
-void CollectorStatus::on_aggregated(ConnId conn, const api::AggregatedPower& row) {
+void CollectorStatus::on_rows(ConnId conn, std::span<const api::AggregatedPower> rows) {
   {
     std::lock_guard lock(mutex_);
     Entry& entry = entry_locked(conn);
-    ++entry.status.aggregated;
+    entry.status.aggregated += rows.size();
     entry.status.last_record_wall_ns = now_ns();
   }
-  next_.on_aggregated(conn, row);
+  next_.on_rows(conn, rows);
 }
 
 void CollectorStatus::on_metrics_snapshot(ConnId conn, std::int64_t send_wall_ns,

@@ -90,7 +90,7 @@ class CollectorStatus final : public CollectorSink {
   // CollectorSink (server event-loop thread): account, then forward.
   void on_connect(ConnId conn) override;
   void on_hello(ConnId conn, std::string_view agent_id, std::uint8_t version) override;
-  void on_aggregated(ConnId conn, const api::AggregatedPower& row) override;
+  void on_rows(ConnId conn, std::span<const api::AggregatedPower> rows) override;
   void on_metrics_snapshot(ConnId conn, std::int64_t send_wall_ns,
                            std::int64_t recv_wall_ns,
                            const obs::MetricsSnapshot& snapshot) override;

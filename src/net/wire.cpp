@@ -326,6 +326,7 @@ bool FrameDecoder::decode_frame(FrameType type, const std::uint8_t* payload,
 bool FrameDecoder::decode_batch(const std::uint8_t* payload, std::size_t size,
                                 WireSink& sink) {
   Reader r{payload, size};
+  std::size_t rows = 0;
   while (!r.done()) {
     std::uint8_t kind = 0;
     if (!r.u8(kind)) return fail("truncated record kind");
@@ -346,30 +347,35 @@ bool FrameDecoder::decode_batch(const std::uint8_t* payload, std::size_t size,
         break;
       }
       case kAggregated: {
-        api::AggregatedPower row;
         std::int64_t ts_delta = 0;
         std::int64_t pid = 0;
         std::uint64_t formula = 0;
         std::uint64_t group = 0;
+        double watts = 0.0;
         if (!r.svarint(ts_delta) || !r.svarint(pid) || !r.varint(formula) ||
-            !r.varint(group) || !r.f64(row.watts)) {
+            !r.varint(group) || !r.f64(watts)) {
           return fail("truncated aggregated record");
         }
         if (formula >= dict_.size() || group >= dict_.size()) {
           return fail("aggregated string id undefined");
         }
+        if (rows == rows_.size()) rows_.emplace_back();
+        api::AggregatedPower& row = rows_[rows++];
         last_ts_ += ts_delta;
         row.timestamp = last_ts_;
         row.pid = pid;
-        row.formula = dict_[formula];
-        row.group = dict_[group];
-        sink.on_aggregated(row);
-        ++records_;
+        row.formula.assign(dict_[formula]);
+        row.group.assign(dict_[group]);
+        row.watts = watts;
         break;
       }
       default:
         return fail("unknown record kind " + std::to_string(kind));
     }
+  }
+  if (rows > 0) {
+    records_ += rows;
+    sink.on_rows(std::span<const api::AggregatedPower>(rows_.data(), rows));
   }
   return true;
 }

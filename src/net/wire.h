@@ -49,10 +49,16 @@
 // length, CRC mismatch, truncated or unknown record — poisons the decoder
 // and reports an error; the server drops that connection and keeps serving
 // the rest.
+//
+// A batch frame's rows reach the sink together, in one on_rows() call made
+// once the whole frame has decoded, so every layer behind the sink handles
+// a frame, not a row. A frame that fails anywhere delivers none of its
+// rows, and a frame of dict records only calls nothing.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,7 +105,10 @@ class WireSink {
  public:
   virtual ~WireSink() = default;
   virtual void on_hello(std::string_view agent_id, std::uint8_t version) = 0;
-  virtual void on_aggregated(const api::AggregatedPower& row) = 0;
+  /// The rows of one batch frame, in wire order; called only when the
+  /// whole frame is valid and holds at least one row. The span views the
+  /// decoder's reused buffer and is valid only for the call.
+  virtual void on_rows(std::span<const api::AggregatedPower> rows) = 0;
   /// A full remote metrics snapshot; `send_wall_ns` is the agent's local
   /// wall clock at emission (clock-offset estimation pairs it with the
   /// receiver's clock at decode).
@@ -204,6 +213,10 @@ class FrameDecoder {
   std::vector<std::string> dict_;
   std::int64_t last_ts_ = 0;
   std::int64_t last_span_ts_ = 0;
+  /// The rows of the batch frame being decoded. Rows are overwritten in
+  /// place, frame after frame, so their strings keep their capacity and a
+  /// steady stream decodes without allocating.
+  std::vector<api::AggregatedPower> rows_;
 };
 
 }  // namespace powerapi::net

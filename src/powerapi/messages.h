@@ -16,13 +16,19 @@
 // Every pipeline is a FleetMonitor host, so its topics live under the
 // host's namespace prefix ("h0/tick", "h3/power:aggregated"). The fleet
 // dimension publishes "(fleet)" rows on "fleet/power:aggregated", also
-// only when subscribed, and a telemetry collector's BusBridge republishes
-// remote rows on "remote/power:aggregated".
+// only when subscribed. Those topics carry one AggregatedPower per
+// publish. A telemetry collector's BusBridge republishes remote rows on
+// "remote/power:aggregated" (and "remote/<agent>/power:aggregated"); the
+// remote topics carry only RowBatch, one per decoded frame.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/feature_matrix.h"
@@ -120,6 +126,84 @@ struct AggregatedPower {
   /// Tick sequence id of the estimates this row aggregates (observability
   /// correlation; 0 when off).
   std::uint64_t seq = 0;
+};
+
+/// The rows of one telemetry frame, in wire order, as one bus payload. A
+/// RowBatch is a shared, immutable vector: copies share it through an
+/// intrusive refcount, so the handle is one pointer wide, fits a bus
+/// payload's inline storage, and publishing it to any number of
+/// subscribers allocates nothing. Batches come from a RowBatchPool, which
+/// refills a vector only once every copy it handed out has been released.
+class RowBatch {
+ public:
+  RowBatch() noexcept = default;
+  RowBatch(const RowBatch& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  RowBatch(RowBatch&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+  RowBatch& operator=(RowBatch other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~RowBatch() {
+    if (block_ != nullptr && block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete block_;
+    }
+  }
+
+  /// The rows; empty for a default-constructed batch.
+  std::span<const AggregatedPower> rows() const noexcept {
+    if (block_ == nullptr) return {};
+    return {block_->rows.data(), block_->size};
+  }
+
+ private:
+  friend class RowBatchPool;
+  struct Block {
+    std::atomic<std::uint32_t> refs{1};
+    /// Rows past `size` are spares kept from a longer batch, so their
+    /// strings keep their capacity for the next fill.
+    std::vector<AggregatedPower> rows;
+    std::size_t size = 0;
+  };
+
+  Block* block_ = nullptr;
+};
+
+/// Hands out RowBatches over a few reused vectors, as PooledMatrix does for
+/// sensor batches: make() refills a pooled vector only when the pool holds
+/// its sole reference, so a batch is never written while a subscriber
+/// reads it. When every pooled vector is still held, a new one joins the
+/// pool, up to kMaxPooled; past that a batch gets a vector of its own,
+/// freed with its last copy. Once subscribers release each batch before
+/// the pool's next few make() calls, making a batch allocates nothing.
+/// Not thread-safe: one producer owns a pool.
+class RowBatchPool {
+ public:
+  static constexpr std::size_t kMaxPooled = 64;
+
+  /// A batch holding a copy of `rows`.
+  RowBatch make(std::span<const AggregatedPower> rows) {
+    RowBatch batch = take();
+    RowBatch::Block& block = *batch.block_;
+    if (block.rows.size() < rows.size()) block.rows.resize(rows.size());
+    std::copy(rows.begin(), rows.end(), block.rows.begin());
+    block.size = rows.size();
+    return batch;
+  }
+
+ private:
+  RowBatch take() {
+    for (const RowBatch& slot : slots_) {
+      if (slot.block_->refs.load(std::memory_order_acquire) == 1) return slot;
+    }
+    RowBatch fresh;
+    fresh.block_ = new RowBatch::Block();
+    if (slots_.size() < kMaxPooled) slots_.push_back(fresh);
+    return fresh;
+  }
+
+  std::vector<RowBatch> slots_;
 };
 
 }  // namespace powerapi::api

@@ -5,8 +5,8 @@
 // A reporter attached to a host's Pipeline, or to a FleetMonitor's fleet
 // dimension, is called directly, once per row, in attach order. Only
 // CallbackReporter is also an actor, so it can be spawned on a bus topic:
-// a sink subscribed to "fleet/power:aggregated", or a collector-side one
-// behind a BusBridge.
+// a sink subscribed to "fleet/power:aggregated" (one row per message), or
+// a collector-side one behind a BusBridge (one RowBatch per message).
 #pragma once
 
 #include <functional>
@@ -52,7 +52,8 @@ class CsvReporter final : public Reporter {
 };
 
 /// Invokes a user callback per aggregated row — the embedding API. As an
-/// actor, receive() unwraps each AggregatedPower and reports it.
+/// actor, receive() reports an AggregatedPower, or each row of a RowBatch
+/// in order.
 class CallbackReporter final : public Reporter, public actors::Actor {
  public:
   using Callback = std::function<void(const AggregatedPower&)>;
@@ -60,7 +61,11 @@ class CallbackReporter final : public Reporter, public actors::Actor {
 
   void report(const AggregatedPower& row) override { callback_(row); }
   void receive(actors::Envelope& envelope) override {
-    if (const auto* row = envelope.payload.get<AggregatedPower>()) report(*row);
+    if (const auto* batch = envelope.payload.get<RowBatch>()) {
+      for (const AggregatedPower& row : batch->rows()) report(row);
+    } else if (const auto* row = envelope.payload.get<AggregatedPower>()) {
+      report(*row);
+    }
   }
 
  private:

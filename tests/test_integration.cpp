@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -133,6 +134,24 @@ TEST(Integration, TrainedModelBytesArePinned) {
   model::Trainer trainer(simcpu::i3_2120(), simcpu::GroundTruthParams{}, quick_options());
   const std::string text = model::model_to_string(trainer.train().model);
   EXPECT_EQ(text, kPinnedI3Model);
+}
+
+TEST(Integration, TrainerRethrowsAFailedJobsException) {
+  // No idle window: the idle-floor job throws while the ladder jobs run
+  // on the other threads; collect() rethrows it once they are done.
+  model::TrainerOptions options = quick_options();
+  options.idle_duration = 0;
+  model::Trainer trainer(simcpu::i3_2120(), simcpu::GroundTruthParams{}, options);
+  EXPECT_THROW(
+      {
+        try {
+          trainer.collect();
+        } catch (const std::runtime_error& error) {
+          EXPECT_NE(std::string(error.what()).find("no idle samples"), std::string::npos);
+          throw;
+        }
+      },
+      std::runtime_error);
 }
 
 TEST(Integration, SavedModelMonitorsIdenticallyToFreshOne) {

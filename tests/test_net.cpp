@@ -13,6 +13,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "obs/observability.h"
 #include "os/system.h"
 #include "powerapi/fleet_monitor.h"
+#include "powerapi/reporters.h"
 #include "workloads/behaviors.h"
 #include "workloads/stress.h"
 
@@ -63,8 +65,9 @@ struct RecordingSink : WireSink {
   void on_hello(std::string_view agent_id, std::uint8_t version) override {
     hellos.emplace_back(agent_id, version);
   }
-  void on_aggregated(const api::AggregatedPower& row) override {
-    aggregated.push_back(row);
+  void on_rows(std::span<const api::AggregatedPower> rows) override {
+    aggregated.insert(aggregated.end(), rows.begin(), rows.end());
+    frame_sizes.push_back(rows.size());
   }
   void on_metrics_snapshot(std::int64_t, const obs::MetricsSnapshot&) override {}
   void on_spans(std::int64_t, const std::vector<RemoteSpan>&) override {}
@@ -72,6 +75,7 @@ struct RecordingSink : WireSink {
 
   std::vector<std::pair<std::string, std::uint8_t>> hellos;
   std::vector<api::AggregatedPower> aggregated;
+  std::vector<std::size_t> frame_sizes;  ///< Rows per on_rows() call.
   int byes = 0;
 };
 
@@ -146,6 +150,68 @@ TEST(Wire, DictionaryInterningShrinksRepeatBatches) {
   ASSERT_EQ(sink.aggregated.size(), 2u);
   EXPECT_EQ(sink.aggregated[1].formula, "powerapi-hpc");
   EXPECT_EQ(sink.aggregated[1].timestamp, seconds_to_ns(2));
+}
+
+TEST(Wire, DecoderHandsEachFrameToTheSinkOnceInOrder) {
+  // Dict records land before, between and after rows; every frame still
+  // reaches the sink as one span, in wire order, and the spans of frames
+  // consumed in one chunk arrive frame by frame.
+  WireEncoder encoder;
+  encoder.add(make_row(1, 1.0, "powerapi-hpc"));  // Defines "powerapi-hpc", "".
+  encoder.add(make_row(1, 2.0, "powerspy"));      // A dict record mid-frame.
+  encoder.add(make_row(1, 3.0, "powerapi-hpc", 7));
+  std::vector<std::uint8_t> stream = encoder.take_batch_frame();
+  encoder.add(make_aggregated(2, 4.0, "web"));  // Opens with a dict record.
+  encoder.add(make_row(2, 5.0, "cpu-load", 9));
+  const auto second = encoder.take_batch_frame();
+  stream.insert(stream.end(), second.begin(), second.end());
+
+  FrameDecoder decoder;
+  RecordingSink sink;
+  ASSERT_TRUE(decoder.consume(stream.data(), stream.size(), sink)) << decoder.error();
+  EXPECT_EQ(sink.frame_sizes, (std::vector<std::size_t>{3, 2}));
+  ASSERT_EQ(sink.aggregated.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_DOUBLE_EQ(sink.aggregated[i].watts, static_cast<double>(i + 1));
+  }
+  EXPECT_EQ(sink.aggregated[1].formula, "powerspy");
+  EXPECT_EQ(sink.aggregated[2].pid, 7);
+  EXPECT_EQ(sink.aggregated[3].group, "web");
+  EXPECT_EQ(sink.aggregated[4].formula, "cpu-load");
+  EXPECT_EQ(sink.aggregated[4].group, "");
+  EXPECT_EQ(decoder.records_decoded(), 5u);
+}
+
+TEST(Wire, FrameThatFailsMidwayDeliversNoneOfItsRows) {
+  // Two good rows, then a record of an unknown kind: the frame poisons the
+  // decoder and its two rows never reach the sink.
+  WireEncoder encoder;
+  encoder.add(make_row(1, 1.0));
+  encoder.add(make_row(2, 2.0));
+  const auto good = encoder.take_batch_frame();
+  std::vector<std::uint8_t> payload(good.begin() + kFrameHeaderBytes, good.end());
+  payload.push_back(9);
+  const auto bad = WireEncoder::make_frame(FrameType::kBatch, payload);
+
+  FrameDecoder decoder;
+  RecordingSink sink;
+  EXPECT_FALSE(decoder.consume(bad.data(), bad.size(), sink));
+  EXPECT_NE(decoder.error().find("unknown record kind 9"), std::string::npos);
+  EXPECT_TRUE(sink.aggregated.empty());
+  EXPECT_TRUE(sink.frame_sizes.empty());
+  EXPECT_EQ(decoder.records_decoded(), 0u);
+}
+
+TEST(Wire, FrameOfDictRecordsOnlyCallsNothing) {
+  const std::vector<std::uint8_t> payload = {1, 0, 1, 'f',   // kDict: id 0 = "f".
+                                             1, 1, 1, 'g'};  // kDict: id 1 = "g".
+  const auto frame = WireEncoder::make_frame(FrameType::kBatch, payload);
+  FrameDecoder decoder;
+  RecordingSink sink;
+  ASSERT_TRUE(decoder.consume(frame.data(), frame.size(), sink)) << decoder.error();
+  EXPECT_EQ(decoder.frames_decoded(), 1u);
+  EXPECT_TRUE(sink.frame_sizes.empty());
+  EXPECT_EQ(decoder.records_decoded(), 0u);
 }
 
 TEST(Wire, TimestampDeltasSurviveNonMonotonicStreams) {
@@ -313,8 +379,8 @@ struct RecordingCollector : CollectorSink {
   void on_hello(ConnId conn, std::string_view agent_id, std::uint8_t) override {
     hellos.emplace_back(conn, std::string(agent_id));
   }
-  void on_aggregated(ConnId, const api::AggregatedPower& row) override {
-    aggregated.push_back(row);
+  void on_rows(ConnId, std::span<const api::AggregatedPower> rows) override {
+    aggregated.insert(aggregated.end(), rows.begin(), rows.end());
   }
   void on_disconnect(ConnId conn, std::string_view reason) override {
     disconnects.emplace_back(conn, std::string(reason));
@@ -761,32 +827,48 @@ struct BridgeHarness {
   actors::EventBus bus;
 };
 
+/// The watts of each RowBatch received on a bridge topic.
+std::vector<std::vector<double>> watts_of(const std::vector<api::RowBatch>& batches) {
+  std::vector<std::vector<double>> out;
+  for (const api::RowBatch& batch : batches) {
+    out.emplace_back();
+    for (const api::AggregatedPower& row : batch.rows()) out.back().push_back(row.watts);
+  }
+  return out;
+}
+
 TEST(BusBridge, RepublishesUnderPerAgentAndMergedTopics) {
   BridgeHarness h;
   obs::Observability obs;
   BusBridgeOptions options;
   options.obs = &obs;
   BusBridge bridge(h.bus, options);
-  auto& merged = h.collect<api::AggregatedPower>("remote/power:aggregated");
-  auto& per_agent = h.collect<api::AggregatedPower>("remote/h0/power:aggregated");
+  auto& merged = h.collect<api::RowBatch>("remote/power:aggregated");
+  auto& per_agent = h.collect<api::RowBatch>("remote/h0/power:aggregated");
+  auto& single_rows = h.collect<api::AggregatedPower>("remote/power:aggregated");
   EXPECT_EQ(bridge.aggregated_topic(), h.bus.intern("remote/power:aggregated"));
 
   bridge.on_connect(1);
   bridge.on_hello(1, "h0", kWireVersion);
   EXPECT_EQ(bridge.live_agents(), 1u);
-  bridge.on_aggregated(1, make_row(1, 33.0));
-  bridge.on_aggregated(1, make_aggregated(1, 66.0));
+  const std::vector<api::AggregatedPower> frame = {make_row(1, 33.0),
+                                                   make_aggregated(1, 66.0)};
+  bridge.on_rows(1, frame);
+  bridge.on_rows(1, std::span(frame).first(1));
   obs::MetricsSnapshot remote;
   remote.metrics.push_back({"actors.messages", obs::MetricKind::kCounter, 17.0, {}});
   bridge.on_metrics_snapshot(1, 0, 0, remote);
   h.actors.drain();
 
+  // One batch per topic per frame; both topics share each frame's vector.
+  const std::vector<std::vector<double>> frames = {{33.0, 66.0}, {33.0}};
   ASSERT_EQ(merged.items.size(), 2u);
-  EXPECT_DOUBLE_EQ(merged.items[0].watts, 33.0);
-  EXPECT_EQ(merged.items[1].group, "(fleet)");
-  EXPECT_DOUBLE_EQ(merged.items[1].watts, 66.0);
+  EXPECT_EQ(watts_of(merged.items), frames);
+  EXPECT_EQ(merged.items[0].rows()[1].group, "(fleet)");
   ASSERT_EQ(per_agent.items.size(), 2u);
-  EXPECT_DOUBLE_EQ(per_agent.items[0].watts, 33.0);
+  EXPECT_EQ(watts_of(per_agent.items), frames);
+  EXPECT_EQ(per_agent.items[0].rows().data(), merged.items[0].rows().data());
+  EXPECT_TRUE(single_rows.items.empty()) << "remote topics carry only RowBatch";
 
   // Remote metrics land as re-exported gauges under the agent's name.
   const auto snapshot = obs.metrics.snapshot();
@@ -801,12 +883,14 @@ TEST(BusBridge, RepublishesUnderPerAgentAndMergedTopics) {
 TEST(BusBridge, PreHelloRecordsFallBackToConnLabel) {
   BridgeHarness h;
   BusBridge bridge(h.bus);
-  auto& labeled = h.collect<api::AggregatedPower>("remote/conn9/power:aggregated");
+  auto& labeled = h.collect<api::RowBatch>("remote/conn9/power:aggregated");
   bridge.on_connect(9);
-  bridge.on_aggregated(9, make_row(1, 3.0));  // No hello yet.
+  const std::vector<api::AggregatedPower> frame = {make_row(1, 3.0)};
+  bridge.on_rows(9, frame);  // No hello yet.
   h.actors.drain();
   ASSERT_EQ(labeled.items.size(), 1u);
-  EXPECT_DOUBLE_EQ(labeled.items[0].watts, 3.0);
+  ASSERT_EQ(labeled.items[0].rows().size(), 1u);
+  EXPECT_DOUBLE_EQ(labeled.items[0].rows()[0].watts, 3.0);
 }
 
 TEST(BusBridge, MergedOnlyModeSkipsPerAgentTopics) {
@@ -814,15 +898,39 @@ TEST(BusBridge, MergedOnlyModeSkipsPerAgentTopics) {
   BusBridgeOptions options;
   options.per_agent_topics = false;
   BusBridge bridge(h.bus, options);
-  auto& merged = h.collect<api::AggregatedPower>("remote/power:aggregated");
+  auto& merged = h.collect<api::RowBatch>("remote/power:aggregated");
   bridge.on_connect(1);
   bridge.on_hello(1, "h0", kWireVersion);
   const auto dead_letters_before = h.bus.dead_letter_count();
-  bridge.on_aggregated(1, make_row(1, 3.0));
+  const std::vector<api::AggregatedPower> frame = {make_row(1, 3.0), make_row(2, 4.0)};
+  bridge.on_rows(1, frame);
+  bridge.on_rows(1, frame);
   h.actors.drain();
-  ASSERT_EQ(merged.items.size(), 1u);
+  // One batch per frame, on the merged topic only.
+  EXPECT_EQ(watts_of(merged.items), (std::vector<std::vector<double>>{{3.0, 4.0}, {3.0, 4.0}}));
   // No publish ever went to an unsubscribed per-agent topic.
   EXPECT_EQ(h.bus.dead_letter_count(), dead_letters_before);
+}
+
+TEST(BusBridge, CallbackReporterReportsEachRowOfABatchInOrder) {
+  BridgeHarness h;
+  BusBridge bridge(h.bus);
+  std::vector<double> watts;
+  h.bus.subscribe(bridge.aggregated_topic(),
+                  h.actors.spawn_as<api::CallbackReporter>(
+                      "sink", [&watts](const api::AggregatedPower& row) {
+                        watts.push_back(row.watts);
+                      }));
+  bridge.on_connect(1);
+  const std::vector<api::AggregatedPower> first = {make_row(1, 1.0), make_row(1, 2.0),
+                                                   make_row(1, 3.0)};
+  const std::vector<api::AggregatedPower> second = {make_row(2, 4.0)};
+  bridge.on_rows(1, first);
+  bridge.on_rows(1, second);
+  // A single-row payload, as pipeline and fleet topics carry, still reports.
+  h.bus.publish(bridge.aggregated_topic(), make_row(3, 5.0));
+  h.actors.drain();
+  EXPECT_EQ(watts, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}));
 }
 
 }  // namespace

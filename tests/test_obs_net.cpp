@@ -74,8 +74,8 @@ struct ObsRecordingSink : WireSink {
   void on_hello(std::string_view agent_id, std::uint8_t) override {
     hellos.emplace_back(agent_id);
   }
-  void on_aggregated(const api::AggregatedPower& row) override {
-    aggregated.push_back(row);
+  void on_rows(std::span<const api::AggregatedPower> rows) override {
+    aggregated.insert(aggregated.end(), rows.begin(), rows.end());
   }
   void on_metrics_snapshot(std::int64_t send_wall_ns,
                            const obs::MetricsSnapshot& snapshot) override {
@@ -606,7 +606,8 @@ TEST(CollectorStatus, TracksAgentsOffsetsAndSelfWatts) {
 
   status.on_connect(1);
   status.on_hello(1, "h0", kWireVersion);
-  status.on_aggregated(1, make_row(seconds_to_ns(1), 30.0));
+  const std::vector<api::AggregatedPower> rows = {make_row(seconds_to_ns(1), 30.0)};
+  status.on_rows(1, rows);
 
   obs::MetricsRegistry remote;
   remote.gauge("self.watts").set(0.25);

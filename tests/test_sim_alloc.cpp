@@ -2,8 +2,9 @@
 // quantum (os::System::tick → simcpu::Machine::tick →
 // CacheHierarchy::tick_into), one monitored host-tick (advance, sensors,
 // formulas, calibration, aggregation, a callback reporter), one fleet
-// fold (FleetSum) and one actor-system drain, idle or after a tell, must
-// not touch the heap. This binary replaces the global
+// fold (FleetSum), one actor-system drain, idle or after a tell, and one
+// collector frame (decode → BusBridge → bus → drain) must not touch the
+// heap. This binary replaces the global
 // operator new/delete with counting wrappers over malloc/free, which is
 // why it is its own executable: no other suite shares the hook.
 #include <gtest/gtest.h>
@@ -17,9 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "actors/event_bus.h"
+#include "net/bus_bridge.h"
+#include "net/wire.h"
 #include "os/scheduler.h"
 #include "os/system.h"
 #include "powerapi/fleet_monitor.h"
+#include "powerapi/reporters.h"
 #include "util/rng.h"
 #include "workloads/behaviors.h"
 #include "workloads/stress.h"
@@ -294,3 +299,75 @@ TEST(ActorAllocations, SteadyTellAndDrainAllocateNothing) {
 
 }  // namespace
 }  // namespace powerapi::actors
+
+namespace powerapi::net {
+namespace {
+
+/// Feeds a decoder's frames to a bridge as connection 1, as a
+/// CollectorServer connection does.
+struct BridgeFeed final : WireSink {
+  explicit BridgeFeed(BusBridge& bridge_in) : bridge(bridge_in) {}
+  void on_hello(std::string_view agent_id, std::uint8_t version) override {
+    bridge.on_hello(1, agent_id, version);
+  }
+  void on_rows(std::span<const api::AggregatedPower> rows) override {
+    bridge.on_rows(1, rows);
+  }
+  void on_metrics_snapshot(std::int64_t, const obs::MetricsSnapshot&) override {}
+  void on_spans(std::int64_t, const std::vector<RemoteSpan>&) override {}
+  void on_bye() override {}
+  BusBridge& bridge;
+};
+
+TEST(CollectorAllocations, SteadyFrameDecodeBridgeAndDrainAllocateNothing) {
+  // remote_1ms's collector path: a frame of 16 per-process rows, decoded,
+  // bridged as one RowBatch onto a per-agent topic (one reporter) and the
+  // merged topic (two reporters: a fan-out), then drained. Frames are
+  // encoded up front; the window decodes, publishes and drains only.
+  constexpr int kFrames = 1100;
+  constexpr int kWarmup = 100;
+  constexpr int kRowsPerFrame = 16;
+  WireEncoder encoder;
+  std::vector<std::vector<std::uint8_t>> frames;
+  frames.push_back(WireEncoder::hello_frame("h0"));
+  for (int f = 0; f < kFrames; ++f) {
+    for (int r = 0; r < kRowsPerFrame; ++r) {
+      api::AggregatedPower row;
+      row.timestamp = util::ms_to_ns(f);
+      row.pid = r < 2 ? api::kMachinePid : 100 + r;
+      row.formula = r % 2 == 0 ? "powerapi-hpc-per-frequency" : "powerspy";
+      row.watts = 10.0 + r;
+      encoder.add(row);
+    }
+    frames.push_back(encoder.take_batch_frame());
+  }
+
+  actors::ActorSystem system;
+  actors::EventBus bus(system);
+  BusBridge bridge(bus);
+  std::size_t rows = 0;
+  const auto count = [&rows](const api::AggregatedPower&) { ++rows; };
+  bus.subscribe(bridge.aggregated_topic(),
+                system.spawn_as<api::CallbackReporter>("merged-a", count));
+  bus.subscribe(bridge.aggregated_topic(),
+                system.spawn_as<api::CallbackReporter>("merged-b", count));
+  bus.subscribe("remote/h0/power:aggregated",
+                system.spawn_as<api::CallbackReporter>("agent", count));
+  FrameDecoder decoder;
+  BridgeFeed feed(bridge);
+  bridge.on_connect(1);
+
+  const auto step = [&](const std::vector<std::uint8_t>& frame) {
+    ASSERT_TRUE(decoder.consume(frame.data(), frame.size(), feed)) << decoder.error();
+    system.drain();
+  };
+  std::size_t next = 0;
+  for (; next <= kWarmup; ++next) step(frames[next]);
+  const std::size_t before = g_allocations.load();
+  for (; next < frames.size(); ++next) step(frames[next]);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(rows, std::size_t{3} * kFrames * kRowsPerFrame);
+}
+
+}  // namespace
+}  // namespace powerapi::net
